@@ -8,7 +8,7 @@ from .binning import (
     binning_scan_work,
     compute_binning,
 )
-from .dispatch import ACSRPlan, ACSRTiming, build_plan, execute, time_spmv
+from .dispatch import ACSRPlan, ACSRTiming, build_plan, time_spmv
 from .multi_gpu import (
     MultiGPUResult,
     partition_bin_rows,
@@ -36,7 +36,6 @@ __all__ = [
     "binning_scan_work",
     "build_plan",
     "compute_binning",
-    "execute",
     "multi_gpu_spmv",
     "multi_gpu_spmv_time_s",
     "partition_bin_rows",

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..formats.base import PreprocessReport, SpMVFormat
+from ..formats.base import (
+    PreprocessReport,
+    SpMMResult,
+    SpMVFormat,
+    SpMVResult,
+)
 from ..formats.csr import CSRMatrix
-from ..gpu.device import DeviceSpec, GTX_TITAN, Precision
+from ..gpu.device import DeviceSpec, GTX_TITAN
 from ..gpu.kernel import KernelWork, merge_concurrent
 from ..gpu.simulator import simulate_kernel
 from ..kernels import acsr_dp
@@ -28,7 +33,6 @@ from .dispatch import (
     bin_works,
     build_plan,
     dp_children_works,
-    execute,
     time_spmv,
 )
 from .parameters import ACSRParams
@@ -111,39 +115,6 @@ class ACSRFormat(SpMVFormat):
     # ------------------------------------------------------------------
     # SpMVFormat interface
     # ------------------------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    @property
-    def precision(self) -> Precision:
-        return self.csr.precision
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        """Exact SpMV result.
-
-        The bin/DP decomposition computes exactly the per-row dot products
-        of CSR SpMV (verified against :func:`repro.core.dispatch.execute`
-        in the tests), so iteration-heavy callers take the direct path.
-        """
-        return self.csr.matvec(x)
-
-    def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        return self.csr.matmat(X)
-
-    def multiply_via_plan(self, x: np.ndarray, device: DeviceSpec = GTX_TITAN) -> np.ndarray:
-        """SpMV composed from the actual bin + DP kernels (slower, exact)."""
-        return execute(self.csr, self.plan_for(device), x)
-
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         """All launches of one SpMV (children merged as one concurrent pool).
 
@@ -192,42 +163,24 @@ class ACSRFormat(SpMVFormat):
             raise ValueError("vector-block width k must be >= 1")
         return self.timing(device, k=k).time_s
 
-    def run_spmv(self, x: np.ndarray, device: DeviceSpec):
-        from ..formats.base import SpMVResult
-
+    def run_spmv(self, x: np.ndarray, device: DeviceSpec) -> SpMVResult:
+        """Exact product plus the DP-aware ACSR timing of one SpMV."""
         x = np.asarray(x, dtype=self.precision.numpy_dtype)
         if x.shape != (self.n_cols,):
             raise ValueError(f"x must have shape ({self.n_cols},)")
-        plan = self.plan_for(device)
-        y = execute(self.csr, plan, x)  # the real kernel decomposition
-        timing = time_spmv(self.csr, plan, device)
+        timing = self.timing(device)
         return SpMVResult(
-            y=y,
+            y=self.multiply(x),
             time_s=timing.time_s,
             timings=(timing.pool,),
             flops=2.0 * self.nnz,
         )
 
-    def run_spmm(self, X: np.ndarray, device: DeviceSpec):
-        """Batched ``Y = A @ X`` through the real bin/DP decomposition.
-
-        Each column runs :func:`repro.core.dispatch.execute` (so the
-        numerics match the kernel decomposition exactly, column by
-        column); the time is one ``k``-wide batched launch of the same
-        plan via :meth:`timing`.
-        """
-        from ..formats.base import SpMMResult
-
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        k = int(X.shape[1])
-        if k < 1:
-            raise ValueError("X must have at least one column")
-        plan = self.plan_for(device)
-        Y = np.stack(
-            [execute(self.csr, plan, X[:, j]) for j in range(k)], axis=1
-        )
+    def run_spmm(self, X: np.ndarray, device: DeviceSpec) -> SpMMResult:
+        """Batched ``Y = A @ X``, timed as one ``k``-wide launch of the
+        same plan via :meth:`timing`."""
+        Y = self.multiply_many(X)
+        k = int(Y.shape[1])
         timing = self.timing(device, k=k)
         return SpMMResult(
             Y=Y,

@@ -9,13 +9,14 @@ The driver partitions the occupied bins into
   bounded by ``RowMax``.
 
 ``build_plan`` is the "first iteration" branch of Algorithm 1 (binning is
-already done; this is the grouping); ``execute`` and ``time_spmv`` are the
-launch loop.
+already done; this is the grouping); ``time_spmv`` models the launch loop.
+The plan only shapes what the launches cost: every row still gets the
+same dot product, which :meth:`repro.formats.csr.CSRMatrix.matvec`
+computes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,18 +86,6 @@ def build_plan(
     return ACSRPlan(resolved=resolved, g2=tuple(g2), g1_rows=g1_rows)
 
 
-def execute(
-    csr: CSRMatrix, plan: ACSRPlan, x: np.ndarray
-) -> np.ndarray:
-    """Numerical ACSR SpMV: every bin kernel plus the DP group."""
-    y = np.zeros(csr.n_rows, dtype=x.dtype)
-    for b, rows in plan.g2:
-        acsr_bin.execute(csr, rows, x, y)
-    if plan.g1_rows.size:
-        acsr_dp.execute(csr, plan.g1_rows, x, y)
-    return y
-
-
 @dataclass(frozen=True)
 class ACSRTiming:
     """Modelled time of one ACSR SpMV.
@@ -123,22 +112,6 @@ class ACSRTiming:
     #: Child launches beyond the device's pending-launch limit — each
     #: paid the overflow penalty (the profiler's DP-stall counter).
     dp_overflow: int = 0
-
-    @property
-    def bin_timings(self) -> tuple[KernelTiming, ...]:
-        """Deprecated alias: the pooled timing as a 1-tuple.
-
-        .. deprecated::
-            Use ``timing.pool`` directly (or the :class:`TimingLike`
-            surface — ``trace()`` / ``bound_summary()``).
-        """
-        warnings.warn(
-            "ACSRTiming.bin_timings is deprecated; use ACSRTiming.pool "
-            "(or the TimingLike trace()/bound_summary() surface)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return (self.pool,)
 
     @property
     def time_s(self) -> float:

@@ -14,8 +14,9 @@
 Two CSR names are easy to confuse; both are canonical here:
 
 * ``repro.formats.CSRMatrix`` (from :mod:`repro.formats.csr`) is the raw
-  *container* — arrays, statistics, the numeric ``matvec``/``matmat``
-  oracles.  It is what every ``from_csr`` consumes.
+  *container* — arrays, statistics, and the one numeric SpMV kernel
+  (``matvec``/``matmat``) every format multiplies through.  It is what
+  every ``from_csr`` consumes.
 * ``repro.formats.CSRFormat`` (from :mod:`repro.formats.csr_format`) is
   the *executable format* — an :class:`~repro.formats.base.SpMVFormat`
   with kernel cost models, preprocessing report, and ``run_spmv`` /
@@ -42,10 +43,10 @@ from .convert import (
     build_format,
 )
 from .coo import COOFormat
-from .csr import CSRMatrix, csr_matmat, csr_matvec
+from .csr import CSRMatrix
 from .csr_format import CSRFormat
 from .dia import DIAFormat
-from .ell import ELLFormat, build_ell_slabs
+from .ell import ELLFormat
 from .hyb import HYBFormat, hyb_ell_width
 from .sic import SICFormat
 from .tcoo import TCOOFormat
@@ -74,9 +75,6 @@ __all__ = [
     "SpMVResult",
     "TCOOFormat",
     "available_formats",
-    "build_ell_slabs",
     "build_format",
-    "csr_matmat",
-    "csr_matvec",
     "hyb_ell_width",
 ]

@@ -6,8 +6,11 @@ evaluation asks:
 1. *what does it cost to build you from CSR?* — :class:`PreprocessReport`
    (host transform + tuning + transfer), the quantity of Figure 4 and the
    ``PT`` term of Equations 2–4;
-2. *what is your SpMV result?* — ``multiply`` (exact, vectorised NumPy,
-   validated against SciPy in the tests);
+2. *what is your SpMV result?* — ``multiply``, the same for every
+   format: each keeps a reference to its source CSR and multiplies
+   through its one kernel (:meth:`~repro.formats.csr.CSRMatrix.matmat`,
+   sequential float64 per row, tested against a ``math.fsum`` oracle).
+   Layouts differ in what a launch costs, never in the product;
 3. *what does one SpMV cost on a device?* — ``kernel_works`` feeding the
    simulator, the ``ST`` term.
 """
@@ -23,6 +26,7 @@ from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import KernelTiming, simulate_sequence
 from ..gpu.transfer import DEFAULT_LINK, PCIeLink
+from .csr import CSRMatrix
 
 
 class FormatCapacityError(RuntimeError):
@@ -125,15 +129,17 @@ class SpMMResult:
 
 
 class SpMVFormat(abc.ABC):
-    """A sparse-matrix representation with an SpMV kernel suite.
+    """A sparse-matrix layout: its launch geometry, cost and build bill.
 
     Subclasses are built with :meth:`from_csr` and are immutable
-    afterwards.  ``self.preprocess`` must be populated by construction.
+    afterwards.  Construction must set ``self.csr`` (the source matrix,
+    which every numeric product goes through) and ``self.preprocess``.
     """
 
     #: Registry name, e.g. ``"hyb"``.
     name: str = "abstract"
 
+    csr: CSRMatrix
     preprocess: PreprocessReport
 
     # -- construction ---------------------------------------------------
@@ -144,16 +150,16 @@ class SpMVFormat(abc.ABC):
 
     # -- shape ----------------------------------------------------------
     @property
-    @abc.abstractmethod
-    def shape(self) -> tuple[int, int]: ...
+    def shape(self) -> tuple[int, int]:
+        return self.csr.shape
 
     @property
-    @abc.abstractmethod
-    def nnz(self) -> int: ...
+    def nnz(self) -> int:
+        return self.csr.nnz
 
     @property
-    @abc.abstractmethod
-    def precision(self) -> Precision: ...
+    def precision(self) -> Precision:
+        return self.csr.precision
 
     @property
     def n_rows(self) -> int:
@@ -164,9 +170,23 @@ class SpMVFormat(abc.ABC):
         return self.shape[1]
 
     # -- compute --------------------------------------------------------
-    @abc.abstractmethod
     def multiply(self, x: np.ndarray) -> np.ndarray:
-        """Exact ``y = A @ x`` using this format's data layout."""
+        """Exact ``y = A @ x`` through the source CSR's kernel."""
+        return self.csr.matvec(x)
+
+    def multiply_many(self, X: np.ndarray) -> np.ndarray:
+        """Exact ``Y = A @ X`` for a block of vectors.
+
+        ``X`` has shape ``(n_cols, k)``; the result has ``(n_rows, k)``.
+        Every column of the result is *bitwise identical* to the
+        corresponding single-vector :meth:`multiply`.
+        """
+        X = np.asarray(X, dtype=self.precision.numpy_dtype)
+        if X.ndim != 2 or X.shape[0] != self.n_cols:
+            raise ValueError(f"X must have shape ({self.n_cols}, k)")
+        if X.shape[1] < 1:
+            raise ValueError("X must have at least one column")
+        return self.csr.matmat(X)
 
     @abc.abstractmethod
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
@@ -243,51 +263,6 @@ class SpMVFormat(abc.ABC):
         )
 
     # -- batched (SpMM) entry points --------------------------------------
-    def _spmm_triplets(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(rows, cols, vals)`` when :meth:`multiply` is the standard
-        segmented-reduction triplet kernel, else ``None``.
-
-        Formats whose single-vector product is exactly
-        :func:`repro.kernels.coo_segmented.execute` over stored triplets
-        (COO, TCOO, BCCOO, BRC, SIC) return them here, which routes
-        :meth:`multiply_many` through the batched array-level SpMM
-        instead of a Python column loop.  Formats with any other
-        ``multiply`` must leave this ``None`` (or override
-        :meth:`multiply_many` themselves) to keep the bitwise
-        column-equivalence contract.
-        """
-        return None
-
-    def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        """Exact ``Y = A @ X`` for a block of vectors.
-
-        ``X`` has shape ``(n_cols, k)``; the result has ``(n_rows, k)``.
-        Every column of the result is *bitwise identical* to the
-        corresponding single-vector :meth:`multiply` — formats may
-        vectorise (via :meth:`_spmm_triplets` or an override) only if
-        they preserve that equivalence.  Formats without a declared
-        array-level path fall back to looping :meth:`multiply` over
-        columns.
-        """
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        triplets = self._spmm_triplets()
-        if triplets is not None:
-            from ..kernels import coo_segmented
-
-            rows, cols, vals = triplets
-            return coo_segmented.execute_many(
-                rows, cols, vals, X, n_rows=self.n_rows
-            )
-        return np.stack(
-            [self.multiply(X[:, j]) for j in range(X.shape[1])], axis=1
-        )
-
     def spmm_time_s(self, device: DeviceSpec, k: int = 1) -> float:
         """Modelled time of one ``k``-wide batched SpMM on ``device``.
 

@@ -95,24 +95,17 @@ class BCCOOFormat(SpMVFormat):
 
     def __init__(
         self,
+        csr: CSRMatrix,
         config: BCCOOConfig,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        shape: tuple[int, int],
         stored: int,
         preprocess: PreprocessReport,
-        profile,
         n_trials: int,
     ) -> None:
+        self.csr = csr
         self.config = config
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._shape = shape
+        #: Dense-block slots of the chosen geometry (padding included).
         self.stored = stored
         self.preprocess = preprocess
-        self._profile = profile
         #: Number of tuning trials actually executed.
         self.n_trials = n_trials
 
@@ -187,9 +180,6 @@ class BCCOOFormat(SpMVFormat):
         assert best_cfg is not None
 
         stored = stored_by_geom[best_cfg.key]
-        rows = np.repeat(
-            np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row
-        ).astype(np.int32)
         vb = csr.precision.value_bytes
         device_bytes = (
             stored * vb
@@ -210,48 +200,7 @@ class BCCOOFormat(SpMVFormat):
                 f"wg={best_cfg.workgroup}"
             ),
         )
-        return cls(
-            config=best_cfg,
-            rows=rows,
-            cols=csr.col_idx.copy(),
-            vals=csr.values.copy(),
-            shape=csr.shape,
-            stored=stored,
-            preprocess=report,
-            profile=csr.gather_profile,
-            n_trials=len(space),
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        n_rows = self._shape[0]
-        y = np.zeros(n_rows, dtype=x.dtype)
-        if self.nnz:
-            prod = self.vals.astype(np.float64, copy=False) * x.astype(
-                np.float64, copy=False
-            )[self.cols]
-            y += np.bincount(
-                self.rows, weights=prod, minlength=n_rows
-            ).astype(y.dtype, copy=False)
-        return y
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
+        return cls(csr, best_cfg, stored, report, n_trials=len(space))
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         return [
@@ -261,7 +210,7 @@ class BCCOOFormat(SpMVFormat):
                 device=device,
                 n_cols=self.n_cols,
                 precision=self.precision,
-                profile=self._profile,
+                profile=self.csr.gather_profile,
                 real_nnz=self.nnz,
                 k=k,
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES, Precision
+from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
 from ..gpu.kernel import KernelWork, merge_concurrent
 from ..kernels import brc_kernel
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
@@ -61,27 +61,19 @@ class BRCFormat(SpMVFormat):
 
     def __init__(
         self,
+        csr: CSRMatrix,
         perm: np.ndarray,
         blocks: list[tuple[int, int, int]],
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        shape: tuple[int, int],
         stored_slots: int,
         preprocess: PreprocessReport,
-        profile,
     ) -> None:
+        self.csr = csr
         #: ``perm[i]`` is the original index of the i-th sorted row.
         self.perm = perm
         #: ``(n_rows, width, real_nnz)`` per block.
         self.blocks = blocks
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._shape = shape
         self.stored_slots = stored_slots
         self.preprocess = preprocess
-        self._profile = profile
 
     @classmethod
     def from_csr(cls, csr: CSRMatrix) -> "BRCFormat":
@@ -112,12 +104,6 @@ class BRCFormat(SpMVFormat):
         ]
         stored = int(np.sum((ends - starts) * widths))
 
-        # Numeric data: the blocked layout reorders elements but computes
-        # the same products; keep exact triplets for execution.
-        coo_rows = np.repeat(
-            np.arange(n_rows, dtype=np.int64), lengths
-        ).astype(np.int32)
-
         vb = csr.precision.value_bytes
         device_bytes = (
             stored * (vb + INDEX_BYTES)
@@ -135,48 +121,7 @@ class BRCFormat(SpMVFormat):
             padding_fraction=0.0 if stored == 0 else 1.0 - csr.nnz / stored,
             notes=f"blocks={len(blocks)}",
         )
-        return cls(
-            perm=perm,
-            blocks=blocks,
-            rows=coo_rows,
-            cols=csr.col_idx.copy(),
-            vals=csr.values.copy(),
-            shape=csr.shape,
-            stored_slots=stored,
-            preprocess=report,
-            profile=csr.gather_profile,
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        n_rows = self._shape[0]
-        y = np.zeros(n_rows, dtype=x.dtype)
-        if self.nnz:
-            prod = self.vals.astype(np.float64, copy=False) * x.astype(
-                np.float64, copy=False
-            )[self.cols]
-            y += np.bincount(
-                self.rows, weights=prod, minlength=n_rows
-            ).astype(y.dtype, copy=False)
-        return y
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
+        return cls(csr, perm, blocks, stored, report)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         works = brc_kernel.block_works(
@@ -184,7 +129,7 @@ class BRCFormat(SpMVFormat):
             device=device,
             n_cols=self.n_cols,
             precision=self.precision,
-            profile=self._profile,
+            profile=self.csr.gather_profile,
             k=k,
         )
         if not works:

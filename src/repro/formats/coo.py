@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES, Precision
+from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
 from ..gpu.kernel import KernelWork
 from ..kernels import coo_segmented
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
@@ -16,32 +16,16 @@ class COOFormat(SpMVFormat):
 
     name = "coo"
 
-    def __init__(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        shape: tuple[int, int],
-        preprocess: PreprocessReport,
-        profile,
-    ) -> None:
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._shape = shape
+    def __init__(self, csr: CSRMatrix, preprocess: PreprocessReport) -> None:
+        self.csr = csr
         self.preprocess = preprocess
-        self._profile = profile
-        from ..util import count_unique
-
-        self._rows_spanned = count_unique(self.rows) if self.nnz else 0
+        #: Distinct row indices among the triplets: the non-empty rows.
+        self.rows_spanned = int(np.count_nonzero(csr.nnz_per_row))
 
     @classmethod
     def from_csr(cls, csr: CSRMatrix) -> "COOFormat":
         """Build from CSR.  Accepts no kwargs; unknown kwargs raise
         ``TypeError``."""
-        rows = np.repeat(
-            np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row
-        ).astype(np.int32)
         vb = csr.precision.value_bytes
         device_bytes = (
             csr.nnz * (vb + 2 * INDEX_BYTES)
@@ -55,49 +39,17 @@ class COOFormat(SpMVFormat):
             device_bytes=device_bytes,
             notes="row-index expansion only",
         )
-        return cls(
-            rows=rows,
-            cols=csr.col_idx.copy(),
-            vals=csr.values.copy(),
-            shape=csr.shape,
-            preprocess=report,
-            profile=csr.gather_profile,
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        return coo_segmented.execute(
-            self.rows, self.cols, self.vals, x, n_rows=self.n_rows
-        )
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
+        return cls(csr, report)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
-        rows_spanned = self._rows_spanned
         return [
             coo_segmented.work(
                 self.nnz,
-                rows_spanned,
+                self.rows_spanned,
                 device=device,
                 n_cols=self.n_cols,
                 precision=self.precision,
-                profile=self._profile,
+                profile=self.csr.gather_profile,
                 k=k,
             )
         ]

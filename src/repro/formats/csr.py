@@ -8,7 +8,9 @@ in Figure 4.
 
 The container also computes the column-gather locality profile the memory
 model needs (``gather_profile``) and the standard row statistics of
-Table I (``mu`` / ``sigma`` / ``max_nnz``).
+Table I (``mu`` / ``sigma`` / ``max_nnz``), and it holds the package's
+one numeric SpMV kernel (``matvec`` / ``matmat``): every format
+multiplies through the CSR it was built from.
 
 Not to be confused with :mod:`repro.formats.csr_format`, which wraps this
 container in the executable :class:`~repro.formats.csr_format.CSRFormat`
@@ -26,53 +28,6 @@ import numpy as np
 from ..gpu.device import INDEX_BYTES, Precision
 from ..gpu.memory import GatherProfile
 from ..util import count_unique
-
-
-def csr_matvec(
-    values: np.ndarray,
-    col_idx: np.ndarray,
-    row_off: np.ndarray,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Reference CSR SpMV: ``y = A @ x``.
-
-    Uses a prefix-sum formulation that is exact for empty rows (where
-    ``np.add.reduceat`` mis-handles repeated offsets).  Accumulation is in
-    float64 regardless of storage precision, then cast back — matching GPU
-    kernels that accumulate in registers.
-    """
-    if row_off.ndim != 1 or row_off.shape[0] < 1:
-        raise ValueError("row_off must be a non-empty 1-D array")
-    prod = values.astype(np.float64, copy=False) * x.astype(np.float64, copy=False)[col_idx]
-    csum = np.concatenate([[0.0], np.cumsum(prod)])
-    y = csum[row_off[1:]] - csum[row_off[:-1]]
-    return y.astype(x.dtype, copy=False)
-
-
-def csr_matmat(
-    values: np.ndarray,
-    col_idx: np.ndarray,
-    row_off: np.ndarray,
-    X: np.ndarray,
-) -> np.ndarray:
-    """Reference CSR SpMM: ``Y = A @ X`` for ``X`` of shape ``(n_cols, k)``.
-
-    The 2-D twin of :func:`csr_matvec`: the same float64 prefix-sum runs
-    down axis 0 independently per column, so ``csr_matmat(..., X)[:, j]``
-    is *bitwise identical* to ``csr_matvec(..., X[:, j])`` — the numeric
-    half of the batched path's ``k=1`` anchor.
-    """
-    if row_off.ndim != 1 or row_off.shape[0] < 1:
-        raise ValueError("row_off must be a non-empty 1-D array")
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D of shape (n_cols, k)")
-    Xf = X.astype(np.float64, copy=False)
-    prod = values.astype(np.float64, copy=False)[:, None] * Xf[col_idx]
-    csum = np.concatenate(
-        [np.zeros((1, X.shape[1])), np.cumsum(prod, axis=0)], axis=0
-    )
-    Y = csum[row_off[1:]] - csum[row_off[:-1]]
-    return Y.astype(X.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -251,19 +206,44 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Reference ``A @ x`` used as the numeric oracle everywhere."""
-        x = np.asarray(x)
-        if x.shape != (self.n_cols,):
-            raise ValueError(f"x must have shape ({self.n_cols},)")
-        return csr_matvec(self.values, self.col_idx, self.row_off, x)
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        """Reference ``A @ X`` whose columns match :meth:`matvec` bitwise."""
+        """``Y = A @ X`` for ``X`` of shape ``(n_cols, k)``: the one
+        numeric SpMV kernel every format multiplies through.
+
+        Each row accumulates sequentially in float64, from 0.0 and in
+        storage order, independently per column: ``np.bincount`` adds its
+        weights one at a time in input order, which is scipy's CSR loop,
+        so ``Y`` is bitwise equal to ``scipy.sparse.csr_matrix @ X`` in
+        float64.  The result is cast back to ``X``'s dtype, like a GPU
+        kernel that accumulates in registers.
+        """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[0] != self.n_cols:
             raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        return csr_matmat(self.values, self.col_idx, self.row_off, X)
+        shape = (self.n_rows, X.shape[1])
+        n_bins = shape[0] * shape[1]
+        # One bin per (row, column); C order visits each bin's entries in
+        # storage order.
+        bins = np.repeat(
+            np.arange(n_bins, dtype=np.intp).reshape(shape),
+            self.nnz_per_row,
+            axis=0,
+        )
+        prod = X.astype(np.float64, copy=False)[self.col_idx]
+        prod *= self.values[:, None]
+        Y = np.bincount(bins.ravel(), weights=prod.ravel(), minlength=n_bins)
+        return Y.reshape(shape).astype(X.dtype, copy=False)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``y = A @ x``: :meth:`matmat` on the one-column block ``x``.
+
+        Defined through :meth:`matmat`, so a ``k``-wide product's columns
+        are bitwise equal to the single-vector products by construction.
+        """
+        x = np.asarray(x)
+        if x.shape != (self.n_cols,):
+            raise ValueError(f"x must have shape ({self.n_cols},)")
+        return self.matmat(x[:, None])[:, 0]
 
     def device_bytes(self) -> int:
         """Device footprint of CSR data plus the x and y vectors."""

@@ -19,9 +19,7 @@ for both are re-exported by :mod:`repro.formats`.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..gpu.device import DeviceSpec, Precision
+from ..gpu.device import DeviceSpec
 from ..gpu.kernel import KernelWork
 from ..kernels import csr_scalar, csr_vector
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
@@ -58,30 +56,6 @@ class CSRFormat(SpMVFormat):
         (thread-per-row).  Unknown kwargs raise ``TypeError``.
         """
         return cls(csr, kernel=kernel)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    @property
-    def precision(self) -> Precision:
-        return self.csr.precision
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        return self.csr.matvec(x)
-
-    def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised ``A @ X`` whose columns match :meth:`multiply` bitwise."""
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        return self.csr.matmat(X)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         if self.kernel == "scalar":

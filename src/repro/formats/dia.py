@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import DEFAULT_HOST, DeviceSpec, Precision
+from ..gpu.device import DEFAULT_HOST, DeviceSpec
 from ..gpu.kernel import KernelWork
 from ..gpu.memory import coalesced_bytes
 from ..gpu.warp import WARP_SIZE
@@ -24,7 +24,7 @@ from .base import (
 )
 from .csr import CSRMatrix
 
-#: Refuse to materialise more than this many diagonal slots.
+#: Refuse to represent more than this many diagonal slots.
 MAX_SLOTS = 200_000_000
 
 
@@ -34,17 +34,11 @@ class DIAFormat(SpMVFormat):
     name = "dia"
 
     def __init__(
-        self,
-        offsets: np.ndarray,
-        data: np.ndarray,
-        shape: tuple[int, int],
-        real_nnz: int,
-        preprocess: PreprocessReport,
+        self, csr: CSRMatrix, offsets: np.ndarray, preprocess: PreprocessReport
     ) -> None:
+        self.csr = csr
+        #: Sorted offsets (column - row) of the occupied diagonals.
         self.offsets = offsets
-        self.data = data  # (n_diags, n_rows)
-        self._shape = shape
-        self.real_nnz = real_nnz
         self.preprocess = preprocess
 
     @classmethod
@@ -54,16 +48,12 @@ class DIAFormat(SpMVFormat):
         rows = np.repeat(
             np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row
         )
-        diags = csr.col_idx.astype(np.int64) - rows
-        offsets = np.unique(diags)
+        offsets = np.unique(csr.col_idx.astype(np.int64) - rows)
         n_diags = offsets.shape[0]
         if n_diags * csr.n_rows > MAX_SLOTS:
             raise FormatCapacityError(
                 f"DIA would need {n_diags} diagonals x {csr.n_rows} rows"
             )
-        data = np.zeros((n_diags, csr.n_rows), dtype=csr.values.dtype)
-        diag_pos = np.searchsorted(offsets, diags)
-        data[diag_pos, rows] = csr.values
         vb = csr.precision.value_bytes
         slots = n_diags * csr.n_rows
         device_bytes = slots * vb + n_diags * 4 + (
@@ -77,68 +67,16 @@ class DIAFormat(SpMVFormat):
             padding_fraction=0.0 if slots == 0 else 1.0 - csr.nnz / slots,
             notes=f"diagonals={n_diags}",
         )
-        return cls(offsets, data, csr.shape, csr.nnz, report)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return self.real_nnz
+        return cls(csr, offsets, report)
 
     @property
     def n_diags(self) -> int:
         return int(self.offsets.shape[0])
 
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.data.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        n_rows, n_cols = self._shape
-        y = np.zeros(n_rows, dtype=np.float64)
-        rows = np.arange(n_rows, dtype=np.int64)
-        for d, off in enumerate(self.offsets):
-            cols = rows + off
-            valid = (cols >= 0) & (cols < n_cols)
-            y[valid] += (
-                self.data[d, valid].astype(np.float64)
-                * x.astype(np.float64)[cols[valid]]
-            )
-        return y.astype(x.dtype, copy=False)
-
-    def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        # Same per-diagonal accumulation order as `multiply`, widened
-        # over the vector block: each column sees the identical sequence
-        # of elementwise multiply-adds, so columns stay bitwise equal to
-        # the single-vector product.
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        n_rows, n_cols = self._shape
-        if X.ndim != 2 or X.shape[0] != n_cols:
-            raise ValueError(f"X must have shape ({n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        Xf = X.astype(np.float64)
-        Y = np.zeros((n_rows, X.shape[1]), dtype=np.float64)
-        rows = np.arange(n_rows, dtype=np.int64)
-        for d, off in enumerate(self.offsets):
-            cols = rows + off
-            valid = (cols >= 0) & (cols < n_cols)
-            Y[valid, :] += (
-                self.data[d, valid].astype(np.float64)[:, None]
-                * Xf[cols[valid], :]
-            )
-        return Y.astype(X.dtype, copy=False)
-
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        n_rows = self._shape[0]
+        n_rows = self.n_rows
         if n_rows == 0 or self.n_diags == 0:
             return [KernelWork.empty("dia", self.precision)]
         vb = self.precision.value_bytes
@@ -169,7 +107,7 @@ class DIAFormat(SpMVFormat):
                 compute_insts=compute,
                 dram_bytes=dram,
                 mem_ops=np.full(1, float(self.n_diags)),
-                flops=2.0 * self.real_nnz * k,
+                flops=2.0 * self.nnz * k,
                 precision=self.precision,
                 launch=launch_for_threads(n_rows),
                 warp_weights=np.full(1, float(n_warps)),

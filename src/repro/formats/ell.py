@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES, Precision
+from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
 from ..gpu.kernel import KernelWork
 from ..kernels import ell_kernel
 from .base import (
@@ -23,45 +23,25 @@ from .base import (
 )
 from .csr import CSRMatrix
 
-#: Refuse to materialise slabs above this many slots (padding explosion).
+#: Refuse to represent slabs above this many slots (padding explosion).
 MAX_SLOTS = 200_000_000
 
 
-def build_ell_slabs(
-    csr: CSRMatrix, width: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Materialise ``(cols, vals)`` slabs of ``width`` columns from CSR.
+def ell_real_nnz(csr: CSRMatrix, width: int) -> int:
+    """Real (non-padding) entries an ELL slab of ``width`` columns holds.
 
     Rows longer than ``width`` contribute only their first ``width``
-    entries (HYB routes the remainder to COO).  Returns the slabs and the
-    number of real (non-padding) entries stored.
+    entries (HYB routes the remainder to COO).  Raises
+    :class:`FormatCapacityError` when the ``n_rows x width`` slab exceeds
+    :data:`MAX_SLOTS`.
     """
     if width < 0:
         raise ValueError("width must be non-negative")
-    n_rows = csr.n_rows
-    if width == 0 or n_rows == 0:
-        return (
-            np.full((n_rows, 0), ell_kernel.PAD_COL, dtype=np.int32),
-            np.zeros((n_rows, 0), dtype=csr.values.dtype),
-            0,
-        )
-    if n_rows * width > MAX_SLOTS:
+    if csr.n_rows * width > MAX_SLOTS:
         raise FormatCapacityError(
-            f"ELL slab of {n_rows}x{width} exceeds the capacity guard"
+            f"ELL slab of {csr.n_rows}x{width} exceeds the capacity guard"
         )
-    cols = np.full((n_rows, width), ell_kernel.PAD_COL, dtype=np.int32)
-    vals = np.zeros((n_rows, width), dtype=csr.values.dtype)
-    take = np.minimum(csr.nnz_per_row, width)
-    total = int(take.sum())
-    if total:
-        row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), take)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(take) - take, take
-        )
-        src = np.repeat(csr.row_off[:-1], take) + within
-        cols[row_ids, within] = csr.col_idx[src]
-        vals[row_ids, within] = csr.values[src]
-    return cols, vals, total
+    return int(np.minimum(csr.nnz_per_row, width).sum())
 
 
 class ELLFormat(SpMVFormat):
@@ -71,28 +51,22 @@ class ELLFormat(SpMVFormat):
 
     def __init__(
         self,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        n_cols: int,
+        csr: CSRMatrix,
+        width: int,
         real_nnz: int,
         preprocess: PreprocessReport,
-        profile,
     ) -> None:
-        self.cols = cols
-        self.vals = vals
-        self._n_cols = n_cols
+        self.csr = csr
+        self.width = width
         self.real_nnz = real_nnz
         self.preprocess = preprocess
-        self._profile = profile
 
     @classmethod
     def from_csr(cls, csr: CSRMatrix) -> "ELLFormat":
         """Build from CSR.  Accepts no kwargs (width = longest row);
         unknown kwargs raise ``TypeError``."""
         width = csr.max_nnz_row
-        cols, vals, real = build_ell_slabs(csr, width)
-        if real != csr.nnz:
-            raise AssertionError("full-width ELL must store every entry")
+        real = ell_real_nnz(csr, width)
         vb = csr.precision.value_bytes
         slots = csr.n_rows * width
         device_bytes = slots * (vb + INDEX_BYTES) + (
@@ -108,40 +82,7 @@ class ELLFormat(SpMVFormat):
             padding_fraction=padding,
             notes=f"width={width}",
         )
-        return cls(
-            cols, vals, csr.n_cols, real, report, csr.gather_profile
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.cols.shape[0], self._n_cols)
-
-    @property
-    def nnz(self) -> int:
-        return self.real_nnz
-
-    @property
-    def width(self) -> int:
-        return int(self.cols.shape[1])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        return ell_kernel.execute(self.cols, self.vals, x)
-
-    def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        return ell_kernel.execute_many(self.cols, self.vals, X)
+        return cls(csr, width, real, report)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         return [
@@ -152,7 +93,7 @@ class ELLFormat(SpMVFormat):
                 device=device,
                 n_cols=self.n_cols,
                 precision=self.precision,
-                profile=self._profile,
+                profile=self.csr.gather_profile,
                 k=k,
             )
         ]

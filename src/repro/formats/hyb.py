@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES, Precision
+from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
 from ..gpu.kernel import KernelWork
 from ..kernels import hyb_kernel
-from .base import (
-    FormatCapacityError,
-    PreprocessReport,
-    SpMVFormat,
-    transfer_report_s,
-)
+from .base import PreprocessReport, SpMVFormat, transfer_report_s
 from .csr import CSRMatrix
-from .ell import MAX_SLOTS, build_ell_slabs
+from .ell import ell_real_nnz
 
 
 def hyb_ell_width(nnz_per_row: np.ndarray, n_rows: int) -> int:
@@ -55,35 +50,21 @@ class HYBFormat(SpMVFormat):
 
     def __init__(
         self,
-        ell_cols: np.ndarray,
-        ell_vals: np.ndarray,
-        coo_rows: np.ndarray,
-        coo_cols: np.ndarray,
-        coo_vals: np.ndarray,
-        n_cols: int,
-        total_nnz: int,
+        csr: CSRMatrix,
+        ell_width: int,
         ell_real_nnz: int,
+        coo_nnz: int,
+        coo_rows_spanned: int,
         preprocess: PreprocessReport,
-        profile,
-        coo_rows_spanned: int = -1,
     ) -> None:
-        self.ell_cols = ell_cols
-        self.ell_vals = ell_vals
-        self.coo_rows = coo_rows
-        self.coo_cols = coo_cols
-        self.coo_vals = coo_vals
-        self._n_cols = n_cols
-        self._nnz = total_nnz
+        self.csr = csr
+        self.ell_width = ell_width
         self.ell_real_nnz = ell_real_nnz
+        #: Overflow entries beyond column ``ell_width`` (the COO part).
+        self.coo_nnz = coo_nnz
+        #: Rows with at least one overflow entry.
+        self.coo_rows_spanned = coo_rows_spanned
         self.preprocess = preprocess
-        self._profile = profile
-        if coo_rows_spanned < 0:
-            from ..util import count_unique
-
-            coo_rows_spanned = (
-                count_unique(self.coo_rows) if self.coo_nnz else 0
-            )
-        self._coo_rows_spanned = coo_rows_spanned
 
     @classmethod
     def from_csr(cls, csr: CSRMatrix, *, width: int | None = None) -> "HYBFormat":
@@ -93,29 +74,11 @@ class HYBFormat(SpMVFormat):
         applies the CUSP heuristic.  Unknown kwargs raise ``TypeError``.
         """
         k = hyb_ell_width(csr.nnz_per_row, csr.n_rows) if width is None else width
-        if k > 0 and csr.n_rows * k > MAX_SLOTS:
-            raise FormatCapacityError(
-                f"HYB ELL slab {csr.n_rows}x{k} exceeds the capacity guard"
-            )
-        ell_cols, ell_vals, ell_real = build_ell_slabs(csr, k)
+        ell_real = ell_real_nnz(csr, k)
 
         # Overflow: entries beyond position k of each row go to COO.
-        lengths = csr.nnz_per_row
-        over = np.maximum(lengths - k, 0)
+        over = np.maximum(csr.nnz_per_row - k, 0)
         total_over = int(over.sum())
-        if total_over:
-            row_ids = np.repeat(np.arange(csr.n_rows, dtype=np.int64), over)
-            within = np.arange(total_over, dtype=np.int64) - np.repeat(
-                np.cumsum(over) - over, over
-            )
-            src = np.repeat(csr.row_off[:-1] + k, over) + within
-            coo_rows = row_ids.astype(np.int32)
-            coo_cols = csr.col_idx[src].copy()
-            coo_vals = csr.values[src].copy()
-        else:
-            coo_rows = np.zeros(0, dtype=np.int32)
-            coo_cols = np.zeros(0, dtype=np.int32)
-            coo_vals = np.zeros(0, dtype=csr.values.dtype)
 
         vb = csr.precision.value_bytes
         slots = csr.n_rows * k
@@ -136,79 +99,25 @@ class HYBFormat(SpMVFormat):
             notes=f"k={k}, coo_nnz={total_over}",
         )
         return cls(
-            ell_cols,
-            ell_vals,
-            coo_rows,
-            coo_cols,
-            coo_vals,
-            csr.n_cols,
-            csr.nnz,
+            csr,
+            int(k),
             ell_real,
+            total_over,
+            int(np.count_nonzero(over)),
             report,
-            csr.gather_profile,
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.ell_cols.shape[0], self._n_cols)
-
-    @property
-    def nnz(self) -> int:
-        return self._nnz
-
-    @property
-    def ell_width(self) -> int:
-        return int(self.ell_cols.shape[1])
-
-    @property
-    def coo_nnz(self) -> int:
-        return int(self.coo_vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.ell_vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        return hyb_kernel.execute(
-            self.ell_cols,
-            self.ell_vals,
-            self.coo_rows,
-            self.coo_cols,
-            self.coo_vals,
-            x,
-        )
-
-    def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        return hyb_kernel.execute_many(
-            self.ell_cols,
-            self.ell_vals,
-            self.coo_rows,
-            self.coo_cols,
-            self.coo_vals,
-            X,
         )
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
-        rows_spanned = self._coo_rows_spanned
         works = hyb_kernel.works(
             self.n_rows,
             self.ell_width,
             self.ell_real_nnz,
             self.coo_nnz,
-            rows_spanned,
+            self.coo_rows_spanned,
             device=device,
             n_cols=self.n_cols,
             precision=self.precision,
-            profile=self._profile,
+            profile=self.csr.gather_profile,
             k=k,
         )
         return works or [KernelWork.empty("hyb", self.precision)]

@@ -11,8 +11,6 @@ Single precision only, like the reference implementation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import DEFAULT_HOST, DeviceSpec, GTX_TITAN, INDEX_BYTES, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import simulate_kernel
@@ -30,25 +28,11 @@ class TCOOFormat(SpMVFormat):
     name = "tcoo"
 
     def __init__(
-        self,
-        n_tiles: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        shape: tuple[int, int],
-        preprocess: PreprocessReport,
-        profile,
-        tile_order: np.ndarray,
+        self, csr: CSRMatrix, n_tiles: int, preprocess: PreprocessReport
     ) -> None:
+        self.csr = csr
         self.n_tiles = n_tiles
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._shape = shape
         self.preprocess = preprocess
-        self._profile = profile
-        #: Element permutation grouping elements by tile.
-        self.tile_order = tile_order
 
     @classmethod
     def from_csr(
@@ -98,13 +82,6 @@ class TCOOFormat(SpMVFormat):
                 best_tiles = t
         assert best_tiles is not None
 
-        rows = np.repeat(
-            np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row
-        ).astype(np.int32)
-        tile_width = max(1, -(-csr.n_cols // best_tiles))
-        tile_of = csr.col_idx.astype(np.int64) // tile_width
-        order = np.argsort(tile_of, kind="stable")
-
         device_bytes = data_bytes + (csr.n_rows + csr.n_cols) * vb
         report = PreprocessReport(
             format_name=cls.name,
@@ -114,47 +91,7 @@ class TCOOFormat(SpMVFormat):
             device_bytes=device_bytes,
             notes=f"searched {len(candidates)} tile counts -> {best_tiles}",
         )
-        return cls(
-            n_tiles=best_tiles,
-            rows=rows[order],
-            cols=csr.col_idx[order].copy(),
-            vals=csr.values[order].copy(),
-            shape=csr.shape,
-            preprocess=report,
-            profile=csr.gather_profile,
-            tile_order=order,
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        n_rows = self._shape[0]
-        y = np.zeros(n_rows, dtype=x.dtype)
-        if self.nnz:
-            prod = self.vals.astype(np.float64, copy=False) * x.astype(
-                np.float64, copy=False
-            )[self.cols]
-            y += np.bincount(
-                self.rows, weights=prod, minlength=n_rows
-            ).astype(y.dtype, copy=False)
-        return y
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
+        return cls(csr, best_tiles, report)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         return [
@@ -165,7 +102,7 @@ class TCOOFormat(SpMVFormat):
                 device=device,
                 n_cols=self.n_cols,
                 precision=self.precision,
-                profile=self._profile,
+                profile=self.csr.gather_profile,
                 k=k,
             )
         ]

@@ -1,7 +1,8 @@
-"""Device kernels: numeric executors + warp-level cost models.
+"""Device kernels: the warp-level cost model of every launch.
 
 One module per kernel family, mirroring the CUDA kernels of the paper and
-its comparison libraries:
+its comparison libraries.  The modules price launches only; the numeric
+product of every format is :meth:`repro.formats.csr.CSRMatrix.matmat`.
 
 * :mod:`~repro.kernels.csr_scalar` / :mod:`~repro.kernels.csr_vector` —
   the CSR baselines (cuSPARSE/CUSP style);

@@ -32,38 +32,6 @@ def gang_size_for_bin(bin_index: int) -> int:
     return min(1 << (bin_index - 1), WARP_SIZE)
 
 
-def execute(
-    csr: CSRMatrix, rows: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> None:
-    """Numerically compute ``y[rows] = A[rows, :] @ x`` in place.
-
-    The kernel contributes only its bin's rows; the driver composes the
-    full result from all bins plus the DP group.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return
-    starts = csr.row_off[rows]
-    ends = csr.row_off[rows + 1]
-    lengths = ends - starts
-    total = int(lengths.sum())
-    if total == 0:
-        y[rows] = 0
-        return
-    # Gather the bin's elements into one flat stream, then prefix-sum per
-    # row segment — the vectorised analog of each gang's strided loop.
-    flat = np.repeat(starts, lengths) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    )
-    prod = csr.values.astype(np.float64, copy=False)[flat] * x.astype(
-        np.float64, copy=False
-    )[csr.col_idx[flat]]
-    csum = np.concatenate([[0.0], np.cumsum(prod)])
-    bounds = np.concatenate([[0], np.cumsum(lengths)])
-    y[rows] = (csum[bounds[1:]] - csum[bounds[:-1]]).astype(y.dtype, copy=False)
-
-
 def pooled_work(
     csr: CSRMatrix,
     bins: list[tuple[int, np.ndarray]],

@@ -40,19 +40,6 @@ from .common import (
 PARENT_CONTROL_INSTS = 40.0
 
 
-def execute(
-    csr: CSRMatrix, rows: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> None:
-    """Numerically compute the G1 rows' results in place.
-
-    Each child grid computes one full row dot-product; arithmetic is
-    identical to the bin path, so reuse the same gather formulation.
-    """
-    from .acsr_bin import execute as bin_execute
-
-    bin_execute(csr, rows, x, y)
-
-
 def parent_work(n_children: int, precision: Precision) -> KernelWork:
     """Cost of the parent (control-only) grid for ``n_children`` rows."""
     if n_children < 0:

@@ -9,71 +9,10 @@ overhead" the paper cites for COO-family formats (Section I).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.memory import GatherProfile
 from .common import elementwise_work
-
-
-def execute(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    x: np.ndarray,
-    n_rows: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerical COO SpMV: scatter-add of per-element products.
-
-    ``out`` accumulates in place when provided (the HYB kernel adds the
-    COO part on top of the ELL part's result).
-    """
-    if rows.shape != cols.shape or rows.shape != vals.shape:
-        raise ValueError("COO arrays must have equal length")
-    y = out if out is not None else np.zeros(n_rows, dtype=x.dtype)
-    if rows.size:
-        prod = vals.astype(np.float64, copy=False) * x.astype(
-            np.float64, copy=False
-        )[cols]
-        acc = np.bincount(rows, weights=prod, minlength=n_rows)
-        y += acc.astype(y.dtype, copy=False)
-    return y
-
-
-def execute_many(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    X: np.ndarray,
-    n_rows: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched COO SpMM: ``Y = A @ X`` for a ``(n_cols, k)`` block.
-
-    True array-level SpMM — one broadcast product over all ``k``
-    columns and a single flattened ``np.bincount`` over ``row * k +
-    column`` keys.  Each column of the result is *bitwise identical* to
-    :func:`execute` on that column alone: the C-order ravel visits
-    element ``(i, j)`` in increasing ``i`` for every fixed ``j``, which
-    is exactly the sequential accumulation order of the per-column
-    bincount.
-    """
-    if rows.shape != cols.shape or rows.shape != vals.shape:
-        raise ValueError("COO arrays must have equal length")
-    k = X.shape[1]
-    Y = out if out is not None else np.zeros((n_rows, k), dtype=X.dtype)
-    if rows.size:
-        prod = vals.astype(np.float64, copy=False)[:, None] * X.astype(
-            np.float64, copy=False
-        )[cols, :]
-        flat = rows.astype(np.int64)[:, None] * k + np.arange(k)
-        acc = np.bincount(
-            flat.ravel(), weights=prod.ravel(), minlength=n_rows * k
-        ).reshape(n_rows, k)
-        Y += acc.astype(Y.dtype, copy=False)
-    return Y
 
 
 def work(

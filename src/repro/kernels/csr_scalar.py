@@ -13,17 +13,10 @@ This is the "CSR" baseline of Figure 5 and Figure 6.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..formats.csr import CSRMatrix, csr_matvec
+from ..formats.csr import CSRMatrix
 from ..gpu.device import DeviceSpec
 from ..gpu.kernel import KernelWork
 from .common import gang_row_work
-
-
-def execute(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Numerical result of the scalar-CSR kernel (exact SpMV)."""
-    return csr.matvec(x)
 
 
 def work(csr: CSRMatrix, device: DeviceSpec, k: int = 1) -> KernelWork:
@@ -40,7 +33,3 @@ def work(csr: CSRMatrix, device: DeviceSpec, k: int = 1) -> KernelWork:
         k=k,
     )
 
-
-def spmv(csr: CSRMatrix, x: np.ndarray, device: DeviceSpec) -> tuple[np.ndarray, KernelWork]:
-    """Execute and cost in one call."""
-    return execute(csr, x), work(csr, device)

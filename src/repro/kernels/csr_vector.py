@@ -12,8 +12,6 @@ for power-law matrices the tail row dominates its whole warp.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..formats.csr import CSRMatrix
 from ..gpu.device import DeviceSpec
 from ..gpu.kernel import KernelWork
@@ -26,11 +24,6 @@ def gang_size_for(mu: float) -> int:
         return 2
     candidates = [2, 4, 8, 16, 32]
     return min(candidates, key=lambda v: abs(v - mu))
-
-
-def execute(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Numerical result of the vector-CSR kernel (exact SpMV)."""
-    return csr.matvec(x)
 
 
 def work(
@@ -53,12 +46,3 @@ def work(
         k=k,
     )
 
-
-def spmv(
-    csr: CSRMatrix,
-    x: np.ndarray,
-    device: DeviceSpec,
-    vector_size: int | None = None,
-) -> tuple[np.ndarray, KernelWork]:
-    """Execute and cost in one call."""
-    return execute(csr, x), work(csr, device, vector_size)

@@ -10,80 +10,10 @@ padding-based formats (Section I).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.memory import GatherProfile
 from .common import ell_work
-
-#: Column index marking a padding slot.
-PAD_COL = -1
-
-
-def execute(
-    ell_cols: np.ndarray,
-    ell_vals: np.ndarray,
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerical ELL SpMV over ``(n_rows, width)`` arrays.
-
-    Padding slots carry ``PAD_COL`` in ``ell_cols`` and are skipped, as in
-    the CUSP kernel's bounds check.
-    """
-    if ell_cols.shape != ell_vals.shape:
-        raise ValueError("ELL column and value slabs must match in shape")
-    n_rows = ell_cols.shape[0]
-    y = out if out is not None else np.zeros(n_rows, dtype=x.dtype)
-    if ell_cols.size:
-        valid = ell_cols != PAD_COL
-        safe_cols = np.where(valid, ell_cols, 0)
-        prod = np.where(
-            valid,
-            ell_vals.astype(np.float64, copy=False)
-            * x.astype(np.float64, copy=False)[safe_cols],
-            0.0,
-        )
-        y += prod.sum(axis=1).astype(y.dtype, copy=False)
-    return y
-
-
-def execute_many(
-    ell_cols: np.ndarray,
-    ell_vals: np.ndarray,
-    X: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched ELL SpMM over a ``(n_cols, k)`` vector block.
-
-    The gather, mask, and product run as one ``(n_rows, width, k)``
-    array program; only the width reduction loops over columns, on a
-    contiguous copy of each column's slab.  That keeps every column's
-    pairwise summation tree identical to :func:`execute`'s 2-D
-    ``prod.sum(axis=1)`` (a direct 3-D ``sum(axis=1)`` blocks its
-    pairwise reduction differently and drifts at the ulp level), so the
-    result is bitwise equal column by column.
-    """
-    if ell_cols.shape != ell_vals.shape:
-        raise ValueError("ELL column and value slabs must match in shape")
-    n_rows = ell_cols.shape[0]
-    k = X.shape[1]
-    Y = out if out is not None else np.zeros((n_rows, k), dtype=X.dtype)
-    if ell_cols.size:
-        valid = ell_cols != PAD_COL
-        safe_cols = np.where(valid, ell_cols, 0)
-        prod = np.where(
-            valid[:, :, None],
-            ell_vals.astype(np.float64, copy=False)[:, :, None]
-            * X.astype(np.float64, copy=False)[safe_cols, :],
-            0.0,
-        )
-        acc = np.empty((n_rows, k), dtype=np.float64)
-        for j in range(k):
-            acc[:, j] = np.ascontiguousarray(prod[:, :, j]).sum(axis=1)
-        Y += acc.astype(Y.dtype, copy=False)
-    return Y
 
 
 def work(

@@ -8,47 +8,10 @@ composes them.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.memory import GatherProfile
 from . import coo_segmented, ell_kernel
-
-
-def execute(
-    ell_cols: np.ndarray,
-    ell_vals: np.ndarray,
-    coo_rows: np.ndarray,
-    coo_cols: np.ndarray,
-    coo_vals: np.ndarray,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Numerical HYB SpMV: ELL part, then COO accumulation."""
-    y = ell_kernel.execute(ell_cols, ell_vals, x)
-    return coo_segmented.execute(
-        coo_rows, coo_cols, coo_vals, x, n_rows=y.shape[0], out=y
-    )
-
-
-def execute_many(
-    ell_cols: np.ndarray,
-    ell_vals: np.ndarray,
-    coo_rows: np.ndarray,
-    coo_cols: np.ndarray,
-    coo_vals: np.ndarray,
-    X: np.ndarray,
-) -> np.ndarray:
-    """Batched HYB SpMM: the two component SpMMs in the same order.
-
-    Column-by-column bitwise identical to :func:`execute` because both
-    component kernels guarantee it and the accumulation order (ELL
-    result first, COO overflow added on top) is unchanged.
-    """
-    Y = ell_kernel.execute_many(ell_cols, ell_vals, X)
-    return coo_segmented.execute_many(
-        coo_rows, coo_cols, coo_vals, X, n_rows=Y.shape[0], out=Y
-    )
 
 
 def works(

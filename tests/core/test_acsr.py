@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.acsr import ACSRFormat
 from repro.core.parameters import ACSRParams
-from repro.gpu.device import GTX_580, GTX_TITAN, Precision
+from repro.gpu.device import GTX_580, GTX_TITAN, TESLA_K10, Precision
 
 from ..conftest import (
     assert_spmv_close,
@@ -37,14 +37,18 @@ class TestApi:
             Precision.SINGLE,
         )
 
-    def test_plan_path_matches_fast_path(self, acsr, rng):
-        x = rng.standard_normal(acsr.n_cols).astype(np.float32)
-        np.testing.assert_allclose(
-            acsr.multiply_via_plan(x, GTX_TITAN),
-            acsr.multiply(x),
-            rtol=1e-5,
-            atol=1e-5,
+    @pytest.mark.parametrize(
+        "device", [GTX_580, TESLA_K10, GTX_TITAN], ids=lambda d: d.name
+    )
+    def test_plan_covers_every_nonempty_row_once(self, acsr, device):
+        """The launch plan only prices the product: its G2 bin rows plus
+        its G1 rows are each non-empty row exactly once."""
+        plan = acsr.plan_for(device)
+        covered = np.concatenate(
+            [rows for _, rows in plan.g2] + [plan.g1_rows]
         )
+        nonempty = np.flatnonzero(acsr.csr.nnz_per_row)
+        np.testing.assert_array_equal(np.sort(covered), nonempty)
 
     def test_run_spmv(self, acsr, rng):
         x = rng.standard_normal(acsr.n_cols).astype(np.float32)

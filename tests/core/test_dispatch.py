@@ -1,20 +1,15 @@
-"""The Algorithm 1 driver: planning, numeric execution, timing."""
+"""The Algorithm 1 driver: planning and timing."""
 
 import numpy as np
 import pytest
 
 from repro.core.binning import compute_binning
-from repro.core.dispatch import build_plan, execute, time_spmv
+from repro.core.dispatch import build_plan, time_spmv
 from repro.core.parameters import ACSRParams
 from repro.gpu.device import GTX_580, GTX_TITAN
 from repro.gpu.dynamic_parallelism import DynamicParallelismUnsupported
 
-from ..conftest import (
-    assert_spmv_close,
-    make_csr_with_empty_rows,
-    make_powerlaw_csr,
-    reference_matvec,
-)
+from ..conftest import make_powerlaw_csr
 from repro.gpu.device import Precision
 
 
@@ -57,41 +52,6 @@ class TestPlan:
         )
         assert plan.g1_rows.size == 0
         assert plan.n_row_grids == 0
-
-
-class TestExecute:
-    def test_matches_reference(self, csr, titan_plan, rng):
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        y = execute(csr, titan_plan, x)
-        assert_spmv_close(y, reference_matvec(csr, x), Precision.SINGLE)
-
-    def test_empty_rows_stay_zero(self, rng):
-        m = make_csr_with_empty_rows()
-        plan = build_plan(
-            compute_binning(m.nnz_per_row), ACSRParams(), GTX_TITAN, mu=m.mu
-        )
-        x = rng.standard_normal(m.n_cols).astype(np.float32)
-        y = execute(m, plan, x)
-        assert np.all(y[::3] == 0)
-        assert_spmv_close(y, reference_matvec(m, x), Precision.SINGLE)
-
-    def test_binning_only_execution_identical(self, csr, rng):
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        plan_580 = build_plan(
-            compute_binning(csr.nnz_per_row),
-            ACSRParams(),
-            GTX_580,
-            mu=csr.mu,
-        )
-        titan_plan = build_plan(
-            compute_binning(csr.nnz_per_row),
-            ACSRParams(),
-            GTX_TITAN,
-            mu=csr.mu,
-        )
-        np.testing.assert_allclose(
-            execute(csr, plan_580, x), execute(csr, titan_plan, x)
-        )
 
 
 class TestTiming:
@@ -182,7 +142,7 @@ class TestStreamedTiming:
 
 
 class TestTimingSurface:
-    """Satellite: the TimingLike protocol and the deprecated accessor."""
+    """Satellite: the TimingLike protocol."""
 
     def test_timing_like_protocol(self, csr, titan_plan):
         from repro.apps.power_method import vector_ops_work
@@ -199,12 +159,6 @@ class TestTimingSurface:
             assert t.time_s > 0
             assert t.trace().events
             assert isinstance(t.bound_summary(), str)
-
-    def test_bin_timings_deprecated(self, csr, titan_plan):
-        t = time_spmv(csr, titan_plan, GTX_TITAN)
-        with pytest.warns(DeprecationWarning, match="bin_timings"):
-            legacy = t.bin_timings
-        assert legacy == (t.pool,)
 
 
 class TestBatchedDispatch:

@@ -50,6 +50,19 @@ class TestPartition:
         parts = partition_bin_rows(np.array([], dtype=np.int64), 2)
         assert all(p.size == 0 for p in parts)
 
+    @pytest.mark.parametrize("n_gpus", [1, 2, 4])
+    def test_bin_shares_cover_every_nonempty_row_once(self, acsr, n_gpus):
+        """Every device's share of every bin, together, is each non-empty
+        row exactly once — so the partitioned product is the plain one."""
+        shares = [
+            share
+            for rows in acsr.binning.rows_by_bin
+            for share in partition_bin_rows(rows, n_gpus)
+        ]
+        covered = np.sort(np.concatenate(shares))
+        nonempty = np.flatnonzero(acsr.csr.nnz_per_row)
+        np.testing.assert_array_equal(covered, nonempty)
+
 
 class TestNumerics:
     @pytest.mark.parametrize("n_gpus", [1, 2, 4])

@@ -94,12 +94,6 @@ class TestTcoo:
         f = TCOOFormat.from_csr(csr, candidates=(1, 2, 8))
         assert f.n_tiles in (1, 2, 8)
 
-    def test_elements_grouped_by_tile(self, csr):
-        f = TCOOFormat.from_csr(csr, candidates=(4,))
-        tile_width = -(-csr.n_cols // 4)
-        tiles = f.cols.astype(np.int64) // tile_width
-        assert np.all(np.diff(tiles) >= 0)
-
     def test_tuning_scales_with_candidates(self, csr):
         one = TCOOFormat.from_csr(csr, candidates=(1,))
         many = TCOOFormat.from_csr(csr, candidates=tuple(range(1, 9)))

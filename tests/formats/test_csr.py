@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.formats.csr import CSRMatrix, csr_matvec
+from repro.formats.csr import CSRMatrix
 from repro.gpu.device import Precision
 
 from ..conftest import (
@@ -60,6 +60,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRMatrix.from_arrays(
                 np.array([1.0]), np.array([0]), np.array([0, 2]), 1
+            )
+
+    def test_rejects_empty_row_off(self):
+        with pytest.raises(ValueError):
+            CSRMatrix.from_arrays(
+                np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(0), 1
             )
 
     def test_rejects_decreasing_row_off(self):
@@ -186,19 +192,3 @@ class TestBinarized:
         b = powerlaw_csr.binarized()
         assert np.all(b.values == 1.0)
         np.testing.assert_array_equal(b.col_idx, powerlaw_csr.col_idx)
-
-
-class TestRawMatvec:
-    def test_csr_matvec_function(self):
-        values = np.array([1.0, 2.0, 3.0])
-        col_idx = np.array([0, 2, 1], dtype=np.int32)
-        row_off = np.array([0, 2, 2, 3], dtype=np.int64)
-        x = np.array([1.0, 10.0, 100.0])
-        y = csr_matvec(values, col_idx, row_off, x)
-        np.testing.assert_allclose(y, [201.0, 0.0, 30.0])
-
-    def test_rejects_empty_row_off(self):
-        with pytest.raises(ValueError):
-            csr_matvec(
-                np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(0), np.zeros(1)
-            )

@@ -1,4 +1,4 @@
-"""ELL and DIA: slabs, padding guards, diagonal extraction."""
+"""ELL and DIA: slab counts, padding guards, diagonal extraction."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from repro.formats.base import FormatCapacityError
 from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAFormat
-from repro.formats.ell import ELLFormat, build_ell_slabs
+from repro.formats.ell import ELLFormat, ell_real_nnz
+from repro.formats.hyb import HYBFormat
 from repro.gpu.device import GTX_TITAN, Precision
-from repro.kernels.ell_kernel import PAD_COL
 
 from ..conftest import make_uniform_csr
 
@@ -28,27 +28,19 @@ def tridiagonal(n=200, precision=Precision.SINGLE):
 
 class TestEllSlabs:
     def test_slab_shape(self, uniform_csr):
-        cols, vals, real = build_ell_slabs(uniform_csr, 8)
-        assert cols.shape == (uniform_csr.n_rows, 8)
-        assert real == uniform_csr.nnz
+        h = HYBFormat.from_csr(uniform_csr, width=8)
+        assert (h.n_rows, h.ell_width) == (uniform_csr.n_rows, 8)
+        assert h.ell_real_nnz == uniform_csr.nnz
 
     def test_truncation_counts_only_kept(self, uniform_csr):
-        cols, vals, real = build_ell_slabs(uniform_csr, 3)
+        real = ell_real_nnz(uniform_csr, 3)
         expected = int(np.minimum(uniform_csr.nnz_per_row, 3).sum())
         assert real == expected
 
-    def test_padding_is_marked(self):
-        m = tridiagonal(20)
-        cols, vals, _ = build_ell_slabs(m, m.max_nnz_row)
-        # corner rows have 2 entries, middle rows 3
-        assert cols[0, 2] == PAD_COL
-        assert vals[0, 2] == 0.0
-        assert cols[1, 2] != PAD_COL
-
     def test_zero_width(self, uniform_csr):
-        cols, vals, real = build_ell_slabs(uniform_csr, 0)
-        assert cols.shape == (uniform_csr.n_rows, 0)
-        assert real == 0
+        assert ell_real_nnz(uniform_csr, 0) == 0
+        with pytest.raises(ValueError):
+            ell_real_nnz(uniform_csr, -1)
 
     def test_capacity_guard(self):
         rng = np.random.default_rng(0)

@@ -1,15 +1,22 @@
-"""Every format's multiply must equal the SciPy oracle.
+"""Every format multiplies through its source CSR's one kernel.
 
 Parametrised across the full registry and several matrix shapes; this is
 the backbone numeric guarantee — format layouts may differ wildly, but
-the product never does.
+the product never does.  ``multiply``/``multiply_many`` are bitwise the
+CSR kernel's, which is checked against independent oracles: SciPy, and a
+per-row ``math.fsum`` under the sequential-sum error bound.
 """
+
+import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.formats import available_formats, build_format
 from repro.formats.bccoo import BCCOOConfig
+from repro.formats.csr import CSRMatrix
 from repro.gpu.device import GTX_TITAN, Precision
 
 from ..conftest import (
@@ -32,6 +39,49 @@ MATRICES = {
     "empty_rows": make_csr_with_empty_rows(seed=3),
     "tiny": make_powerlaw_csr(n_rows=40, seed=4, max_degree=30),
 }
+
+#: Formats whose builders reject double precision (Section V).
+SINGLE_ONLY = ("bccoo", "tcoo")
+
+
+def build(fmt_name: str, csr: CSRMatrix):
+    """``fmt_name`` built from ``csr``, or ``None`` if it cannot hold it."""
+    if fmt_name in SINGLE_ONLY and csr.precision is Precision.DOUBLE:
+        return None
+    return build_format(fmt_name, csr, **FAST_KWARGS.get(fmt_name, {}))
+
+
+def fsum_rows(csr: CSRMatrix, x: np.ndarray):
+    """Per-row ``math.fsum`` of the float64 products, and of their
+    magnitudes ``sum |a_ij * x_j|``."""
+    exact, magnitude = [], []
+    for i in range(csr.n_rows):
+        lo, hi = csr.row_off[i], csr.row_off[i + 1]
+        prods = [
+            float(a) * float(x[j])
+            for a, j in zip(csr.values[lo:hi], csr.col_idx[lo:hi])
+        ]
+        exact.append(math.fsum(prods))
+        magnitude.append(math.fsum(abs(p) for p in prods))
+    return np.array(exact), np.array(magnitude)
+
+
+def mixed_magnitude_csr(seed: int, n_rows: int, precision: Precision):
+    """Rows of ~1e12 heads beside rows of ~1e-3 tails, head first."""
+    rng = np.random.default_rng(seed)
+    n_cols = 64
+    rows, cols, vals = [], [], []
+    for i in range(n_rows):
+        head = i == 0 or rng.random() < 0.5
+        length = int(rng.integers(1, 40 if head else 6))
+        picked = rng.choice(n_cols, size=length, replace=False)
+        scale = 1e12 if head else 1e-3
+        rows += [i] * length
+        cols += list(picked)
+        vals += list(scale * (1.0 + rng.random(length)) * rng.choice([-1, 1], length))
+    return CSRMatrix.from_coo(
+        np.array(rows), np.array(cols), np.array(vals), (n_rows, n_cols), precision
+    )
 
 
 @pytest.mark.parametrize("fmt_name", available_formats())
@@ -112,3 +162,113 @@ def test_x_shape_validated():
     fmt = build_format("csr", MATRICES["uniform"])
     with pytest.raises(ValueError, match="shape"):
         fmt.run_spmv(np.ones(3, dtype=np.float32), GTX_TITAN)
+
+
+@pytest.mark.parametrize("fmt_name", available_formats())
+@pytest.mark.parametrize("matrix_name", sorted(MATRICES))
+def test_multiply_bitwise_equals_csr_kernel(fmt_name, matrix_name):
+    """``multiply`` and ``multiply_many`` (k in {1, 3, 8}) are bitwise the
+    source CSR's ``matvec``/``matmat`` for every registry format."""
+    csr = MATRICES[matrix_name]
+    fmt = build(fmt_name, csr)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((csr.n_cols, 8)).astype(fmt.precision.numpy_dtype)
+    y = fmt.multiply(X[:, 0])
+    assert np.array_equal(y, csr.matvec(X[:, 0]))
+    for k in (1, 3, 8):
+        Y = fmt.multiply_many(X[:, :k])
+        assert np.array_equal(Y, csr.matmat(X[:, :k])), k
+        # The k=1 anchor: every column is the single-vector product.
+        for j in range(k):
+            assert np.array_equal(Y[:, j], fmt.multiply(X[:, j])), (k, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=6),
+    density=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_csr_kernel_bitwise_equals_scipy(n, m, k, density, seed):
+    """The kernel sums each row sequentially from 0.0 in storage order:
+    SciPy's CSR loop, bit for bit, in float64."""
+    mat = sp.random(n, m, density=density, format="csr", random_state=seed)
+    csr = CSRMatrix.from_scipy(mat, precision=Precision.DOUBLE)
+    X = np.random.default_rng(seed).standard_normal((m, k))
+    assert np.array_equal(csr.matmat(X), mat @ X)
+
+
+@pytest.mark.parametrize("fmt_name", available_formats())
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_rows=st.integers(min_value=2, max_value=12),
+    precision=st.sampled_from([Precision.SINGLE, Precision.DOUBLE]),
+)
+def test_mixed_magnitude_rows_within_sequential_bound(
+    fmt_name, seed, n_rows, precision
+):
+    """Each row matches its ``math.fsum`` within
+    ``len(row) * eps * sum |a_ij * x_j|``: no row loses its low-order
+    terms to a neighbouring row's magnitude."""
+    csr = mixed_magnitude_csr(seed, n_rows, precision)
+    fmt = build(fmt_name, csr)
+    if fmt is None:
+        return
+    dtype = precision.numpy_dtype
+    x = (0.5 + np.random.default_rng(seed).random(csr.n_cols)).astype(dtype)
+    exact, magnitude = fsum_rows(csr, x)
+    bound = csr.nnz_per_row * np.finfo(dtype).eps * magnitude
+    for Y in (fmt.multiply(x)[:, None], fmt.multiply_many(x[:, None])):
+        err = np.abs(Y[:, 0].astype(np.float64) - exact)
+        assert np.all(err <= bound), (err, bound)
+
+
+@pytest.mark.parametrize("fmt_name", available_formats())
+def test_cancellation_reproducer(fmt_name):
+    """Row 0 holds 1000 x 1e12, row 1 holds [1e-3, 2e-3, 3e-3]."""
+    rows = np.array([0] * 1000 + [1, 1, 1])
+    cols = np.array(list(range(1000)) + [0, 1, 2])
+    vals = np.array([1e12] * 1000 + [1e-3, 2e-3, 3e-3])
+    for precision in (Precision.DOUBLE, Precision.SINGLE):
+        csr = CSRMatrix.from_coo(rows, cols, vals, (2, 1000), precision)
+        fmt = build(fmt_name, csr)
+        if fmt is None:
+            continue
+        y = fmt.multiply(np.ones(1000, dtype=precision.numpy_dtype))
+        np.testing.assert_allclose(y, [1e15, 6e-3], rtol=1e-6)
+
+
+@pytest.mark.parametrize("fmt_name", available_formats())
+def test_non_finite_x_reaches_only_its_rows(fmt_name):
+    """An ``inf`` in ``x[c]`` turns exactly the rows that store column
+    ``c`` non-finite; every other row stays finite."""
+    diag = CSRMatrix.from_coo(
+        np.arange(3), np.arange(3), np.ones(3), (3, 3), Precision.SINGLE
+    )
+    y = build(fmt_name, diag).multiply(np.array([np.inf, 1, 2], np.float32))
+    np.testing.assert_array_equal(y, [np.inf, 1, 2])
+
+    csr = MATRICES["empty_rows"]
+    fmt = build(fmt_name, csr)
+    for c in (0, csr.n_cols // 2, csr.n_cols - 1):
+        x = np.ones(csr.n_cols, dtype=np.float32)
+        x[c] = np.inf
+        touches = np.zeros(csr.n_rows, dtype=bool)
+        touches[np.repeat(np.arange(csr.n_rows), csr.nnz_per_row)[csr.col_idx == c]] = True
+        y = fmt.multiply(x)
+        assert np.all(np.isfinite(y[~touches]))
+        assert not np.any(np.isfinite(y[touches]))
+
+
+@pytest.mark.parametrize("fmt_name", available_formats())
+def test_formats_hold_no_copy_of_the_matrix(fmt_name):
+    """Layouts are counts plus the source CSR: no per-entry array."""
+    csr = MATRICES["powerlaw"]
+    fmt = build(fmt_name, csr)
+    assert fmt.csr is csr
+    for name, value in vars(fmt).items():
+        if isinstance(value, np.ndarray):
+            assert value.size < csr.nnz, name

@@ -1,10 +1,10 @@
 """``multiply_many`` vs scipy: every registry format, same numbers.
 
-The array-level SpMM fast paths (triplet bincount, ELL/HYB slab
-kernels, the DIA broadcast, CSR ``matmat``) must agree with an
-independent oracle — ``scipy.sparse.csr_matrix @ X`` — for every format
-the registry can build, and each column must stay bitwise equal to the
-format's own single-vector ``multiply``.
+Every format's batched product goes through its source CSR's
+``matmat``; it must agree with an independent oracle —
+``scipy.sparse.csr_matrix @ X`` — for every format the registry can
+build, and each column must stay bitwise equal to the format's own
+single-vector ``multiply``.
 """
 
 import numpy as np

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.binning import compute_binning
-from repro.formats.csr import CSRMatrix
 from repro.gpu.device import GTX_TITAN, Precision, WARP_SIZE
 from repro.kernels import acsr_bin, acsr_dp
 
-from ..conftest import make_powerlaw_csr, reference_matvec
+from ..conftest import make_powerlaw_csr
 
 
 @pytest.fixture(scope="module")
@@ -26,37 +25,6 @@ class TestGangSize:
     def test_rejects_bin_zero(self):
         with pytest.raises(ValueError):
             acsr_bin.gang_size_for_bin(0)
-
-
-class TestBinExecute:
-    def test_partial_execution_fills_only_bin_rows(self, csr, rng):
-        binning = compute_binning(csr.nnz_per_row)
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        ref = reference_matvec(csr, x)
-        y = np.zeros(csr.n_rows, dtype=np.float32)
-        b0, rows0 = binning.bin_ids[0], binning.rows_by_bin[0]
-        acsr_bin.execute(csr, rows0, x, y)
-        np.testing.assert_allclose(
-            y[rows0], ref[rows0], rtol=1e-4, atol=1e-4
-        )
-        untouched = np.setdiff1d(np.arange(csr.n_rows), rows0)
-        assert np.all(y[untouched] == 0)
-
-    def test_all_bins_compose_full_product(self, csr, rng):
-        binning = compute_binning(csr.nnz_per_row)
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        y = np.zeros(csr.n_rows, dtype=np.float32)
-        for rows in binning.rows_by_bin:
-            acsr_bin.execute(csr, rows, x, y)
-        np.testing.assert_allclose(
-            y, reference_matvec(csr, x), rtol=1e-3, atol=1e-4
-        )
-
-    def test_empty_rows_arg(self, csr, rng):
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        y = np.ones(csr.n_rows, dtype=np.float32)
-        acsr_bin.execute(csr, np.array([], dtype=np.int64), x, y)
-        assert np.all(y == 1)  # untouched
 
 
 class TestBinWork:
@@ -118,13 +86,3 @@ class TestDpKernels:
         rows = np.argsort(csr.nnz_per_row)[-5:]
         works = acsr_dp.children_works(csr, rows, 16, GTX_TITAN)
         assert len(works) == 5
-
-    def test_dp_execute_matches_reference(self, csr, rng):
-        rows = np.sort(np.argsort(csr.nnz_per_row)[-8:])
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        y = np.zeros(csr.n_rows, dtype=np.float32)
-        acsr_dp.execute(csr, rows, x, y)
-        ref = reference_matvec(csr, x)
-        np.testing.assert_allclose(
-            y[rows], ref[rows], rtol=1e-3, atol=1e-4
-        )

@@ -1,20 +1,12 @@
-"""CSR scalar/vector, COO, ELL, HYB and update kernels."""
+"""Cost models of the CSR scalar/vector, HYB and update kernels."""
 
 import numpy as np
 import pytest
 
-from repro.formats.csr import CSRMatrix
 from repro.gpu.device import GTX_580, GTX_TITAN, Precision
-from repro.kernels import (
-    coo_segmented,
-    csr_scalar,
-    csr_vector,
-    ell_kernel,
-    hyb_kernel,
-    update_kernel,
-)
+from repro.kernels import csr_scalar, csr_vector, hyb_kernel, update_kernel
 
-from ..conftest import make_powerlaw_csr, reference_matvec
+from ..conftest import make_powerlaw_csr
 
 
 @pytest.fixture(scope="module")
@@ -23,25 +15,10 @@ def csr():
 
 
 class TestCsrScalar:
-    def test_execute_exact(self, csr, rng):
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        np.testing.assert_allclose(
-            csr_scalar.execute(csr, x),
-            reference_matvec(csr, x),
-            rtol=1e-4,
-            atol=1e-4,
-        )
-
     def test_work_is_uncoalesced_heavy(self, csr):
         scalar = csr_scalar.work(csr, GTX_TITAN)
         vector = csr_vector.work(csr, GTX_TITAN)
         assert scalar.total_dram_bytes > 1.5 * vector.total_dram_bytes
-
-    def test_spmv_combined(self, csr, rng):
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        y, w = csr_scalar.spmv(csr, x, GTX_TITAN)
-        assert w.name == "csr-scalar"
-        assert y.shape == (csr.n_rows,)
 
 
 class TestCsrVector:
@@ -67,71 +44,7 @@ class TestCsrVector:
             assert w.flops == pytest.approx(2.0 * csr.nnz)
 
 
-class TestCoo:
-    def test_execute_accumulates_into_out(self, csr, rng):
-        x = rng.standard_normal(csr.n_cols).astype(np.float32)
-        base = np.ones(csr.n_rows, dtype=np.float32)
-        rows = np.repeat(
-            np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row
-        ).astype(np.int32)
-        out = coo_segmented.execute(
-            rows, csr.col_idx, csr.values, x, csr.n_rows, out=base
-        )
-        np.testing.assert_allclose(
-            out, reference_matvec(csr, x) + 1.0, rtol=1e-3, atol=1e-3
-        )
-
-    def test_mismatched_arrays_rejected(self):
-        with pytest.raises(ValueError):
-            coo_segmented.execute(
-                np.zeros(2, dtype=np.int32),
-                np.zeros(3, dtype=np.int32),
-                np.zeros(2, dtype=np.float32),
-                np.zeros(4, dtype=np.float32),
-                4,
-            )
-
-    def test_empty(self):
-        out = coo_segmented.execute(
-            np.zeros(0, dtype=np.int32),
-            np.zeros(0, dtype=np.int32),
-            np.zeros(0, dtype=np.float32),
-            np.ones(4, dtype=np.float32),
-            3,
-        )
-        np.testing.assert_array_equal(out, np.zeros(3))
-
-
-class TestEll:
-    def test_pad_col_skipped(self):
-        cols = np.array([[0, ell_kernel.PAD_COL]], dtype=np.int32)
-        vals = np.array([[2.0, 99.0]], dtype=np.float32)
-        x = np.array([10.0], dtype=np.float32)
-        y = ell_kernel.execute(cols, vals, x)
-        assert y[0] == pytest.approx(20.0)  # padding value ignored
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ell_kernel.execute(
-                np.zeros((2, 2), dtype=np.int32),
-                np.zeros((2, 3), dtype=np.float32),
-                np.zeros(4, dtype=np.float32),
-            )
-
-
 class TestHyb:
-    def test_execute_composes_parts(self, rng):
-        ell_cols = np.array([[0], [1]], dtype=np.int32)
-        ell_vals = np.array([[1.0], [2.0]], dtype=np.float32)
-        coo_rows = np.array([1], dtype=np.int32)
-        coo_cols = np.array([0], dtype=np.int32)
-        coo_vals = np.array([5.0], dtype=np.float32)
-        x = np.array([3.0, 7.0], dtype=np.float32)
-        y = hyb_kernel.execute(
-            ell_cols, ell_vals, coo_rows, coo_cols, coo_vals, x
-        )
-        np.testing.assert_allclose(y, [3.0, 14.0 + 15.0])
-
     def test_works_skip_empty_parts(self, csr):
         works = hyb_kernel.works(
             100,
