@@ -23,11 +23,19 @@ hides completely and only the device-side update/re-bin kernels remain
 on the critical path.  CSR and HYB re-copy the *whole* matrix the
 previous iterations are still reading, so their epochs stay fully
 serialised and Figure 7's speedup gap widens, as it does on hardware.
+
+The run is epoch-major: each epoch generates its update, builds its
+iteration matrix once, and steps every backend on it, each backend
+carrying its own warm start, device mirror, re-binner and records.  Only
+the current adjacency snapshot and the current iteration matrix (with the
+SpMV index its first multiply builds) are alive; the previous epoch's are
+released before the next is built.  The rng draws, and so every
+backend's records, are those of running each backend alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +51,7 @@ from ..gpu.transfer import DEFAULT_LINK
 from ..kernels import update_kernel
 from .dyncsr import DynCSR
 from .rebin import IncrementalBinning, rebin_work
-from .updates import UpdateBatch, apply_update, apply_update_to_csr, generate_update
+from .updates import UpdateBatch, apply_update_to_csr, generate_update
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,21 @@ class DynamicRunResult:
         return np.cumsum([e.total_s for e in self.epochs])
 
 
+#: The backends :func:`run_dynamic_pagerank` can maintain.
+BACKENDS = ("acsr", "csr", "hyb")
+
+
+@dataclass
+class _BackendState:
+    """What one backend carries from one epoch to the next."""
+
+    backend: str
+    x0: np.ndarray | None = None
+    dyn: DynCSR | None = None
+    rebinner: IncrementalBinning | None = None
+    records: list[EpochRecord] = field(default_factory=list)
+
+
 def _iterate(fmt, device, x0, damping, epsilon, profiler=None):
     res = pagerank(
         fmt,
@@ -89,6 +112,85 @@ def _iterate(fmt, device, x0, damping, epsilon, profiler=None):
     return res
 
 
+def _maintain(
+    state: _BackendState,
+    epoch: int,
+    matrix: CSRMatrix,
+    batch: UpdateBatch | None,
+    device: DeviceSpec,
+    overlap: bool,
+):
+    """Bring ``state``'s backend up to ``matrix``: its format for this
+    epoch and the modelled maintenance seconds that cost."""
+    link = DEFAULT_LINK
+    maintenance = 0.0
+    if state.backend == "acsr":
+        if epoch == 0:
+            # One-time full copy + binning scan.
+            maintenance += link.transfer_time_s(
+                matrix.device_bytes(), n_transfers=3
+            )
+            state.dyn = DynCSR.from_csr(matrix)
+            state.rebinner = IncrementalBinning.from_lengths(state.dyn.row_len)
+        else:
+            # The iteration matrix is derived from the adjacency; ship a
+            # change list of the same magnitude and run the update kernel
+            # on the device.
+            row_lengths = state.dyn.row_len[batch.rows]
+            upd = update_kernel.work(
+                row_lengths,
+                batch.deletes_per_row(),
+                batch.inserts_per_row(),
+                matrix.precision,
+                device,
+            )
+            # Keep the device mirror consistent (numeric fidelity of the
+            # update path is tested via DynCSR directly).
+            state.dyn = DynCSR.from_csr(matrix)
+            # Incremental re-bin: only the updated rows can change bins,
+            # and most don't cross a power-of-two boundary.
+            rb = state.rebinner.apply(batch.rows, state.dyn.row_len[batch.rows])
+            rbw = rebin_work(rb.n_updated, rb.n_migrated, matrix.precision)
+            payload = batch.payload_bytes(matrix.precision.value_bytes)
+            if overlap:
+                # Change-list copy rides a copy stream under the tail of
+                # the previous epoch's iteration kernels; update + re-bin
+                # wait on its event.
+                prev_iterate_s = state.records[-1].iterate_s
+                engine = StreamEngine(device, link=link)
+                compute = engine.stream(name="compute")
+                copier = engine.stream(name="copy")
+                compute.span("iterate[prev]", prev_iterate_s)
+                copier.copy("changes-h2d", payload, n_transfers=3)
+                shipped = copier.record("changes-ready")
+                compute.wait(shipped)
+                compute.launch(upd)
+                compute.launch(rbw)
+                run = engine.run()
+                # The previous iterations are already billed to the
+                # previous epoch; only the overhang is new.
+                maintenance += run.duration_s - prev_iterate_s
+            else:
+                maintenance += link.transfer_time_s(payload, n_transfers=3)
+                maintenance += simulate_kernel(device, upd).time_s
+                maintenance += simulate_kernel(device, rbw).time_s
+        fmt = ACSRFormat.from_csr(matrix, device=device)
+    elif state.backend == "csr":
+        # Full matrix re-copy every epoch.
+        maintenance += link.transfer_time_s(
+            matrix.device_bytes(), n_transfers=3
+        )
+        fmt = CSRFormat.from_csr(matrix)
+    else:
+        fmt = HYBFormat.from_csr(matrix)
+        # Host transform + full copy of the HYB data, every epoch.
+        maintenance += fmt.preprocess.host_s
+        maintenance += link.transfer_time_s(
+            fmt.preprocess.device_bytes, n_transfers=4
+        )
+    return fmt, maintenance
+
+
 def run_dynamic_pagerank(
     adjacency: CSRMatrix,
     device: DeviceSpec,
@@ -97,7 +199,7 @@ def run_dynamic_pagerank(
     damping: float = DEFAULT_DAMPING,
     epsilon: float = 1e-6,
     seed: int = 7,
-    backends: tuple[str, ...] = ("acsr", "csr", "hyb"),
+    backends: tuple[str, ...] = BACKENDS,
     overlap: bool = True,
     profiler=None,
 ) -> dict[str, DynamicRunResult]:
@@ -105,7 +207,10 @@ def run_dynamic_pagerank(
 
     Every backend sees the *same* sequence of graph states (updates are
     generated once per epoch from the evolving adjacency matrix), so the
-    iteration counts line up and only maintenance costs differ.
+    iteration counts line up and only maintenance costs differ.  Epochs
+    run in order, each stepping every backend on one shared iteration
+    matrix, so a backend's records do not depend on which other backends
+    run beside it.
 
     ``overlap=False`` reverts ACSR to the sequential copy-then-compute
     model (back-to-back costs, no streams), for A/B comparison.
@@ -117,124 +222,40 @@ def run_dynamic_pagerank(
     """
     if n_epochs < 1:
         raise ValueError("need at least one epoch")
-    rng = np.random.default_rng(seed)
-    link = DEFAULT_LINK
-
-    # Evolve the graph once; record each epoch's snapshot + change list,
-    # and derive each epoch's iteration matrix once (shared by backends).
-    snapshots: list[CSRMatrix] = [adjacency]
-    batches: list[UpdateBatch] = []
-    current = adjacency
-    for _ in range(1, n_epochs):
-        batch = generate_update(current, rng, row_fraction=row_fraction)
-        current = apply_update_to_csr(current, batch)
-        snapshots.append(current)
-        batches.append(batch)
-    matrices = [google_matrix(snap) for snap in snapshots]
-
-    results: dict[str, DynamicRunResult] = {}
     for backend in backends:
-        records: list[EpochRecord] = []
-        x0 = None
-        vb = adjacency.precision.value_bytes
-        dyn: DynCSR | None = None
-        for epoch, matrix in enumerate(matrices):
-            maintenance = 0.0
-            if backend == "acsr":
-                if epoch == 0:
-                    # One-time full copy + binning scan.
-                    maintenance += link.transfer_time_s(
-                        matrix.device_bytes(), n_transfers=3
-                    )
-                    dyn = DynCSR.from_csr(matrix)
-                    rebinner = IncrementalBinning.from_lengths(
-                        dyn.row_len
-                    )
-                else:
-                    batch = batches[epoch - 1]
-                    # The iteration matrix is derived from the adjacency;
-                    # ship a change list of the same magnitude and run the
-                    # update kernel on the device.
-                    row_lengths = dyn.row_len[batch.rows]
-                    upd = update_kernel.work(
-                        row_lengths,
-                        batch.deletes_per_row(),
-                        batch.inserts_per_row(),
-                        matrix.precision,
-                        device,
-                    )
-                    # Keep the device mirror consistent (numeric fidelity
-                    # of the update path is tested via DynCSR directly).
-                    dyn = DynCSR.from_csr(matrix)
-                    # Incremental re-bin: only the updated rows can change
-                    # bins, and most don't cross a power-of-two boundary.
-                    rb = rebinner.apply(
-                        batch.rows, dyn.row_len[batch.rows]
-                    )
-                    rbw = rebin_work(
-                        rb.n_updated, rb.n_migrated, matrix.precision
-                    )
-                    if overlap:
-                        # Change-list copy rides a copy stream under the
-                        # tail of the previous epoch's iteration kernels;
-                        # update + re-bin wait on its event.
-                        prev_iterate_s = records[-1].iterate_s
-                        engine = StreamEngine(device, link=link)
-                        compute = engine.stream(name="compute")
-                        copier = engine.stream(name="copy")
-                        compute.span("iterate[prev]", prev_iterate_s)
-                        copier.copy(
-                            "changes-h2d",
-                            batch.payload_bytes(vb),
-                            n_transfers=3,
-                        )
-                        shipped = copier.record("changes-ready")
-                        compute.wait(shipped)
-                        compute.launch(upd)
-                        compute.launch(rbw)
-                        run = engine.run()
-                        # The previous iterations are already billed to
-                        # the previous epoch; only the overhang is new.
-                        maintenance += run.duration_s - prev_iterate_s
-                    else:
-                        maintenance += link.transfer_time_s(
-                            batch.payload_bytes(vb), n_transfers=3
-                        )
-                        maintenance += simulate_kernel(device, upd).time_s
-                        maintenance += simulate_kernel(device, rbw).time_s
-                fmt = ACSRFormat.from_csr(matrix, device=device)
-            elif backend == "csr":
-                # Full matrix re-copy every epoch.
-                maintenance += link.transfer_time_s(
-                    matrix.device_bytes(), n_transfers=3
-                )
-                fmt = CSRFormat.from_csr(matrix)
-            elif backend == "hyb":
-                fmt = HYBFormat.from_csr(matrix)
-                # Host transform + full copy of the HYB data, every epoch.
-                maintenance += fmt.preprocess.host_s
-                maintenance += link.transfer_time_s(
-                    fmt.preprocess.device_bytes, n_transfers=4
-                )
-            else:
-                raise ValueError(f"unknown backend {backend!r}")
-
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+    rng = np.random.default_rng(seed)
+    states = [_BackendState(backend) for backend in backends]
+    current = adjacency
+    batch: UpdateBatch | None = None
+    for epoch in range(n_epochs):
+        if epoch:
+            batch = generate_update(current, rng, row_fraction=row_fraction)
+            current = apply_update_to_csr(current, batch)
+        # One iteration matrix per epoch, shared by every backend and
+        # released before the next epoch's is built.
+        matrix = google_matrix(current)
+        for state in states:
+            fmt, maintenance = _maintain(
+                state, epoch, matrix, batch, device, overlap
+            )
             if profiler is not None:
                 # Explicit duration: maintenance (copies, host transform,
                 # update kernels) has no per-launch counters of its own.
                 with profiler.span(
-                    "epoch", backend=backend, epoch=epoch
+                    "epoch", backend=state.backend, epoch=epoch
                 ) as sp:
                     res = _iterate(
-                        fmt, device, x0, damping, epsilon, profiler
+                        fmt, device, state.x0, damping, epsilon, profiler
                     )
                     sp.duration_s = maintenance + res.modeled_time_s
                     sp.attrs["maintenance_s"] = maintenance
                     sp.attrs["iterations"] = res.iterations
             else:
-                res = _iterate(fmt, device, x0, damping, epsilon)
-            x0 = res.vector
-            records.append(
+                res = _iterate(fmt, device, state.x0, damping, epsilon)
+            state.x0 = res.vector
+            state.records.append(
                 EpochRecord(
                     epoch=epoch,
                     iterations=res.iterations,
@@ -242,10 +263,14 @@ def run_dynamic_pagerank(
                     iterate_s=res.modeled_time_s,
                 )
             )
-        results[backend] = DynamicRunResult(
-            backend=backend, epochs=tuple(records)
+            del fmt
+        del matrix
+    return {
+        state.backend: DynamicRunResult(
+            backend=state.backend, epochs=tuple(state.records)
         )
-    return results
+        for state in states
+    }
 
 
 def epoch_speedups(

@@ -36,7 +36,9 @@ class CSRMatrix:
 
     ``values`` carries the storage precision (float32 or float64);
     ``col_idx`` is int32 (as on the device); ``row_off`` is int64 on the
-    host.
+    host.  The first multiply also builds :attr:`spmv_index`, a
+    per-matrix ``intp`` index of 16 bytes per non-zero that every later
+    multiply reuses; :meth:`matmat` then sums ``X`` one column at a time.
     """
 
     values: np.ndarray
@@ -206,33 +208,50 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
+    @cached_property
+    def spmv_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)``: the row id of every stored entry and
+        ``col_idx``, as read-only ``intp`` views.
+
+        Only the matrix decides them, so they are built once, at the
+        first multiply, and every later multiply of an iterative app
+        reuses them: 16 bytes per non-zero, freed with the matrix.
+        """
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.intp), self.nnz_per_row)
+        cols = self.col_idx.astype(np.intp)
+        index = rows.view(), cols.view()
+        for view in index:
+            view.flags.writeable = False
+        return index
+
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """``Y = A @ X`` for ``X`` of shape ``(n_cols, k)``: the one
         numeric SpMV kernel every format multiplies through.
 
-        Each row accumulates sequentially in float64, from 0.0 and in
-        storage order, independently per column: ``np.bincount`` adds its
-        weights one at a time in input order, which is scipy's CSR loop,
-        so ``Y`` is bitwise equal to ``scipy.sparse.csr_matrix @ X`` in
+        Columns are summed one at a time through :attr:`spmv_index`:
+        gather ``X[:, j]`` in float64, scale by ``values`` and reduce
+        with ``np.bincount`` over the row ids.  ``np.bincount`` adds its
+        weights one at a time in input order, so each row sums
+        sequentially from 0.0 in storage order — scipy's CSR loop — and
+        ``Y`` is bitwise equal to ``scipy.sparse.csr_matrix @ X`` in
         float64.  The result is cast back to ``X``'s dtype, like a GPU
         kernel that accumulates in registers.
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[0] != self.n_cols:
             raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        shape = (self.n_rows, X.shape[1])
-        n_bins = shape[0] * shape[1]
-        # One bin per (row, column); C order visits each bin's entries in
-        # storage order.
-        bins = np.repeat(
-            np.arange(n_bins, dtype=np.intp).reshape(shape),
-            self.nnz_per_row,
-            axis=0,
-        )
-        prod = X.astype(np.float64, copy=False)[self.col_idx]
-        prod *= self.values[:, None]
-        Y = np.bincount(bins.ravel(), weights=prod.ravel(), minlength=n_bins)
-        return Y.reshape(shape).astype(X.dtype, copy=False)
+        rows, cols = self.spmv_index
+        # np.bincount copies a read-only input, so it reads the writeable
+        # array the view was taken of (an unpickled view sits on bytes
+        # instead and is passed as it is).
+        if isinstance(rows.base, np.ndarray):
+            rows = rows.base
+        Y = np.empty((self.n_rows, X.shape[1]), dtype=X.dtype)
+        for j in range(X.shape[1]):
+            prod = X[:, j].astype(np.float64, copy=False)[cols]
+            prod *= self.values
+            Y[:, j] = np.bincount(rows, weights=prod, minlength=self.n_rows)
+        return Y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = A @ x``: :meth:`matmat` on the one-column block ``x``.

@@ -1,8 +1,13 @@
 """The Figure 7 epoch loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.apps.pagerank import google_matrix
+from repro.dynamic import pipeline
 from repro.dynamic.pipeline import epoch_speedups, run_dynamic_pagerank
 from repro.gpu.device import GTX_TITAN
 
@@ -150,3 +155,52 @@ class TestOverlap:
         _, ov = both
         for rec in ov["acsr"].epochs:
             assert rec.maintenance_s > 0
+
+
+class TestEpochMajor:
+    """Epochs run in order, every backend stepping on one shared matrix."""
+
+    @pytest.fixture(scope="class")
+    def adjacency(self):
+        return make_powerlaw_csr(n_rows=3_000, seed=13, max_degree=300).binarized()
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_backend_records_independent_of_company(self, adjacency, overlap):
+        kw = dict(n_epochs=3, seed=9, overlap=overlap)
+        together = run_dynamic_pagerank(adjacency, GTX_TITAN, **kw)
+        assert list(together) == ["acsr", "csr", "hyb"]
+        for backend in together:
+            alone = run_dynamic_pagerank(
+                adjacency, GTX_TITAN, backends=(backend,), **kw
+            )
+            assert alone[backend].epochs == together[backend].epochs
+
+    def test_only_the_current_matrix_is_alive(self, adjacency, monkeypatch):
+        """Each epoch's iteration matrix is unreachable once the next one
+        is built; after the run, at most the last one remains."""
+        refs = []
+
+        def tracked(snapshot):
+            gc.collect()
+            assert all(ref() is None for ref in refs), [
+                ref() is None for ref in refs
+            ]
+            matrix = google_matrix(snapshot)
+            refs.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(pipeline, "google_matrix", tracked)
+        run_dynamic_pagerank(adjacency, GTX_TITAN, n_epochs=4, seed=9)
+        gc.collect()
+        assert len(refs) == 4
+        assert all(ref() is None for ref in refs[:-1])
+
+    def test_unknown_backend_rejected_before_any_work(self, adjacency, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("iterated before validating backends")
+
+        monkeypatch.setattr(pipeline, "_iterate", never)
+        with pytest.raises(ValueError, match="bogus"):
+            run_dynamic_pagerank(
+                adjacency, GTX_TITAN, n_epochs=2, backends=("acsr", "bogus")
+            )

@@ -272,3 +272,86 @@ def test_formats_hold_no_copy_of_the_matrix(fmt_name):
     for name, value in vars(fmt).items():
         if isinstance(value, np.ndarray):
             assert value.size < csr.nnz, name
+
+
+def _column_blocks(X: np.ndarray):
+    """``X`` as a C-ordered, a Fortran-ordered and a column-sliced block
+    (every other column of a twice-as-wide array, as a shrinking active
+    set passes it)."""
+    wide = np.empty((X.shape[0], 2 * X.shape[1]), dtype=X.dtype)
+    wide[:, ::2] = X
+    return {
+        "C": np.ascontiguousarray(X),
+        "F": np.asfortranarray(X),
+        "sliced": wide[:, np.arange(0, wide.shape[1], 2)],
+        "strided": wide[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 16])
+@pytest.mark.parametrize("matrix_name", sorted(MATRICES))
+@pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE])
+def test_matmat_columns_bitwise_equal_matvec_and_scipy(k, matrix_name, precision):
+    csr = MATRICES[matrix_name].astype(precision)
+    dtype = precision.numpy_dtype
+    X = np.random.default_rng(k).standard_normal((csr.n_cols, k)).astype(dtype)
+    want = (csr.to_scipy().astype(np.float64) @ X.astype(np.float64)).astype(dtype)
+    for layout, block in _column_blocks(X).items():
+        Y = csr.matmat(block)
+        assert Y.shape == (csr.n_rows, k) and Y.dtype == dtype, layout
+        assert np.array_equal(Y, want), layout
+        for j in range(k):
+            assert np.array_equal(Y[:, j], csr.matvec(block[:, j])), (layout, j)
+
+
+def test_spmv_index_built_once_and_read_only():
+    csr = make_uniform_csr(seed=5)
+    assert "spmv_index" not in vars(csr)
+    x = np.ones(csr.n_cols, dtype=np.float32)
+    csr.matvec(x)
+    index = csr.spmv_index
+    csr.matmat(np.ones((csr.n_cols, 3), dtype=np.float32))
+    assert csr.spmv_index is index
+    rows, cols = index
+    assert rows.dtype == cols.dtype == np.intp
+    assert rows.nbytes + cols.nbytes == 16 * csr.nnz
+    np.testing.assert_array_equal(rows, np.repeat(np.arange(csr.n_rows), csr.nnz_per_row))
+    np.testing.assert_array_equal(cols, csr.col_idx)
+    for arr in index:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+def test_copied_matrix_multiplies_bitwise():
+    """A deep copy or pickle round trip carries the built index along and
+    still multiplies bit for bit."""
+    import copy
+    import pickle
+
+    csr = MATRICES["powerlaw"]
+    x = np.random.default_rng(3).standard_normal(csr.n_cols).astype(np.float32)
+    y = csr.matvec(x)
+    for clone in (copy.deepcopy(csr), pickle.loads(pickle.dumps(csr))):
+        assert np.array_equal(clone.matvec(x), y)
+
+
+@pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (6, 0), (6, 5)])
+def test_matmat_without_entries_returns_zeros(precision, shape):
+    """nnz = 0, with or without rows: zeros of the right shape and dtype."""
+    n_rows, n_cols = shape
+    empty = CSRMatrix.from_coo(
+        np.array([], dtype=np.int64),
+        np.array([], dtype=np.int64),
+        np.array([]),
+        shape,
+        precision,
+    )
+    dtype = precision.numpy_dtype
+    for k in (1, 4):
+        Y = empty.matmat(np.ones((n_cols, k), dtype=dtype))
+        assert Y.shape == (n_rows, k) and Y.dtype == dtype
+        assert not Y.any()
+    y = empty.matvec(np.ones(n_cols, dtype=dtype))
+    assert y.shape == (n_rows,) and y.dtype == dtype and not y.any()
