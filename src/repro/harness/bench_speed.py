@@ -129,7 +129,7 @@ SERVE_P99_DRIFT_LIMIT = 0.10
 
 #: Query tracing must stay near-free on the hot path: the median of the
 #: per-repeat traced/untraced wall-clock ratios may be at most this
-#: factor (the tracer buffers during the run and derives lazily).
+#: factor (the tracer derives from the sealed result, lazily).
 SERVE_TRACE_OVERHEAD_LIMIT = 1.10
 
 #: Added by the full benchmark: the largest corpus matrices scaled all the
@@ -273,9 +273,9 @@ def run_serve_case(
     times = []
     traced_times = []
     tracer = None
-    # The dropped per-repeat tracers (and their snapshot buffers) would
-    # otherwise trigger collection cycles mid-measurement, which is the
-    # dominant noise source at millisecond cell sizes.
+    # The dropped per-repeat results and tracers would otherwise
+    # trigger collection cycles mid-measurement, which is the dominant
+    # noise source at millisecond cell sizes.
     import gc
 
     gc_was_enabled = gc.isenabled()

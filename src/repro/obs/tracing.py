@@ -2,9 +2,9 @@
 
 :class:`QueryTracer` watches one :meth:`ServeEngine.run_trace
 <repro.serve.server.ServeEngine.run_trace>` exactly like
-:class:`~repro.serve.monitor.ServeMonitor` does — buffer-only hooks on
-the engine's virtual clock, all derivation deferred until after the
-``ServeResult`` is frozen — and produces one *span tree* per request:
+:class:`~repro.serve.monitor.ServeMonitor` does — it is derived from
+the sealed ``ServeResult``'s event log — and produces one *span tree*
+per request:
 
 * The **root span**'s duration is the request's modelled
   ``latency_s`` bit-for-bit, and its children (admission → queue wait →
@@ -14,7 +14,7 @@ the engine's virtual clock, all derivation deferred until after the
 * Every served batch gets a companion trace whose **compute span**
   carries flow links fanning in the member requests and drills down
   into per-round kernel spans backed by the PR-5
-  :func:`~repro.serve.monitor.batch_timeline` reconstruction
+  :func:`~repro.obs.observer.batch_timeline` reconstruction
   (``timeline.time_s == compute_s`` bit-for-bit).
 * The **explain table** splits a request's latency into
   ``queue_wait`` / ``formation`` plus the append-only
@@ -27,16 +27,17 @@ Trace identity is deterministic: ``trace_id`` is a SHA-1 prefix of
 trace output.  Sampling is two-stage: **head** sampling keeps a
 deterministic hash bucket of traces (``head_rate``), and **tail**
 sampling force-keeps every shed request, every completion above the
-rolling windowed p99 (same arming rule as the monitor's flight
-recorder), and every request overlapping a burn-rate
+rolling windowed p99 (the monitor's flight-recorder rule,
+:class:`~repro.obs.observer.P99TailRule`), and every request
+overlapping a burn-rate
 :class:`~repro.obs.slo.AlertEvent` window.  The latency histogram the
 tail sampler replays carries trace-id *exemplars*
 (:meth:`~repro.obs.registry.WindowedHistogram.exemplar_near`), so "show
 me a p99 trace" is answerable from the summary alone.
 
-Like the monitor, the tracer is provably read-only: a run with a tracer
-attached is byte-identical to one without, swept over seeds × devices
-in the tests.
+Like the monitor, the tracer is read-only by construction: the engine
+hands it the sealed result and nothing else, so a run with a tracer
+attached is byte-identical to one without.
 """
 
 from __future__ import annotations
@@ -46,15 +47,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..apps.power_method import DEFAULT_VECTOR_PASSES, vector_ops_work
-from .attribution import (
-    TERM_ORDER,
-    attribute_format,
-    attribute_sequence,
-    force_exact_sum,
-    merge_attributions,
+from .attribution import TERM_ORDER, force_exact_sum
+from .observer import (
+    P99TailRule,
+    RunObserver,
+    WidthAttributions,
+    batch_timeline,
+    check_window,
 )
-from .registry import WindowedHistogram
 from .timeline import Lane, LaneEvent, Timeline
 
 __all__ = [
@@ -131,6 +131,21 @@ class TraceContext:
     def span_id(self, n: int) -> str:
         """The ``n``-th span id of this trace (0 is the root)."""
         return f"{self.trace_id}:{n}"
+
+    def span(
+        self, n, parent, name, kind, start_s, duration_s, **fields
+    ) -> "Span":
+        """Span ``n`` of this trace under span ``parent`` (None: root)."""
+        return Span(
+            trace_id=self.trace_id,
+            span_id=self.span_id(n),
+            parent_id=None if parent is None else self.span_id(parent),
+            name=name,
+            kind=kind,
+            start_s=start_s,
+            duration_s=duration_s,
+            **fields,
+        )
 
     def head_keep(self, head_rate: float) -> bool:
         """Deterministic hash-bucket head-sampling decision.
@@ -218,12 +233,7 @@ class TracingConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.head_rate <= 1.0:
             raise ValueError("head_rate must be in [0, 1]")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.n_buckets < 1:
-            raise ValueError("n_buckets must be >= 1")
-        if self.p99_min_samples < 1:
-            raise ValueError("p99_min_samples must be >= 1")
+        check_window(self.window_s, self.n_buckets, self.p99_min_samples)
 
 
 @dataclass(frozen=True)
@@ -299,99 +309,29 @@ class ExplainTable:
         return "\n".join(lines)
 
 
-class _TraceSnapshot:
-    """Frozen facts about one batch, captured at close time."""
-
-    __slots__ = (
-        "record",
-        "iterations",
-        "bill",
-        "queue_depth",
-        "pending_after",
-        "completions",
-    )
-
-    def __init__(
-        self, record, iterations, bill, queue_depth, pending_after,
-        completions,
-    ):
-        self.record = record
-        self.iterations = iterations
-        self.bill = bill
-        self.queue_depth = queue_depth
-        self.pending_after = pending_after
-        self.completions = completions
-
-
-class QueryTracer:
+class QueryTracer(RunObserver):
     """Watches one serve run and derives causal span trees.
 
     Attach by passing the tracer to ``run_trace(requests, tracer=...)``
     (optionally next to a :class:`~repro.serve.monitor.ServeMonitor`;
     pass the same monitor as ``monitor=`` here to enable alert-overlap
-    tail sampling).  A tracer watches exactly one run — reuse raises.
-    All span/sampling/explain derivation is lazy: the engine-facing
-    hooks only buffer frozen snapshots, and nothing is computed until
-    the first read-out, so tracing adds near-zero cost to the run
-    itself.
+    tail sampling — ``run_trace`` then requires that monitor to be
+    attached too).  A tracer watches exactly one run — reuse raises.
+    All span/sampling/explain derivation over the result's event log
+    is lazy: nothing is computed until the first read-out, so tracing
+    adds nothing to the run itself.
     """
 
     def __init__(
         self, config: TracingConfig | None = None, monitor=None
     ) -> None:
+        super().__init__()
         self.config = config or TracingConfig()
         self.monitor = monitor
-        self._engine = None
-        self._device = None
-        self._result = None
-        self._finalized = False
         self._built = False
-        self._sheds: list[tuple] = []
-        self._snapshots: list[_TraceSnapshot] = []
-        self._att_cache: dict[tuple, tuple] = {}
         self._explain_cache: dict[tuple, dict] = {}
 
-    # ---------------- engine-facing hooks (buffer-only) ----------------
-
-    def _begin_run(self, engine) -> None:
-        if self._engine is not None or self._finalized:
-            raise RuntimeError(
-                "a QueryTracer watches exactly one run; create a fresh one"
-            )
-        self._engine = engine
-        self._device = engine.device
-
-    def _observe_shed(self, outcome, queue_depth: int) -> None:
-        self._sheds.append((outcome, queue_depth))
-
-    def _observe_batch(
-        self, record, iterations, bill, queue_depth, pending_after,
-        completions,
-    ) -> None:
-        self._snapshots.append(
-            _TraceSnapshot(
-                record=record,
-                iterations=tuple(iterations),
-                bill=bill,
-                queue_depth=queue_depth,
-                pending_after=pending_after,
-                completions=tuple(completions),
-            )
-        )
-
-    def _finalize(self, result) -> None:
-        if self._finalized:
-            raise RuntimeError("tracer already finalized")
-        self._finalized = True
-        self._result = result
-
     # --------------------- lazy derivation (build) ----------------------
-
-    def _require_finalized(self) -> None:
-        if not self._finalized:
-            raise RuntimeError(
-                "tracer not finalized; attach it to run_trace first"
-            )
 
     def _ensure_built(self) -> None:
         if self._built:
@@ -406,70 +346,56 @@ class QueryTracer:
 
     def _sample(self) -> None:
         cfg = self.config
+        self._attributions = WidthAttributions(self._result)
         self._contexts: dict[int, TraceContext] = {}
         self._reasons: dict[int, list[str]] = {}
-        self._by_rid: dict[int, tuple] = {}  # rid -> (done, snap)
-        for snap in self._snapshots:
-            for done in snap.completions:
-                self._by_rid[done.request.rid] = (done, snap)
+        self._by_rid: dict[int, tuple] = {}  # rid -> (done, batch event)
+        for batch in self._result.batch_events:
+            for done in batch.completions:
+                self._by_rid[done.request.rid] = (done, batch)
         for outcome in self._result.requests:
             rid = outcome.request.rid
-            ctx = TraceContext.for_request(cfg.seed, rid)
-            self._contexts[rid] = ctx
-            reasons = ["head"] if ctx.head_keep(cfg.head_rate) else []
-            self._reasons[rid] = reasons
-        for shed, _depth in self._sheds:
-            self._reasons[shed.request.rid].append("shed")
+            ctx = self._contexts[rid] = TraceContext.for_request(cfg.seed, rid)
+            self._reasons[rid] = ["head"] if ctx.head_keep(cfg.head_rate) else []
+        for shed in self._result.shed_events:
+            self._reasons[shed.outcome.request.rid].append("shed")
 
-        # p99 tail replay, completion order — the rolling p99 is checked
-        # *before* each observation and only once armed, exactly like
-        # the monitor's flight recorder.
-        hist = WindowedHistogram(
-            "trace_latency_s", cfg.window_s, cfg.n_buckets
-        )
+        # The monitor's flight-recorder rule, in completion order.
+        tail = P99TailRule(cfg.window_s, cfg.n_buckets, cfg.p99_min_samples)
         done_events = sorted(
             (done.completion_s, done.request.rid, done)
-            for done, _snap in self._by_rid.values()
+            for done, _batch in self._by_rid.values()
         )
         self._end_t = self._result.makespan_s
         for t, rid, done in done_events:
             self._end_t = max(self._end_t, t)
-            if hist.window_count(t) >= cfg.p99_min_samples:
-                if done.latency_s > hist.quantile(0.99, t):
-                    self._reasons[rid].append("p99_tail")
-            hist.observe(
+            is_tail, _ = tail.observe(
                 t, done.latency_s, exemplar=self._contexts[rid].trace_id
             )
-        self._hist = hist
+            if is_tail:
+                self._reasons[rid].append("p99_tail")
+        self._hist = tail.hist
 
         # Alert-overlap replay: a request whose [arrival, completion]
         # interval intersects a firing→resolved alert window is kept.
         intervals = self._alert_intervals()
-        if intervals:
-            for done, _snap in self._by_rid.values():
-                rid = done.request.rid
-                lo = done.request.arrival_s
-                hi = done.completion_s
-                for a_lo, a_hi in intervals:
-                    if a_lo <= hi and lo <= a_hi:
-                        self._reasons[rid].append("alert")
-                        break
+        for done, _batch in self._by_rid.values():
+            lo, hi = done.request.arrival_s, done.completion_s
+            if any(a_lo <= hi and lo <= a_hi for a_lo, a_hi in intervals):
+                self._reasons[done.request.rid].append("alert")
 
+        # Reasons were appended in reporting order: head, then tails.
         self._kept = {
-            rid: tuple(
-                r
-                for r in ("head",) + _TAIL_REASONS
-                if r in reasons
-            )
+            rid: tuple(reasons)
             for rid, reasons in self._reasons.items()
             if reasons
         }
         self._kept_batches = {
-            snap.record.batch_id
-            for snap in self._snapshots
+            batch.record.batch_id
+            for batch in self._result.batch_events
             if any(
                 done.request.rid in self._kept
-                for done in snap.completions
+                for done in batch.completions
             )
         }
 
@@ -491,29 +417,7 @@ class QueryTracer:
 
     # -------------------------- span building ---------------------------
 
-    def _batch_timeline(self, snap: _TraceSnapshot) -> Timeline:
-        # Imported lazily: obs must not import serve at module scope.
-        from ..serve.monitor import batch_timeline
-
-        return batch_timeline(snap.record, snap.bill, self._device.name)
-
-    def _width_attributions(self, graph: str, w: int) -> tuple:
-        key = (graph, w)
-        cached = self._att_cache.get(key)
-        if cached is None:
-            ctx = self._engine._graphs[graph]
-            spmm = attribute_format(ctx.fmt, self._device, k=w)
-            vec_work = vector_ops_work(
-                ctx.plan.n_rows * w, DEFAULT_VECTOR_PASSES, ctx.fmt.precision
-            )
-            vec = attribute_sequence(
-                self._device, [vec_work], name=f"vector-ops[k={w}]"
-            )
-            cached = (spmm, vec)
-            self._att_cache[key] = cached
-        return cached
-
-    def _compute_terms(self, done, snap: _TraceSnapshot) -> dict:
+    def _compute_terms(self, done, batch) -> dict:
         """The request's compute split into ``TERM_ORDER`` terms.
 
         The request is billed through its own last round only
@@ -521,179 +425,124 @@ class QueryTracer:
         exact against ``compute_s``, so the split is cacheable per
         ``(graph, round-width prefix)``.
         """
-        prefix = snap.bill.widths[: done.iterations]
-        key = (snap.record.graph, prefix)
+        graph = batch.record.graph
+        prefix = batch.bill.widths[: done.iterations]
+        key = (graph, prefix)
         cached = self._explain_cache.get(key)
         if cached is None:
-            parts = []
-            for w in prefix:
-                spmm, vec = self._width_attributions(snap.record.graph, w)
-                parts.append(spmm)
-                parts.append(vec)
-            merged = merge_attributions(
-                parts,
-                name=f"trace/{snap.record.graph}[{len(prefix)} rounds]",
-                device=self._device.name,
+            cached = self._attributions.merged(
+                graph,
+                prefix,
+                name=f"trace/{graph}[{len(prefix)} rounds]",
                 time_s=done.compute_s,
-            )
-            cached = merged.as_dict()
+            ).as_dict()
             self._explain_cache[key] = cached
         return dict(cached)
 
-    def _explain_terms(self, done, snap: _TraceSnapshot) -> dict:
+    def _explain_terms(self, done, batch) -> dict:
         """Flat ``EXPLAIN_ORDER`` dict, forced exact to ``latency_s``."""
         terms = {
             "queue_wait": done.queue_wait_s,
             "formation": done.formation_s,
         }
-        terms.update(self._compute_terms(done, snap))
+        terms.update(self._compute_terms(done, batch))
         return force_exact_sum(
             terms, done.latency_s, adjust="ideal", order=EXPLAIN_ORDER
         )
 
     def _build_spans(self) -> None:
         spans: list[Span] = []
-        device = self._device.name
+        device = self._result.device.name
         batch_ctx = {
-            snap.record.batch_id: TraceContext.for_batch(
-                self.config.seed, snap.record.batch_id
-            )
-            for snap in self._snapshots
-            if snap.record.batch_id in self._kept_batches
+            batch_id: TraceContext.for_batch(self.config.seed, batch_id)
+            for batch_id in self._kept_batches
         }
 
         for outcome in self._result.requests:
-            rid = outcome.request.rid
-            reasons = self._kept.get(rid)
+            req = outcome.request
+            reasons = self._kept.get(req.rid)
             if reasons is None:
                 continue
-            ctx = self._contexts[rid]
-            req = outcome.request
-            if rid in self._by_rid:
-                done, snap = self._by_rid[rid]
-                root_attrs = {
-                    "rid": rid,
-                    "tenant": req.tenant,
-                    "graph": req.graph,
-                    "node": req.node,
-                    "device": device,
-                    "batch_id": done.batch_id,
-                    "worker": done.worker,
-                    "k": done.k,
-                    "iterations": done.iterations,
-                    "converged": done.converged,
-                    "sampled_by": list(reasons),
-                    "explain": self._explain_terms(done, snap),
-                }
-                spans.append(
-                    Span(
-                        trace_id=ctx.trace_id,
-                        span_id=ctx.span_id(0),
-                        parent_id=None,
-                        name=f"request rid={rid}",
-                        kind="request",
-                        start_s=req.arrival_s,
-                        duration_s=done.latency_s,
-                        status="ok",
-                        attrs=root_attrs,
-                    )
-                )
-                # Child durations are the engine's own latency addends,
-                # in its own order — 0.0 (admission) + queue_wait +
-                # formation + compute sums to the root bit-for-bit.
-                cursor = req.arrival_s
-                children = (
-                    ("admission", 0.0, {}, ()),
-                    (
-                        "queue_wait",
-                        done.queue_wait_s,
-                        {"batch_close_s": snap.record.close_s},
-                        (),
-                    ),
-                    ("formation", done.formation_s, {}, ()),
-                    (
-                        "compute",
-                        done.compute_s,
-                        {"iterations": done.iterations},
-                        (batch_ctx[done.batch_id].span_id(2),),
-                    ),
-                )
-                for n, (kind, dur, attrs, links) in enumerate(
-                    children, start=1
-                ):
-                    spans.append(
-                        Span(
-                            trace_id=ctx.trace_id,
-                            span_id=ctx.span_id(n),
-                            parent_id=ctx.span_id(0),
-                            name=kind,
-                            kind=kind,
-                            start_s=cursor,
-                            duration_s=dur,
-                            status="ok",
-                            attrs=attrs,
-                            links=links,
-                        )
-                    )
-                    cursor = cursor + dur
-            else:
-                shed = outcome
-                spans.append(
-                    Span(
-                        trace_id=ctx.trace_id,
-                        span_id=ctx.span_id(0),
-                        parent_id=None,
-                        name=f"request rid={rid}",
-                        kind="request",
-                        start_s=req.arrival_s,
-                        duration_s=0.0,
-                        status="shed",
-                        attrs={
-                            "rid": rid,
-                            "tenant": req.tenant,
-                            "graph": req.graph,
-                            "node": req.node,
-                            "device": device,
-                            "reason": shed.reason,
-                            "retry_after_s": shed.retry_after_s,
-                            "sampled_by": list(reasons),
-                        },
-                    )
+            ctx = self._contexts[req.rid]
+            name = f"request rid={req.rid}"
+            attrs = {
+                "rid": req.rid,
+                "tenant": req.tenant,
+                "graph": req.graph,
+                "node": req.node,
+                "device": device,
+            }
+            if req.rid not in self._by_rid:
+                attrs.update(
+                    reason=outcome.reason,
+                    retry_after_s=outcome.retry_after_s,
+                    sampled_by=list(reasons),
                 )
                 spans.append(
-                    Span(
-                        trace_id=ctx.trace_id,
-                        span_id=ctx.span_id(1),
-                        parent_id=ctx.span_id(0),
-                        name="admission",
-                        kind="admission",
-                        start_s=req.arrival_s,
-                        duration_s=0.0,
-                        status="shed",
-                        attrs={"reason": shed.reason},
-                    )
+                    ctx.span(0, None, name, "request", req.arrival_s, 0.0,
+                             status="shed", attrs=attrs)
                 )
-
-        self._timelines: dict[int, Timeline] = {}
-        for snap in self._snapshots:
-            b = snap.record
-            if b.batch_id not in self._kept_batches:
+                spans.append(
+                    ctx.span(1, 0, "admission", "admission", req.arrival_s,
+                             0.0, status="shed",
+                             attrs={"reason": outcome.reason})
+                )
                 continue
-            ctx = batch_ctx[b.batch_id]
-            member_links = tuple(
-                self._contexts[done.request.rid].span_id(4)
-                for done in snap.completions
-                if done.request.rid in self._kept
+            done, batch = self._by_rid[req.rid]
+            attrs.update(
+                batch_id=done.batch_id,
+                worker=done.worker,
+                k=done.k,
+                iterations=done.iterations,
+                converged=done.converged,
+                sampled_by=list(reasons),
+                explain=self._explain_terms(done, batch),
             )
             spans.append(
-                Span(
-                    trace_id=ctx.trace_id,
-                    span_id=ctx.span_id(0),
-                    parent_id=None,
-                    name=f"batch-{b.batch_id} {b.graph} k={b.k}",
-                    kind="batch",
-                    start_s=b.start_s,
-                    duration_s=b.duration_s,
+                ctx.span(0, None, name, "request", req.arrival_s,
+                         done.latency_s, attrs=attrs)
+            )
+            # Child durations are the engine's own latency addends, in
+            # its own order — 0.0 (admission) + queue_wait + formation +
+            # compute sums to the root bit-for-bit.
+            cursor = req.arrival_s
+            children = (
+                ("admission", 0.0, {}, ()),
+                (
+                    "queue_wait",
+                    done.queue_wait_s,
+                    {"batch_close_s": batch.record.close_s},
+                    (),
+                ),
+                ("formation", done.formation_s, {}, ()),
+                (
+                    "compute",
+                    done.compute_s,
+                    {"iterations": done.iterations},
+                    (batch_ctx[done.batch_id].span_id(2),),
+                ),
+            )
+            for n, (kind, dur, child_attrs, links) in enumerate(
+                children, start=1
+            ):
+                spans.append(
+                    ctx.span(n, 0, kind, kind, cursor, dur,
+                             attrs=child_attrs, links=links)
+                )
+                cursor = cursor + dur
+
+        self._timelines: dict[int, Timeline] = {}
+        for batch in self._result.batch_events:
+            b = batch.record
+            ctx = batch_ctx.get(b.batch_id)
+            if ctx is None:
+                continue
+            timeline = batch_timeline(b, batch.bill, device)
+            self._timelines[b.batch_id] = timeline
+            spans.append(
+                ctx.span(
+                    0, None, f"batch-{b.batch_id} {b.graph} k={b.k}",
+                    "batch", b.start_s, b.duration_s,
                     attrs={
                         "batch_id": b.batch_id,
                         "graph": b.graph,
@@ -701,50 +550,32 @@ class QueryTracer:
                         "k": b.k,
                         "close_s": b.close_s,
                         "device": device,
-                        "queue_depth": snap.queue_depth,
-                        "coalescer_pending": snap.pending_after,
+                        "queue_depth": batch.queue_depth,
+                        "coalescer_pending": batch.coalescer_pending,
                     },
                 )
             )
             spans.append(
-                Span(
-                    trace_id=ctx.trace_id,
-                    span_id=ctx.span_id(1),
-                    parent_id=ctx.span_id(0),
-                    name="formation",
-                    kind="formation",
-                    start_s=b.start_s,
-                    duration_s=b.formation_s,
-                )
+                ctx.span(1, 0, "formation", "formation", b.start_s,
+                         b.formation_s)
             )
-            timeline = self._batch_timeline(snap)
-            self._timelines[b.batch_id] = timeline
             compute_start = b.start_s + b.formation_s
+            member_links = tuple(
+                self._contexts[done.request.rid].span_id(4)
+                for done in batch.completions
+                if done.request.rid in self._kept
+            )
             spans.append(
-                Span(
-                    trace_id=ctx.trace_id,
-                    span_id=ctx.span_id(2),
-                    parent_id=ctx.span_id(0),
-                    name="compute",
-                    kind="batch_compute",
-                    start_s=compute_start,
-                    duration_s=b.compute_s,
-                    attrs={"timeline_time_s": timeline.time_s},
-                    links=member_links,
-                )
+                ctx.span(2, 0, "compute", "batch_compute", compute_start,
+                         b.compute_s,
+                         attrs={"timeline_time_s": timeline.time_s},
+                         links=member_links)
             )
             for n, ev in enumerate(timeline.lanes[0].events, start=3):
                 spans.append(
-                    Span(
-                        trace_id=ctx.trace_id,
-                        span_id=ctx.span_id(n),
-                        parent_id=ctx.span_id(2),
-                        name=ev.name,
-                        kind="rounds",
-                        start_s=compute_start + ev.start_s,
-                        duration_s=ev.duration_s,
-                        attrs={"category": ev.category},
-                    )
+                    ctx.span(n, 2, ev.name, "rounds",
+                             compute_start + ev.start_s, ev.duration_s,
+                             attrs={"category": ev.category})
                 )
 
         self._spans: tuple[Span, ...] = tuple(spans)
@@ -769,7 +600,7 @@ class QueryTracer:
                 1 for kept in self._kept.values() if "head" in kept
             ),
             "tail_kept": tail_counts,
-            "batches": len(self._snapshots),
+            "batches": len(self._result.batch_events),
             "batches_kept": len(self._kept_batches),
             "p99_exemplar": self._hist.exemplar_near(0.99, self._end_t),
         }
@@ -797,7 +628,6 @@ class QueryTracer:
     @property
     def request_roots(self) -> tuple[Span, ...]:
         """Kept request root spans, slowest first (ties by rid)."""
-        self._ensure_built()
         roots = [
             s
             for s in self.spans
@@ -808,13 +638,15 @@ class QueryTracer:
         )
         return tuple(roots)
 
-    def explain(self, trace_id: str) -> ExplainTable:
-        """The exact latency decomposition of one kept request trace."""
-        self._ensure_built()
+    def _trace(self, trace_id: str) -> tuple[Span, ...]:
         spans = self.traces.get(trace_id)
         if not spans:
             raise KeyError(f"trace {trace_id!r} not kept by this tracer")
-        table = ExplainTable.from_root_span(spans[0])
+        return spans
+
+    def explain(self, trace_id: str) -> ExplainTable:
+        """The exact latency decomposition of one kept request trace."""
+        table = ExplainTable.from_root_span(self._trace(trace_id)[0])
         if table is None:
             raise ValueError(
                 f"trace {trace_id!r} has no explain table (shed request?)"
@@ -823,11 +655,7 @@ class QueryTracer:
 
     def waterfall(self, trace_id: str) -> Timeline:
         """One kept trace's span tree as a PR-5 timeline."""
-        self._ensure_built()
-        spans = self.traces.get(trace_id)
-        if not spans:
-            raise KeyError(f"trace {trace_id!r} not kept by this tracer")
-        return trace_waterfall(spans)
+        return trace_waterfall(self._trace(trace_id))
 
     def batch_timeline_for(self, batch_id: int) -> Timeline:
         """The kept batch's compute timeline (``time_s == compute_s``)."""
@@ -839,7 +667,6 @@ class QueryTracer:
 
     def meta(self) -> dict:
         """Tracer configuration + sampling summary, for ``meta`` lines."""
-        self._ensure_built()
         return {
             "seed": self.config.seed,
             "head_rate": self.config.head_rate,
@@ -851,7 +678,6 @@ class QueryTracer:
 
     def jsonl_lines(self) -> list[str]:
         """The kept spans as JSON lines (request traces, then batches)."""
-        self._ensure_built()
         return [json.dumps(s.to_record()) for s in self.spans]
 
     def chrome_trace(self) -> dict:
@@ -863,7 +689,6 @@ class QueryTracer:
         that finishes (``"f"``) at its batch's compute span.  Passes
         :func:`~repro.obs.export.validate_chrome_trace`.
         """
-        self._ensure_built()
         events: list[dict] = []
         flows: list[tuple] = []
         compute_lane: dict[str, tuple[Span, int]] = {}

@@ -6,7 +6,8 @@ against shared graphs.  This package models that serving tier end to
 end on the simulator's virtual clock, deterministically:
 
 * :mod:`~repro.serve.queries` — request/outcome types with an explicit
-  modelled-latency decomposition (queue wait + formation + compute).
+  modelled-latency decomposition (queue wait + formation + compute),
+  and the batch/shed entries of a run's event log.
 * :mod:`~repro.serve.plans` — per-(matrix, device) serving plans:
   advisor format choice plus frozen per-width cost tables, memoized in
   session and (via ``REPRO_CELL_CACHE``) on disk.
@@ -24,8 +25,9 @@ end on the simulator's virtual clock, deterministically:
 * :mod:`~repro.serve.monitor` — live (virtual-clock) telemetry: rolling
   windowed series per graph/tenant, burn-rate SLO alerts
   (:mod:`repro.obs.slo`), and a tail-sampling flight recorder whose
-  captured timelines equal the billed compute bit-for-bit.  Provably
-  read-only: results are byte-identical with or without a monitor.
+  captured timelines equal the billed compute bit-for-bit.  Derived
+  from the sealed result's event log, so results are byte-identical
+  with or without a monitor.
 * :mod:`~repro.serve.dashboard` — the self-contained HTML ops dashboard
   (``serve-sim --html-dash``).
 
@@ -62,7 +64,14 @@ from .monitor import (
     ServeMonitor,
     batch_timeline,
 )
-from .queries import BatchRecord, CompletedQuery, QueryRequest, ShedQuery
+from .queries import (
+    BatchEvent,
+    BatchRecord,
+    CompletedQuery,
+    QueryRequest,
+    ShedEvent,
+    ShedQuery,
+)
 from .report import (
     serve_report_lines,
     shed_by_tenant,
@@ -83,6 +92,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "AsyncServeEngine",
+    "BatchEvent",
     "BatchRecord",
     "CoalescePolicy",
     "Coalescer",
@@ -101,6 +111,7 @@ __all__ = [
     "ServeMonitor",
     "ServePlan",
     "ServeResult",
+    "ShedEvent",
     "ShedQuery",
     "TraceConfig",
     "WorkerPool",

@@ -2,10 +2,9 @@
 
 :class:`ServeMonitor` watches one :meth:`ServeEngine.run_trace
 <repro.serve.server.ServeEngine.run_trace>` on the engine's *virtual*
-clock.  During the run it only buffers immutable snapshots (the engine
-hands it frozen records and a couple of integers); when the run
-completes, :meth:`_finalize` replays the buffered events in virtual-time
-order and produces:
+clock.  It is derived from the result's event log: once the run's
+:class:`~repro.serve.server.ServeResult` is sealed, :meth:`_finalize`
+replays its batch and shed events in virtual-time order and produces:
 
 * **Rolling series** — per-graph and per-tenant qps, shed rate, queue
   depth and exact windowed p50/p95/p99 latency, via
@@ -17,41 +16,39 @@ order and produces:
   burn-rate rules; transitions become ``alert`` JSONL records and an
   append-only :attr:`alerts` log.
 * **Flight records** — when a completed query lands above the current
-  windowed p99, or its observation trips an alert, the recorder captures
+  windowed p99 (the shared :class:`~repro.obs.observer.P99TailRule`),
+  or its observation trips an alert, the recorder captures
   the whole batch: a :class:`~repro.obs.timeline.Timeline` whose
   ``time_s`` equals the batch's billed compute **bit-for-bit**, a merged
   :class:`~repro.obs.attribution.Attribution` forced exact against the
   same total, and the queue/coalescer state at batch close — bounded by
   a ring buffer.
 
-The monitor is *provably read-only*: the hooks never touch the engine's
-heap, RNG-free state, or registry, and all derived work (windowed
-merges, attribution, timelines) happens after the ``ServeResult`` is
-frozen — so a run with a monitor attached is byte-identical to one
-without, and the same seed always yields byte-identical JSONL/HTML.
+The monitor is read-only by construction: the engine hands it the
+sealed result and nothing else, so a run with a monitor attached is
+byte-identical to one without, and the same seed always yields
+byte-identical JSONL/HTML.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from ..apps.power_method import (
-    DEFAULT_VECTOR_PASSES,
-    BatchBill,
-    vector_ops_work,
-)
-from ..obs.attribution import (
-    Attribution,
-    attribute_format,
-    attribute_sequence,
-    merge_attributions,
+from ..obs.attribution import Attribution
+from ..obs.observer import (
+    P99TailRule,
+    RunObserver,
+    WidthAttributions,
+    batch_timeline,
+    check_finite_positive,
+    check_window,
 )
 from ..obs.registry import WindowedCounter, WindowedHistogram
 from ..obs.slo import AlertEvent, BurnRatePolicy, SLOEngine, parse_slo
-from ..obs.timeline import Lane, LaneEvent, Timeline
-from .queries import BatchRecord, CompletedQuery, ShedQuery
+from ..obs.timeline import Timeline
+from .queries import BatchEvent, BatchRecord, CompletedQuery, ShedEvent
 
 __all__ = [
     "MonitorConfig",
@@ -86,16 +83,13 @@ class MonitorConfig:
     p99_min_samples: int = 16
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.n_buckets < 1:
-            raise ValueError("n_buckets must be >= 1")
-        if self.sample_every_s is not None and self.sample_every_s <= 0:
-            raise ValueError("sample_every_s must be positive")
+        check_window(self.window_s, self.n_buckets, self.p99_min_samples)
+        if self.sample_every_s is not None:
+            check_finite_positive("sample_every_s", self.sample_every_s)
+        if self.slo_buckets < 1:
+            raise ValueError("slo_buckets must be >= 1")
         if self.flightrec_capacity < 1:
             raise ValueError("flightrec_capacity must be >= 1")
-        if self.p99_min_samples < 1:
-            raise ValueError("p99_min_samples must be >= 1")
         for spec in self.slos:
             if isinstance(spec, str):
                 parse_slo(spec)
@@ -111,53 +105,6 @@ class MonitorConfig:
             if self.sample_every_s is None
             else self.sample_every_s
         )
-
-
-def batch_timeline(
-    record: BatchRecord, bill: BatchBill, device_name: str
-) -> Timeline:
-    """Reconstruct one served batch's compute as a PR-5 timeline.
-
-    One lane on the batch's worker, one event per run of equal-width
-    rounds; event boundaries are the bill's own
-    :meth:`~repro.apps.power_method.BatchBill.time_through_round`
-    values, so the last boundary — and the timeline's ``time_s`` — is
-    :attr:`~repro.apps.power_method.BatchBill.total_s` ==
-    ``record.compute_s`` bit-for-bit.  Formation and queueing are
-    billed *before* this span; the note carries them.
-    """
-    groups: list[list[int]] = []  # [width, first_round, last_round]
-    for r, w in enumerate(bill.widths, start=1):
-        if groups and groups[-1][0] == w:
-            groups[-1][2] = r
-        else:
-            groups.append([w, r, r])
-    events = []
-    for w, r0, r1 in groups:
-        start = bill.time_through_round(r0 - 1)
-        end = bill.time_through_round(r1)
-        events.append(
-            LaneEvent(
-                name=f"k={w} x{r1 - r0 + 1} rounds",
-                start_s=start,
-                duration_s=end - start,
-                category="kernel",
-            )
-        )
-    notes = (
-        f"graph={record.graph} k={record.k}; closed {record.close_s * 1e3:.4f} ms,"
-        f" started {record.start_s * 1e3:.4f} ms; formation"
-        f" {record.formation_s * 1e6:.3f} us billed before this span"
-    )
-    return Timeline(
-        name=f"serve/{record.graph}/batch-{record.batch_id}",
-        device_name=device_name,
-        source="serve-batch",
-        time_s=bill.total_s,
-        lanes=(Lane(label=f"worker{record.worker}", events=tuple(events)),),
-        critical_lane=0,
-        notes=notes,
-    )
 
 
 @dataclass(frozen=True)
@@ -191,37 +138,11 @@ class FlightRecord:
     attribution: Attribution
 
 
-class _BatchSnapshot:
-    """Frozen facts about one batch, captured at close time."""
-
-    __slots__ = (
-        "record",
-        "graph",
-        "iterations",
-        "bill",
-        "queue_depth",
-        "pending_after",
-        "completions",
-    )
-
-    def __init__(
-        self, record, graph, iterations, bill, queue_depth, pending_after,
-        completions,
-    ):
-        self.record = record
-        self.graph = graph
-        self.iterations = iterations
-        self.bill = bill
-        self.queue_depth = queue_depth
-        self.pending_after = pending_after
-        self.completions = completions
-
-
 def _noneify(x: float) -> float | None:
     return None if x != x else x  # nan -> null for JSON
 
 
-class ServeMonitor:
+class ServeMonitor(RunObserver):
     """Watches one serve run; see the module docstring for the contract.
 
     Attach by passing the monitor to ``run_trace(requests,
@@ -232,6 +153,7 @@ class ServeMonitor:
     """
 
     def __init__(self, config: MonitorConfig | None = None) -> None:
+        super().__init__()
         self.config = config or MonitorConfig()
         self.records: list[dict] = []
         self.alerts: list[AlertEvent] = []
@@ -239,64 +161,27 @@ class ServeMonitor:
             maxlen=self.config.flightrec_capacity
         )
         self.summary: dict = {}
-        self._engine = None
-        self._device = None
-        self._finalized = False
-        self._sheds: list[tuple[ShedQuery, int]] = []
-        self._snapshots: list[_BatchSnapshot] = []
-        self._att_cache: dict[tuple[str, int], tuple] = {}
         self._captured: set[int] = set()
 
-    # ---------------- engine-facing hooks (buffer-only) ----------------
-
-    def _begin_run(self, engine) -> None:
-        if self._engine is not None or self._finalized:
-            raise RuntimeError(
-                "a ServeMonitor watches exactly one run; create a fresh one"
-            )
-        self._engine = engine
-        self._device = engine.device
-
-    def _observe_shed(self, outcome: ShedQuery, queue_depth: int) -> None:
-        self._sheds.append((outcome, queue_depth))
-
-    def _observe_batch(
-        self,
-        record: BatchRecord,
-        iterations,
-        bill: BatchBill,
-        queue_depth: int,
-        pending_after: int,
-        completions,
-    ) -> None:
-        self._snapshots.append(
-            _BatchSnapshot(
-                record=record,
-                graph=record.graph,
-                iterations=tuple(iterations),
-                bill=bill,
-                queue_depth=queue_depth,
-                pending_after=pending_after,
-                completions=tuple(completions),
-            )
-        )
-
-    # ----------------------- finalize (replay) --------------------------
+    # ------------------- derivation over the event log -------------------
 
     def _finalize(self, result) -> None:
-        if self._finalized:
-            raise RuntimeError("monitor already finalized")
-        self._finalized = True
+        super()._finalize(result)
         cfg = self.config
+        self._attributions = WidthAttributions(result)
         tenants = sorted({r.request.tenant for r in result.requests})
         graphs = sorted({r.request.graph for r in result.requests})
         self._keys = [("global", "*")]
         self._keys += [("tenant", t) for t in tenants]
         self._keys += [("graph", g) for g in graphs]
+        self._tail = P99TailRule(
+            cfg.window_s, cfg.n_buckets, cfg.p99_min_samples
+        )
         self._lat = {
             k: WindowedHistogram("latency_s", cfg.window_s, cfg.n_buckets)
-            for k in self._keys
+            for k in self._keys[1:]
         }
+        self._lat[("global", "*")] = self._tail.hist
         self._adm = {
             k: WindowedCounter("admitted", cfg.window_s, cfg.n_buckets)
             for k in self._keys
@@ -314,20 +199,21 @@ class ServeMonitor:
 
         # Replay order: (virtual time, kind rank, id).  Batch closes rank
         # before sheds and completions at the same instant so the queue
-        # depth a sample sees is the latest one.
+        # depth a sample sees is the latest one; completions replay in
+        # (completion_s, rid) order, as the tail rule requires.
         events: list[tuple] = []
-        for snap in self._snapshots:
-            events.append((snap.record.close_s, 0, snap.record.batch_id,
-                           "batch", snap))
-            for done in snap.completions:
+        for batch in result.batch_events:
+            events.append((batch.record.close_s, 0, batch.record.batch_id,
+                           "batch", batch))
+            for done in batch.completions:
                 events.append(
                     (done.completion_s, 2, done.request.rid, "done",
-                     (done, snap))
+                     (done, batch))
                 )
-        for shed, depth in self._sheds:
+        for shed in result.shed_events:
             events.append(
-                (shed.request.arrival_s, 1, shed.request.rid, "shed",
-                 (shed, depth))
+                (shed.outcome.request.arrival_s, 1, shed.outcome.request.rid,
+                 "shed", shed)
             )
         events.sort(key=lambda e: e[:3])
 
@@ -340,7 +226,7 @@ class ServeMonitor:
             if kind == "batch":
                 self._depth = payload.queue_depth
             elif kind == "shed":
-                self._replay_shed(t, *payload)
+                self._replay_shed(t, payload)
             else:
                 self._replay_completion(t, *payload)
         end_t = max(
@@ -351,36 +237,28 @@ class ServeMonitor:
             self.alerts = list(self._slo_engine.alerts)
         self._build_summary(end_t)
 
-    def _replay_shed(self, t: float, shed: ShedQuery, depth: int) -> None:
-        self._depth = depth
-        tenant = shed.request.tenant
+    def _replay_shed(self, t: float, shed: ShedEvent) -> None:
+        self._depth = shed.queue_depth
+        request = shed.outcome.request
         for key in (
-            ("global", "*"), ("tenant", tenant), ("graph", shed.request.graph)
+            ("global", "*"), ("tenant", request.tenant), ("graph", request.graph)
         ):
             self._shedc[key].inc(t)
         if self._slo_engine is not None:
-            for event in self._slo_engine.observe(t, tenant, shed=True):
+            for event in self._slo_engine.observe(t, request.tenant, shed=True):
                 self._append_alert(event)
 
     def _replay_completion(
-        self, t: float, done: CompletedQuery, snap: _BatchSnapshot
+        self, t: float, done: CompletedQuery, batch: BatchEvent
     ) -> None:
         tenant = done.request.tenant
         latency = done.latency_s
-        # Tail check against the rolling p99 *before* this observation.
-        window_p99 = None
-        glob = self._lat[("global", "*")]
-        if glob.window_count(t) >= self.config.p99_min_samples:
-            window_p99 = glob.quantile(0.99, t)
-        trigger = (
-            "p99_tail"
-            if window_p99 is not None and latency > window_p99
-            else None
-        )
+        is_tail, window_p99 = self._tail.observe(t, latency)
+        self._lat[("tenant", tenant)].observe(t, latency)
+        self._lat[("graph", done.request.graph)].observe(t, latency)
         for key in (
             ("global", "*"), ("tenant", tenant), ("graph", done.request.graph)
         ):
-            self._lat[key].observe(t, latency)
             self._adm[key].inc(t)
         fired: list[AlertEvent] = []
         if self._slo_engine is not None:
@@ -391,12 +269,12 @@ class ServeMonitor:
                 if event.state == "firing":
                     fired.append(event)
         if fired:
-            trigger = "alert"
-        if trigger is not None:
             self._capture(
-                trigger, t, done, snap, window_p99,
+                "alert", t, done, batch, window_p99,
                 tuple(e.slo for e in fired),
             )
+        elif is_tail:
+            self._capture("p99_tail", t, done, batch, window_p99, ())
 
     def _append_alert(self, event: AlertEvent) -> None:
         self.records.append(
@@ -438,41 +316,13 @@ class ServeMonitor:
 
     # --------------------- flight recorder capture ----------------------
 
-    def _width_attributions(self, graph: str, w: int) -> tuple:
-        key = (graph, w)
-        cached = self._att_cache.get(key)
-        if cached is None:
-            ctx = self._engine._graphs[graph]
-            spmm = attribute_format(ctx.fmt, self._device, k=w)
-            vec_work = vector_ops_work(
-                ctx.plan.n_rows * w, DEFAULT_VECTOR_PASSES, ctx.fmt.precision
-            )
-            vec = attribute_sequence(
-                self._device, [vec_work], name=f"vector-ops[k={w}]"
-            )
-            cached = (spmm, vec)
-            self._att_cache[key] = cached
-        return cached
-
-    def _batch_attribution(self, snap: _BatchSnapshot) -> Attribution:
-        parts: list[Attribution] = []
-        for w in snap.bill.widths:
-            spmm, vec = self._width_attributions(snap.graph, w)
-            parts.append(spmm)
-            parts.append(vec)
-        return merge_attributions(
-            parts,
-            name=f"serve/{snap.graph}/batch-{snap.record.batch_id}",
-            device=self._device.name,
-            time_s=snap.bill.total_s,
-        )
-
     def _capture(
-        self, trigger, t, done, snap, window_p99, alert_specs
+        self, trigger, t, done, batch: BatchEvent, window_p99, alert_specs
     ) -> None:
-        if snap.record.batch_id in self._captured:
+        b = batch.record
+        if b.batch_id in self._captured:
             return  # one capture per batch — the first trigger wins
-        self._captured.add(snap.record.batch_id)
+        self._captured.add(b.batch_id)
         record = FlightRecord(
             trigger=trigger,
             t_s=t,
@@ -481,19 +331,21 @@ class ServeMonitor:
             latency_s=done.latency_s,
             window_p99_s=window_p99,
             alerts=alert_specs,
-            batch=snap.record,
-            rids=tuple(c.request.rid for c in snap.completions),
-            tenants=tuple(c.request.tenant for c in snap.completions),
-            iterations=snap.iterations,
-            queue_depth=snap.queue_depth,
-            coalescer_pending=snap.pending_after,
-            timeline=batch_timeline(
-                snap.record, snap.bill, self._device.name
+            batch=b,
+            rids=tuple(c.request.rid for c in batch.completions),
+            tenants=tuple(c.request.tenant for c in batch.completions),
+            iterations=batch.iterations,
+            queue_depth=batch.queue_depth,
+            coalescer_pending=batch.coalescer_pending,
+            timeline=batch_timeline(b, batch.bill, self._result.device.name),
+            attribution=self._attributions.merged(
+                b.graph,
+                batch.bill.widths,
+                name=f"serve/{b.graph}/batch-{b.batch_id}",
+                time_s=batch.bill.total_s,
             ),
-            attribution=self._batch_attribution(snap),
         )
         self.flight_records.append(record)
-        b = snap.record
         self.records.append(
             {
                 "record": "flightrec",
@@ -504,15 +356,7 @@ class ServeMonitor:
                 "latency_s": record.latency_s,
                 "window_p99_s": window_p99,
                 "alerts": list(alert_specs),
-                "batch_id": b.batch_id,
-                "graph": b.graph,
-                "worker": b.worker,
-                "k": b.k,
-                "close_s": b.close_s,
-                "start_s": b.start_s,
-                "formation_s": b.formation_s,
-                "compute_s": b.compute_s,
-                "end_s": b.end_s,
+                **asdict(b),
                 "queue_depth": record.queue_depth,
                 "coalescer_pending": record.coalescer_pending,
                 "rids": list(record.rids),
@@ -523,12 +367,6 @@ class ServeMonitor:
         )
 
     # --------------------------- read-outs ------------------------------
-
-    def _require_finalized(self) -> None:
-        if not self._finalized:
-            raise RuntimeError(
-                "monitor not finalized; attach it to run_trace first"
-            )
 
     @property
     def alert_count(self) -> int:

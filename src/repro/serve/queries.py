@@ -7,12 +7,18 @@ explicit modelled-latency decomposition — queue wait, batch formation,
 and per-column SpMM compute — whose plain float sum *is* the reported
 latency.  Load-shed queries become :class:`ShedQuery` outcomes with a
 retry-after hint.  :class:`BatchRecord` describes one coalesced SpMM
-batch as placed on a worker GPU.
+batch as placed on a worker GPU.  :class:`BatchEvent` and
+:class:`ShedEvent` are the entries of a run's event log: what the
+engine knew at each batch close and each shed, frozen as it happened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..apps.power_method import BatchBill
 
 
 @dataclass(frozen=True)
@@ -109,3 +115,28 @@ class BatchRecord:
     def duration_s(self) -> float:
         """Worker-occupancy span of the batch (``end - start``)."""
         return self.end_s - self.start_s
+
+
+@dataclass(frozen=True)
+class BatchEvent:
+    """Event-log entry: one batch as the engine closed and billed it."""
+
+    record: BatchRecord
+    #: Power-method rounds per member (batch order).
+    iterations: tuple[int, ...]
+    #: The batch's bill: round widths and cumulative round times.
+    bill: BatchBill
+    #: Admission queue depth when the batch closed.
+    queue_depth: int
+    #: Queries still waiting in the graph's coalescer after the close.
+    coalescer_pending: int
+    #: The members' outcomes (batch order).
+    completions: tuple[CompletedQuery, ...]
+
+
+@dataclass(frozen=True)
+class ShedEvent:
+    """Event-log entry: one shed query and the queue depth it met."""
+
+    outcome: ShedQuery
+    queue_depth: int

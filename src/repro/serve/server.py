@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..apps.power_method import MAX_ITERATIONS, make_batch_bill
@@ -41,7 +42,14 @@ from ..obs.registry import MetricsRegistry
 from .admission import AdmissionController, AdmissionPolicy
 from .coalescer import CoalescePolicy, Coalescer
 from .plans import ServePlan, operator_format, plan_for
-from .queries import BatchRecord, CompletedQuery, QueryRequest, ShedQuery
+from .queries import (
+    BatchEvent,
+    BatchRecord,
+    CompletedQuery,
+    QueryRequest,
+    ShedEvent,
+    ShedQuery,
+)
 from .scheduler import WorkerPool
 
 #: Convergence threshold serving uses by default — looser than the
@@ -98,7 +106,12 @@ class GraphContext:
 
 @dataclass(frozen=True)
 class ServeResult:
-    """Outcome of one :meth:`ServeEngine.run_trace` (rid order)."""
+    """Outcome of one :meth:`ServeEngine.run_trace` (rid order).
+
+    Besides the outcomes, the result carries the run's event log
+    (:attr:`batch_events`, :attr:`shed_events`) and what observers need
+    to derive telemetry from it (:attr:`device`, :attr:`formats`).
+    """
 
     requests: tuple[CompletedQuery | ShedQuery, ...]
     batches: tuple[BatchRecord, ...]
@@ -106,6 +119,15 @@ class ServeResult:
     makespan_s: float
     config: ServeConfig
     registry: MetricsRegistry
+    #: The device the run was modelled on.
+    device: DeviceSpec | None = None
+    #: Each registered graph's backend format (which knows its row
+    #: count), by graph key: what batch attribution needs.
+    formats: Mapping[str, object] = field(default_factory=dict)
+    #: One event per batch, in ``batch_id`` order.
+    batch_events: tuple[BatchEvent, ...] = ()
+    #: One event per shed query, in shed order.
+    shed_events: tuple[ShedEvent, ...] = ()
 
     @property
     def admitted(self) -> tuple[CompletedQuery, ...]:
@@ -216,15 +238,16 @@ class ServeEngine:
     def run_trace(self, requests, monitor=None, tracer=None) -> ServeResult:
         """Serve one query trace to completion on the virtual clock.
 
+        The run records its event log on the :class:`ServeResult`: one
+        frozen :class:`~repro.serve.queries.BatchEvent` per batch and
+        one :class:`~repro.serve.queries.ShedEvent` per shed query.
         ``monitor`` (a :class:`~repro.serve.monitor.ServeMonitor`) and
-        ``tracer`` (a :class:`~repro.obs.tracing.QueryTracer`) are
-        strictly read-only observers: the engine hands them frozen
-        outcome records and queue-depth integers at shed/close time and
-        finalizes them after the :class:`ServeResult` is built, so
-        attaching either can never change an outcome, a modelled time,
-        or the event order — the tests assert byte-identical results
-        with and without.  The monitor is always finalized first, so a
-        tracer may read its alert log for tail-sampling decisions.
+        ``tracer`` (a :class:`~repro.obs.tracing.QueryTracer`) derive
+        everything from the sealed result: the engine hands it to them
+        once, after it is built, so attaching either can never change an
+        outcome, a modelled time, or the event order.  The monitor goes
+        first, so a tracer may read its alert log for tail sampling;
+        that is why a tracer's monitor must be the one attached here.
         """
         reqs = tuple(requests)
         if len({r.rid for r in reqs}) != len(reqs):
@@ -233,7 +256,17 @@ class ServeEngine:
             self._context(r.graph)  # fail fast on unknown graphs
         observers = tuple(o for o in (monitor, tracer) if o is not None)
         for watcher in observers:
-            watcher._begin_run(self)
+            if watcher.finalized:
+                raise RuntimeError(
+                    f"a {type(watcher).__name__} watches exactly one run; "
+                    "create a fresh one"
+                )
+        if tracer is not None and tracer.monitor is not None:
+            if tracer.monitor is not monitor:
+                raise ValueError(
+                    "the tracer's monitor is not attached to this run; "
+                    "pass it to run_trace as monitor="
+                )
 
         admission = AdmissionController(
             AdmissionPolicy(
@@ -250,6 +283,8 @@ class ServeEngine:
         pool = WorkerPool(self.config.gpus)
         outcomes: dict[int, CompletedQuery | ShedQuery] = {}
         batches: list[BatchRecord] = []
+        batch_events: list[BatchEvent] = []
+        shed_events: list[ShedEvent] = []
         events: list[tuple] = []
         seq = 0
 
@@ -277,19 +312,18 @@ class ServeEngine:
             pool.commit(worker, end)
             push(start, "release", batch)
             batch_id = len(batches)
-            batches.append(
-                BatchRecord(
-                    batch_id=batch_id,
-                    graph=graph,
-                    worker=worker,
-                    k=k,
-                    close_s=now,
-                    start_s=start,
-                    formation_s=formation,
-                    compute_s=compute,
-                    end_s=end,
-                )
+            record = BatchRecord(
+                batch_id=batch_id,
+                graph=graph,
+                worker=worker,
+                k=k,
+                close_s=now,
+                start_s=start,
+                formation_s=formation,
+                compute_s=compute,
+                end_s=end,
             )
+            batches.append(record)
             self.registry.counter(
                 "serve_batches_total", "coalesced batches launched"
             ).inc()
@@ -322,15 +356,16 @@ class ServeEngine:
                 self.registry.histogram(
                     "serve_latency_s", "modelled end-to-end latency"
                 ).observe(latency)
-            for watcher in observers:
-                watcher._observe_batch(
-                    record=batches[batch_id],
-                    iterations=its,
+            batch_events.append(
+                BatchEvent(
+                    record=record,
+                    iterations=tuple(its),
                     bill=bill,
                     queue_depth=admission.depth,
-                    pending_after=coalescer.pending(graph),
-                    completions=[outcomes[r.rid] for r in batch],
+                    coalescer_pending=coalescer.pending(graph),
+                    completions=tuple(outcomes[r.rid] for r in batch),
                 )
+            )
 
         for r in reqs:
             push(r.arrival_s, "arrive", r)
@@ -345,18 +380,16 @@ class ServeEngine:
                         self.config.max_wait_s,
                         (pool.min_free_at() - now) + self.config.max_wait_s,
                     )
-                    outcomes[req.rid] = ShedQuery(
+                    shed = ShedQuery(
                         request=req, reason=reason, retry_after_s=retry
                     )
+                    outcomes[req.rid] = shed
+                    shed_events.append(ShedEvent(shed, admission.depth))
                     self.registry.counter(
                         "serve_requests_total",
                         "terminal request outcomes",
                         labels={"status": "shed"},
                     ).inc()
-                    for watcher in observers:
-                        watcher._observe_shed(
-                            outcomes[req.rid], admission.depth
-                        )
                     continue
                 deadline = coalescer.add(req, now)
                 if deadline is not None:
@@ -377,6 +410,10 @@ class ServeEngine:
             makespan_s=makespan,
             config=self.config,
             registry=self.registry,
+            device=self.device,
+            formats={key: ctx.fmt for key, ctx in self._graphs.items()},
+            batch_events=tuple(batch_events),
+            shed_events=tuple(shed_events),
         )
         self.registry.gauge(
             "serve_queries_per_s", "served throughput over the makespan"

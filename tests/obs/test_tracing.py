@@ -70,6 +70,9 @@ class TestTraceContext:
             TracingConfig(window_s=0.0)
         with pytest.raises(ValueError):
             TracingConfig(p99_min_samples=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                TracingConfig(window_s=bad)
 
 
 class TestSpanRoundTrip:

@@ -10,6 +10,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +241,17 @@ class TestMonitorConfig:
             MonitorConfig(sample_every_s=-1.0)
         with pytest.raises(ValueError):
             MonitorConfig(flightrec_capacity=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_zero_knobs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MonitorConfig(window_s=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            MonitorConfig(sample_every_s=bad)
+
+    def test_slo_buckets_must_be_positive(self):
+        with pytest.raises(ValueError, match="slo_buckets"):
+            MonitorConfig(slos=HOT_CONFIG.slos, slo_buckets=0)
 
     def test_cadence_defaults_to_one_bucket(self):
         cfg = MonitorConfig(window_s=1.0, n_buckets=20)

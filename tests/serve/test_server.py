@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.rwr import run_rwr_batch, rwr
 from repro.gpu.device import GTX_TITAN, Precision
@@ -12,10 +13,12 @@ from repro.serve import (
     REASON_QUEUE_FULL,
     REASON_TENANT_LIMIT,
     AsyncServeEngine,
+    BatchEvent,
     CompletedQuery,
     QueryRequest,
     ServeConfig,
     ServeEngine,
+    ShedEvent,
     ShedQuery,
     TraceConfig,
     auto_interarrival_s,
@@ -307,3 +310,57 @@ class TestEmptyRun:
         assert result.batches == ()
         assert result.makespan_s == 0.0
         assert result.queries_per_s == 0.0
+        assert result.batch_events == ()
+        assert result.shed_events == ()
+
+
+class TestEventLog:
+    @given(
+        seed=st.integers(min_value=0, max_value=1000),
+        queue_limit=st.sampled_from((2, 4, 64)),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_log_is_complete_and_ordered(self, seed, queue_limit):
+        engine = make_engine(
+            queue_limit=queue_limit, tenant_limit=queue_limit
+        )
+        trace = generate_trace(
+            TraceConfig(n_requests=32, seed=seed, burst_factor=8.0),
+            engine.registered_graphs(),
+            40e-6,
+        )
+        result = engine.run_trace(trace)
+        batch_rids = [
+            done.request.rid
+            for event in result.batch_events
+            for done in event.completions
+        ]
+        shed_rids = [e.outcome.request.rid for e in result.shed_events]
+        assert sorted(batch_rids) == [r.request.rid for r in result.admitted]
+        assert sorted(shed_rids) == [r.request.rid for r in result.shed]
+        assert [e.record.batch_id for e in result.batch_events] == list(
+            range(len(result.batches))
+        )
+        by_rid = {r.request.rid: r for r in result.requests}
+        for event in result.batch_events:
+            assert isinstance(event, BatchEvent)
+            assert event.record is result.batches[event.record.batch_id]
+            assert len(event.completions) == event.record.k
+            assert event.iterations == tuple(
+                done.iterations for done in event.completions
+            )
+            assert event.bill.total_s == event.record.compute_s
+            for done in event.completions:
+                assert by_rid[done.request.rid] is done
+        for event in result.shed_events:
+            assert isinstance(event, ShedEvent)
+            assert by_rid[event.outcome.request.rid] is event.outcome
+            assert 0 <= event.queue_depth <= queue_limit
+
+    def test_result_carries_what_attribution_needs(self):
+        engine = make_engine()
+        result = engine.run_trace([req(0, 1)])
+        assert result.device is DEV
+        fmt = result.formats[MATRIX]
+        assert fmt is engine._graphs[MATRIX].fmt
+        assert fmt.n_rows == engine.registered_graphs()[0][1]

@@ -194,6 +194,76 @@ class TestReadOnly:
             engine.run_trace(trace, tracer=tracer)
 
 
+class TestMonitorHandOff:
+    def _engine_and_trace(self):
+        engine = ServeEngine(GTX_TITAN, ServeConfig())
+        engine.register(MATRIX, scale=SCALE, format_name="csr")
+        trace = generate_trace(
+            TraceConfig(n_requests=8, seed=3),
+            engine.registered_graphs(),
+            120e-6,
+        )
+        return engine, trace
+
+    @pytest.mark.parametrize("attached", [None, "other"])
+    def test_unattached_tracer_monitor_rejected_before_serving(
+        self, attached
+    ):
+        engine, trace = self._engine_and_trace()
+        tracer = QueryTracer(
+            TracingConfig(seed=3), monitor=ServeMonitor(HOT_CONFIG)
+        )
+        monitor = ServeMonitor(HOT_CONFIG) if attached else None
+        with pytest.raises(ValueError, match="not attached"):
+            engine.run_trace(trace, monitor=monitor, tracer=tracer)
+        # Nothing was served: no numerics, no metrics, observers unused.
+        assert engine._graphs[MATRIX].query_cache == {}
+        assert len(engine.registry) == 0
+        engine.run_trace(trace, monitor=tracer.monitor, tracer=tracer)
+        assert tracer.summary["requests_seen"] == len(trace)
+
+    @staticmethod
+    def _tail_captures_and_keeps(seed):
+        # Matching window settings: both observers apply the one
+        # p99-tail rule to the same completions.
+        monitor = ServeMonitor(HOT_CONFIG)
+        _, tracer = run_traced(
+            seed=seed,
+            n=96,
+            monitor=monitor,
+            tracer_config=TracingConfig(
+                seed=seed,
+                window_s=HOT_CONFIG.window_s,
+                n_buckets=HOT_CONFIG.n_buckets,
+                p99_min_samples=HOT_CONFIG.p99_min_samples,
+            ),
+            rate_s=120e-6,
+            burst=6.0,
+        )
+        captures = {
+            fr.rid
+            for fr in monitor.flight_records
+            if fr.trigger == "p99_tail"
+        }
+        keeps = {
+            root.attrs["rid"]
+            for root in tracer.request_roots
+            if "p99_tail" in root.attrs["sampled_by"]
+        }
+        return captures, keeps
+
+    @given(seed=st.integers(min_value=0, max_value=1000))
+    @settings(max_examples=6, deadline=None)
+    def test_monitor_tail_captures_are_tracer_tail_keeps(self, seed):
+        captures, keeps = self._tail_captures_and_keeps(seed)
+        assert captures <= keeps
+
+    def test_tail_agreement_on_the_hot_run(self):
+        captures, keeps = self._tail_captures_and_keeps(3)
+        assert captures  # the overload produces p99_tail captures
+        assert captures <= keeps
+
+
 class TestRoundTrip:
     def test_jsonl_validates_and_rebuilds(self, tmp_path, hot_traced):
         _, _, tracer = hot_traced

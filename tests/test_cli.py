@@ -322,6 +322,32 @@ class TestServeSimMonitorCli:
         assert main(args) == 2
         assert "bad SLO spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            ["--window-us", "nan"],
+            ["--window-us", "inf"],
+            ["--window-us", "0"],
+            ["--sample-every-us", "nan"],
+            ["--sample-every-us", "inf"],
+        ],
+    )
+    def test_non_finite_window_knobs_exit_2(self, capsys, knob):
+        args = TestServeSimCli.ARGS + ["--monitor"] + knob
+        assert main(args) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+    def test_non_finite_tracer_window_exits_2(self, capsys, tmp_path):
+        args = TestServeSimCli.ARGS + [
+            "--trace-queries",
+            str(tmp_path / "t.jsonl"),
+            "--window-us",
+            "nan",
+        ]
+        assert main(args) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_monitored_jsonl_passes_profile_check(self, capsys, tmp_path):
         jsonl = tmp_path / "mon.jsonl"
         assert main(self.HOT + ["--jsonl", str(jsonl)]) == 0
