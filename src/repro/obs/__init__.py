@@ -22,9 +22,11 @@ first-class telemetry, in the vocabulary of CUPTI/nvprof:
 * :mod:`~repro.obs.diff` — differential profiling (``repro diff``):
   ranked "why B beats A" tables whose deltas sum exactly to the gap.
 * :mod:`~repro.obs.slo` — declarative serving objectives
-  (``p99<=0.005@10s``) with multi-window burn-rate alerting, driven by
-  the deterministic rolling-window instruments in
-  :mod:`~repro.obs.registry` (``WindowedCounter``/``WindowedHistogram``).
+  (``p99<=0.005@10s``) with multi-window burn-rate alerting, read from
+  :class:`~repro.obs.registry.WindowLog`: an append-only log whose
+  writes arrive in non-decreasing virtual time, so every bucket-aligned
+  rolling window is one slice of it.  The serve monitor's series and
+  the p99 tail rule read the same log.
 * :mod:`~repro.obs.export` — JSONL / CSV / Chrome-counter-track
   exporters plus the JSONL and Chrome-trace schema validators CI gates
   on; :mod:`~repro.obs.report_html` renders the self-contained HTML
@@ -72,8 +74,7 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    WindowedCounter,
-    WindowedHistogram,
+    WindowLog,
     exact_quantile,
 )
 from .report_html import (
@@ -129,8 +130,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "WindowedCounter",
-    "WindowedHistogram",
+    "WindowLog",
     "exact_quantile",
     "SLO",
     "AlertEvent",

@@ -16,8 +16,6 @@ This module holds the pieces they have in common, once:
 
 from __future__ import annotations
 
-import math
-
 from ..apps.power_method import DEFAULT_VECTOR_PASSES, vector_ops_work
 from .attribution import (
     Attribution,
@@ -25,7 +23,7 @@ from .attribution import (
     attribute_sequence,
     merge_attributions,
 )
-from .registry import WindowedHistogram
+from .registry import WindowLog, check_finite_positive
 from .timeline import Lane, LaneEvent, Timeline
 
 __all__ = [
@@ -36,12 +34,6 @@ __all__ = [
     "check_finite_positive",
     "check_window",
 ]
-
-
-def check_finite_positive(name: str, value: float) -> None:
-    """Reject a NaN, infinite, zero or negative time knob."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive")
 
 
 def check_window(window_s: float, n_buckets: int, p99_min_samples: int) -> None:
@@ -85,13 +77,14 @@ class P99TailRule:
     Feed completions in ``(completion_s, rid)`` order.  Each one is
     checked against the windowed p99 of the completions before it, and
     only once ``min_samples`` of them sit in the window (the rule is
-    then *armed*); after the check it joins the window.
+    then *armed*); after the check it joins :attr:`log`, the latency
+    log of every completion fed so far.
     """
 
     def __init__(
         self, window_s: float, n_buckets: int, min_samples: int
     ) -> None:
-        self.hist = WindowedHistogram("latency_s", window_s, n_buckets)
+        self.log = WindowLog(window_s, n_buckets)
         self.min_samples = min_samples
 
     def observe(
@@ -99,9 +92,9 @@ class P99TailRule:
     ) -> tuple[bool, float | None]:
         """``(is_tail, window_p99)``; the p99 is ``None`` until armed."""
         p99 = None
-        if self.hist.window_count(t_s) >= self.min_samples:
-            p99 = self.hist.quantile(0.99, t_s)
-        self.hist.observe(t_s, latency_s, exemplar=exemplar)
+        if self.log.count(t_s) >= self.min_samples:
+            p99 = self.log.quantile(0.99, t_s)
+        self.log.append(t_s, latency_s, exemplar=exemplar)
         return p99 is not None and latency_s > p99, p99
 
 

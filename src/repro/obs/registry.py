@@ -5,11 +5,14 @@ The :class:`~repro.obs.profiler.Profiler` feeds launch telemetry into a
 own series alongside.  The design follows the Prometheus client model —
 named instruments with optional label sets, get-or-create semantics — but
 stores everything in plain Python so a snapshot is always JSON-ready.
+Rolling windows on a virtual clock (the serve monitor, SLO burn rates,
+the p99 tail rule) are read from a time-ordered :class:`WindowLog`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 
@@ -29,11 +32,16 @@ def exact_quantile(values, q: float) -> float:
     report (p50/p95/p99 modelled latency) is computed with this, so the
     gated numbers are exact order statistics, not histogram estimates.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
     data = sorted(float(v) for v in values)
     if any(math.isnan(v) for v in data):
         raise ValueError("exact_quantile got a NaN sample")
+    return sorted_quantile(data, q)
+
+
+def sorted_quantile(data, q: float) -> float:
+    """:func:`exact_quantile` of an already sorted NaN-free sample."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
     if not data:
         return math.nan
     if len(data) == 1:
@@ -182,200 +190,137 @@ class Histogram:
         return self
 
 
-class _WindowedRing:
-    """Shared machinery for rolling-window instruments.
+def check_finite_positive(name: str, value: float) -> None:
+    """Reject a NaN, infinite, zero or negative time knob."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive")
 
-    Time is divided into fixed-width *slices* of ``window_s /
-    n_buckets`` seconds; slice ``i`` lands in ring slot ``i %
-    n_buckets``.  Writing to a slice newer than the slot's current
-    occupant resets the slot first (lazy advancement — no timers), so
-    after any sequence of in-order or mildly out-of-order writes the
-    ring holds exactly the last ``n_buckets`` slices.  Reads merge the
-    slices covering the trailing window ending at the query time; a
-    slot is included only when its occupant slice actually falls in
-    that range, which makes reads safe at any time without mutating
-    state.  Everything is plain arithmetic on the caller's clock —
-    deterministic by construction.
+
+class WindowLog:
+    """An append-only, time-ordered log read through rolling windows.
+
+    Time is cut into buckets of ``window_s / n_buckets`` seconds; an
+    entry written at ``t_s`` lands in bucket ``floor(t_s / bucket_s)``.
+    A read at ``t_s`` over ``w <= window_s`` seconds sees the entries in
+    the bucket-aligned window ``[cur - m + 1, cur]`` (``cur`` the read
+    time's bucket, ``m = max(1, round(w / bucket_s))``), in append
+    order.  Entries must arrive in non-decreasing time, so the window is
+    one slice of the log, found by bisecting the bucket column: no
+    read changes what a later read sees, and a write that goes back in
+    time raises ``ValueError``.  Everything is plain
+    arithmetic on the caller's clock — deterministic by construction.
+
+    Each entry carries a value (a latency, say) and an optional
+    exemplar; :meth:`count`/:meth:`rate` read the log as a windowed
+    event counter, :meth:`quantiles`/:meth:`exemplar_near` as a windowed
+    distribution with *exact* order statistics (:func:`exact_quantile`).
     """
 
-    def __init__(
-        self,
-        name: str,
-        window_s: float,
-        n_buckets: int = 20,
-        help: str = "",
-        labels: dict | None = None,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+    def __init__(self, window_s: float, n_buckets: int = 20) -> None:
+        check_finite_positive("window_s", window_s)
         if n_buckets < 1:
             raise ValueError("need at least one bucket")
-        self.name = name
-        self.help = help
-        self.labels = dict(labels or {})
         self.window_s = float(window_s)
         self.n_buckets = int(n_buckets)
         self.bucket_s = self.window_s / self.n_buckets
-        self._slice_ids = [-1] * self.n_buckets
-        self._high_water = -1
+        self._last_t = 0.0
+        self._buckets: list[int] = []
+        self._values: list[float] = []
+        self._exemplars: list[object] = []
+        self._sorted: tuple[int, int, list[float]] = (0, 0, [])
 
-    def _slice_of(self, t_s: float) -> int:
-        if t_s < 0 or math.isnan(t_s):
-            raise ValueError("windowed instruments need t_s >= 0")
+    def __len__(self) -> int:
+        return len(self._buckets)
+
+    def _bucket_of(self, t_s: float) -> int:
+        if not t_s >= 0:
+            raise ValueError("window logs need t_s >= 0")
         return int(math.floor(t_s / self.bucket_s))
 
-    def _reset_slot(self, slot: int) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def append(
+        self, t_s: float, value: float = 0.0, exemplar: object = None
+    ) -> None:
+        """Log one entry at ``t_s`` (no earlier than the last one)."""
+        bucket = self._bucket_of(t_s)
+        if t_s < self._last_t:
+            raise ValueError(
+                f"window log write at t_s={t_s} is before the last "
+                f"write at {self._last_t}"
+            )
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError("window logs take no NaN values")
+        self._last_t = t_s
+        self._buckets.append(bucket)
+        self._values.append(value)
+        self._exemplars.append(exemplar)
 
-    def _writable_slot(self, t_s: float) -> int | None:
-        """Ring slot for ``t_s``, or None when it already aged out."""
-        s = self._slice_of(t_s)
-        if s > self._high_water:
-            self._high_water = s
-        if s <= self._high_water - self.n_buckets:
-            return None  # older than anything the ring still tracks
-        slot = s % self.n_buckets
-        if self._slice_ids[slot] != s:
-            if self._slice_ids[slot] > s:
-                return None  # slot already holds a newer slice
-            self._reset_slot(slot)
-            self._slice_ids[slot] = s
-        return slot
-
-    def _read_slots(self, t_s: float, window_s: float | None):
-        """(slots, span_s) covering the window ending at ``t_s``."""
+    def _window(
+        self, t_s: float, window_s: float | None = None
+    ) -> tuple[int, int, float]:
+        """``(lo, hi, span_s)``: the log slice of the window ending at
+        ``t_s``, and the bucket-aligned span it covers (clipped to the
+        buckets since time 0, so early reads are not diluted)."""
         w = self.window_s if window_s is None else float(window_s)
         if not 0 < w <= self.window_s * (1 + 1e-12):
             raise ValueError(
                 f"read window {w} outside retained window {self.window_s}"
             )
         m = max(1, int(round(w / self.bucket_s)))
-        cur = self._slice_of(t_s)
-        slots = []
-        for s in range(max(0, cur - m + 1), cur + 1):
-            slot = s % self.n_buckets
-            if self._slice_ids[slot] == s:
-                slots.append(slot)
-        span = min(m, cur + 1) * self.bucket_s
-        return slots, span
+        cur = self._bucket_of(t_s)
+        lo = bisect_left(self._buckets, cur - m + 1)
+        hi = bisect_right(self._buckets, cur, lo)
+        return lo, hi, min(m, cur + 1) * self.bucket_s
 
-
-class WindowedCounter(_WindowedRing):
-    """A counter with a rolling-window view (ring of time buckets).
-
-    ``inc(t_s)`` credits the bucket containing virtual time ``t_s``;
-    ``total(t_s)`` / ``rate(t_s)`` merge the buckets covering the
-    trailing window on read.  ``lifetime`` keeps the all-time total
-    (increments that aged out of the ring before being recorded are
-    still counted there).
-    """
-
-    def __init__(self, name, window_s, n_buckets=20, help="", labels=None):
-        super().__init__(name, window_s, n_buckets, help, labels)
-        self._totals = [0.0] * self.n_buckets
-        self.lifetime = 0.0
-
-    def _reset_slot(self, slot: int) -> None:
-        self._totals[slot] = 0.0
-
-    def inc(self, t_s: float, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.lifetime += amount
-        slot = self._writable_slot(t_s)
-        if slot is not None:
-            self._totals[slot] += amount
-
-    def total(self, t_s: float, window_s: float | None = None) -> float:
-        slots, _ = self._read_slots(t_s, window_s)
-        return sum(self._totals[s] for s in slots)
+    def count(self, t_s: float, window_s: float | None = None) -> int:
+        """Entries in the trailing window."""
+        lo, hi, _ = self._window(t_s, window_s)
+        return hi - lo
 
     def rate(self, t_s: float, window_s: float | None = None) -> float:
-        """Events per second over the trailing window.
-
-        The denominator is the bucket-aligned span actually covered, so
-        early in a run (before a full window has elapsed) the rate is
-        not diluted by empty future history.
-        """
-        slots, span = self._read_slots(t_s, window_s)
-        return sum(self._totals[s] for s in slots) / span
-
-
-class WindowedHistogram(_WindowedRing):
-    """A distribution over a rolling window, with *exact* quantiles.
-
-    Each ring bucket keeps its raw samples; reads concatenate the
-    buckets covering the trailing window (in slice order, then
-    insertion order — fully deterministic) and answer quantiles with
-    :func:`exact_quantile`.  Suited to the serving monitor's scale —
-    thousands of samples per window, not millions — where exactness is
-    worth more than O(1) summaries.
-    """
-
-    def __init__(self, name, window_s, n_buckets=20, help="", labels=None):
-        super().__init__(name, window_s, n_buckets, help, labels)
-        self._samples: list[list[float]] = [[] for _ in range(self.n_buckets)]
-        self._exemplars: list[list[object]] = [
-            [] for _ in range(self.n_buckets)
-        ]
-        self.lifetime_count = 0
-
-    def _reset_slot(self, slot: int) -> None:
-        self._samples[slot] = []
-        self._exemplars[slot] = []
-
-    def observe(
-        self, t_s: float, value: float, exemplar: object = None
-    ) -> None:
-        self.lifetime_count += 1
-        slot = self._writable_slot(t_s)
-        if slot is not None:
-            self._samples[slot].append(float(value))
-            self._exemplars[slot].append(exemplar)
+        """Entries per second over the trailing window's span."""
+        lo, hi, span = self._window(t_s, window_s)
+        return (hi - lo) / span
 
     def values(self, t_s: float, window_s: float | None = None) -> tuple:
-        slots, _ = self._read_slots(t_s, window_s)
-        out: list[float] = []
-        for s in slots:
-            out.extend(self._samples[s])
-        return tuple(out)
+        """The trailing window's values, in append order."""
+        lo, hi, _ = self._window(t_s, window_s)
+        return tuple(self._values[lo:hi])
 
-    def window_count(self, t_s: float, window_s: float | None = None) -> int:
-        slots, _ = self._read_slots(t_s, window_s)
-        return sum(len(self._samples[s]) for s in slots)
+    def _sorted_values(self, lo: int, hi: int) -> list[float]:
+        # The log only grows, so a slice never changes: consecutive
+        # reads of the same window (sample ticks with no new entries)
+        # share one sort.
+        if self._sorted[:2] != (lo, hi):
+            self._sorted = (lo, hi, sorted(self._values[lo:hi]))
+        return self._sorted[2]
+
+    def quantiles(
+        self, qs, t_s: float, window_s: float | None = None
+    ) -> tuple[float, ...]:
+        """Exact ``q``-quantile of the trailing window for each ``q``
+        (nan when it is empty), from one sort of the window."""
+        lo, hi, _ = self._window(t_s, window_s)
+        data = self._sorted_values(lo, hi)
+        return tuple(sorted_quantile(data, q) for q in qs)
 
     def quantile(
         self, q: float, t_s: float, window_s: float | None = None
     ) -> float:
         """Exact ``q``-quantile of the trailing window (nan if empty)."""
-        return exact_quantile(self.values(t_s, window_s), q)
-
-    def exemplars(
-        self, t_s: float, window_s: float | None = None
-    ) -> tuple[tuple[float, object], ...]:
-        """``(value, exemplar)`` pairs for the trailing window.
-
-        Same deterministic slice/insertion order as :meth:`values`;
-        observations recorded without an exemplar pair with ``None``.
-        """
-        slots, _ = self._read_slots(t_s, window_s)
-        out: list[tuple[float, object]] = []
-        for s in slots:
-            out.extend(zip(self._samples[s], self._exemplars[s]))
-        return tuple(out)
+        return self.quantiles((q,), t_s, window_s)[0]
 
     def exemplar_near(
         self, q: float, t_s: float, window_s: float | None = None
     ) -> object:
-        """The exemplar attached to the smallest sample >= the exact
-        ``q``-quantile (ties broken by window order; ``None`` when the
-        window is empty or no qualifying sample carries an exemplar)."""
-        pairs = self.exemplars(t_s, window_s)
-        if not pairs:
-            return None
-        cut = exact_quantile(tuple(v for v, _ in pairs), q)
+        """The exemplar attached to the smallest value >= the exact
+        ``q``-quantile of the trailing window (ties broken by append
+        order; ``None`` when the window is empty or no qualifying entry
+        carries an exemplar)."""
+        lo, hi, _ = self._window(t_s, window_s)
+        cut = sorted_quantile(self._sorted_values(lo, hi), q)
         best: tuple[float, object] | None = None
-        for value, ex in pairs:
+        for value, ex in zip(self._values[lo:hi], self._exemplars[lo:hi]):
             if ex is None or value < cut:
                 continue
             if best is None or value < best[0]:

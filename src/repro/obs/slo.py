@@ -29,13 +29,14 @@ import math
 import re
 from dataclasses import dataclass
 
-from .registry import WindowedCounter
+from .registry import WindowLog, check_finite_positive
 
 __all__ = [
     "SLO",
     "BurnRatePolicy",
     "AlertEvent",
     "SLOEngine",
+    "check_slos",
     "parse_slo",
 ]
 
@@ -73,8 +74,7 @@ class SLO:
     spec: str  # the raw string the objective was parsed from
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError("SLO window must be positive")
+        check_finite_positive("SLO window", self.window_s)
         if self.metric == "availability":
             if self.op != ">=":
                 raise ValueError("availability objectives use >=")
@@ -177,14 +177,38 @@ class AlertEvent:
     window_events: int
 
 
+def check_slos(slos, policy: BurnRatePolicy, n_buckets: int) -> tuple:
+    """Parse ``slos`` and reject a set no :class:`SLOEngine` can run.
+
+    Spec strings are parsed; duplicate specs and a fast leg narrower
+    than one of the ``n_buckets`` window buckets raise ``ValueError``.
+    """
+    if n_buckets < 1:
+        raise ValueError("n_buckets must be >= 1")
+    parsed = tuple(parse_slo(s) if isinstance(s, str) else s for s in slos)
+    seen = set()
+    for slo in parsed:
+        if slo.spec in seen:
+            raise ValueError(f"duplicate SLO {slo.spec!r}")
+        seen.add(slo.spec)
+    # Keep the fast leg at least one bucket wide.
+    if parsed and policy.fast_fraction < 1.0 / n_buckets:
+        raise ValueError(
+            f"fast_fraction {policy.fast_fraction} is narrower than one of "
+            f"{n_buckets} window buckets; raise fast_fraction or the "
+            "bucket count"
+        )
+    return parsed
+
+
 class _BurnSeries:
-    """Good/bad counters plus alert state for one (slo, key) pair."""
+    """Good/bad event logs plus alert state for one (slo, key) pair."""
 
     __slots__ = ("good", "bad", "firing")
 
     def __init__(self, slo: SLO, n_buckets: int) -> None:
-        self.good = WindowedCounter("slo_good", slo.window_s, n_buckets)
-        self.bad = WindowedCounter("slo_bad", slo.window_s, n_buckets)
+        self.good = WindowLog(slo.window_s, n_buckets)
+        self.bad = WindowLog(slo.window_s, n_buckets)
         self.firing = False
 
 
@@ -192,8 +216,10 @@ class SLOEngine:
     """Evaluates objectives over the request stream, logging alerts.
 
     Feed every terminal request event through :meth:`observe` in
-    non-decreasing virtual time; read :attr:`alerts` (append-only) and
-    :meth:`burn_rates` at will.  One burn series is kept per objective
+    non-decreasing virtual time, as the time-ordered
+    :class:`~repro.obs.registry.WindowLog` behind each burn series
+    requires; read :attr:`alerts` (append-only) and :meth:`burn_rates`
+    at will.  One burn series is kept per objective
     for the global stream (key ``"*"``) and one per tenant, so a single
     noisy tenant pins the alert on itself.
     """
@@ -204,22 +230,9 @@ class SLOEngine:
         policy: BurnRatePolicy | None = None,
         n_buckets: int = 48,
     ) -> None:
-        self.slos = tuple(
-            parse_slo(s) if isinstance(s, str) else s for s in slos
-        )
-        seen = set()
-        for slo in self.slos:
-            if slo.spec in seen:
-                raise ValueError(f"duplicate SLO {slo.spec!r}")
-            seen.add(slo.spec)
         self.policy = policy or BurnRatePolicy()
         self.n_buckets = int(n_buckets)
-        # Keep the fast leg at least one bucket wide.
-        if self.policy.fast_fraction < 1.0 / self.n_buckets:
-            raise ValueError(
-                "fast_fraction smaller than one ring bucket; raise "
-                "fast_fraction or n_buckets"
-            )
+        self.slos = check_slos(slos, self.policy, self.n_buckets)
         self._series: dict[tuple[str, str], _BurnSeries] = {}
         self.alerts: list[AlertEvent] = []
 
@@ -249,19 +262,18 @@ class SLOEngine:
                 continue  # latency SLOs never see shed requests
             for key in ("*", tenant):
                 series = self._series_for(slo, key)
-                (series.bad if bad else series.good).inc(t_s)
+                (series.bad if bad else series.good).append(t_s)
                 event = self._evaluate(slo, key, series, t_s)
                 if event is not None:
                     transitions.append(event)
         return transitions
 
     def _burn(self, slo: SLO, series: _BurnSeries, t_s, window_s):
-        good = series.good.total(t_s, window_s)
-        bad = series.bad.total(t_s, window_s)
-        events = good + bad
+        bad = series.bad.count(t_s, window_s)
+        events = series.good.count(t_s, window_s) + bad
         if events == 0:
             return 0.0, 0
-        return (bad / events) / slo.budget, int(events)
+        return (bad / events) / slo.budget, events
 
     def _evaluate(self, slo, key, series, t_s) -> AlertEvent | None:
         pol = self.policy

@@ -30,10 +30,11 @@ sampling force-keeps every shed request, every completion above the
 rolling windowed p99 (the monitor's flight-recorder rule,
 :class:`~repro.obs.observer.P99TailRule`), and every request
 overlapping a burn-rate
-:class:`~repro.obs.slo.AlertEvent` window.  The latency histogram the
-tail sampler replays carries trace-id *exemplars*
-(:meth:`~repro.obs.registry.WindowedHistogram.exemplar_near`), so "show
-me a p99 trace" is answerable from the summary alone.
+:class:`~repro.obs.slo.AlertEvent` window.  The latency log the tail
+sampler replays (a time-ordered
+:class:`~repro.obs.registry.WindowLog`) carries trace-id *exemplars*
+(:meth:`~repro.obs.registry.WindowLog.exemplar_near`), so "show me a
+p99 trace" is answerable from the summary alone.
 
 Like the monitor, the tracer is read-only by construction: the engine
 hands it the sealed result and nothing else, so a run with a tracer
@@ -374,7 +375,7 @@ class QueryTracer(RunObserver):
             )
             if is_tail:
                 self._reasons[rid].append("p99_tail")
-        self._hist = tail.hist
+        self._latencies = tail.log
 
         # Alert-overlap replay: a request whose [arrival, completion]
         # interval intersects a firing→resolved alert window is kept.
@@ -602,7 +603,9 @@ class QueryTracer(RunObserver):
             "tail_kept": tail_counts,
             "batches": len(self._result.batch_events),
             "batches_kept": len(self._kept_batches),
-            "p99_exemplar": self._hist.exemplar_near(0.99, self._end_t),
+            "p99_exemplar": self._latencies.exemplar_near(
+                0.99, self._end_t
+            ),
         }
 
     # --------------------------- read-outs ------------------------------

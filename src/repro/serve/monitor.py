@@ -7,10 +7,12 @@ clock.  It is derived from the result's event log: once the run's
 replays its batch and shed events in virtual-time order and produces:
 
 * **Rolling series** — per-graph and per-tenant qps, shed rate, queue
-  depth and exact windowed p50/p95/p99 latency, via
-  :class:`~repro.obs.registry.WindowedCounter` /
-  :class:`~repro.obs.registry.WindowedHistogram`, sampled on a fixed
-  virtual-time grid into ``metric`` JSONL records.
+  depth and exact windowed p50/p95/p99 latency, sampled on a fixed
+  virtual-time grid into ``metric`` JSONL records.  Each series reads
+  window logs (:class:`~repro.obs.registry.WindowLog`), written in
+  replay order, which is non-decreasing virtual time, so each sample's
+  bucket-aligned window is one slice of a log, sorted once for all
+  three quantiles.
 * **Alerts** — every objective from :class:`MonitorConfig.slos` is
   evaluated through :class:`~repro.obs.slo.SLOEngine`'s multi-window
   burn-rate rules; transitions become ``alert`` JSONL records and an
@@ -45,8 +47,8 @@ from ..obs.observer import (
     check_finite_positive,
     check_window,
 )
-from ..obs.registry import WindowedCounter, WindowedHistogram
-from ..obs.slo import AlertEvent, BurnRatePolicy, SLOEngine, parse_slo
+from ..obs.registry import WindowLog
+from ..obs.slo import AlertEvent, BurnRatePolicy, SLOEngine, check_slos
 from ..obs.timeline import Timeline
 from .queries import BatchEvent, BatchRecord, CompletedQuery, ShedEvent
 
@@ -57,8 +59,8 @@ __all__ = [
     "batch_timeline",
 ]
 
-#: Metric-record scopes, in emission order.
-_SCOPES = ("global", "tenant", "graph")
+#: The latency quantiles of every metric record.
+_QUANTILES = (0.5, 0.95, 0.99)
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,15 @@ class MonitorConfig:
 
     #: Rolling window of the metric series.
     window_s: float = 0.005
-    #: Ring buckets per window (also the sampling grid's resolution).
+    #: Buckets per window (also the sampling grid's resolution).
     n_buckets: int = 20
-    #: Metric-record cadence; ``None`` means one ring bucket.
+    #: Metric-record cadence; ``None`` means one window bucket.
     sample_every_s: float | None = None
     #: Declarative objectives (spec strings or parsed ``SLO`` objects).
     slos: tuple = ()
     #: Burn-rate thresholds shared by every objective.
     policy: BurnRatePolicy = BurnRatePolicy()
-    #: Ring buckets of each objective's good/bad counters.
+    #: Buckets per window of each objective's good/bad event logs.
     slo_buckets: int = 48
     #: Flight-recorder ring capacity (oldest captures evicted).
     flightrec_capacity: int = 64
@@ -90,9 +92,7 @@ class MonitorConfig:
             raise ValueError("slo_buckets must be >= 1")
         if self.flightrec_capacity < 1:
             raise ValueError("flightrec_capacity must be >= 1")
-        for spec in self.slos:
-            if isinstance(spec, str):
-                parse_slo(spec)
+        check_slos(self.slos, self.policy, self.slo_buckets)
 
     @property
     def bucket_s(self) -> float:
@@ -177,18 +177,16 @@ class ServeMonitor(RunObserver):
         self._tail = P99TailRule(
             cfg.window_s, cfg.n_buckets, cfg.p99_min_samples
         )
+        # One latency log per series (its entries are the admitted
+        # completions) and one shed log; the global latency log is the
+        # tail rule's own.
         self._lat = {
-            k: WindowedHistogram("latency_s", cfg.window_s, cfg.n_buckets)
+            k: WindowLog(cfg.window_s, cfg.n_buckets)
             for k in self._keys[1:]
         }
-        self._lat[("global", "*")] = self._tail.hist
-        self._adm = {
-            k: WindowedCounter("admitted", cfg.window_s, cfg.n_buckets)
-            for k in self._keys
-        }
-        self._shedc = {
-            k: WindowedCounter("shed", cfg.window_s, cfg.n_buckets)
-            for k in self._keys
+        self._lat[("global", "*")] = self._tail.log
+        self._shedlog = {
+            k: WindowLog(cfg.window_s, cfg.n_buckets) for k in self._keys
         }
         self._slo_engine = (
             SLOEngine(cfg.slos, cfg.policy, cfg.slo_buckets)
@@ -243,7 +241,7 @@ class ServeMonitor(RunObserver):
         for key in (
             ("global", "*"), ("tenant", request.tenant), ("graph", request.graph)
         ):
-            self._shedc[key].inc(t)
+            self._shedlog[key].append(t)
         if self._slo_engine is not None:
             for event in self._slo_engine.observe(t, request.tenant, shed=True):
                 self._append_alert(event)
@@ -254,12 +252,8 @@ class ServeMonitor(RunObserver):
         tenant = done.request.tenant
         latency = done.latency_s
         is_tail, window_p99 = self._tail.observe(t, latency)
-        self._lat[("tenant", tenant)].observe(t, latency)
-        self._lat[("graph", done.request.graph)].observe(t, latency)
-        for key in (
-            ("global", "*"), ("tenant", tenant), ("graph", done.request.graph)
-        ):
-            self._adm[key].inc(t)
+        self._lat[("tenant", tenant)].append(t, latency)
+        self._lat[("graph", done.request.graph)].append(t, latency)
         fired: list[AlertEvent] = []
         if self._slo_engine is not None:
             for event in self._slo_engine.observe(
@@ -293,10 +287,10 @@ class ServeMonitor(RunObserver):
     def _emit_samples(self, t: float) -> None:
         for scope, key in self._keys:
             k = (scope, key)
-            adm_total = self._adm[k].total(t)
-            shed_total = self._shedc[k].total(t)
-            seen = adm_total + shed_total
             lat = self._lat[k]
+            shed = self._shedlog[k].count(t)
+            seen = lat.count(t) + shed
+            p50, p95, p99 = lat.quantiles(_QUANTILES, t)
             self.records.append(
                 {
                     "record": "metric",
@@ -304,12 +298,12 @@ class ServeMonitor(RunObserver):
                     "scope": scope,
                     "key": key,
                     "window_s": self.config.window_s,
-                    "qps": self._adm[k].rate(t),
-                    "shed_rate": shed_total / seen if seen > 0 else 0.0,
-                    "n": int(seen),
-                    "p50_s": _noneify(lat.quantile(0.5, t)),
-                    "p95_s": _noneify(lat.quantile(0.95, t)),
-                    "p99_s": _noneify(lat.quantile(0.99, t)),
+                    "qps": lat.rate(t),
+                    "shed_rate": shed / seen if seen > 0 else 0.0,
+                    "n": seen,
+                    "p50_s": _noneify(p50),
+                    "p95_s": _noneify(p95),
+                    "p99_s": _noneify(p99),
                     "queue_depth": self._depth if scope == "global" else None,
                 }
             )
@@ -380,12 +374,13 @@ class ServeMonitor(RunObserver):
 
     def _build_summary(self, end_t: float) -> None:
         glob = self._lat[("global", "*")]
+        p50, p95, p99 = glob.quantiles(_QUANTILES, end_t)
         self.summary = {
             "end_t_s": end_t,
-            "windowed_p50_s": _noneify(glob.quantile(0.5, end_t)),
-            "windowed_p95_s": _noneify(glob.quantile(0.95, end_t)),
-            "windowed_p99_s": _noneify(glob.quantile(0.99, end_t)),
-            "window_count": glob.window_count(end_t),
+            "windowed_p50_s": _noneify(p50),
+            "windowed_p95_s": _noneify(p95),
+            "windowed_p99_s": _noneify(p99),
+            "window_count": glob.count(end_t),
             "alert_count": self.alert_count,
             "alerts_logged": len(self.alerts),
             "flight_records": len(self.flight_records),

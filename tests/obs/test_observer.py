@@ -69,7 +69,7 @@ class TestP99TailRule:
         rule = P99TailRule(1.0, 10, 1)
         rule.observe(0.0, 1.0, exemplar="a")
         rule.observe(0.1, 2.0, exemplar="b")
-        assert rule.hist.exemplar_near(0.99, 0.1) == "b"
+        assert rule.log.exemplar_near(0.99, 0.1) == "b"
 
 
 class TestCheckWindow:

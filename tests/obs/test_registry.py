@@ -10,8 +10,7 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    WindowedCounter,
-    WindowedHistogram,
+    WindowLog,
     exact_quantile,
 )
 
@@ -185,85 +184,101 @@ class TestRegistry:
 
 
 class TestWindowedCounter:
+    """The window log read as an event counter (count and rate)."""
+
     def test_total_and_rate_in_window(self):
-        c = WindowedCounter("qps", window_s=1.0, n_buckets=10)
-        c.inc(0.05)
-        c.inc(0.45, 2.0)
-        c.inc(0.95)
-        assert c.total(0.95) == 4.0
+        c = WindowLog(window_s=1.0, n_buckets=10)
+        c.append(0.05)
+        c.append(0.45)
+        c.append(0.45)
+        c.append(0.95)
+        assert c.count(0.95) == 4
         assert c.rate(0.95) == pytest.approx(4.0)
-        assert c.lifetime == 4.0
+        assert len(c) == 4
 
     def test_old_buckets_age_out(self):
-        c = WindowedCounter("qps", window_s=1.0, n_buckets=10)
-        c.inc(0.05)
+        c = WindowLog(window_s=1.0, n_buckets=10)
+        c.append(0.05)
         # 0.05 s is more than one window behind 1.55 s.
-        assert c.total(1.55) == 0.0
-        assert c.lifetime == 1.0
-
-    def test_late_increment_past_ring_is_dropped(self):
-        c = WindowedCounter("qps", window_s=1.0, n_buckets=10)
-        c.inc(5.0)
-        c.inc(0.1)  # slice aged out of the ring entirely
-        assert c.total(5.0) == 1.0
-        assert c.lifetime == 2.0  # ...but still counted all-time
+        assert c.count(1.55) == 0
+        assert len(c) == 1
 
     def test_sub_window_read(self):
-        c = WindowedCounter("qps", window_s=1.0, n_buckets=10)
-        c.inc(0.05)
-        c.inc(0.95)
-        assert c.total(0.95, window_s=0.2) == 1.0
+        c = WindowLog(window_s=1.0, n_buckets=10)
+        c.append(0.05)
+        c.append(0.95)
+        assert c.count(0.95, window_s=0.2) == 1
 
     def test_rate_denominator_clipped_early(self):
         # At t=0.05 only one bucket (0.1 s) has elapsed: a single event
         # reads as 10/s, not 1/s diluted over the unseen window.
-        c = WindowedCounter("qps", window_s=1.0, n_buckets=10)
-        c.inc(0.05)
+        c = WindowLog(window_s=1.0, n_buckets=10)
+        c.append(0.05)
         assert c.rate(0.05) == pytest.approx(10.0)
 
-    def test_reads_never_mutate(self):
-        c = WindowedCounter("qps", window_s=1.0, n_buckets=10)
-        c.inc(0.05)
-        c.total(100.0)  # far-future read
-        assert c.total(0.05) == 1.0  # past state still intact
-
-    def test_negative_amount_rejected(self):
-        c = WindowedCounter("qps", window_s=1.0)
-        with pytest.raises(ValueError):
-            c.inc(0.0, -1.0)
-
     def test_negative_time_rejected(self):
-        c = WindowedCounter("qps", window_s=1.0)
+        c = WindowLog(window_s=1.0)
         with pytest.raises(ValueError):
-            c.inc(-0.1)
+            c.append(-0.1)
+        with pytest.raises(ValueError):
+            c.count(math.nan)
 
     def test_oversized_read_window_rejected(self):
-        c = WindowedCounter("qps", window_s=1.0)
+        c = WindowLog(window_s=1.0)
         with pytest.raises(ValueError):
-            c.total(0.5, window_s=2.0)
+            c.count(0.5, window_s=2.0)
+
+    def test_out_of_order_write_raises(self):
+        c = WindowLog(window_s=1.0, n_buckets=10)
+        c.append(0.35)
+        c.append(0.35)  # equal times are in order
+        with pytest.raises(ValueError, match="before the last write"):
+            c.append(0.3)  # same bucket, earlier time
+        with pytest.raises(ValueError, match="before the last write"):
+            c.append(0.05)
+        assert c.count(0.4) == 2  # the rejected writes left no trace
+
+    @pytest.mark.parametrize(
+        "window_s", [0.0, -1.0, math.nan, math.inf]
+    )
+    def test_window_must_be_finite_and_positive(self, window_s):
+        with pytest.raises(ValueError, match="finite and positive"):
+            WindowLog(window_s)
 
 
 class TestWindowedHistogram:
+    """The window log read as a distribution (exact quantiles)."""
+
     def test_window_quantile_is_exact(self):
-        h = WindowedHistogram("lat", window_s=1.0, n_buckets=10)
+        h = WindowLog(window_s=1.0, n_buckets=10)
         for i, v in enumerate((5.0, 1.0, 3.0, 2.0, 4.0)):
-            h.observe(0.1 * i, v)
+            h.append(0.1 * i, v)
         assert h.quantile(0.5, 0.5) == 3.0
+        assert h.quantiles((0.0, 0.5, 0.95), 0.5) == (
+            1.0, 3.0, exact_quantile((5.0, 1.0, 3.0, 2.0, 4.0), 0.95)
+        )
         assert h.values(0.5) == (5.0, 1.0, 3.0, 2.0, 4.0)
-        assert h.window_count(0.5) == 5
+        assert h.count(0.5) == 5
+        # A read of an earlier window sees only that window's entries.
+        assert h.quantile(0.5, 0.05) == 5.0
 
     def test_samples_age_out(self):
-        h = WindowedHistogram("lat", window_s=1.0, n_buckets=10)
-        h.observe(0.05, 100.0)
-        h.observe(1.25, 1.0)
+        h = WindowLog(window_s=1.0, n_buckets=10)
+        h.append(0.05, 100.0)
+        h.append(1.25, 1.0)
         assert h.values(1.25) == (1.0,)
         assert math.isnan(h.quantile(0.5, 3.0))
-        assert h.lifetime_count == 2
+        assert len(h) == 2
 
     def test_values_in_slice_then_insertion_order(self):
-        h = WindowedHistogram("lat", window_s=1.0, n_buckets=10)
-        h.observe(0.35, 2.0)
-        h.observe(0.05, 1.0)
-        h.observe(0.35, 3.0)
+        h = WindowLog(window_s=1.0, n_buckets=10)
+        h.append(0.05, 1.0)
+        h.append(0.35, 3.0)
+        h.append(0.35, 2.0)
         # Bucket order (0.0s slice before 0.3s slice), then insertion.
-        assert h.values(0.4) == (1.0, 2.0, 3.0)
+        assert h.values(0.4) == (1.0, 3.0, 2.0)
+
+    def test_nan_value_rejected(self):
+        h = WindowLog(window_s=1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            h.append(0.1, math.nan)

@@ -1,14 +1,24 @@
-"""Declarative SLO parsing and multi-window burn-rate alerting."""
+"""Declarative SLO parsing and multi-window burn-rate alerting.
+
+The engine's alert transitions are checked against an independent
+oracle: plain lists of each series' scored events, read through the
+fast and slow bucket-aligned windows.
+"""
+
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     SLO,
+    AlertEvent,
     BurnRatePolicy,
     SLOEngine,
     parse_slo,
     render_alert,
 )
+from repro.obs.slo import check_slos
 
 
 class TestParseSlo:
@@ -55,11 +65,17 @@ class TestParseSlo:
             "p42<=0.005@10s",  # unknown quantile
             "p99<=0@10s",  # zero threshold
             "p99<=0.005@0s",  # zero window
+            "p99<=350us@1e999s",  # infinite window
         ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             parse_slo(spec)
+
+    @pytest.mark.parametrize("window_s", [math.inf, math.nan, -1.0])
+    def test_window_must_be_finite_and_positive(self, window_s):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SLO("p99", "<=", 1e-3, window_s, "p99<=1ms")
 
     def test_is_bad_latency_ignores_shed(self):
         slo = parse_slo("p99<=1ms@10s")
@@ -108,6 +124,17 @@ class TestSLOEngine:
     def test_duplicate_slos_rejected(self):
         with pytest.raises(ValueError):
             SLOEngine(["p99<=1ms@1s", "p99<=1ms@1s"])
+
+    def test_check_slos_parses_and_validates_the_set(self):
+        policy = BurnRatePolicy(fast_fraction=0.25)
+        slo = parse_slo("availability>=0.9@1s")
+        assert check_slos(["p99<=1ms@1s", slo], policy, 8) == (
+            parse_slo("p99<=1ms@1s"), slo,
+        )
+        with pytest.raises(ValueError, match="duplicate SLO"):
+            check_slos(["p99<=1ms@1s", " p99<=1ms@1s"], policy, 8)
+        with pytest.raises(ValueError, match="fast_fraction"):
+            check_slos(["p99<=1ms@1s"], policy, 3)
 
     def test_fast_leg_narrower_than_bucket_rejected(self):
         with pytest.raises(ValueError):
@@ -210,3 +237,96 @@ class TestSLOEngine:
                 window_s=1.0,
                 spec="p33<=1ms@1s",
             )
+
+
+def alert_oracle(stream, slos, policy, n_buckets):
+    """Every alert transition, from plain lists of ``(bucket, bad)``."""
+    scored: dict[tuple[str, str], list[tuple[int, bool]]] = {}
+    firing: dict[tuple[str, str], bool] = {}
+    out = []
+    for t, tenant, latency, shed in stream:
+        for slo in slos:
+            if slo.metric != "availability" and shed:
+                continue
+            bad = shed if slo.metric == "availability" else (
+                latency > slo.threshold
+            )
+            bucket_s = slo.window_s / n_buckets
+            cur = math.floor(t / bucket_s)
+            for key in ("*", tenant):
+                events = scored.setdefault((slo.spec, key), [])
+                events.append((cur, bad))
+
+                def burn(window_s):
+                    m = max(1, int(round(window_s / bucket_s)))
+                    window = [b for s, b in events if s >= cur - m + 1]
+                    if not window:
+                        return 0.0, 0
+                    share = sum(window) / len(window)
+                    return share / slo.budget, len(window)
+
+                burn_fast, n_fast = burn(slo.window_s * policy.fast_fraction)
+                burn_slow, _ = burn(slo.window_s)
+                hot = (
+                    n_fast >= policy.min_events
+                    and burn_fast >= policy.fast_threshold
+                    and burn_slow >= policy.slow_threshold
+                )
+                if hot != firing.get((slo.spec, key), False):
+                    firing[(slo.spec, key)] = hot
+                    out.append(AlertEvent(
+                        t_s=t,
+                        slo=slo.spec,
+                        key=key,
+                        state="firing" if hot else "resolved",
+                        burn_fast=burn_fast,
+                        burn_slow=burn_slow,
+                        window_events=n_fast,
+                    ))
+    return out
+
+
+class TestAlertOracle:
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.05),
+                st.sampled_from(("t0", "t1", "t2")),
+                st.floats(min_value=1e-6, max_value=2e-3),
+                st.booleans(),
+            ),
+            max_size=150,
+        ),
+        window_s=st.sampled_from((1e-3, 5e-3, 0.02)),
+        n_buckets=st.integers(min_value=12, max_value=48),
+        fast_fraction=st.sampled_from((1 / 12, 0.25, 0.5, 1.0)),
+        fast_threshold=st.sampled_from((1.0, 6.0, 14.4)),
+        slow_threshold=st.sampled_from((0.5, 1.0, 3.0)),
+        min_events=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_transitions_match_the_list_oracle(
+        self, events, window_s, n_buckets, fast_fraction, fast_threshold,
+        slow_threshold, min_events,
+    ):
+        slos = (
+            SLO("p99", "<=", 5e-4, window_s, "p99<=0.5ms"),
+            SLO("p50", "<=", 2e-4, window_s / 2, "p50<=0.2ms"),
+            SLO("availability", ">=", 0.9, window_s, "availability>=0.9"),
+        )
+        policy = BurnRatePolicy(
+            fast_fraction=fast_fraction,
+            fast_threshold=fast_threshold,
+            slow_threshold=slow_threshold,
+            min_events=min_events,
+        )
+        # Terminal events arrive in non-decreasing virtual time.
+        stream = sorted(events, key=lambda e: e[0])
+        engine = SLOEngine(slos, policy, n_buckets)
+        got = []
+        for t, tenant, latency, shed in stream:
+            kind = {"shed": True} if shed else {"latency_s": latency}
+            got.extend(engine.observe(t, tenant, **kind))
+        want = alert_oracle(stream, slos, policy, n_buckets)
+        assert got == want
+        assert engine.alerts == want

@@ -2,7 +2,7 @@
 
 Covers the deterministic identity layer (trace ids, head sampling),
 the span record round-trip, the explain table's exactness contract,
-``force_exact_sum`` with a custom term order, the windowed histogram's
+``force_exact_sum`` with a custom term order, the window log's
 trace-id exemplars, and the JSONL / Chrome-trace validator extensions
 (span linkage, exact-sum re-checks, flow events).
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.obs import validate_chrome_trace, validate_profile_jsonl
 from repro.obs.attribution import TERM_ORDER, force_exact_sum
-from repro.obs.registry import WindowedHistogram
+from repro.obs.registry import WindowLog
 from repro.obs.tracing import (
     EXPLAIN_ORDER,
     ExplainTable,
@@ -367,26 +367,33 @@ class TestChromeFlowValidation:
 
 class TestHistogramExemplars:
     def test_observe_and_read_back(self):
-        hist = WindowedHistogram("lat", window_s=1.0, n_buckets=4)
-        hist.observe(0.1, 1.0, exemplar="a")
-        hist.observe(0.2, 2.0)
-        hist.observe(0.3, 3.0, exemplar="c")
-        pairs = hist.exemplars(0.3)
-        assert (1.0, "a") in pairs
-        assert (2.0, None) in pairs
-        assert (3.0, "c") in pairs
+        hist = WindowLog(window_s=1.0, n_buckets=4)
+        hist.append(0.1, 1.0, exemplar="a")
+        hist.append(0.2, 2.0)
+        hist.append(0.3, 3.0, exemplar="c")
+        assert hist.values(0.3) == (1.0, 2.0, 3.0)
+        assert hist.exemplar_near(0.0, 0.3) == "a"
+        # The median (2.0) carries no exemplar: the next value up does.
+        assert hist.exemplar_near(0.5, 0.3) == "c"
+        assert hist.exemplar_near(1.0, 0.3) == "c"
 
     def test_exemplar_near_quantile(self):
-        hist = WindowedHistogram("lat", window_s=1.0, n_buckets=4)
+        hist = WindowLog(window_s=1.0, n_buckets=4)
         for i in range(10):
-            hist.observe(0.01 * i, float(i), exemplar=f"t{i}")
+            hist.append(0.01 * i, float(i), exemplar=f"t{i}")
         assert hist.exemplar_near(0.99, 0.1) == "t9"
         assert hist.exemplar_near(0.0, 0.1) == "t0"
 
     def test_exemplars_expire_with_window(self):
-        hist = WindowedHistogram("lat", window_s=0.1, n_buckets=2)
-        hist.observe(0.0, 1.0, exemplar="old")
-        hist.observe(1.0, 2.0, exemplar="new")
-        pairs = hist.exemplars(1.0)
-        assert ("old" in [e for _, e in pairs]) is False
-        assert (2.0, "new") in pairs
+        hist = WindowLog(window_s=0.1, n_buckets=2)
+        hist.append(0.0, 1.0, exemplar="old")
+        hist.append(1.0, 2.0, exemplar="new")
+        assert hist.values(1.0) == (2.0,)
+        assert hist.exemplar_near(0.0, 1.0) == "new"
+        assert hist.exemplar_near(0.0, 0.0) == "old"
+
+    def test_exemplar_ties_broken_by_append_order(self):
+        hist = WindowLog(window_s=1.0, n_buckets=4)
+        hist.append(0.1, 5.0, exemplar="first")
+        hist.append(0.2, 5.0, exemplar="second")
+        assert hist.exemplar_near(0.5, 0.2) == "first"

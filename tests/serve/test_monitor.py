@@ -16,7 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.device import GTX_580, GTX_TITAN, TESLA_K10
-from repro.obs import validate_chrome_trace, validate_profile_jsonl
+from repro.obs import (
+    exact_quantile,
+    validate_chrome_trace,
+    validate_profile_jsonl,
+)
 from repro.serve import (
     MonitorConfig,
     ServeConfig,
@@ -249,6 +253,24 @@ class TestMonitorConfig:
         with pytest.raises(ValueError, match="finite and positive"):
             MonitorConfig(sample_every_s=bad)
 
+    def test_duplicate_slos_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="duplicate SLO"):
+            MonitorConfig(slos=("p99<=350us@5ms", "p99<=350us@5ms"))
+
+    def test_non_finite_slo_window_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MonitorConfig(slos=("p99<=350us@1e999s",))
+
+    def test_fast_leg_narrower_than_a_bucket_rejected(self):
+        from repro.obs import BurnRatePolicy
+
+        policy = BurnRatePolicy(fast_fraction=1 / 50)
+        with pytest.raises(ValueError, match="fast_fraction"):
+            MonitorConfig(slos=HOT_CONFIG.slos, policy=policy)
+        cfg = MonitorConfig(slos=HOT_CONFIG.slos, policy=policy,
+                            slo_buckets=50)
+        assert cfg.slo_buckets == 50
+
     def test_slo_buckets_must_be_positive(self):
         with pytest.raises(ValueError, match="slo_buckets"):
             MonitorConfig(slos=HOT_CONFIG.slos, slo_buckets=0)
@@ -257,3 +279,118 @@ class TestMonitorConfig:
         cfg = MonitorConfig(window_s=1.0, n_buckets=20)
         assert cfg.cadence_s == cfg.bucket_s == 0.05
         assert MonitorConfig(sample_every_s=0.5).cadence_s == 0.5
+
+
+def metric_oracle(result, config):
+    """Every ``metric`` record, recomputed from plain lists of the log.
+
+    A record at tick ``T`` sees the events before ``T`` (the final
+    record, at the end of the run, sees them all), restricted to the
+    bucket-aligned window ``[cur - m + 1, cur]`` with ``cur =
+    floor(T / bucket_s)`` and ``m = n_buckets``.
+    """
+    bucket_s = config.window_s / config.n_buckets
+    m = config.n_buckets
+    done = [
+        (c.completion_s, c.request, c.latency_s)
+        for b in result.batch_events
+        for c in b.completions
+    ]
+    sheds = [(s.outcome.request.arrival_s, s.outcome.request)
+             for s in result.shed_events]
+    depths = sorted(
+        [(b.record.close_s, 0, b.record.batch_id, b.queue_depth)
+         for b in result.batch_events]
+        + [(s.outcome.request.arrival_s, 1, s.outcome.request.rid,
+            s.queue_depth) for s in result.shed_events]
+    )
+    times = [t for t, *_ in done] + [t for t, _ in sheds]
+    times += [t for t, *_ in depths]
+    ticks = []
+    tick = config.cadence_s
+    while times and tick <= max(times):
+        ticks.append((tick, False))
+        tick += config.cadence_s
+    end_t = max([result.makespan_s] + times)
+    ticks.append((end_t, True))
+    tenants = sorted({r.request.tenant for r in result.requests})
+    graphs = sorted({r.request.graph for r in result.requests})
+    keys = [("global", "*")] + [("tenant", t) for t in tenants]
+    keys += [("graph", g) for g in graphs]
+
+    def matches(scope, key, request):
+        if scope == "tenant":
+            return request.tenant == key
+        if scope == "graph":
+            return request.graph == key
+        return True
+
+    out = []
+    for t, final in ticks:
+        cur = math.floor(t / bucket_s)
+
+        def seen(ts):
+            before = ts <= t if final else ts < t
+            return before and math.floor(ts / bucket_s) >= cur - m + 1
+
+        depth = 0
+        for ts, _rank, _id, d in depths:
+            if ts <= t if final else ts < t:
+                depth = d
+        for scope, key in keys:
+            lat = [v for ts, r, v in done
+                   if seen(ts) and matches(scope, key, r)]
+            n_shed = sum(1 for ts, r in sheds
+                         if seen(ts) and matches(scope, key, r))
+            n = len(lat) + n_shed
+            q = [exact_quantile(lat, p) if lat else None
+                 for p in (0.5, 0.95, 0.99)]
+            out.append({
+                "record": "metric",
+                "t_s": t,
+                "scope": scope,
+                "key": key,
+                "window_s": config.window_s,
+                "qps": len(lat) / (min(m, cur + 1) * bucket_s),
+                "shed_rate": n_shed / n if n > 0 else 0.0,
+                "n": n,
+                "p50_s": q[0],
+                "p95_s": q[1],
+                "p99_s": q[2],
+                "queue_depth": depth if scope == "global" else None,
+            })
+    return out
+
+
+class TestMetricOracle:
+    """Every metric record equals a plain-list recomputation, exactly."""
+
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+    @pytest.mark.parametrize(
+        "seed, config, serve",
+        [
+            (3, HOT_CONFIG, ServeConfig()),
+            (7, MonitorConfig(window_s=2e-3, n_buckets=7,
+                              sample_every_s=3.1e-4),
+             ServeConfig(queue_limit=6, tenant_limit=3)),
+            (11, MonitorConfig(window_s=1e-3, n_buckets=1),
+             ServeConfig(queue_limit=4, tenant_limit=2)),
+        ],
+        ids=["hot", "shedding", "one-bucket"],
+    )
+    def test_metric_records_match_the_list_oracle(
+        self, device, seed, config, serve
+    ):
+        engine = ServeEngine(device, serve)
+        engine.register(MATRIX, scale=SCALE, format_name="csr")
+        trace = generate_trace(
+            TraceConfig(n_requests=96, seed=seed, burst_factor=6.0),
+            engine.registered_graphs(),
+            120e-6,
+        )
+        monitor = ServeMonitor(config)
+        result = engine.run_trace(trace, monitor=monitor)
+        got = [r for r in monitor.records if r["record"] == "metric"]
+        assert got == metric_oracle(result, config)
+        if serve.queue_limit < 64:
+            assert result.shed_events  # the sheds reach the oracle

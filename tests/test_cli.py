@@ -323,6 +323,31 @@ class TestServeSimMonitorCli:
         assert "bad SLO spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "slos, message",
+        [
+            (["p99<=350us@5ms", "p99<=350us@5ms"], "duplicate SLO"),
+            (["p99<=350us@1e999s"], "finite and positive"),
+        ],
+        ids=["duplicate", "infinite-window"],
+    )
+    def test_bad_slo_set_exits_2_before_serving(
+        self, capsys, monkeypatch, slos, message
+    ):
+        from repro.serve import ServeEngine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("served a trace with a bad SLO set")
+
+        monkeypatch.setattr(ServeEngine, "run_trace", refuse)
+        args = list(TestServeSimCli.ARGS)
+        for spec in slos:
+            args += ["--slo", spec]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "serve-sim:" not in captured.out
+
+    @pytest.mark.parametrize(
         "knob",
         [
             ["--window-us", "nan"],
