@@ -29,14 +29,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import jit
-
 __all__ = ["group_rows", "group_rows_segmented"]
 
 
 def _boundary_flags(sorted_cols: list[np.ndarray]) -> np.ndarray:
     """``flags[i]`` is True where sorted row ``i`` starts a new group."""
-    return jit.boundary_flags(sorted_cols)
+    n = sorted_cols[0].shape[0]
+    flags = np.zeros(n, dtype=bool)
+    if n == 0:
+        return flags
+    flags[0] = True
+    for c in sorted_cols:
+        np.logical_or(flags[1:], c[1:] != c[:-1], out=flags[1:])
+    return flags
 
 
 def group_rows(
@@ -67,7 +72,7 @@ def group_rows(
     # contract; the sorted order would re-associate the float sums).
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = labels
-    counts = jit.group_counts(inverse, weights, n_groups)
+    counts = np.bincount(inverse, weights=weights, minlength=n_groups)
     starts = np.flatnonzero(flags)
     return [c[starts] for c in sorted_cols], counts
 
@@ -111,7 +116,7 @@ def group_rows_segmented(
     n_groups = int(labels[-1]) + 1
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = labels
-    counts = jit.group_counts(inverse, weights, n_groups)
+    counts = np.bincount(inverse, weights=weights, minlength=n_groups)
     starts = np.flatnonzero(flags)
     offsets = np.searchsorted(seg_sorted[starts], np.arange(n_segments + 1))
     return [c[starts] for c in sorted_cols], counts, offsets

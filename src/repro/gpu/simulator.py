@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jit
 from .device import DeviceSpec, Precision
 from .grouping import group_rows, group_rows_segmented
 from .kernel import KernelWork
@@ -245,10 +244,7 @@ def _sm_load_vector(
     difference array, so the cost is O(entries + SMs), never O(warps).
 
     The single implementation behind both :func:`_busiest_sm_insts` and
-    :func:`sm_inst_loads` (historically two copies of this body).  The
-    wrapped-remainder total is a pairwise ``np.sum`` computed here and
-    handed to :func:`repro.gpu.jit.sm_remainder_loads` as a scalar, so
-    the NumPy and JIT backends add the same floats in the same order.
+    :func:`sm_inst_loads` (historically two copies of this body).
     """
     c = np.rint(counts).astype(np.int64)
     base = float(np.sum(insts * (c // n_sms).astype(np.float64)))
@@ -261,11 +257,14 @@ def _sm_load_vector(
     r = rem[mask]
     first = np.minimum(r, n_sms - starts)
     wrapped = r - first
+    diff = np.zeros(n_sms + 1, dtype=np.float64)
+    np.add.at(diff, starts, v)
+    np.add.at(diff, starts + first, -v)
     wmask = wrapped > 0
-    wrapped_total = float(v[wmask].sum()) if np.any(wmask) else 0.0
-    return base + jit.sm_remainder_loads(
-        starts, first, wrapped, v, wrapped_total, n_sms
-    )
+    if np.any(wmask):
+        diff[0] += float(v[wmask].sum())
+        np.add.at(diff, wrapped[wmask], -v[wmask])
+    return base + np.cumsum(diff[:n_sms])
 
 
 def _busiest_sm_insts(
@@ -314,8 +313,9 @@ def warp_chain_detail(
     inflation = _dp_inflation(device, work)
     u_insts, _, u_mem, counts = _canonical_entries(work)
     exposed_latency_cycles = device.dram_latency_cycles / MLP_PER_WARP
-    insts, chain_cycles = jit.chain_cycles(
-        u_insts, u_mem, inflation, device.warp_issue_rate, exposed_latency_cycles
+    insts = u_insts * inflation
+    chain_cycles = (
+        insts / device.warp_issue_rate + u_mem * exposed_latency_cycles
     )
     return chain_cycles, counts, insts
 
@@ -355,8 +355,9 @@ def simulate_kernel(
     inflation = _dp_inflation(device, work)
     u_insts, u_dram, u_mem, counts = _canonical_entries(work)
     exposed_latency_cycles = device.dram_latency_cycles / MLP_PER_WARP
-    insts, chain_cycles = jit.chain_cycles(
-        u_insts, u_mem, inflation, device.warp_issue_rate, exposed_latency_cycles
+    insts = u_insts * inflation
+    chain_cycles = (
+        insts / device.warp_issue_rate + u_mem * exposed_latency_cycles
     )
 
     # --- compute bound: busiest SM under round-robin warp placement,

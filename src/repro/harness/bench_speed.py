@@ -13,30 +13,23 @@ auditable from the JSON.  ``wall_s`` is the **median** of ``--repeats``
 timing runs (robust to one noisy run; ``wall_s_min`` keeps the best
 case), and each row carries the imbalance observatory's ``tail_warp_share``
 and ``warp_work_gini`` for the pooled kernel work.  Results go to
-``BENCH_speed.json``; pass ``--check BASELINE`` to fail when any case's
-median regresses more than ``REGRESSION_FACTOR`` x against a committed
-baseline (the CI gate).  ``--speed-target BASELINE`` adds the absolute
-gate of the batch-engine rewrite: every SpMV cell at scale >=
-``SPEED_TARGET_MIN_SCALE`` must run ``SPEED_TARGET_FACTOR`` x faster
-than the committed pre-optimisation snapshot
-(``benchmarks/bench_speed_target.json``) while ``model_time_s`` stays
-byte-identical in every matching cell; either baseline also feeds the
-``speedup_vs_baseline`` column.  ``--jit`` routes the simulator's inner
-kernels through the optional numba backend (silent NumPy fallback, same
-floats).
+``BENCH_speed.json``.
 
 The suite also times the ``repro.serve`` engine end to end
 (:data:`SERVE_CASES`): a seeded Zipfian trace replayed through the
 coalescing scheduler, recording steady-state wall-clock plus the
-modelled ``serve_qps`` / ``serve_p99_s`` SLO cells.  Those two columns
-are deterministic virtual-clock outputs, so the ``--check`` gate holds
-them to the baseline with tight factors — but only when the baseline
-carries them, so pre-serving baselines keep passing.  Each serving cell
+modelled ``serve_qps`` / ``serve_p99_s`` SLO cells.  Each serving cell
 also replays the trace with the causal query tracer attached:
-``serve_trace_overhead`` (the median per-repeat traced/untraced wall
-ratio) is gated at :data:`SERVE_TRACE_OVERHEAD_LIMIT`, and
-``serve_trace_identical`` asserts tracing never changes a byte of the
-serve report.
+``serve_trace_overhead`` is the median per-repeat traced/untraced wall
+ratio, and ``serve_trace_identical`` asserts tracing never changes a
+byte of the serve report.
+
+``--check BASELINE`` gates every cell against one committed baseline
+(``benchmarks/bench_baseline.json``) with :func:`check_regressions`:
+the median wall-clock may grow at most ``REGRESSION_FACTOR`` x, SpMV
+cells keep ``model_time_s`` byte-identical and hold their counter
+columns, and serving cells hold their SLO, monitor and tracing columns.
+A baseline cell that lacks a gated column of its kind fails the check.
 """
 
 from __future__ import annotations
@@ -55,17 +48,11 @@ from ..gpu.device import DeviceSpec, get_device
 DEFAULT_OUTPUT = "BENCH_speed.json"
 
 #: A case fails the ``--check`` gate when its wall-clock exceeds the
-#: baseline's by more than this factor.
+#: baseline's by more than this factor.  The committed baseline's
+#: scale >= 0.5 rows hold the pre-batch-engine wall-clock divided by 10,
+#: so on those cells this factor enforces a 5x speed-up over that
+#: snapshot.
 REGRESSION_FACTOR = 2.0
-
-#: The ``--speed-target`` gate: large cells must run at least this many
-#: times faster than the committed pre-optimisation baseline
-#: (``benchmarks/bench_speed_target.json``).
-SPEED_TARGET_FACTOR = 5.0
-
-#: ``--speed-target`` gates only cells at or above this synthesis scale —
-#: the big-matrix cells whose evaluation cost the batch engine targets.
-SPEED_TARGET_MIN_SCALE = 0.5
 
 #: Efficiency counters are deterministic model outputs (no machine noise),
 #: so the gate allows only a small absolute drop before failing.
@@ -80,6 +67,23 @@ EFFICIENCY_COLUMNS = (
     "achieved_occupancy",
     "warp_execution_efficiency",
     "gld_coalescing_ratio",
+)
+
+#: Baseline columns ``--check`` compares an SpMV cell against.
+SPMV_GATED_COLUMNS = (
+    "wall_s",
+    "model_time_s",
+    *EFFICIENCY_COLUMNS,
+    "dram_bytes",
+    "dp_overflow",
+)
+
+#: Baseline columns ``--check`` compares a serving cell against.
+SERVE_GATED_COLUMNS = (
+    "wall_s",
+    "serve_qps",
+    "serve_p99_s",
+    "serve_alert_count",
 )
 
 #: CI-friendly cases: every analog stays at or below the ~4M-nnz default
@@ -186,7 +190,7 @@ def run_case(
         "k": k,
         # Median of the repeats: robust to one noisy run, and the value
         # the --check regression gate compares.  The min rides along for
-        # best-case auditing (the pre-median baselines recorded only it).
+        # best-case auditing.
         "wall_s": statistics.median(times),
         "wall_s_min": min(times),
         "model_time_s": fmt.spmm_time_s(device, k=k),
@@ -377,72 +381,14 @@ def run_bench(
     }
 
 
-def annotate_speedups(current: dict, baseline: dict) -> None:
-    """Add a ``speedup_vs_baseline`` column (baseline wall / current wall)
-    to every current case with a matching baseline cell."""
-    base = {_case_key(r): r for r in baseline.get("cases", [])}
-    for record in current.get("cases", []):
-        ref = base.get(_case_key(record))
-        if ref is None or float(record["wall_s"]) <= 0.0:
-            continue
-        record["speedup_vs_baseline"] = float(ref["wall_s"]) / float(
-            record["wall_s"]
-        )
-
-
-def check_speed_target(
-    current: dict,
-    baseline: dict,
-    factor: float = SPEED_TARGET_FACTOR,
-    min_scale: float = SPEED_TARGET_MIN_SCALE,
-) -> list[str]:
-    """The absolute speed gate: returns failure messages.
-
-    Two conditions against the pre-optimisation baseline:
-
-    * ``model_time_s`` must be **byte-identical** in every matching cell
-      (the optimisations reorganise the arithmetic; they must not change
-      a single float);
-    * every matching SpMV cell at ``scale >= min_scale`` must be at
-      least ``factor``x faster than the baseline's median wall-clock.
-    """
-    base = {_case_key(r): r for r in baseline.get("cases", [])}
-    failures = []
-    for record in current.get("cases", []):
-        ref = base.get(_case_key(record))
-        if ref is None:
-            continue
-        label = f"{record['name']}@{record['scale']:g}"
-        if int(record.get("k", 1)) != 1:
-            label += f" k={record['k']}"
-        model, ref_model = record.get("model_time_s"), ref.get("model_time_s")
-        if model is not None and ref_model is not None and model != ref_model:
-            failures.append(
-                f"{label}: model_time_s {model!r} != baseline "
-                f"{ref_model!r} (must be byte-identical)"
-            )
-        if model is None or float(record["scale"]) < min_scale:
-            continue  # serve cells / small cells: identity gate only
-        speedup = record.get("speedup_vs_baseline")
-        if speedup is None and float(record["wall_s"]) > 0.0:
-            speedup = float(ref["wall_s"]) / float(record["wall_s"])
-        if speedup is not None and speedup < factor:
-            failures.append(
-                f"{label}: {speedup:.2f}x vs baseline "
-                f"({float(record['wall_s']) * 1e3:.1f} ms vs "
-                f"{float(ref['wall_s']) * 1e3:.1f} ms) < required "
-                f"{factor:g}x"
-            )
-    return failures
-
-
 def _case_key(record: dict) -> tuple[str, float, int]:
-    # ``k`` defaults to 1 so pre-batching baselines keep matching.
-    return (
-        record["name"],
-        round(float(record["scale"]), 9),
-        int(record.get("k", 1)),
-    )
+    return (record["name"], round(float(record["scale"]), 9), int(record["k"]))
+
+
+def gated_columns(record: dict) -> tuple[str, ...]:
+    """The baseline columns gating ``record``'s kind: serving cells carry
+    ``serve_qps``, SpMV cells ``model_time_s``."""
+    return SERVE_GATED_COLUMNS if "serve_qps" in record else SPMV_GATED_COLUMNS
 
 
 def check_regressions(
@@ -450,20 +396,28 @@ def check_regressions(
 ) -> list[str]:
     """Compare against a baseline payload; returns failure messages.
 
-    Two gates per case: wall-clock (noisy; wide ``factor``) and the
-    counter columns (deterministic; tight tolerances).  Counter checks
-    only run when the baseline carries the column, so pre-counter
-    baselines still work.
+    Every cell is gated on wall-clock (noisy; wide ``factor``) and on
+    the deterministic columns of its kind (tight tolerances).  A
+    baseline cell missing one of :func:`gated_columns` fails; a current
+    cell with no baseline cell is new and has nothing to regress
+    against.
     """
-    base = {_case_key(r): r for r in baseline.get("cases", [])}
+    base = {_case_key(r): r for r in baseline["cases"]}
     failures = []
-    for record in current.get("cases", []):
+    for record in current["cases"]:
         ref = base.get(_case_key(record))
         if ref is None:
-            continue  # new case: nothing to regress against
+            continue
         label = f"{record['name']}@{record['scale']:g}"
-        if int(record.get("k", 1)) != 1:
+        if int(record["k"]) != 1:
             label += f" k={record['k']}"
+        missing = [c for c in gated_columns(record) if c not in ref]
+        if missing:
+            failures.append(
+                f"{label}: baseline cell lacks gated column(s) "
+                f"{', '.join(missing)}"
+            )
+            continue
         limit = factor * float(ref["wall_s"])
         if float(record["wall_s"]) > limit:
             failures.append(
@@ -471,105 +425,99 @@ def check_regressions(
                 f"{record['wall_s']:.4f}s > {factor:g}x baseline "
                 f"({ref['wall_s']:.4f}s)"
             )
-        for column in EFFICIENCY_COLUMNS:
-            if column not in ref or column not in record:
-                continue
-            floor = float(ref[column]) - EFFICIENCY_TOLERANCE
-            if float(record[column]) < floor:
-                failures.append(
-                    f"{label}: {column} {float(record[column]):.3f} "
-                    f"< baseline {float(ref[column]):.3f} - "
-                    f"{EFFICIENCY_TOLERANCE:g}"
-                )
-        if "dram_bytes" in ref and "dram_bytes" in record:
-            ceiling = DRAM_GROWTH_FACTOR * float(ref["dram_bytes"])
-            if float(record["dram_bytes"]) > ceiling:
-                failures.append(
-                    f"{label}: dram_bytes {float(record['dram_bytes']):.0f} "
-                    f"> {DRAM_GROWTH_FACTOR:g}x baseline "
-                    f"({float(ref['dram_bytes']):.0f})"
-                )
-        if "dp_overflow" in ref and "dp_overflow" in record:
-            if int(record["dp_overflow"]) > int(ref["dp_overflow"]):
-                failures.append(
-                    f"{label}: dp_overflow {record['dp_overflow']} > "
-                    f"baseline {ref['dp_overflow']} "
-                    "(pending-launch-limit stalls introduced)"
-                )
-        # Serving SLO cells: modelled virtual-clock outputs, so the
-        # gates are tight.  Skipped when the baseline predates them.
-        if "serve_qps" in ref and "serve_qps" in record:
-            floor = float(ref["serve_qps"]) / SERVE_QPS_DROP_FACTOR
-            if float(record["serve_qps"]) < floor:
-                failures.append(
-                    f"{label}: serve_qps {float(record['serve_qps']):.1f} "
-                    f"< baseline {float(ref['serve_qps']):.1f} / "
-                    f"{SERVE_QPS_DROP_FACTOR:g}"
-                )
-        if (
-            record.get("serve_p99_s") is not None
-            and ref.get("serve_p99_s") is not None
-        ):
-            ceiling = SERVE_P99_GROWTH_FACTOR * float(ref["serve_p99_s"])
-            if float(record["serve_p99_s"]) > ceiling:
-                failures.append(
-                    f"{label}: serve_p99_s "
-                    f"{float(record['serve_p99_s']) * 1e6:.1f}us > "
-                    f"{SERVE_P99_GROWTH_FACTOR:g}x baseline "
-                    f"({float(ref['serve_p99_s']) * 1e6:.1f}us)"
-                )
-        # Monitor columns: the windowed estimator must track the exact
-        # percentile, and the alert count is fully deterministic.
-        # Baselines regenerated before these columns existed skip both.
-        if (
-            record.get("serve_p99_drift") is not None
-            and "serve_p99_drift" in ref
-        ):
-            drift = float(record["serve_p99_drift"])
-            if drift > SERVE_P99_DRIFT_LIMIT:
-                failures.append(
-                    f"{label}: serve_p99_drift {drift:.3f} > "
-                    f"{SERVE_P99_DRIFT_LIMIT:g} (windowed p99 "
-                    f"{float(record['serve_windowed_p99_s']) * 1e6:.1f}us vs "
-                    f"exact {float(record['serve_p99_s']) * 1e6:.1f}us)"
-                )
-        if "serve_alert_count" in ref and "serve_alert_count" in record:
-            if int(record["serve_alert_count"]) != int(
-                ref["serve_alert_count"]
-            ):
-                failures.append(
-                    f"{label}: serve_alert_count "
-                    f"{record['serve_alert_count']} != baseline "
-                    f"{ref['serve_alert_count']} (burn-rate behaviour "
-                    "changed)"
-                )
-        # Query-tracing columns: overhead is wall-clock (gated only when
-        # the baseline carries the column, so pre-tracing baselines keep
-        # passing); the byte-identity bit is absolute — a tracer that
-        # changes the serve report broke the read-only contract.
-        if (
-            "serve_trace_overhead" in ref
-            and "serve_trace_overhead" in record
-        ):
-            overhead = float(record["serve_trace_overhead"])
-            if overhead > SERVE_TRACE_OVERHEAD_LIMIT:
-                failures.append(
-                    f"{label}: serve_trace_overhead {overhead:.3f}x > "
-                    f"{SERVE_TRACE_OVERHEAD_LIMIT:g}x (tracing is no "
-                    "longer near-free on the hot path)"
-                )
-        if "serve_trace_identical" in record and not record[
-            "serve_trace_identical"
-        ]:
+        check = _serve_failures if "serve_qps" in record else _spmv_failures
+        failures.extend(f"{label}: {f}" for f in check(record, ref))
+    return failures
+
+
+def _spmv_failures(record: dict, ref: dict) -> list[str]:
+    failures = []
+    # Modelled seconds are outputs: a speed change must not move a
+    # single float, at any scale.
+    if record["model_time_s"] != ref["model_time_s"]:
+        failures.append(
+            f"model_time_s {record['model_time_s']!r} != baseline "
+            f"{ref['model_time_s']!r} (must be byte-identical)"
+        )
+    for column in EFFICIENCY_COLUMNS:
+        floor = float(ref[column]) - EFFICIENCY_TOLERANCE
+        if float(record[column]) < floor:
             failures.append(
-                f"{label}: serve report not byte-identical with the "
-                "query tracer attached (read-only contract violated)"
+                f"{column} {float(record[column]):.3f} "
+                f"< baseline {float(ref[column]):.3f} - "
+                f"{EFFICIENCY_TOLERANCE:g}"
             )
+    ceiling = DRAM_GROWTH_FACTOR * float(ref["dram_bytes"])
+    if float(record["dram_bytes"]) > ceiling:
+        failures.append(
+            f"dram_bytes {float(record['dram_bytes']):.0f} "
+            f"> {DRAM_GROWTH_FACTOR:g}x baseline "
+            f"({float(ref['dram_bytes']):.0f})"
+        )
+    if int(record["dp_overflow"]) > int(ref["dp_overflow"]):
+        failures.append(
+            f"dp_overflow {record['dp_overflow']} > "
+            f"baseline {ref['dp_overflow']} "
+            "(pending-launch-limit stalls introduced)"
+        )
+    return failures
+
+
+def _serve_failures(record: dict, ref: dict) -> list[str]:
+    # The SLO and monitor columns are modelled virtual-clock outputs,
+    # so their gates are tight.
+    failures = []
+    floor = float(ref["serve_qps"]) / SERVE_QPS_DROP_FACTOR
+    if float(record["serve_qps"]) < floor:
+        failures.append(
+            f"serve_qps {float(record['serve_qps']):.1f} "
+            f"< baseline {float(ref['serve_qps']):.1f} / "
+            f"{SERVE_QPS_DROP_FACTOR:g}"
+        )
+    if record["serve_p99_s"] is not None and ref["serve_p99_s"] is not None:
+        ceiling = SERVE_P99_GROWTH_FACTOR * float(ref["serve_p99_s"])
+        if float(record["serve_p99_s"]) > ceiling:
+            failures.append(
+                f"serve_p99_s "
+                f"{float(record['serve_p99_s']) * 1e6:.1f}us > "
+                f"{SERVE_P99_GROWTH_FACTOR:g}x baseline "
+                f"({float(ref['serve_p99_s']) * 1e6:.1f}us)"
+            )
+    # The windowed estimator must track the exact percentile, and the
+    # alert count is fully deterministic.
+    drift = record["serve_p99_drift"]
+    if drift is not None and drift > SERVE_P99_DRIFT_LIMIT:
+        failures.append(
+            f"serve_p99_drift {drift:.3f} > "
+            f"{SERVE_P99_DRIFT_LIMIT:g} (windowed p99 "
+            f"{float(record['serve_windowed_p99_s']) * 1e6:.1f}us vs "
+            f"exact {float(record['serve_p99_s']) * 1e6:.1f}us)"
+        )
+    if int(record["serve_alert_count"]) != int(ref["serve_alert_count"]):
+        failures.append(
+            f"serve_alert_count "
+            f"{record['serve_alert_count']} != baseline "
+            f"{ref['serve_alert_count']} (burn-rate behaviour changed)"
+        )
+    # Tracing must stay near-free, and a tracer that changes the serve
+    # report broke the read-only contract.
+    overhead = record["serve_trace_overhead"]
+    if overhead > SERVE_TRACE_OVERHEAD_LIMIT:
+        failures.append(
+            f"serve_trace_overhead {overhead:.3f}x > "
+            f"{SERVE_TRACE_OVERHEAD_LIMIT:g}x (tracing is no "
+            "longer near-free on the hot path)"
+        )
+    if not record["serve_trace_identical"]:
+        failures.append(
+            "serve report not byte-identical with the "
+            "query tracer attached (read-only contract violated)"
+        )
     return failures
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared flags for ``python -m repro bench`` and the runnable script."""
+    """The ``python -m repro bench`` flags."""
     parser.add_argument(
         "--quick",
         action="store_true",
@@ -595,29 +543,10 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="BASELINE",
         default=None,
         help=(
-            "compare against a baseline BENCH_speed.json and exit "
-            f"non-zero if any case is more than {REGRESSION_FACTOR:g}x "
-            "slower"
-        ),
-    )
-    parser.add_argument(
-        "--jit",
-        action="store_true",
-        help=(
-            "enable the optional numba JIT backend for this run "
-            "(silently falls back to NumPy when numba is absent; the "
-            "model floats are identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--speed-target",
-        metavar="BASELINE",
-        default=None,
-        help=(
-            "absolute speed gate: exit non-zero unless every SpMV cell "
-            f"at scale >= {SPEED_TARGET_MIN_SCALE:g} is at least "
-            f"{SPEED_TARGET_FACTOR:g}x faster than this baseline and "
-            "model_time_s is byte-identical in every matching cell"
+            "gate every cell against a baseline BENCH_speed.json and "
+            "exit non-zero if any is more than "
+            f"{REGRESSION_FACTOR:g}x slower, changes model_time_s or "
+            "regresses a gated column"
         ),
     )
 
@@ -627,19 +556,11 @@ def run_cli(args: argparse.Namespace) -> int:
     device = get_device(args.device)
     cases = bench_cases(args.quick)
 
-    jit_on = False
-    if getattr(args, "jit", False):
-        from ..gpu import jit
-
-        jit_on = jit.set_enabled(True)
-        if not jit_on:
-            print("--jit: numba not importable; using the NumPy kernels")
-
     def progress(r: dict) -> None:
         if "serve_qps" in r:
             p99 = r["serve_p99_s"]
             p99_txt = f"{p99 * 1e6:.1f} us" if p99 is not None else "n/a"
-            drift = r.get("serve_p99_drift")
+            drift = r["serve_p99_drift"]
             drift_txt = f"{drift:.3f}" if drift is not None else "n/a"
             print(
                 f"{r['name']}@{r['scale']:g}: "
@@ -656,7 +577,7 @@ def run_cli(args: argparse.Namespace) -> int:
         ratio = r["total_warps"] / max(1, r["total_entries"])
         print(
             f"{r['name']}@{r['scale']:g}"
-            f"{' k=%d' % r['k'] if r.get('k', 1) != 1 else ''}: "
+            f"{' k=%d' % r['k'] if r['k'] != 1 else ''}: "
             f"wall {r['wall_s'] * 1e3:8.2f} ms  "
             f"entries {r['total_entries']:>6} (peak {r['peak_entries']}) "
             f"for {r['total_warps']} warps ({ratio:,.0f}x compressed), "
@@ -664,51 +585,18 @@ def run_cli(args: argparse.Namespace) -> int:
         )
 
     results = run_bench(cases, device, repeats=args.repeats, progress=progress)
-    results["jit"] = jit_on
-    speed_target = getattr(args, "speed_target", None)
-    annotate_from = speed_target or args.check
-    if annotate_from:
-        annotate_speedups(results, json.loads(Path(annotate_from).read_text()))
     out = Path(args.out)
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out} ({len(results['cases'])} cases)")
 
-    exit_code = 0
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text())
-        failures = check_regressions(results, baseline)
-        if failures:
-            for f in failures:
-                print(f"REGRESSION: {f}")
-            exit_code = 1
-        else:
-            print(f"no regressions vs {args.check}")
-    if speed_target:
-        baseline = json.loads(Path(speed_target).read_text())
-        failures = check_speed_target(results, baseline)
-        if failures:
-            for f in failures:
-                print(f"SPEED TARGET MISSED: {f}")
-            exit_code = 1
-        else:
-            print(
-                f"speed target met: >= {SPEED_TARGET_FACTOR:g}x vs "
-                f"{speed_target}, model_time_s byte-identical"
-            )
-    return exit_code
+    if not args.check:
+        return 0
+    baseline = json.loads(Path(args.check).read_text())
+    failures = check_regressions(results, baseline)
+    for f in failures:
+        print(f"REGRESSION: {f}")
+    if failures:
+        return 1
+    print(f"no regressions vs {args.check}")
+    return 0
 
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (``python benchmarks/bench_speed.py``)."""
-    parser = argparse.ArgumentParser(
-        prog="bench_speed",
-        description=__doc__.splitlines()[0],
-    )
-    add_bench_arguments(parser)
-    return run_cli(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -68,6 +68,22 @@ def make_csr_with_empty_rows(
     )
 
 
+
+def make_tridiagonal_csr(
+    n: int = 200, precision: Precision = Precision.SINGLE
+) -> CSRMatrix:
+    """The three-diagonal band DIA stores without padding."""
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j in (i - 1, i, i + 1):
+            if 0 <= j < n:
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(i - j + 2))
+    return CSRMatrix.from_coo(
+        np.array(rows), np.array(cols), np.array(vals), (n, n), precision
+    )
+
 @pytest.fixture(scope="session")
 def powerlaw_csr() -> CSRMatrix:
     return make_powerlaw_csr()

@@ -8,22 +8,9 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAFormat
 from repro.formats.ell import ELLFormat, ell_real_nnz
 from repro.formats.hyb import HYBFormat
-from repro.gpu.device import GTX_TITAN, Precision
+from repro.gpu.device import GTX_TITAN
 
-from ..conftest import make_uniform_csr
-
-
-def tridiagonal(n=200, precision=Precision.SINGLE):
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < n:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(i - j + 2))
-    return CSRMatrix.from_coo(
-        np.array(rows), np.array(cols), np.array(vals), (n, n), precision
-    )
+from ..conftest import make_tridiagonal_csr, make_uniform_csr
 
 
 class TestEllSlabs:
@@ -61,14 +48,6 @@ class TestEllFormat:
         e = ELLFormat.from_csr(uniform_csr)
         assert e.width == uniform_csr.max_nnz_row
 
-    def test_multiply_exact(self):
-        m = tridiagonal()
-        e = ELLFormat.from_csr(m)
-        x = np.arange(m.n_cols, dtype=np.float32)
-        np.testing.assert_allclose(
-            e.multiply(x), m.matvec(x), rtol=1e-5, atol=1e-4
-        )
-
     def test_no_padding_for_uniform(self):
         m = make_uniform_csr(n_rows=100, row_len=4, seed=9)
         e = ELLFormat.from_csr(m)
@@ -80,21 +59,13 @@ class TestEllFormat:
 
 class TestDia:
     def test_tridiagonal_has_three_diagonals(self):
-        m = tridiagonal()
+        m = make_tridiagonal_csr()
         d = DIAFormat.from_csr(m)
         assert d.n_diags == 3
         np.testing.assert_array_equal(d.offsets, [-1, 0, 1])
 
-    def test_multiply_exact(self):
-        m = tridiagonal()
-        d = DIAFormat.from_csr(m)
-        x = np.linspace(-1, 1, m.n_cols).astype(np.float32)
-        np.testing.assert_allclose(
-            d.multiply(x), m.matvec(x), rtol=1e-5, atol=1e-4
-        )
-
     def test_kernel_work_flops_counts_real_entries(self):
-        m = tridiagonal()
+        m = make_tridiagonal_csr()
         d = DIAFormat.from_csr(m)
         w = d.kernel_works(GTX_TITAN)[0]
         assert w.flops == pytest.approx(2.0 * m.nnz)

@@ -23,13 +23,19 @@ from ..conftest import (
     assert_spmv_close,
     make_csr_with_empty_rows,
     make_powerlaw_csr,
+    make_tridiagonal_csr,
     make_uniform_csr,
     reference_matvec,
 )
 
 #: Cheap tuning spaces so tests stay fast.
 FAST_KWARGS = {
-    "bccoo": {"configs": [BCCOOConfig(2, 2, 128, 2, True)]},
+    "bccoo": {
+        "configs": [
+            BCCOOConfig(1, 1, 128, 2, True),
+            BCCOOConfig(2, 2, 128, 2, True),
+        ]
+    },
     "tcoo": {"candidates": (1, 4)},
 }
 
@@ -38,6 +44,8 @@ MATRICES = {
     "uniform": make_uniform_csr(seed=2),
     "empty_rows": make_csr_with_empty_rows(seed=3),
     "tiny": make_powerlaw_csr(n_rows=40, seed=4, max_degree=30),
+    "tridiagonal": make_tridiagonal_csr(),
+    "hub200": make_powerlaw_csr(n_rows=900, seed=5, max_degree=200),
 }
 
 #: Formats whose builders reject double precision (Section V).

@@ -64,11 +64,3 @@ class TestStructure:
         assert len(works) == 1
         assert works[0].flops == pytest.approx(2.0 * sic.nnz)
 
-
-class TestNumerics:
-    def test_multiply_exact(self, sic, rng):
-        src = make_powerlaw_csr(n_rows=3000, seed=201, max_degree=900)
-        x = rng.standard_normal(src.n_cols).astype(np.float32)
-        np.testing.assert_allclose(
-            sic.multiply(x), src.matvec(x), rtol=1e-4, atol=1e-4
-        )

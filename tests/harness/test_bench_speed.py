@@ -1,18 +1,67 @@
 """The cost-model speed benchmark engine (``python -m repro bench``)."""
 
 import json
+from pathlib import Path
 
+from repro.__main__ import main
 from repro.gpu.device import GTX_TITAN
 from repro.harness.bench_speed import (
-    annotate_speedups,
+    EFFICIENCY_COLUMNS,
+    SERVE_CASES,
+    SERVE_GATED_COLUMNS,
     bench_cases,
     check_regressions,
-    check_speed_target,
-    main,
+    gated_columns,
     run_bench,
     run_case,
     run_serve_case,
 )
+
+BASELINE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "bench_baseline.json"
+)
+
+
+def spmv_cell(**columns):
+    """An SpMV cell carrying every column ``check_regressions`` gates."""
+    cell = {
+        "name": "INT",
+        "scale": 0.5,
+        "k": 1,
+        "wall_s": 1.0,
+        "peak_entries": 1,
+        "model_time_s": 1e-3,
+        "achieved_occupancy": 0.8,
+        "warp_execution_efficiency": 0.9,
+        "gld_coalescing_ratio": 0.7,
+        "dram_bytes": 1e6,
+        "dp_overflow": 0,
+    }
+    cell.update(columns)
+    return cell
+
+
+def serve_cell(**columns):
+    """A serving cell carrying every column ``check_regressions`` gates."""
+    cell = {
+        "name": "WIK-serve",
+        "scale": 0.002,
+        "k": 1,
+        "wall_s": 1.0,
+        "serve_qps": 100.0,
+        "serve_p99_s": 1e-3,
+        "serve_windowed_p99_s": 1e-3,
+        "serve_p99_drift": 0.0,
+        "serve_alert_count": 2,
+        "serve_trace_overhead": 1.0,
+        "serve_trace_identical": True,
+    }
+    cell.update(columns)
+    return cell
+
+
+def payload(*cells):
+    return {"cases": list(cells)}
 
 
 class TestRunCase:
@@ -92,18 +141,7 @@ class TestServeCase:
 
 class TestServeGates:
     def _payload(self, qps, p99):
-        return {
-            "cases": [
-                {
-                    "name": "WIK-serve",
-                    "scale": 0.002,
-                    "k": 1,
-                    "wall_s": 1.0,
-                    "serve_qps": qps,
-                    "serve_p99_s": p99,
-                }
-            ]
-        }
+        return self._monitored(qps=qps, p99=p99)
 
     def test_identical_slo_passes(self):
         cur = self._payload(100.0, 1e-3)
@@ -121,29 +159,16 @@ class TestServeGates:
         )
         assert any("serve_p99_s" in f for f in failures)
 
-    def test_baseline_without_slo_columns_skips_the_gates(self):
-        old = {
-            "cases": [
-                {
-                    "name": "WIK-serve",
-                    "scale": 0.002,
-                    "k": 1,
-                    "wall_s": 1.0,
-                }
-            ]
-        }
-        assert check_regressions(self._payload(1.0, 9.9), old) == []
-
     def _monitored(self, drift=0.0, alerts=2, qps=100.0, p99=1e-3):
-        payload = self._payload(qps, p99)
-        payload["cases"][0].update(
-            {
-                "serve_windowed_p99_s": p99 * (1.0 + drift),
-                "serve_p99_drift": drift,
-                "serve_alert_count": alerts,
-            }
+        return payload(
+            serve_cell(
+                serve_qps=qps,
+                serve_p99_s=p99,
+                serve_windowed_p99_s=p99 * (1.0 + drift),
+                serve_p99_drift=drift,
+                serve_alert_count=alerts,
+            )
         )
-        return payload
 
     def test_drift_within_limit_passes(self):
         cur = self._monitored(drift=0.05)
@@ -160,14 +185,6 @@ class TestServeGates:
             self._monitored(alerts=5), self._monitored(alerts=2)
         )
         assert any("serve_alert_count" in f for f in failures)
-
-    def test_baseline_without_monitor_columns_skips(self):
-        # A high-drift, alert-heavy run still passes against a baseline
-        # that predates the monitor columns.
-        assert check_regressions(
-            self._monitored(drift=0.5, alerts=9),
-            self._payload(100.0, 1e-3),
-        ) == []
 
     def test_wall_s_is_median_of_repeats(self, monkeypatch):
         """wall_s = median of the per-repeat timings; wall_s_min = best."""
@@ -227,11 +244,7 @@ class TestCases:
 
 class TestCheck:
     def _payload(self, wall):
-        return {
-            "cases": [
-                {"name": "INT", "scale": 0.5, "wall_s": wall, "peak_entries": 1}
-            ]
-        }
+        return payload(spmv_cell(wall_s=wall))
 
     def test_within_budget_passes(self):
         assert check_regressions(self._payload(1.9), self._payload(1.0)) == []
@@ -244,56 +257,90 @@ class TestCheck:
     def test_new_case_ignored(self):
         assert check_regressions(self._payload(9.9), {"cases": []}) == []
 
-    def test_pre_median_baseline_still_checks(self):
-        """A baseline recorded before wall_s_min / imbalance columns
-        existed gates the new-schema payload without complaint."""
-        current = self._payload(1.5)
-        current["cases"][0]["wall_s_min"] = 1.2
-        current["cases"][0]["tail_warp_share"] = 0.4
-        current["cases"][0]["warp_work_gini"] = 0.5
-        assert check_regressions(current, self._payload(1.0)) == []
-
 
 class TestSpeedTarget:
-    def _payload(self, wall, model=1e-3, scale=0.5):
-        return {
-            "cases": [
-                {
-                    "name": "INT",
-                    "scale": scale,
-                    "wall_s": wall,
-                    "model_time_s": model,
-                }
-            ]
-        }
+    """The bounds against the pre-batch-engine snapshot: ``model_time_s``
+    byte-identity in every SpMV cell, and a >=5x speed-up on the
+    scale>=0.5 cells, whose baseline rows hold the snapshot wall-clock
+    / 10 under the 2x wall gate."""
+
+    #: WIK@1.0 median wall-clock of the pre-batch-engine snapshot.
+    SNAPSHOT_WALL_S = 0.5734770879998905
+
+    def _big_cell(self):
+        (row,) = [
+            c
+            for c in json.loads(BASELINE.read_text())["cases"]
+            if (c["name"], c["scale"], c["k"]) == ("WIK", 1.0, 1)
+        ]
+        assert row["wall_s"] == self.SNAPSHOT_WALL_S / 10.0
+        return row
+
+    def _speedup(self, factor):
+        row = self._big_cell()
+        current = dict(row, wall_s=self.SNAPSHOT_WALL_S / factor)
+        return check_regressions(payload(current), payload(row))
 
     def test_fast_enough_and_identical_passes(self):
-        assert check_speed_target(self._payload(0.1), self._payload(1.0)) == []
+        assert self._speedup(5.0) == []
 
     def test_too_slow_fails(self):
-        failures = check_speed_target(self._payload(0.3), self._payload(1.0))
+        failures = self._speedup(4.9)
         assert len(failures) == 1
-        assert "5x" in failures[0]
+        assert "WIK@1" in failures[0] and "2x baseline" in failures[0]
 
     def test_model_drift_fails_at_any_scale(self):
-        """One ulp of model_time_s drift fails, even on small cells."""
-        current = self._payload(0.01, model=1e-3 * (1 + 2e-16), scale=0.05)
-        failures = check_speed_target(current, self._payload(1.0, scale=0.05))
+        """One ulp of model_time_s drift fails, on small and big cells."""
+        for scale in (0.05, 1.0):
+            current = spmv_cell(
+                scale=scale, wall_s=0.01, model_time_s=1e-3 * (1 + 2e-16)
+            )
+            failures = check_regressions(
+                payload(current), payload(spmv_cell(scale=scale))
+            )
+            assert len(failures) == 1, scale
+            assert "byte-identical" in failures[0]
+
+
+class TestGatedColumns:
+    def test_baseline_without_dram_bytes_fails(self):
+        ref = spmv_cell()
+        del ref["dram_bytes"]
+        failures = check_regressions(payload(spmv_cell()), payload(ref))
         assert len(failures) == 1
-        assert "byte-identical" in failures[0]
+        assert "INT@0.5" in failures[0] and "dram_bytes" in failures[0]
 
-    def test_small_cells_skip_the_wall_gate(self):
-        current = self._payload(0.9, scale=0.05)
-        assert check_speed_target(current, self._payload(1.0, scale=0.05)) == []
+    def test_baseline_without_alert_count_fails(self):
+        ref = serve_cell()
+        del ref["serve_alert_count"]
+        failures = check_regressions(payload(serve_cell()), payload(ref))
+        assert len(failures) == 1
+        assert "WIK-serve" in failures[0]
+        assert "serve_alert_count" in failures[0]
 
-    def test_serve_cells_skip_the_wall_gate(self):
-        current = self._payload(0.9, model=None)
-        assert check_speed_target(current, self._payload(1.0, model=None)) == []
+    def test_serve_cell_not_asked_for_efficiency_columns(self):
+        assert not set(EFFICIENCY_COLUMNS) & set(SERVE_GATED_COLUMNS)
+        assert check_regressions(
+            payload(serve_cell()), payload(serve_cell())
+        ) == []
 
-    def test_annotate_speedups(self):
-        current = self._payload(0.25)
-        annotate_speedups(current, self._payload(1.0))
-        assert current["cases"][0]["speedup_vs_baseline"] == 4.0
+
+class TestCommittedBaseline:
+    def _cells(self):
+        return json.loads(BASELINE.read_text())["cases"]
+
+    def test_holds_every_bench_cell(self):
+        expected = set(bench_cases(quick=False)) | {
+            (f"{m}-serve" + (f"-g{g}" if g > 1 else ""), scale, 1)
+            for m, scale, g in SERVE_CASES
+        }
+        held = {(c["name"], c["scale"], c["k"]) for c in self._cells()}
+        assert expected <= held, expected - held
+
+    def test_carries_every_gated_column(self):
+        for cell in self._cells():
+            missing = [c for c in gated_columns(cell) if c not in cell]
+            assert not missing, (cell["name"], cell["scale"], missing)
 
 
 class TestCli:
@@ -309,11 +356,15 @@ class TestCli:
         # Median of 5 repeats: the cell evaluates in single-digit
         # milliseconds, so a 1-repeat wall is too noisy to self-check
         # against the 2x gate under a loaded test runner.
-        assert main(["--quick", "--repeats", "5", "--out", str(out)]) == 0
+        assert (
+            main(["bench", "--quick", "--repeats", "5", "--out", str(out)])
+            == 0
+        )
         base.write_text(out.read_text())
         assert (
             main(
                 [
+                    "bench",
                     "--quick",
                     "--repeats",
                     "5",
@@ -330,8 +381,6 @@ class TestCli:
 
 class TestCounterColumns:
     def test_record_carries_efficiency_counters(self):
-        from repro.harness.bench_speed import EFFICIENCY_COLUMNS
-
         r = run_case("INT", 0.5, GTX_TITAN, repeats=1)
         for column in EFFICIENCY_COLUMNS:
             assert 0.0 <= r[column] <= 1.0
@@ -351,20 +400,7 @@ class TestCounterColumns:
 
 class TestEfficiencyGate:
     def _case(self, **extra):
-        base = {
-            "name": "INT",
-            "scale": 0.5,
-            "k": 1,
-            "wall_s": 1.0,
-            "peak_entries": 1,
-            "achieved_occupancy": 0.8,
-            "warp_execution_efficiency": 0.9,
-            "gld_coalescing_ratio": 0.7,
-            "dram_bytes": 1e6,
-            "dp_overflow": 0,
-        }
-        base.update(extra)
-        return {"cases": [base]}
+        return payload(spmv_cell(**extra))
 
     def test_identical_counters_pass(self):
         assert check_regressions(self._case(), self._case()) == []
@@ -395,20 +431,6 @@ class TestEfficiencyGate:
         )
         assert any("dp_overflow" in f for f in failures)
 
-    def test_missing_counter_columns_skipped(self):
-        """Old baselines without counters still gate on wall time only."""
-        old = self._case()
-        for case in old["cases"]:
-            for col in (
-                "achieved_occupancy",
-                "warp_execution_efficiency",
-                "gld_coalescing_ratio",
-                "dram_bytes",
-                "dp_overflow",
-            ):
-                del case[col]
-        assert check_regressions(self._case(), old) == []
-
 
 class TestTraceOverheadColumns:
     def test_record_carries_trace_columns(self):
@@ -427,16 +449,12 @@ class TestTraceOverheadColumns:
 
 class TestTraceOverheadGate:
     def _payload(self, overhead=1.0, identical=True, with_trace=True):
-        case = {
-            "name": "WIK-serve",
-            "scale": 0.002,
-            "k": 1,
-            "wall_s": 1.0,
-        }
-        if with_trace:
-            case["serve_trace_overhead"] = overhead
-            case["serve_trace_identical"] = identical
-        return {"cases": [case]}
+        case = serve_cell(
+            serve_trace_overhead=overhead, serve_trace_identical=identical
+        )
+        if not with_trace:
+            del case["serve_trace_overhead"], case["serve_trace_identical"]
+        return payload(case)
 
     def test_cheap_tracing_passes(self):
         assert (
@@ -467,9 +485,3 @@ class TestTraceOverheadGate:
             self._payload(with_trace=False),
         )
         assert any("byte-identical" in f for f in failures)
-
-    def test_baseline_without_trace_columns_skips_overhead(self):
-        failures = check_regressions(
-            self._payload(9.9), self._payload(with_trace=False)
-        )
-        assert failures == []
