@@ -28,6 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Most pmf entries one array pass of :func:`_grid_moments` holds: each
+#: transient array stays 128 KiB (cache-resident) whatever ``k_max`` is.
+_GRID_ENTRIES = 1 << 14
+
+
 def _powerlaw_pmf(alpha: float, k_max: int, cutoff: float) -> np.ndarray:
     """P(k) ∝ k^-alpha * exp(-k / cutoff) on 1..k_max."""
     k = np.arange(1, k_max + 1, dtype=np.float64)
@@ -37,11 +42,33 @@ def _powerlaw_pmf(alpha: float, k_max: int, cutoff: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _moments(pmf: np.ndarray) -> tuple[float, float]:
-    k = np.arange(1, pmf.shape[0] + 1, dtype=np.float64)
-    mu = float((pmf * k).sum())
-    var = float((pmf * k * k).sum()) - mu * mu
-    return mu, float(np.sqrt(max(var, 0.0)))
+def _grid_moments(
+    alphas: np.ndarray, cutoffs: np.ndarray, k_max: int
+) -> list[tuple[float, float]]:
+    """``(mean, std)`` of the pmf at each ``(alphas[i], cutoffs[i])``.
+
+    Each pmf is one row of a 2-D pass computed element for element as
+    :func:`_powerlaw_pmf` computes it, and every row sum reduces one
+    contiguous row, as the 1-D sum does, so the moments are bitwise those
+    of the one-point-at-a-time evaluation.
+    """
+    k = np.arange(1, k_max + 1, dtype=np.float64)
+    log_k = np.log(k)
+    out = []
+    step = max(1, _GRID_ENTRIES // k_max)
+    for lo in range(0, alphas.shape[0], step):
+        a = alphas[lo : lo + step, None]
+        c = cutoffs[lo : lo + step, None]
+        log_w = -a * log_k - k / c
+        log_w -= log_w.max(axis=1, keepdims=True)
+        w = np.exp(log_w)
+        pmf = w / w.sum(axis=1, keepdims=True)
+        first = (pmf * k).sum(axis=1).tolist()
+        second = (pmf * k * k).sum(axis=1).tolist()
+        for mu, sq in zip(first, second):
+            var = sq - mu * mu
+            out.append((mu, float(np.sqrt(max(var, 0.0)))))
+    return out
 
 
 def fit_alpha(
@@ -51,15 +78,16 @@ def fit_alpha(
 
     The exponent shapes the head (mean) and the cutoff truncates the tail
     (deviation); a coarse-to-fine grid search over both matches the two
-    target moments in log space.
+    target moments in log space.  Each round prices its whole grid with
+    2-D array passes (:func:`_grid_moments`); the first strict minimum
+    of the error wins.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     if mu <= 1.0:
         return 4.0, float(k_max)
 
-    def err(alpha: float, cutoff: float) -> float:
-        m, s = _moments(_powerlaw_pmf(alpha, k_max, cutoff))
+    def err(m: float, s: float) -> float:
         e = 2.0 * (np.log(m / mu)) ** 2
         if sigma > 0 and s > 0:
             e += (np.log(s / sigma)) ** 2
@@ -70,12 +98,14 @@ def fit_alpha(
     best = (2.0, float(k_max))
     best_err = float("inf")
     for _round in range(3):
-        for a in alphas:
-            for c in cutoffs:
-                e = err(float(a), float(c))
-                if e < best_err:
-                    best_err = e
-                    best = (float(a), float(c))
+        grid_a = np.repeat(alphas, cutoffs.shape[0])
+        grid_c = np.tile(cutoffs, alphas.shape[0])
+        moments = _grid_moments(grid_a, grid_c, k_max)
+        for a, c, (m, s) in zip(grid_a.tolist(), grid_c.tolist(), moments):
+            e = err(m, s)
+            if e < best_err:
+                best_err = e
+                best = (a, c)
         a0, c0 = best
         da = (alphas[1] - alphas[0]) if len(alphas) > 1 else 0.2
         alphas = np.linspace(max(0.5, a0 - da), min(7.0, a0 + da), 9)

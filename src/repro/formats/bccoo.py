@@ -20,7 +20,6 @@ import numpy as np
 from ..gpu.device import DEFAULT_HOST, DeviceSpec, GTX_TITAN, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import simulate_kernel
-from ..util import count_unique
 from ..kernels import bccoo_kernel
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
 from .csr import CSRMatrix
@@ -46,6 +45,11 @@ class BCCOOConfig:
     elems_per_thread: int
     use_texture: bool
 
+    def __post_init__(self) -> None:
+        for name in ("block_h", "block_w", "workgroup", "elems_per_thread"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
     @property
     def key(self) -> tuple[int, int]:
         return (self.block_h, self.block_w)
@@ -63,16 +67,54 @@ def all_configs() -> list[BCCOOConfig]:
     ]
 
 
-def stored_elements(csr: CSRMatrix, block_h: int, block_w: int) -> int:
-    """Dense-block slot count for one geometry (blocks store padding)."""
-    if csr.nnz == 0:
-        return 0
-    rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row)
-    block_ids = (rows // block_h) * (
-        -(-csr.n_cols // block_w)
-    ) + csr.col_idx.astype(np.int64) // block_w
-    n_blocks = count_unique(block_ids)
-    return n_blocks * block_h * block_w
+def stored_elements_by_geometry(
+    csr: CSRMatrix, geometries: list[tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """Dense-block slot count (padding included) of every
+    ``(block_h, block_w)`` geometry in ``geometries``.
+
+    A geometry stores ``block_h * block_w`` slots per distinct
+    ``(row // block_h, col // block_w)`` pair.  CSR storage is already
+    grouped by block-row, so one sort by ``(row // block_h, col)`` per
+    distinct height orders every block-row by column; each width of that
+    height is then a count of changes in ``col // block_w`` within the
+    block-rows.  Columns need not be sorted or distinct within a row.
+    The sort is skipped when the keys already ascend (a row-sorted CSR at
+    height 1).
+    """
+    geometries = list(dict.fromkeys(geometries))
+    if any(bh < 1 or bw < 1 for bh, bw in geometries):
+        raise ValueError("block geometry must be at least 1x1")
+    nnz = csr.nnz
+    if nnz == 0:
+        return {geom: 0 for geom in geometries}
+    counts: dict[tuple[int, int], int] = {}
+    for bh in dict.fromkeys(bh for bh, _ in geometries):
+        # Sort by key = block_row * n_cols + col.  Block-rows keep their
+        # storage span, so subtracting the block-row offsets back out
+        # leaves the columns sorted within each block-row.
+        starts = csr.row_off[::bh]
+        offsets = np.repeat(
+            np.arange(starts.shape[0], dtype=np.int64) * csr.n_cols,
+            np.diff(starts, append=nnz),
+        )
+        cols = csr.col_idx
+        key = offsets + cols
+        if not np.all(key[1:] >= key[:-1]):
+            key.sort()
+            key -= offsets
+            cols = key.astype(cols.dtype)
+        del offsets, key
+        # change[i - 1] compares entries i - 1 and i; a block-row starting
+        # at entry i always opens a new block.
+        opens = starts[(starts > 0) & (starts < nnz)] - 1
+        block_col = np.empty_like(cols)
+        for bw in (w for h, w in geometries if h == bh):
+            np.floor_divide(cols, bw, out=block_col)
+            change = block_col[1:] != block_col[:-1]
+            change[opens] = True
+            counts[(bh, bw)] = (1 + int(np.count_nonzero(change))) * bh * bw
+    return {geom: counts[geom] for geom in geometries}
 
 
 #: Kernel-efficiency penalty for non-optimal kernel-shape knobs; the tuned
@@ -139,13 +181,11 @@ class BCCOOFormat(SpMVFormat):
         # Storage — and therefore the kernel work — depends only on the
         # block geometry; simulate once per geometry and apply the
         # (multiplicative) kernel-shape penalty per config.
-        stored_by_geom: dict[tuple[int, int], int] = {}
+        stored_by_geom = stored_elements_by_geometry(
+            csr, [cfg.key for cfg in space]
+        )
         base_time_by_geom: dict[tuple[int, int], float] = {}
-        for cfg in space:
-            if cfg.key in stored_by_geom:
-                continue
-            stored = stored_elements(csr, cfg.block_h, cfg.block_w)
-            stored_by_geom[cfg.key] = stored
+        for geom, stored in stored_by_geom.items():
             trial_work = bccoo_kernel.work(
                 stored,
                 csr.n_rows,
@@ -154,7 +194,7 @@ class BCCOOFormat(SpMVFormat):
                 precision=csr.precision,
                 profile=csr.gather_profile,
             )
-            base_time_by_geom[cfg.key] = simulate_kernel(
+            base_time_by_geom[geom] = simulate_kernel(
                 tuning_device, trial_work
             ).time_s
 

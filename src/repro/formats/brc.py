@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
-from ..gpu.kernel import KernelWork, merge_concurrent
+from ..gpu.kernel import KernelWork
 from ..kernels import brc_kernel
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
 from .csr import CSRMatrix
@@ -63,14 +63,14 @@ class BRCFormat(SpMVFormat):
         self,
         csr: CSRMatrix,
         perm: np.ndarray,
-        blocks: list[tuple[int, int, int]],
+        blocks: np.ndarray,
         stored_slots: int,
         preprocess: PreprocessReport,
     ) -> None:
         self.csr = csr
         #: ``perm[i]`` is the original index of the i-th sorted row.
         self.perm = perm
-        #: ``(n_rows, width, real_nnz)`` per block.
+        #: ``(n_blocks, 3)`` table: ``(n_rows, width, real_nnz)`` per block.
         self.blocks = blocks
         self.stored_slots = stored_slots
         self.preprocess = preprocess
@@ -98,10 +98,7 @@ class BRCFormat(SpMVFormat):
         starts, ends, widths = starts[:cut], ends[:cut], widths[:cut]
         csum = np.concatenate(([0], np.cumsum(sorted_lengths)))
         sums = csum[ends] - csum[starts]
-        blocks: list[tuple[int, int, int]] = [
-            (int(e - st), int(w), int(sm))
-            for st, e, w, sm in zip(starts, ends, widths, sums)
-        ]
+        blocks = np.column_stack((ends - starts, widths, sums))
         stored = int(np.sum((ends - starts) * widths))
 
         vb = csr.precision.value_bytes
@@ -124,15 +121,15 @@ class BRCFormat(SpMVFormat):
         return cls(csr, perm, blocks, stored, report)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
-        works = brc_kernel.block_works(
-            self.blocks,
-            device=device,
-            n_cols=self.n_cols,
-            precision=self.precision,
-            profile=self.csr.gather_profile,
-            k=k,
-        )
-        if not works:
-            return [KernelWork.empty("brc", self.precision)]
         # The blocks are processed by one fused kernel launch.
-        return [merge_concurrent(works, name="brc")]
+        return [
+            brc_kernel.fused_work(
+                self.blocks,
+                name="brc",
+                device=device,
+                n_cols=self.n_cols,
+                precision=self.precision,
+                profile=self.csr.gather_profile,
+                k=k,
+            )
+        ]

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..gpu.device import INDEX_BYTES, Precision
 from ..gpu.memory import GatherProfile
-from ..util import count_unique
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,10 @@ class CSRMatrix:
         """Column-access locality profile for the texture-cache model."""
         if self.nnz == 0:
             return GatherProfile(reuse=1.0, clustering=1.0)
-        distinct = count_unique(self.col_idx)
+        # Column occupancy: O(nnz + n_cols), no sort.
+        distinct = int(
+            np.count_nonzero(np.bincount(self.col_idx, minlength=self.n_cols))
+        )
         reuse = max(1.0, self.nnz / distinct)
         if self.nnz > 1:
             deltas = np.abs(np.diff(self.col_idx.astype(np.int64)))

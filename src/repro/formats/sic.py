@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
-from ..gpu.kernel import KernelWork, merge_concurrent
+from ..gpu.kernel import KernelWork
 from ..kernels import brc_kernel
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
 from .brc import split_row_lengths
@@ -62,13 +62,14 @@ class SICFormat(SpMVFormat):
     def __init__(
         self,
         csr: CSRMatrix,
-        blocks: list[tuple[int, int, int]],
+        blocks: np.ndarray,
         stored_slots: int,
         segment_rows: tuple[int, int, int],
         preprocess: PreprocessReport,
     ) -> None:
         self.csr = csr
-        #: ``(n_rows, width, real_nnz)`` per interleave block.
+        #: ``(n_blocks, 3)`` table: ``(n_rows, width, real_nnz)`` per
+        #: interleave block.
         self.blocks = blocks
         self.stored_slots = stored_slots
         #: Row counts of the short/medium/long segments.
@@ -82,7 +83,7 @@ class SICFormat(SpMVFormat):
         lengths = csr.nnz_per_row
         seg = classify_segments(lengths)
 
-        blocks: list[tuple[int, int, int]] = []
+        tables = [np.zeros((0, 3), dtype=np.int64)]
         stored = 0
         seg_counts = []
         for s in (0, 1, 2):
@@ -111,13 +112,9 @@ class SICFormat(SpMVFormat):
                 widths = np.maximum.reduceat(seg_lengths, starts)
                 slots = (ends - starts) * widths
             keep = sums > 0
-            blocks.extend(
-                (int(e - st), int(w), int(sm))
-                for st, e, w, sm in zip(
-                    starts[keep], ends[keep], widths[keep], sums[keep]
-                )
-            )
+            tables.append(np.column_stack((ends - starts, widths, sums))[keep])
             stored += int(np.sum(slots[keep]))
+        blocks = np.concatenate(tables)
 
         vb = csr.precision.value_bytes
         device_bytes = (
@@ -147,16 +144,16 @@ class SICFormat(SpMVFormat):
         return cls(csr, blocks, stored, tuple(seg_counts), report)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
-        works = brc_kernel.block_works(
-            self.blocks,
-            device=device,
-            n_cols=self.n_cols,
-            precision=self.precision,
-            profile=self.csr.gather_profile,
-            k=k,
-        )
-        if not works:
-            return [KernelWork.empty("sic", self.precision)]
         # Three segment kernels fused into one launch-per-segment pool;
         # modelled as a single pooled execution like the BRC fusion.
-        return [merge_concurrent(works, name="sic")]
+        return [
+            brc_kernel.fused_work(
+                self.blocks,
+                name="sic",
+                device=device,
+                n_cols=self.n_cols,
+                precision=self.precision,
+                profile=self.csr.gather_profile,
+                k=k,
+            )
+        ]

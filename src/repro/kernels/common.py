@@ -414,6 +414,48 @@ def elementwise_work(
     )
 
 
+def ell_slabs(
+    n_rows: np.ndarray,
+    width: np.ndarray,
+    real_nnz: np.ndarray,
+    *,
+    value_bytes: int,
+    hit: float,
+    scattered_y: bool,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-slab warp demands of column-major ELL launches.
+
+    Entry ``i`` describes a slab of ``n_rows[i]`` rows (> 0) padded to
+    ``width[i]`` (> 0) columns holding ``real_nnz[i]`` non-zeros.  Every
+    warp of a slab is identical (full ``width`` iterations, padding
+    included), so ONE weighted entry describes it, whatever its size.
+    Returns ``(compute, dram, mem_ops, weights, gather)``, one entry per
+    slab; ``gather`` is the per-warp texture-miss share of ``dram``.
+    """
+    width_f = width.astype(np.float64)
+    weights = (-(-n_rows // WARP_SIZE)).astype(np.float64)
+    compute = width_f * INST_PER_ITER + ROW_SETUP_INSTS
+    if k > 1:
+        compute = compute + (k - 1) * (width_f * INST_PER_EXTRA_VEC + 1.0)
+    per_iter_bytes = coalesced_bytes(WARP_SIZE * value_bytes) + coalesced_bytes(
+        WARP_SIZE * 4
+    )
+    matrix = width_f * per_iter_bytes
+    gather = block_gather_dram_bytes(real_nnz / weights, value_bytes, hit, k=k)
+    if scattered_y:
+        # Permuted output (BRC): writes are scattered, but rows grouped
+        # into a block were adjacent in sorted order, so roughly half of
+        # each sector is co-written by blockmates.
+        y_bytes = scattered_bytes(float(WARP_SIZE)) * 0.5
+        if k > 1:
+            y_bytes = y_bytes * float(np.ceil(k * value_bytes / SECTOR_BYTES))
+    else:
+        y_bytes = coalesced_bytes(float(WARP_SIZE * value_bytes * k))
+    dram = matrix + gather + y_bytes
+    return compute, dram, width_f * 2.0, weights, gather
+
+
 def ell_work(
     name: str,
     n_rows: int,
@@ -431,7 +473,8 @@ def ell_work(
 
     Fully coalesced (the point of ELL) but reads *all* padding: the
     per-warp traffic is ``width`` full iterations whether the rows need
-    them or not.  ``scattered_y`` models permuted-output variants (BRC).
+    them or not (see :func:`ell_slabs`).  ``scattered_y`` models
+    permuted-output variants (BRC).
 
     ``k > 1`` batches the launch over a block of ``k`` vectors: the
     padded matrix stream is charged once, gathers widen to the block row,
@@ -445,43 +488,25 @@ def ell_work(
     if n_rows == 0 or width == 0:
         return KernelWork.empty(name, precision)
     vb = precision.value_bytes
-    n_warps = -(-n_rows // WARP_SIZE)
-    # Every warp of a column-major ELL launch is identical (full ``width``
-    # iterations, padding included), so ONE weighted entry describes the
-    # whole launch, whatever the matrix size.
-    compute = np.full(
-        1, width * INST_PER_ITER + ROW_SETUP_INSTS, dtype=np.float64
-    )
-    if k > 1:
-        compute = compute + (k - 1) * (width * INST_PER_EXTRA_VEC + 1.0)
-    per_iter_bytes = coalesced_bytes(WARP_SIZE * vb) + coalesced_bytes(
-        WARP_SIZE * 4
-    )
-    matrix = np.full(1, width * per_iter_bytes, dtype=np.float64)
     hit = x_hit_rate(device, n_cols, precision, profile, k=k)
-    gathers_per_warp = real_nnz / n_warps
-    gather = block_gather_dram_bytes(np.full(1, gathers_per_warp), vb, hit, k=k)
-    if scattered_y:
-        # Permuted output (BRC): writes are scattered, but rows grouped
-        # into a block were adjacent in sorted order, so roughly half of
-        # each sector is co-written by blockmates.
-        y_bytes = scattered_bytes(np.full(1, float(WARP_SIZE))) * 0.5
-        if k > 1:
-            y_bytes = y_bytes * float(np.ceil(k * vb / SECTOR_BYTES))
-    elif k == 1:
-        y_bytes = coalesced_bytes(np.full(1, WARP_SIZE * vb))
-    else:
-        y_bytes = coalesced_bytes(np.full(1, WARP_SIZE * vb * k))
-    dram = matrix + gather + y_bytes
+    compute, dram, mem_ops, weights, gather = ell_slabs(
+        np.array([n_rows]),
+        np.array([width]),
+        np.array([real_nnz]),
+        value_bytes=vb,
+        hit=hit,
+        scattered_y=scattered_y,
+        k=k,
+    )
     return KernelWork(
         name=name,
         compute_insts=compute,
-        dram_bytes=np.asarray(dram, dtype=np.float64),
-        mem_ops=np.full(1, float(width) * 2.0, dtype=np.float64),
+        dram_bytes=dram,
+        mem_ops=mem_ops,
         flops=2.0 * float(real_nnz) * k,
         precision=precision,
         launch=launch_for_threads(n_rows),
-        warp_weights=np.full(1, float(n_warps)),
+        warp_weights=weights,
         k=k,
         # Useful payload excludes the zero padding ELL streams, so the
         # coalescing ratio directly exposes the padding waste.
@@ -495,8 +520,6 @@ def ell_work(
                 profile=profile,
                 k=k,
             ),
-            tex_miss_bytes=float(
-                np.sum(np.asarray(gather, dtype=np.float64)) * float(n_warps)
-            ),
+            tex_miss_bytes=float(gather[0] * weights[0]),
         ),
     )

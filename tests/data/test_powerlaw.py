@@ -1,10 +1,15 @@
 """Degree sampling, clustering, R-MAT, column skew."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data.corpus import TABLE_I
 from repro.data.powerlaw import (
+    _grid_moments,
+    _powerlaw_pmf,
     cluster_degrees,
     degree_histogram,
     fit_alpha,
@@ -33,6 +38,94 @@ class TestFit:
     def test_rejects_tiny_kmax(self):
         with pytest.raises(ValueError):
             fit_alpha(5.0, 5.0, 1)
+
+
+def loop_moments(alpha, cutoff, k_max):
+    """``(mean, std)`` of one pmf, evaluated on its own."""
+    pmf = _powerlaw_pmf(alpha, k_max, cutoff)
+    k = np.arange(1, pmf.shape[0] + 1, dtype=np.float64)
+    m = float((pmf * k).sum())
+    var = float((pmf * k * k).sum()) - m * m
+    return m, float(np.sqrt(max(var, 0.0)))
+
+
+def fit_alpha_loop(mu, sigma, k_max):
+    """The one-pmf-at-a-time grid search the array fit replaced."""
+    if mu <= 1.0:
+        return 4.0, float(k_max)
+
+    def err(alpha, cutoff):
+        m, s = loop_moments(alpha, cutoff, k_max)
+        e = 2.0 * (np.log(m / mu)) ** 2
+        if sigma > 0 and s > 0:
+            e += (np.log(s / sigma)) ** 2
+        return e
+
+    alphas = np.linspace(0.8, 6.0, 27)
+    cutoffs = np.geomspace(2.0, 4.0 * k_max, 17)
+    best = (2.0, float(k_max))
+    best_err = float("inf")
+    for _round in range(3):
+        for a in alphas:
+            for c in cutoffs:
+                e = err(float(a), float(c))
+                if e < best_err:
+                    best_err = e
+                    best = (float(a), float(c))
+        a0, c0 = best
+        da = alphas[1] - alphas[0]
+        alphas = np.linspace(max(0.5, a0 - da), min(7.0, a0 + da), 9)
+        ratio = cutoffs[1] / cutoffs[0]
+        cutoffs = np.geomspace(
+            max(1.5, c0 / ratio), min(8.0 * k_max, c0 * ratio), 9
+        )
+    return best
+
+
+def corpus_fit_inputs():
+    """``(mu, sigma, k_max)`` as synthesis fits them for every Table I
+    spec, at its default scale and at a tenth of it."""
+    cases = []
+    for spec in TABLE_I:
+        for factor in (1.0, 0.1):
+            s = spec.default_scale * factor
+            n_cols = max(64, int(round(spec.cols * s)))
+            k_max = int(
+                min(n_cols, max(math.ceil(4 * spec.mu), spec.max_nnz * s**0.25))
+            )
+            cases.append(
+                pytest.param(
+                    spec.mu, spec.sigma, k_max, id=f"{spec.abbrev}-{factor}"
+                )
+            )
+    return cases
+
+
+class TestFitIdentity:
+    @pytest.mark.parametrize("k_max", [2, 50, 3000, 20_000])
+    def test_grid_moments_bitwise_equal_single_pmfs(self, k_max):
+        alphas = np.repeat(np.linspace(0.5, 7.0, 7), 5)
+        cutoffs = np.tile(np.geomspace(1.5, 8.0 * k_max, 5), 7)
+        want = [
+            loop_moments(a, c, k_max)
+            for a, c in zip(alphas.tolist(), cutoffs.tolist())
+        ]
+        assert repr(_grid_moments(alphas, cutoffs, k_max)) == repr(want)
+
+    @pytest.mark.parametrize("mu,sigma,k_max", corpus_fit_inputs())
+    def test_corpus_fit_bitwise_equals_loop(self, mu, sigma, k_max):
+        assert repr(fit_alpha(mu, sigma, k_max)) == repr(
+            fit_alpha_loop(mu, sigma, k_max)
+        )
+
+    @pytest.mark.parametrize(
+        "mu,sigma,k_max",
+        [(5.0, 25.0, 1000), (3.0, 0.0, 2), (1.0, 3.0, 50), (2.5, 1.0, 3)],
+    )
+    def test_edge_fits_bitwise_equal_loop(self, mu, sigma, k_max):
+        assert repr(fit_alpha(mu, sigma, k_max)) == repr(
+            fit_alpha_loop(mu, sigma, k_max)
+        )
 
 
 class TestSample:

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.formats.bccoo import (
     BCCOOConfig,
     BCCOOFormat,
     all_configs,
-    stored_elements,
+    stored_elements_by_geometry,
 )
 from repro.formats.csr import CSRMatrix
 from repro.formats.tcoo import TCOOFormat
@@ -33,14 +34,16 @@ class TestBccooSearchSpace:
         assert len(all_configs()) > 300
 
     def test_stored_elements_cover_nnz(self, csr):
-        for bh, bw in [(1, 1), (2, 2), (4, 8)]:
-            stored = stored_elements(csr, bh, bw)
+        geometries = [(1, 1), (2, 2), (4, 8)]
+        counts = stored_elements_by_geometry(csr, geometries)
+        assert list(counts) == geometries
+        for (bh, bw), stored in counts.items():
             assert stored >= csr.nnz
             # blocks are dense bh*bw slabs
             assert stored % (bh * bw) == 0
 
     def test_one_by_one_blocks_store_exactly_nnz(self, csr):
-        assert stored_elements(csr, 1, 1) == csr.nnz
+        assert stored_elements_by_geometry(csr, [(1, 1)]) == {(1, 1): csr.nnz}
 
     def test_empty_matrix(self):
         m = CSRMatrix.from_arrays(
@@ -49,7 +52,115 @@ class TestBccooSearchSpace:
             np.zeros(3, dtype=np.int64),
             2,
         )
-        assert stored_elements(m, 2, 2) == 0
+        assert stored_elements_by_geometry(m, [(2, 2), (1, 3)]) == {
+            (2, 2): 0,
+            (1, 3): 0,
+        }
+
+    def test_every_tuner_geometry_matches_the_oracle(self, csr):
+        geometries = [cfg.key for cfg in all_configs()]
+        counts = stored_elements_by_geometry(csr, geometries)
+        assert set(counts) == set(geometries)
+        for (bh, bw), stored in counts.items():
+            assert stored == block_oracle(csr, bh, bw)
+
+    def test_rejects_non_positive_geometry(self, csr):
+        for geometry in [(0, 2), (2, 0), (-1, 1)]:
+            with pytest.raises(ValueError, match="1x1"):
+                stored_elements_by_geometry(csr, [geometry])
+
+
+def block_oracle(csr: CSRMatrix, bh: int, bw: int) -> int:
+    """Pure-Python slot count: distinct (row-block, col-block) pairs."""
+    blocks = {
+        (r // bh, int(c) // bw)
+        for r in range(csr.n_rows)
+        for c in csr.col_idx[csr.row_off[r] : csr.row_off[r + 1]]
+    }
+    return len(blocks) * bh * bw
+
+
+@st.composite
+def raw_csrs(draw):
+    """CSRs as ``from_arrays`` admits them: columns unsorted and repeated
+    within rows, empty rows, ``nnz == 0`` and any ``n_cols``."""
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    n_cols = draw(st.integers(min_value=1, max_value=23))
+    lengths = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=9),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    cols = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_cols - 1),
+            min_size=sum(lengths),
+            max_size=sum(lengths),
+        )
+    )
+    return CSRMatrix.from_arrays(
+        np.ones(len(cols), dtype=np.float32),
+        np.array(cols, dtype=np.int32),
+        np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        n_cols,
+    )
+
+
+class TestStoredElementsOracle:
+    @given(
+        csr=raw_csrs(),
+        geometries=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=9),
+                st.integers(min_value=1, max_value=9),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pure_python_blocks(self, csr, geometries):
+        counts = stored_elements_by_geometry(csr, geometries)
+        assert set(counts) == set(geometries)
+        for (bh, bw), stored in counts.items():
+            assert stored == block_oracle(csr, bh, bw), (bh, bw)
+
+    def test_odd_geometry_on_unsorted_duplicate_columns(self):
+        # rows: [4, 0, 4, 9], [], [3, 3], [10, 5]; n_cols = 11 (not a
+        # multiple of 5)
+        csr = CSRMatrix.from_arrays(
+            np.ones(8),
+            np.array([4, 0, 4, 9, 3, 3, 10, 5], dtype=np.int32),
+            np.array([0, 4, 4, 6, 8]),
+            11,
+        )
+        counts = stored_elements_by_geometry(csr, [(3, 5), (1, 1), (2, 4)])
+        # (3, 5): block-row 0 holds cols {0, 3, 4, 9} -> col-blocks {0, 1};
+        # block-row 1 holds cols {5, 10} -> col-blocks {1, 2}.
+        assert counts[(3, 5)] == 4 * 15
+        # (1, 1): distinct (row, col) pairs, duplicates stored once.
+        assert counts[(1, 1)] == 6
+        assert counts[(2, 4)] == block_oracle(csr, 2, 4)
+
+
+class TestBccooConfig:
+    @pytest.mark.parametrize(
+        "field", ["block_h", "block_w", "workgroup", "elems_per_thread"]
+    )
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_non_positive_field(self, field, bad):
+        kwargs = dict(
+            block_h=2,
+            block_w=2,
+            workgroup=128,
+            elems_per_thread=2,
+            use_texture=True,
+        )
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=field):
+            BCCOOConfig(**kwargs)
 
 
 class TestBccooTuner:
