@@ -19,7 +19,6 @@ from .power_method import (
     batch_round_widths,
     euclidean_distance,
     make_batch_bill,
-    run_power_method,
     run_power_method_batch,
     vector_ops_work,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "google_matrix",
     "hits",
     "pagerank",
-    "run_power_method",
     "run_power_method_batch",
     "run_rwr_batch",
     "rwr",

@@ -16,8 +16,6 @@ epsilon, matching Section VI-B.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..formats.base import SpMVFormat
@@ -27,7 +25,9 @@ from .power_method import (
     DEFAULT_EPSILON,
     MAX_ITERATIONS,
     PowerMethodResult,
-    run_power_method,
+    app_span,
+    run_power_method_batch,
+    validate_limits,
 )
 
 
@@ -72,6 +72,7 @@ def hits(
     The result vector holds ``[authority; hub]`` scores, L2-normalised.
     ``profiler`` records a ``hits`` span with per-iteration counters.
     """
+    validate_limits(epsilon, max_iterations)
     n2 = fmt.n_rows
     if fmt.n_cols != n2 or n2 % 2:
         raise ValueError("fmt must be the 2n x 2n stacked operator")
@@ -84,34 +85,32 @@ def hits(
     if start.shape != (n2,):
         raise ValueError(f"x0 must have shape ({n2},)")
 
-    def step(_x: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    def step(_X: np.ndarray, AX: np.ndarray, _cols) -> np.ndarray:
         # Normalise the authority and hub halves separately — the stacked
         # operator's spectrum is symmetric (+sigma/-sigma pairs), and
         # per-half normalisation is what makes the paired power iteration
-        # converge, exactly as in split HITS implementations.
-        v = ax.astype(np.float64).copy()
-        for half in (v[:n], v[n:]):
-            norm = np.linalg.norm(half)
-            if norm > 0:
-                half /= norm
-        return v
+        # converge, exactly as in split HITS implementations.  Column-major,
+        # so each half is a contiguous 1-D norm whatever the block width.
+        V = np.array(AX, dtype=np.float64, order="F")
+        for j in range(V.shape[1]):
+            for half in (V[:n, j], V[n:, j]):
+                norm = np.linalg.norm(half)
+                if norm > 0:
+                    half /= norm
+        return V
 
-    scope = (
-        profiler.span("hits", format=fmt.name, device=device.name)
-        if profiler is not None
-        else nullcontext()
-    )
-    with scope:
-        return run_power_method(
+    with app_span(profiler, "hits", fmt, device):
+        res = run_power_method_batch(
             fmt,
             device,
-            start,
+            start[:, None],
             step,
             epsilon=epsilon,
             max_iterations=max_iterations,
             vector_passes=6,  # extra norm pass vs PageRank
             profiler=profiler,
         )
+    return res.single()
 
 
 def split_scores(vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

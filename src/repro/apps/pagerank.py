@@ -12,8 +12,6 @@ the modelled device time.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..formats.base import SpMVFormat
@@ -23,7 +21,9 @@ from .power_method import (
     DEFAULT_EPSILON,
     MAX_ITERATIONS,
     PowerMethodResult,
-    run_power_method,
+    app_span,
+    run_power_method_batch,
+    validate_limits,
 )
 
 #: The paper's damping factor (Section VI-A, citing Brin & Page).
@@ -77,6 +77,7 @@ def pagerank(
     ``profiler`` (a :class:`repro.obs.Profiler`) records one
     ``pagerank`` span with a nested span + counters per iteration.
     """
+    validate_limits(epsilon, max_iterations)
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
     n = fmt.n_rows
@@ -86,23 +87,19 @@ def pagerank(
     start = pr0 if x0 is None else np.asarray(x0, dtype=np.float64)
     if start.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    teleport = (1.0 - damping) * pr0
+    teleport = ((1.0 - damping) * pr0)[:, None]
 
-    def step(_x: np.ndarray, ax: np.ndarray) -> np.ndarray:
-        return teleport + damping * ax.astype(np.float64)
+    def step(_X: np.ndarray, AX: np.ndarray, _cols) -> np.ndarray:
+        return teleport + damping * AX.astype(np.float64)
 
-    scope = (
-        profiler.span("pagerank", format=fmt.name, device=device.name)
-        if profiler is not None
-        else nullcontext()
-    )
-    with scope:
-        return run_power_method(
+    with app_span(profiler, "pagerank", fmt, device):
+        res = run_power_method_batch(
             fmt,
             device,
-            start,
+            start[:, None],
             step,
             epsilon=epsilon,
             max_iterations=max_iterations,
             profiler=profiler,
         )
+    return res.single()

@@ -1,18 +1,29 @@
-"""Shared iteration machinery for the Section VI graph applications.
+"""The one power-method loop behind the Section VI graph applications.
 
 PageRank, HITS and RWR are all power methods: each iteration is one SpMV
 plus a handful of length-n vector operations, repeated until the Euclidean
 distance between successive iterates drops below ``epsilon`` ("Euclidean
 distance was used as the convergence measure, with eps = 1e-6").
 
-The driver runs the *numeric* iteration with the format under test and
-accumulates *modelled* device time: the format's SpMV time plus a common
+:func:`run_power_method_batch` is the only iteration loop.  It runs ``k``
+starts at once as one ``k``-wide SpMM per round; a single application run
+(:func:`~repro.apps.pagerank.pagerank`, :func:`~repro.apps.hits.hits`,
+:func:`~repro.apps.rwr.rwr`) is the same loop at ``k = 1``.  Each column's
+distance is the 1-D ``np.linalg.norm`` of that column's own contiguous
+float64 difference, so a column's arithmetic never depends on the block
+around it: column ``j`` of a batch equals its ``k = 1`` run by
+construction, not by a parallel implementation kept in step.
+
+The loop runs the *numeric* iteration with the format under test and
+accumulates *modelled* device time: the format's SpMM time plus a common
 vector-update kernel (identical for every format, as on hardware where
 axpy/norm kernels don't depend on the matrix layout).
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -148,9 +159,9 @@ class BatchBill:
     keyed in order of first appearance.  All totals are computed as
     ``count x per-round cost`` grouped by width — never as a running
     float sum over rounds — so :meth:`total_s` for ``k = 1`` equals
-    ``iterations * round_cost`` bit-for-bit (the scalar driver's bill)
-    and :meth:`time_through_round` at the last round equals
-    :meth:`total_s` exactly (identical terms, identical order).
+    ``iterations * round_cost`` bit-for-bit and
+    :meth:`time_through_round` at the last round equals :meth:`total_s`
+    exactly (identical terms, identical order).
     """
 
     widths: tuple[int, ...]
@@ -240,8 +251,8 @@ class PowerMethodResult:
 class BatchPowerMethodResult:
     """Outcome of one *batched* application run (``k`` starts at once).
 
-    Column ``j`` of ``vectors`` is bitwise identical to the single-column
-    run from ``X0[:, j]`` — the batch changes the modelled time (one SpMM
+    Column ``j`` of ``vectors`` is bitwise identical to the ``k = 1`` run
+    from ``X0[:, j]`` — the batch changes the modelled time (one SpMM
     amortises the matrix traffic over the active columns), never the
     numerics.
     """
@@ -262,12 +273,42 @@ class BatchPowerMethodResult:
     #: with equality for the longest-running column (bit-for-bit — both
     #: come from the same :class:`BatchBill`).  The serving layer uses
     #: these to attribute batch latency to individual requests.
-    column_times_s: np.ndarray | None = None
+    column_times_s: np.ndarray
+    #: Modelled seconds of one SpMM at every width the run reached.
+    spmm_time_s: dict[int, float]
 
     @property
     def max_iterations_run(self) -> int:
         """The longest column's iteration count (the batch's depth)."""
         return int(self.iterations.max()) if self.iterations.size else 0
+
+    def single(self) -> PowerMethodResult:
+        """A ``k = 1`` batch as the single run it is (its column 0)."""
+        if self.k != 1:
+            raise ValueError("only a k = 1 batch is a single run")
+        return PowerMethodResult(
+            vector=self.vectors[:, 0],
+            iterations=int(self.iterations[0]),
+            converged=bool(self.converged[0]),
+            modeled_time_s=self.modeled_time_s,
+            spmv_time_s=self.spmm_time_s[1],
+        )
+
+
+def validate_limits(epsilon: float, max_iterations: int) -> None:
+    """Reject a stopping rule that cannot run: ``epsilon <= 0`` or fewer
+    than one iteration."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+
+
+def app_span(profiler: "Profiler | None", name: str, fmt, device, **attrs):
+    """The app's profiler span (a no-op context without a profiler)."""
+    if profiler is None:
+        return nullcontext()
+    return profiler.span(name, format=fmt.name, device=device.name, **attrs)
 
 
 def run_power_method_batch(
@@ -287,139 +328,82 @@ def run_power_method_batch(
     indices (so per-column terms like RWR's teleport can be selected), and
     must apply the single-column update column by column.  Each iteration
     charges ONE ``k_active``-wide SpMM plus one vector kernel over the
-    active elements; columns drop out of the batch as they converge (or
-    diverge), so late iterations of a mixed batch run narrow and cheap.
+    active elements; columns leave the batch as they converge, diverge
+    or reach ``max_iterations``, so late iterations of a mixed batch run
+    narrow and cheap.
 
-    For ``k = 1`` the result — numerics, iteration count, and modelled
-    time — is exactly :func:`run_power_method`'s.
+    Column ``j``'s distance is the 1-D ``np.linalg.norm`` of its own
+    contiguous float64 difference, so it does not depend on which other
+    columns share the block: column ``j`` of any batch equals the
+    ``k = 1`` run from ``X0[:, j]`` in vector, iteration count and
+    convergence flag by construction.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    validate_limits(epsilon, max_iterations)
     X0 = np.asarray(X0)
     if X0.ndim != 2 or X0.shape[1] < 1:
         raise ValueError("X0 must be 2-D of shape (n, k) with k >= 1")
     n, k = X0.shape
-    X = np.asarray(X0, dtype=fmt.precision.numpy_dtype).copy()
-    X64 = X.astype(np.float64)
+    vectors = np.array(X0, dtype=fmt.precision.numpy_dtype, order="F")
     iterations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
-    active = np.arange(k, dtype=np.int64)
+    # The active columns live in one compact block, ``cols`` holding
+    # their original indices; a column is copied out (and its counters
+    # set) only in the round it leaves.
+    cols = np.arange(k, dtype=np.int64)
+    X = vectors
+    X64 = np.asarray(X, dtype=np.float64)
     # Record the per-round width sequence; the bill is totalled at the
     # end by :class:`BatchBill` as ``count * per_iteration_cost`` per
-    # width, which for ``k=1`` reproduces :func:`run_power_method`'s
-    # ``iters * (spmv_s + vec_s)`` bit for bit (repeated ``+=`` would
-    # drift in the last ulp).
-    width_sequence: list[int] = []
-    vec_s_cache: dict[int, float] = {}
-    spmm_s_cache: dict[int, float] = {}
-    counters_cache: dict[int, tuple] = {}
-    round_no = 0
-    while active.size:
-        ka = int(active.size)
-        if ka not in spmm_s_cache:
-            spmm_s_cache[ka] = fmt.spmm_time_s(device, k=ka)
-            vec_s_cache[ka] = simulate_kernel(
-                device,
-                vector_ops_work(n * ka, vector_passes, fmt.precision),
+    # width, which for ``k=1`` is ``iterations * (spmv_s + vec_s)`` bit
+    # for bit (repeated ``+=`` would drift in the last ulp).
+    widths: list[int] = []
+    spmm_s: dict[int, float] = {}
+    round_cost: dict[int, float] = {}
+    counters: dict[int, tuple] = {}
+    while cols.size:
+        ka = int(cols.size)
+        if ka not in round_cost:
+            spmm_s[ka] = fmt.spmm_time_s(device, k=ka)
+            round_cost[ka] = spmm_s[ka] + simulate_kernel(
+                device, vector_ops_work(n * ka, vector_passes, fmt.precision)
             ).time_s
-        if profiler is not None and ka not in counters_cache:
-            counters_cache[ka] = _iteration_counters(
-                fmt, device, n * ka, vector_passes, ka, profiler
-            )
-        AX = fmt.multiply_many(X[:, active])
-        X_next = step(X[:, active], AX, active).astype(X.dtype, copy=False)
-        iterations[active] += 1
-        width_sequence.append(ka)
-        round_no += 1
+            if profiler is not None:
+                counters[ka] = _iteration_counters(
+                    fmt, device, n * ka, vector_passes, ka, profiler
+                )
+        X_next = step(X, fmt.multiply_many(X), cols)
+        X_next = X_next.astype(X.dtype, copy=False)
+        widths.append(ka)
+        round_no = len(widths)
         if profiler is not None:
             with profiler.span("iteration", i=round_no, k_active=ka):
-                for cs in counters_cache[ka]:
+                for cs in counters[ka]:
                     profiler.record(cs)
         next64 = np.asarray(X_next, dtype=np.float64)
-        dist = np.linalg.norm(next64 - X64[:, active], axis=0)
-        X[:, active] = X_next
-        X64[:, active] = next64
-        finite = np.isfinite(dist)
-        done_conv = finite & (dist <= epsilon)
-        converged[active[done_conv]] = True
-        keep = finite & ~done_conv
-        if max_iterations is not None:
-            keep &= iterations[active] < max_iterations
-        active = active[keep]
-    cost: dict[int, float] = {}
-    for ka in width_sequence:
-        if ka not in cost:
-            cost[ka] = spmm_s_cache[ka] + vec_s_cache[ka]
-    bill = BatchBill(widths=tuple(width_sequence), round_cost_s=cost)
+        diff = np.subtract(next64, X64, order="F")
+        dist = [float(np.linalg.norm(diff[:, j])) for j in range(ka)]
+        X, X64 = X_next, next64
+        # A non-finite distance means the column diverged (e.g. a
+        # non-substochastic operator): it leaves rather than spinning to
+        # the cap.  NaN compares false, so it leaves too.
+        stay = [epsilon < d < math.inf for d in dist]
+        if round_no < max_iterations and all(stay):
+            continue
+        stay = np.array(stay) & (round_no < max_iterations)
+        left = cols[~stay]
+        vectors[:, left] = X[:, ~stay]
+        iterations[left] = round_no
+        converged[left] = np.array(dist)[~stay] <= epsilon
+        cols = cols[stay]
+        X = X[:, stay]
+        X64 = np.asarray(X, dtype=np.float64)
+    bill = BatchBill(widths=tuple(widths), round_cost_s=round_cost)
     return BatchPowerMethodResult(
-        vectors=X,
+        vectors=vectors,
         iterations=iterations,
         converged=converged,
         modeled_time_s=bill.total_s,
         k=k,
         column_times_s=bill.column_times_s(iterations),
-    )
-
-
-def run_power_method(
-    fmt: SpMVFormat,
-    device: DeviceSpec,
-    x0: np.ndarray,
-    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iterations: int = MAX_ITERATIONS,
-    vector_passes: int = DEFAULT_VECTOR_PASSES,
-    profiler: "Profiler | None" = None,
-) -> PowerMethodResult:
-    """Iterate ``x <- step(x, A @ x)`` to convergence.
-
-    ``step`` combines the SpMV product with the iterate (damping,
-    teleport, normalisation...) and returns the next iterate.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    spmv_s = fmt.spmv_time_s(device)
-    vec_s = simulate_kernel(
-        device, vector_ops_work(x0.shape[0], vector_passes, fmt.precision)
-    ).time_s
-    iter_counters: tuple = ()
-    if profiler is not None:
-        iter_counters = _iteration_counters(
-            fmt, device, x0.shape[0], vector_passes, 1, profiler
-        )
-    x = np.asarray(x0, dtype=fmt.precision.numpy_dtype).copy()
-    # Hoist the convergence-check dtype handling: keep a float64 view of
-    # the current iterate so each iteration converts only the *new*
-    # iterate (and converts nothing at all in double precision), instead
-    # of copying both vectors inside the distance every pass.
-    x64 = np.asarray(x, dtype=np.float64)
-    iters = 0
-    converged = False
-    while iters < max_iterations:
-        ax = fmt.multiply(x)
-        x_next = step(x, ax).astype(x.dtype, copy=False)
-        iters += 1
-        if profiler is not None:
-            with profiler.span("iteration", i=iters):
-                for cs in iter_counters:
-                    profiler.record(cs)
-        next64 = np.asarray(x_next, dtype=np.float64)
-        dist = float(np.linalg.norm(next64 - x64))
-        x64 = next64
-        if not np.isfinite(dist):
-            # Diverged (e.g. a non-substochastic operator); stop rather
-            # than spin to the iteration cap.
-            x = x_next
-            break
-        if dist <= epsilon:
-            x = x_next
-            converged = True
-            break
-        x = x_next
-    return PowerMethodResult(
-        vector=x,
-        iterations=iters,
-        converged=converged,
-        modeled_time_s=iters * (spmv_s + vec_s),
-        spmv_time_s=spmv_s,
+        spmm_time_s=spmm_s,
     )

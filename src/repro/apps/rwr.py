@@ -8,8 +8,6 @@ query node.  Converges to the relevance of every node to node ``i``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..formats.base import SpMVFormat
@@ -20,8 +18,9 @@ from .power_method import (
     MAX_ITERATIONS,
     BatchPowerMethodResult,
     PowerMethodResult,
-    run_power_method,
+    app_span,
     run_power_method_batch,
+    validate_limits,
 )
 
 #: Restart probability used by the harness (Tong et al. use c ~ 0.9).
@@ -52,13 +51,54 @@ def column_normalized(adjacency: CSRMatrix) -> CSRMatrix:
     )
 
 
+def _walk(
+    fmt: SpMVFormat,
+    device: DeviceSpec,
+    queries: np.ndarray,
+    restart: float,
+    epsilon: float,
+    max_iterations: int,
+    profiler,
+    span: str,
+    **span_attrs,
+) -> BatchPowerMethodResult:
+    """Validate an RWR call, then walk ``r <- c W r + (1 - c) e`` from
+    every query node at once, inside a ``span`` profiler span."""
+    validate_limits(epsilon, max_iterations)
+    n = fmt.n_rows
+    if fmt.n_cols != n:
+        raise ValueError("RWR needs a square matrix")
+    if queries.ndim != 1 or queries.size < 1:
+        raise ValueError("query_nodes must be a non-empty 1-D sequence")
+    if queries.min() < 0 or queries.max() >= n:
+        raise ValueError("query node out of range")
+    if not 0.0 < restart < 1.0:
+        raise ValueError("restart probability must be in (0, 1)")
+    E = np.zeros((n, queries.size), dtype=np.float64)
+    E[queries, np.arange(queries.size)] = 1.0
+    teleport = (1.0 - restart) * E
+
+    def step(_X: np.ndarray, AX: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return restart * AX.astype(np.float64) + teleport[:, cols]
+
+    with app_span(profiler, span, fmt, device, **span_attrs):
+        return run_power_method_batch(
+            fmt,
+            device,
+            E,
+            step,
+            epsilon=epsilon,
+            max_iterations=max_iterations,
+            profiler=profiler,
+        )
+
+
 def rwr(
     fmt: SpMVFormat,
     device: DeviceSpec,
     seed_node: int,
     restart: float = DEFAULT_RESTART,
     epsilon: float = DEFAULT_EPSILON,
-    x0: np.ndarray | None = None,
     max_iterations: int = MAX_ITERATIONS,
     profiler=None,
 ) -> PowerMethodResult:
@@ -67,38 +107,10 @@ def rwr(
     ``fmt`` must be built from :func:`column_normalized` output.
     ``profiler`` records an ``rwr`` span with per-iteration counters.
     """
-    n = fmt.n_rows
-    if fmt.n_cols != n:
-        raise ValueError("RWR needs a square matrix")
-    if not 0 <= seed_node < n:
-        raise ValueError("seed node out of range")
-    if not 0.0 < restart < 1.0:
-        raise ValueError("restart probability must be in (0, 1)")
-    e_i = np.zeros(n, dtype=np.float64)
-    e_i[seed_node] = 1.0
-    start = e_i if x0 is None else np.asarray(x0, dtype=np.float64)
-    if start.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
-    teleport = (1.0 - restart) * e_i
-
-    def step(_x: np.ndarray, ax: np.ndarray) -> np.ndarray:
-        return restart * ax.astype(np.float64) + teleport
-
-    scope = (
-        profiler.span("rwr", format=fmt.name, device=device.name, seed=seed_node)
-        if profiler is not None
-        else nullcontext()
-    )
-    with scope:
-        return run_power_method(
-            fmt,
-            device,
-            start,
-            step,
-            epsilon=epsilon,
-            max_iterations=max_iterations,
-            profiler=profiler,
-        )
+    return _walk(
+        fmt, device, np.array([seed_node], dtype=np.int64), restart,
+        epsilon, max_iterations, profiler, "rwr", seed=seed_node,
+    ).single()
 
 
 def run_rwr_batch(
@@ -117,39 +129,11 @@ def run_rwr_batch(
     still-unconverged columns instead of one SpMV per query, so the
     matrix is read once per iteration for the whole batch.  Column ``j``
     converges independently and is bitwise identical to
-    ``rwr(fmt, device, query_nodes[j], ...)``.
+    ``rwr(fmt, device, query_nodes[j], ...)`` — that call is this walk
+    at ``k = 1``.
     """
-    n = fmt.n_rows
-    if fmt.n_cols != n:
-        raise ValueError("RWR needs a square matrix")
     queries = np.asarray(query_nodes, dtype=np.int64)
-    if queries.ndim != 1 or queries.size < 1:
-        raise ValueError("query_nodes must be a non-empty 1-D sequence")
-    if queries.size and (queries.min() < 0 or queries.max() >= n):
-        raise ValueError("query node out of range")
-    if not 0.0 < restart < 1.0:
-        raise ValueError("restart probability must be in (0, 1)")
-    E = np.zeros((n, queries.size), dtype=np.float64)
-    E[queries, np.arange(queries.size)] = 1.0
-    teleport = (1.0 - restart) * E
-
-    def step(_X: np.ndarray, AX: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return restart * AX.astype(np.float64) + teleport[:, cols]
-
-    scope = (
-        profiler.span(
-            "rwr-batch", format=fmt.name, device=device.name, k=int(queries.size)
-        )
-        if profiler is not None
-        else nullcontext()
+    return _walk(
+        fmt, device, queries, restart, epsilon, max_iterations, profiler,
+        "rwr-batch", k=int(queries.size),
     )
-    with scope:
-        return run_power_method_batch(
-            fmt,
-            device,
-            E,
-            step,
-            epsilon=epsilon,
-            max_iterations=max_iterations,
-            profiler=profiler,
-        )

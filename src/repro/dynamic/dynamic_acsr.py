@@ -103,6 +103,9 @@ class DynamicACSR:
         self, batch: UpdateBatch, device: DeviceSpec = GTX_TITAN
     ) -> UpdateCost:
         """Apply a change list: mutate rows, re-bin, return the bill."""
+        # The update kernel's merge scan runs over each row's length
+        # before the edit.
+        pre_lengths = self.dyn.row_len[batch.rows]
         apply_update(self.dyn, batch)
         rb = self._rebinner.apply(batch.rows, self.dyn.row_len[batch.rows])
 
@@ -111,7 +114,7 @@ class DynamicACSR:
             n_transfers=3,
         )
         upd = update_kernel.work(
-            self.dyn.row_len[batch.rows],
+            pre_lengths,
             batch.deletes_per_row(),
             batch.inserts_per_row(),
             self.dyn.precision,

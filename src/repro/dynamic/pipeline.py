@@ -26,7 +26,7 @@ serialised and Figure 7's speedup gap widens, as it does on hardware.
 
 The run is epoch-major: each epoch generates its update, builds its
 iteration matrix once, and steps every backend on it, each backend
-carrying its own warm start, device mirror, re-binner and records.  Only
+carrying its own warm start, row lengths, re-binner and records.  Only
 the current adjacency snapshot and the current iteration matrix (with the
 SpMV index its first multiply builds) are alive; the previous epoch's are
 released before the next is built.  The rng draws, and so every
@@ -35,6 +35,7 @@ backend's records, are those of running each backend alone.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,6 @@ from ..gpu.simulator import simulate_kernel
 from ..gpu.streams import StreamEngine
 from ..gpu.transfer import DEFAULT_LINK
 from ..kernels import update_kernel
-from .dyncsr import DynCSR
 from .rebin import IncrementalBinning, rebin_work
 from .updates import UpdateBatch, apply_update_to_csr, generate_update
 
@@ -95,21 +95,10 @@ class _BackendState:
 
     backend: str
     x0: np.ndarray | None = None
-    dyn: DynCSR | None = None
+    #: Row lengths of the iteration matrix the device holds (ACSR only).
+    row_len: np.ndarray | None = None
     rebinner: IncrementalBinning | None = None
     records: list[EpochRecord] = field(default_factory=list)
-
-
-def _iterate(fmt, device, x0, damping, epsilon, profiler=None):
-    res = pagerank(
-        fmt,
-        device,
-        damping=damping,
-        epsilon=epsilon,
-        x0=x0,
-        profiler=profiler,
-    )
-    return res
 
 
 def _maintain(
@@ -130,26 +119,26 @@ def _maintain(
             maintenance += link.transfer_time_s(
                 matrix.device_bytes(), n_transfers=3
             )
-            state.dyn = DynCSR.from_csr(matrix)
-            state.rebinner = IncrementalBinning.from_lengths(state.dyn.row_len)
+            state.row_len = matrix.nnz_per_row
+            state.rebinner = IncrementalBinning.from_lengths(state.row_len)
         else:
             # The iteration matrix is derived from the adjacency; ship a
             # change list of the same magnitude and run the update kernel
-            # on the device.
-            row_lengths = state.dyn.row_len[batch.rows]
+            # on the device; each updated row costs a merge scan of its
+            # length before the update.
             upd = update_kernel.work(
-                row_lengths,
+                state.row_len[batch.rows],
                 batch.deletes_per_row(),
                 batch.inserts_per_row(),
                 matrix.precision,
                 device,
             )
-            # Keep the device mirror consistent (numeric fidelity of the
-            # update path is tested via DynCSR directly).
-            state.dyn = DynCSR.from_csr(matrix)
+            # The device now holds this epoch's matrix (numeric fidelity
+            # of the in-place update path is tested via DynCSR directly).
+            state.row_len = matrix.nnz_per_row
             # Incremental re-bin: only the updated rows can change bins,
             # and most don't cross a power-of-two boundary.
-            rb = state.rebinner.apply(batch.rows, state.dyn.row_len[batch.rows])
+            rb = state.rebinner.apply(batch.rows, state.row_len[batch.rows])
             rbw = rebin_work(rb.n_updated, rb.n_migrated, matrix.precision)
             payload = batch.payload_bytes(matrix.precision.value_bytes)
             if overlap:
@@ -240,20 +229,27 @@ def run_dynamic_pagerank(
             fmt, maintenance = _maintain(
                 state, epoch, matrix, batch, device, overlap
             )
-            if profiler is not None:
-                # Explicit duration: maintenance (copies, host transform,
-                # update kernels) has no per-launch counters of its own.
-                with profiler.span(
-                    "epoch", backend=state.backend, epoch=epoch
-                ) as sp:
-                    res = _iterate(
-                        fmt, device, state.x0, damping, epsilon, profiler
-                    )
+            scope = (
+                profiler.span("epoch", backend=state.backend, epoch=epoch)
+                if profiler is not None
+                else nullcontext()
+            )
+            with scope as sp:
+                res = pagerank(
+                    fmt,
+                    device,
+                    damping=damping,
+                    epsilon=epsilon,
+                    x0=state.x0,
+                    profiler=profiler,
+                )
+                if sp is not None:
+                    # Explicit duration: maintenance (copies, host
+                    # transform, update kernels) has no per-launch
+                    # counters of its own.
                     sp.duration_s = maintenance + res.modeled_time_s
                     sp.attrs["maintenance_s"] = maintenance
                     sp.attrs["iterations"] = res.iterations
-            else:
-                res = _iterate(fmt, device, state.x0, damping, epsilon)
             state.x0 = res.vector
             state.records.append(
                 EpochRecord(

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from repro.apps import (
+    DEFAULT_EPSILON,
+    DEFAULT_VECTOR_PASSES,
     column_normalized,
-    run_power_method,
     run_power_method_batch,
     run_rwr_batch,
     rwr,
+    vector_ops_work,
 )
 from repro.apps.power_method import batch_round_widths, make_batch_bill
 from repro.formats import CSRFormat
 from repro.gpu.device import GTX_TITAN
+from repro.gpu.simulator import simulate_kernel
 
 from ..conftest import make_powerlaw_csr
 
@@ -60,23 +63,41 @@ class TestRwrBatch:
 
 
 class TestPowerMethodBatch:
-    def test_k1_equals_run_power_method(self, walk_fmt):
+    def test_k1_equals_plain_loop(self, walk_fmt):
+        # The loop at k = 1 is the textbook single-vector power method:
+        # one SpMV, the step, a 1-D norm — billed ``iterations`` times
+        # one SpMV plus one vector kernel.
         n = walk_fmt.n_rows
+        dtype = walk_fmt.precision.numpy_dtype
         x0 = np.full(n, 1.0 / n)
-
-        def step1(x, ax):
-            return 0.9 * ax.astype(np.float64) + 0.1 / n
 
         def stepk(X, AX, _cols):
             return 0.9 * AX.astype(np.float64) + 0.1 / n
 
-        single = run_power_method(walk_fmt, GTX_TITAN, x0, step1)
+        x, its = x0.astype(dtype), 0
+        while its < 1000:
+            nxt = (0.9 * walk_fmt.multiply(x).astype(np.float64) + 0.1 / n)
+            nxt = nxt.astype(dtype)
+            its += 1
+            dist = np.linalg.norm(
+                nxt.astype(np.float64) - x.astype(np.float64)
+            )
+            x = nxt
+            if dist <= DEFAULT_EPSILON:
+                break
+        vec_s = simulate_kernel(
+            GTX_TITAN,
+            vector_ops_work(n, DEFAULT_VECTOR_PASSES, walk_fmt.precision),
+        ).time_s
         batch = run_power_method_batch(
             walk_fmt, GTX_TITAN, x0[:, None], stepk
         )
-        assert np.array_equal(batch.vectors[:, 0], single.vector)
-        assert batch.iterations[0] == single.iterations
-        assert batch.modeled_time_s == single.modeled_time_s
+        assert np.array_equal(batch.vectors[:, 0], x)
+        assert batch.iterations[0] == its
+        assert batch.converged[0]
+        assert batch.modeled_time_s == its * (
+            walk_fmt.spmv_time_s(GTX_TITAN) + vec_s
+        )
 
     def test_shrinking_active_set(self, walk_fmt):
         # A fast-converging column next to slow ones: the fast one must

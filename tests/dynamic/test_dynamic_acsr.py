@@ -7,6 +7,8 @@ from repro.core.binning import compute_binning
 from repro.dynamic.dynamic_acsr import DynamicACSR
 from repro.dynamic.updates import apply_update_to_csr, generate_update
 from repro.gpu.device import GTX_580, GTX_TITAN
+from repro.gpu.simulator import simulate_kernel
+from repro.kernels import update_kernel
 
 from ..conftest import (
     assert_spmv_close,
@@ -77,6 +79,24 @@ class TestCosts:
         assert cost.total_s == pytest.approx(
             cost.transfer_s + cost.update_kernel_s + cost.rebin_s
         )
+
+    def test_update_kernel_priced_on_pre_update_lengths(self, dacsr):
+        # The kernel's merge scan runs over each row as it was before the
+        # change list is applied.
+        gen = np.random.default_rng(7)
+        src = make_powerlaw_csr(n_rows=2500, seed=301, max_degree=700)
+        batch = generate_update(src, gen)
+        pre_lengths = dacsr.dyn.row_len[batch.rows].copy()
+        cost = dacsr.apply_update(batch, GTX_TITAN)
+        assert not np.array_equal(pre_lengths, dacsr.dyn.row_len[batch.rows])
+        work = update_kernel.work(
+            pre_lengths,
+            batch.deletes_per_row(),
+            batch.inserts_per_row(),
+            dacsr.dyn.precision,
+            GTX_TITAN,
+        )
+        assert cost.update_kernel_s == simulate_kernel(GTX_TITAN, work).time_s
 
     def test_update_cheaper_than_full_copy(self, dacsr):
         gen = np.random.default_rng(8)

@@ -199,7 +199,7 @@ class TestEpochMajor:
         def never(*args, **kwargs):
             raise AssertionError("iterated before validating backends")
 
-        monkeypatch.setattr(pipeline, "_iterate", never)
+        monkeypatch.setattr(pipeline, "pagerank", never)
         with pytest.raises(ValueError, match="bogus"):
             run_dynamic_pagerank(
                 adjacency, GTX_TITAN, n_epochs=2, backends=("acsr", "bogus")
