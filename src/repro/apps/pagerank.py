@@ -39,11 +39,14 @@ def google_matrix(adjacency: CSRMatrix) -> CSRMatrix:
     Dangling rows (no out-links) contribute nothing; their rank mass is
     re-injected by the teleport term, as in the paper's formulation.
     """
-    weights = np.zeros(adjacency.n_rows, dtype=np.float64)
     row_ids = np.repeat(
         np.arange(adjacency.n_rows, dtype=np.int64), adjacency.nnz_per_row
     )
-    np.add.at(weights, row_ids, np.abs(adjacency.values.astype(np.float64)))
+    weights = np.bincount(
+        row_ids,
+        weights=np.abs(adjacency.values.astype(np.float64)),
+        minlength=adjacency.n_rows,
+    )
     inv = np.divide(
         1.0, weights, out=np.zeros_like(weights), where=weights > 0
     )

@@ -33,9 +33,10 @@ def column_normalized(adjacency: CSRMatrix) -> CSRMatrix:
     Columns with no entries stay zero (their mass is restored by the
     restart term).
     """
-    col_sums = np.zeros(adjacency.n_cols, dtype=np.float64)
-    np.add.at(
-        col_sums, adjacency.col_idx, np.abs(adjacency.values.astype(np.float64))
+    col_sums = np.bincount(
+        adjacency.col_idx,
+        weights=np.abs(adjacency.values.astype(np.float64)),
+        minlength=adjacency.n_cols,
     )
     inv = np.divide(
         1.0, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0

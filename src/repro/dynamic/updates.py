@@ -42,6 +42,8 @@ class UpdateBatch:
             raise ValueError("insert offsets inconsistent with columns")
         if self.ins_cols.shape != self.ins_vals.shape:
             raise ValueError("insert columns/values must match")
+        if np.any(self.rows[1:] <= self.rows[:-1]):
+            raise ValueError("rows must be ascending and unique")
 
     @property
     def n_rows(self) -> int:
@@ -154,38 +156,48 @@ def apply_update_to_csr(csr: CSRMatrix, batch: UpdateBatch) -> CSRMatrix:
     """Pure-functional update for formats that rebuild from scratch.
 
     Used for the CSR/HYB epoch path, where the host applies the change and
-    re-ships (and, for HYB, re-transforms) the whole matrix.
+    re-ships (and, for HYB, re-transforms) the whole matrix.  Every stored
+    ``(row, col)`` entry named by a delete or an insert is dropped, and the
+    inserts are added, so an insert overwrites an existing entry, matching
+    the device kernel's semantics.
     """
-    keys = (
-        np.repeat(np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row)
-        * np.int64(csr.n_cols)
-        + csr.col_idx.astype(np.int64)
-    )
-    del_keys = (
-        np.repeat(batch.rows, batch.deletes_per_row()) * np.int64(csr.n_cols)
-        + batch.del_cols.astype(np.int64)
-    )
-    # Inserts overwrite an existing (row, col) entry, matching the device
-    # kernel's semantics — drop such entries before concatenating.
-    ins_keys = (
-        np.repeat(batch.rows, batch.inserts_per_row()) * np.int64(csr.n_cols)
-        + batch.ins_cols.astype(np.int64)
-    )
-    keep = ~np.isin(keys, del_keys) & ~np.isin(keys, ins_keys)
-    rows = (keys[keep] // csr.n_cols).astype(np.int64)
-    cols = (keys[keep] % csr.n_cols).astype(np.int64)
-    vals = csr.values[keep]
-
+    if batch.n_rows and (batch.rows[0] < 0 or batch.rows[-1] >= csr.n_rows):
+        raise ValueError("update rows out of range")
+    for cols in (batch.del_cols, batch.ins_cols):
+        if cols.size and (cols.min() < 0 or cols.max() >= csr.n_cols):
+            raise ValueError("update columns out of range")
+    n_cols = np.int64(csr.n_cols)
     ins_rows = np.repeat(batch.rows, batch.inserts_per_row())
-    all_rows = np.concatenate([rows, ins_rows])
-    all_cols = np.concatenate([cols, batch.ins_cols.astype(np.int64)])
-    all_vals = np.concatenate(
-        [vals.astype(np.float64), batch.ins_vals.astype(np.float64)]
+    dropped = np.sort(
+        np.concatenate(
+            [
+                np.repeat(batch.rows, batch.deletes_per_row()) * n_cols
+                + batch.del_cols,
+                ins_rows * n_cols + batch.ins_cols,
+            ]
+        )
     )
+    # Only entries of updated rows can be dropped.  Each one's key is
+    # looked up in the sorted dropped keys, which is np.isin's answer
+    # whatever order a row keeps its columns in.
+    rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64), csr.nnz_per_row)
+    touched = np.zeros(csr.n_rows, dtype=bool)
+    touched[batch.rows] = True
+    candidates = np.flatnonzero(touched[rows])
+    keys = rows[candidates] * n_cols + csr.col_idx[candidates]
+    keep = np.ones(csr.nnz, dtype=bool)
+    if dropped.size:
+        at = np.searchsorted(dropped, keys).clip(max=dropped.size - 1)
+        keep[candidates[dropped[at] == keys]] = False
     return CSRMatrix.from_coo(
-        all_rows,
-        all_cols,
-        all_vals,
+        np.concatenate([rows[keep], ins_rows]),
+        np.concatenate([csr.col_idx[keep], batch.ins_cols]),
+        np.concatenate(
+            [
+                csr.values[keep].astype(np.float64),
+                batch.ins_vals.astype(np.float64),
+            ]
+        ),
         shape=csr.shape,
         precision=csr.precision,
         sum_duplicates=True,

@@ -28,6 +28,48 @@ import numpy as np
 from ..gpu.device import INDEX_BYTES, Precision
 from ..gpu.memory import GatherProfile
 
+#: Widest matrix ``col_idx`` (int32, as on the device) can index.
+_MAX_COLS = int(np.iinfo(np.int32).max)
+
+
+def _index_array(a, name: str) -> np.ndarray:
+    """``a`` as int64, refusing non-integer input rather than truncating
+    it (an empty array of any dtype is accepted)."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer array, got {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
+def _sort_keys(
+    key: np.ndarray, n_keys: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(key in ascending order, permutation)`` for ``key`` in
+    ``[0, n_keys)``; the permutation is stable, or ``None`` when ``key``
+    already ascends.
+
+    For row-major keys ``row * n_cols + col`` the permutation is exactly
+    ``np.lexsort((cols, rows))``.  Each key is packed above its position
+    into one int64 word; the words are distinct, so numpy's unstable
+    (SIMD) ``np.sort`` puts equal keys in input order, as a stable sort
+    would, and the high and low bits read back the sorted keys and the
+    permutation.  Only when key and position do not fit in 63 bits does
+    a stable ``np.argsort`` of the keys run instead.
+    """
+    if not np.any(key[1:] < key[:-1]):
+        return key, None
+    n = key.shape[0]
+    pos_bits = (n - 1).bit_length()
+    if (n_keys - 1).bit_length() + pos_bits > 63:
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+    packed = key << pos_bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << pos_bits) - 1)
+    packed >>= pos_bits
+    return packed, order
+
 
 @dataclass(frozen=True)
 class CSRMatrix:
@@ -46,6 +88,10 @@ class CSRMatrix:
     n_cols: int
 
     def __post_init__(self) -> None:
+        if self.n_cols > _MAX_COLS:
+            raise ValueError(
+                f"n_cols must be at most {_MAX_COLS} (col_idx is int32)"
+            )
         if self.row_off.ndim != 1 or self.row_off.shape[0] < 1:
             raise ValueError("row_off must be 1-D with at least one entry")
         if self.values.shape != self.col_idx.shape:
@@ -89,10 +135,18 @@ class CSRMatrix:
         precision: Precision = Precision.DOUBLE,
         sum_duplicates: bool = True,
     ) -> "CSRMatrix":
-        """Build from COO triplets (duplicates summed, rows sorted)."""
-        n_rows, n_cols = shape
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        """Build from COO triplets.
+
+        The entries are ordered by ``(row, col)``, and entries that share
+        a key keep their input order: the permutation is exactly
+        ``np.lexsort((cols, rows))``.  With ``sum_duplicates`` each key's
+        values are then summed in that order, sequentially from 0.0 in
+        float64 (so a lone ``-0.0`` is stored as ``0.0``), and cast to
+        ``precision`` once.  ``rows`` and ``cols`` must be integer arrays.
+        """
+        n_rows, n_cols = int(shape[0]), int(shape[1])
+        rows = _index_array(rows, "rows")
+        cols = _index_array(cols, "cols")
         vals = np.asarray(vals, dtype=np.float64)
         if rows.shape != cols.shape or rows.shape != vals.shape:
             raise ValueError("COO triplet arrays must have equal length")
@@ -100,20 +154,24 @@ class CSRMatrix:
             raise ValueError("row indices out of range")
         if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column indices out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and rows.size:
-            key_change = np.empty(rows.shape[0], dtype=bool)
-            key_change[0] = True
-            key_change[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
-            group = np.cumsum(key_change) - 1
-            summed = np.bincount(group, weights=vals)
-            rows = rows[key_change]
-            cols = cols[key_change]
-            vals = summed
+        if max(n_rows, 1) * n_cols > np.iinfo(np.int64).max:
+            raise ValueError("shape too large for int64 (row, col) keys")
+        key = rows * n_cols
+        key += cols
+        key, order = _sort_keys(key, n_rows * n_cols)
+        if order is not None:
+            vals = vals[order]
+        if sum_duplicates and key.size:
+            first = np.empty(key.shape[0], dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            # Group ids count from 1, so bin 0 stays empty.
+            vals = np.bincount(np.cumsum(first), weights=vals)[1:]
+            key = key[first]
+        rows = key // max(n_cols, 1)
+        cols = key - rows * n_cols
         row_off = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(row_off, rows + 1, 1)
-        np.cumsum(row_off, out=row_off)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=row_off[1:])
         return cls.from_arrays(
             vals.astype(precision.numpy_dtype), cols, row_off, n_cols
         )

@@ -9,7 +9,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.csr_format import CSRFormat
 from repro.gpu.device import GTX_TITAN, Precision
 
-from ..conftest import make_powerlaw_csr
+from ..conftest import make_csr_with_empty_rows, make_powerlaw_csr
 
 
 def small_web(n=60, seed=4):
@@ -103,6 +103,20 @@ class TestRwr:
         sums = np.zeros(w.n_cols)
         np.add.at(sums, w.col_idx, np.abs(w.values.astype(np.float64)))
         assert np.all(sums <= 1.0 + 1e-6)
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_column_sums_match_python_loop(self, precision):
+        """Column sums add ``|values|`` one at a time from 0.0 in storage
+        order, so ``W`` is bitwise the plain loop's."""
+        adj = make_csr_with_empty_rows(seed=6, precision=precision)
+        sums = [0.0] * adj.n_cols
+        for c, v in zip(adj.col_idx.tolist(), adj.values.tolist()):
+            sums[c] += abs(v)
+        inv = np.array([1.0 / s if s > 0 else 0.0 for s in sums])
+        want = (adj.values.astype(np.float64) * inv[adj.col_idx]).astype(
+            adj.values.dtype
+        )
+        assert column_normalized(adj).values.tobytes() == want.tobytes()
 
     def test_converges_and_sums_to_one(self):
         adj = small_web()

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.apps.pagerank import DEFAULT_DAMPING, google_matrix, pagerank
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_format import CSRFormat
 from repro.gpu.device import GTX_TITAN, Precision
 
-from ..conftest import make_powerlaw_csr
+from ..conftest import make_csr_with_empty_rows, make_powerlaw_csr
 
 
 def ring_graph(n=50):
@@ -50,6 +51,27 @@ class TestGoogleMatrix:
         )
         g = google_matrix(adj)
         assert g.nnz == 1  # only the one link survives
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_matches_python_row_weight_loop(self, precision):
+        """Row weights sum ``|values|`` one at a time from 0.0 in storage
+        order, so the operator is bitwise the plain loop's."""
+        adj = make_csr_with_empty_rows(seed=12, precision=precision)
+        weights = [0.0] * adj.n_rows
+        for r in range(adj.n_rows):
+            for v in adj.values[adj.row_off[r]:adj.row_off[r + 1]].tolist():
+                weights[r] += abs(v)
+        inv = np.array([1.0 / w if w > 0 else 0.0 for w in weights])
+        scaled = (
+            adj.values.astype(np.float64) * np.repeat(inv, adj.nnz_per_row)
+        ).astype(adj.values.dtype)
+        want = sp.csr_matrix(
+            (scaled, adj.col_idx, adj.row_off), shape=adj.shape
+        ).T.tocsr()
+        got = google_matrix(adj)
+        assert got.values.tobytes() == want.data.tobytes()
+        np.testing.assert_array_equal(got.col_idx, want.indices)
+        np.testing.assert_array_equal(got.row_off, want.indptr)
 
 
 class TestPageRank:

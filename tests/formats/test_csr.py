@@ -83,6 +83,32 @@ class TestConstruction:
                 np.array([1.0, 2.0]), np.array([0]), np.array([0, 2]), 1
             )
 
+    def test_rejects_columns_beyond_int32(self):
+        """``col_idx`` is int32: a wider matrix would wrap column ids."""
+        with pytest.raises(ValueError, match="n_cols"):
+            CSRMatrix.from_coo([0, 1], [2**32 + 5, 3], [1.0, 2.0], (2, 2**33))
+        with pytest.raises(ValueError, match="n_cols"):
+            CSRMatrix.from_arrays(
+                np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(1), 2**31
+            )
+
+    def test_rejects_shape_whose_keys_overflow_int64(self):
+        """``2**33`` rows of ``2**31 - 1`` columns: no row-major key fits,
+        so the shape is refused before any allocation."""
+        with pytest.raises(ValueError, match="shape too large"):
+            CSRMatrix.from_coo([], [], [], (2**33, 2**31 - 1))
+
+    def test_rejects_non_integer_indices(self):
+        with pytest.raises(ValueError, match="rows"):
+            CSRMatrix.from_coo([0.7, 1.2], [0, 1], [1.0, 2.0], (2, 2))
+        with pytest.raises(ValueError, match="cols"):
+            CSRMatrix.from_coo([0, 1], [0.0, 1.0], [1.0, 2.0], (2, 2))
+
+    def test_empty_lists_accepted(self):
+        m = CSRMatrix.from_coo([], [], [], (3, 2))
+        assert m.nnz == 0
+        np.testing.assert_array_equal(m.row_off, [0, 0, 0, 0])
+
     def test_astype(self, powerlaw_csr):
         d = powerlaw_csr.astype(Precision.DOUBLE)
         assert d.precision is Precision.DOUBLE
@@ -192,3 +218,149 @@ class TestBinarized:
         b = powerlaw_csr.binarized()
         assert np.all(b.values == 1.0)
         np.testing.assert_array_equal(b.col_idx, powerlaw_csr.col_idx)
+
+
+def oracle_from_coo(rows, cols, vals, shape, sum_duplicates, dtype):
+    """``from_coo`` in plain Python: a stable sort by ``(row, col)``, then
+    each key's values summed one at a time from 0.0."""
+    n_rows = shape[0]
+    order = sorted(range(len(rows)), key=lambda i: (rows[i], cols[i]))
+    keys, sums = [], []
+    for i in order:
+        key = (int(rows[i]), int(cols[i]))
+        if sum_duplicates and keys and keys[-1] == key:
+            sums[-1] += float(vals[i])
+        else:
+            keys.append(key)
+            value = float(vals[i])
+            sums.append(0.0 + value if sum_duplicates else value)
+    row_off = [0] * (n_rows + 1)
+    for r, _ in keys:
+        row_off[r + 1] += 1
+    for r in range(n_rows):
+        row_off[r + 1] += row_off[r]
+    return (
+        np.array(row_off, dtype=np.int64),
+        np.array([c for _, c in keys], dtype=np.int32),
+        np.array(sums, dtype=np.float64).astype(dtype),
+    )
+
+
+def assert_csr_bytes(m, row_off, col_idx, values):
+    np.testing.assert_array_equal(m.row_off, row_off)
+    assert m.col_idx.dtype == np.int32
+    assert m.col_idx.tobytes() == col_idx.tobytes()
+    assert m.values.dtype == values.dtype
+    assert m.values.tobytes() == values.tobytes()
+
+
+_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.1, 1e16, -1e16, 3.0]),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@st.composite
+def coo_triplets(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=9))
+    n_cols = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=0, max_value=40)) if n_rows else 0
+    rows = draw(
+        st.lists(st.integers(0, max(n_rows - 1, 0)), min_size=n, max_size=n)
+    )
+    cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=n, max_size=n))
+    vals = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    return rows, cols, vals, (n_rows, n_cols)
+
+
+class TestAssemblyOracle:
+    """``from_coo`` and ``transpose`` byte for byte against independent
+    oracles: duplicates, ``-0.0``, empty rows, nnz 0 and 1."""
+
+    @given(
+        coo=coo_triplets(),
+        sum_duplicates=st.booleans(),
+        precision=st.sampled_from(list(Precision)),
+        presorted=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_from_coo_matches_python_oracle(
+        self, coo, sum_duplicates, precision, presorted
+    ):
+        rows, cols, vals, shape = coo
+        if presorted:  # keys that already ascend skip the sort
+            order = sorted(range(len(rows)), key=lambda i: (rows[i], cols[i]))
+            rows, cols, vals = (
+                [t[i] for i in order] for t in (rows, cols, vals)
+            )
+        m = CSRMatrix.from_coo(
+            np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=np.float64),
+            shape,
+            precision=precision,
+            sum_duplicates=sum_duplicates,
+        )
+        assert_csr_bytes(
+            m,
+            *oracle_from_coo(
+                rows, cols, vals, shape, sum_duplicates, precision.numpy_dtype
+            ),
+        )
+
+    @pytest.mark.parametrize("sum_duplicates", [True, False])
+    def test_wide_keys_fall_back_to_a_stable_argsort(
+        self, sum_duplicates, monkeypatch
+    ):
+        """``2**20 * (2**31 - 1)`` keys take 51 bits and 4,097 positions
+        take 13, so key and position cannot share one int64 word."""
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        rng = np.random.default_rng(0)
+        shape = (2**20, 2**31 - 1)
+        n = 4097
+        rows = rng.integers(0, shape[0], n)
+        cols = rng.integers(0, shape[1], n)
+        rows[:100], cols[:100] = rows[100:200], cols[100:200]  # duplicates
+        vals = rng.standard_normal(n)
+        m = CSRMatrix.from_coo(
+            rows, cols, vals, shape, sum_duplicates=sum_duplicates
+        )
+        assert calls == ["stable"]
+        assert_csr_bytes(
+            m,
+            *oracle_from_coo(
+                rows.tolist(), cols.tolist(), vals.tolist(), shape,
+                sum_duplicates, np.float64,
+            ),
+        )
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_transpose_matches_scipy_bytes(self, precision):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 70, 900)
+        cols = rng.integers(0, 50, 900)
+        vals = rng.standard_normal(900)
+        vals[::9] = -0.0
+        for m in (
+            make_powerlaw_csr(
+                n_rows=300, n_cols=200, seed=2, precision=precision
+            ),
+            make_csr_with_empty_rows(seed=5, precision=precision),
+            CSRMatrix.from_coo(
+                rows, cols, vals, (70, 50), precision, sum_duplicates=False
+            ),
+        ):
+            want = m.to_scipy().T.tocsr()
+            assert_csr_bytes(
+                m.transpose(),
+                want.indptr.astype(np.int64),
+                want.indices.astype(np.int32),
+                want.data,
+            )
