@@ -7,8 +7,13 @@ stacking) and the iteration drivers that accept any
 """
 
 from .bfs import BFSResult, bfs, bfs_matrix
-from .hits import hits, split_scores, stacked_matrix
-from .pagerank import DEFAULT_DAMPING, google_matrix, pagerank
+from .hits import hits, hits_trajectory, split_scores, stacked_matrix
+from .pagerank import (
+    DEFAULT_DAMPING,
+    google_matrix,
+    pagerank,
+    pagerank_trajectory,
+)
 from .power_method import (
     DEFAULT_EPSILON,
     DEFAULT_VECTOR_PASSES,
@@ -16,13 +21,23 @@ from .power_method import (
     BatchBill,
     BatchPowerMethodResult,
     PowerMethodResult,
+    Trajectory,
     batch_round_widths,
+    bill_trajectory,
+    cost_of_width,
     euclidean_distance,
     make_batch_bill,
     run_power_method_batch,
+    run_trajectory,
     vector_ops_work,
 )
-from .rwr import DEFAULT_RESTART, column_normalized, rwr, run_rwr_batch
+from .rwr import (
+    DEFAULT_RESTART,
+    column_normalized,
+    rwr,
+    run_rwr_batch,
+    rwr_trajectory,
+)
 
 __all__ = [
     "BFSResult",
@@ -30,6 +45,7 @@ __all__ = [
     "BatchPowerMethodResult",
     "batch_round_widths",
     "bfs",
+    "bill_trajectory",
     "bfs_matrix",
     "DEFAULT_DAMPING",
     "DEFAULT_EPSILON",
@@ -39,14 +55,20 @@ __all__ = [
     "make_batch_bill",
     "PowerMethodResult",
     "column_normalized",
+    "cost_of_width",
     "euclidean_distance",
     "google_matrix",
     "hits",
+    "hits_trajectory",
     "pagerank",
+    "pagerank_trajectory",
     "run_power_method_batch",
     "run_rwr_batch",
+    "run_trajectory",
     "rwr",
+    "rwr_trajectory",
     "split_scores",
     "stacked_matrix",
+    "Trajectory",
     "vector_ops_work",
 ]

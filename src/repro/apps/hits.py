@@ -20,13 +20,15 @@ import numpy as np
 
 from ..formats.base import SpMVFormat
 from ..formats.csr import CSRMatrix
-from ..gpu.device import DeviceSpec, Precision
+from ..gpu.device import DeviceSpec
 from .power_method import (
     DEFAULT_EPSILON,
     MAX_ITERATIONS,
     PowerMethodResult,
+    Trajectory,
     app_span,
-    run_power_method_batch,
+    bill_trajectory,
+    run_trajectory,
     validate_limits,
 )
 
@@ -59,19 +61,14 @@ def stacked_matrix(adjacency: CSRMatrix) -> CSRMatrix:
     )
 
 
-def hits(
+def hits_trajectory(
     fmt: SpMVFormat,
-    device: DeviceSpec,
     epsilon: float = DEFAULT_EPSILON,
     x0: np.ndarray | None = None,
     max_iterations: int = MAX_ITERATIONS,
-    profiler=None,
-) -> PowerMethodResult:
-    """Run HITS with ``fmt`` built from :func:`stacked_matrix` output.
-
-    The result vector holds ``[authority; hub]`` scores, L2-normalised.
-    ``profiler`` records a ``hits`` span with per-iteration counters.
-    """
+) -> Trajectory:
+    """HITS's numerics on ``fmt``'s :func:`stacked_matrix` operator,
+    unbilled; :func:`hits` bills it for one backend."""
     validate_limits(epsilon, max_iterations)
     n2 = fmt.n_rows
     if fmt.n_cols != n2 or n2 % 2:
@@ -99,18 +96,32 @@ def hits(
                     half /= norm
         return V
 
+    return run_trajectory(
+        fmt,
+        start[:, None],
+        step,
+        epsilon=epsilon,
+        max_iterations=max_iterations,
+        vector_passes=6,  # extra norm pass vs PageRank
+    )
+
+
+def hits(
+    fmt: SpMVFormat,
+    device: DeviceSpec,
+    epsilon: float = DEFAULT_EPSILON,
+    x0: np.ndarray | None = None,
+    max_iterations: int = MAX_ITERATIONS,
+    profiler=None,
+) -> PowerMethodResult:
+    """Run HITS with ``fmt`` built from :func:`stacked_matrix` output.
+
+    The result vector holds ``[authority; hub]`` scores, L2-normalised.
+    ``profiler`` records a ``hits`` span with per-iteration counters.
+    """
+    traj = hits_trajectory(fmt, epsilon, x0, max_iterations)
     with app_span(profiler, "hits", fmt, device):
-        res = run_power_method_batch(
-            fmt,
-            device,
-            start[:, None],
-            step,
-            epsilon=epsilon,
-            max_iterations=max_iterations,
-            vector_passes=6,  # extra norm pass vs PageRank
-            profiler=profiler,
-        )
-    return res.single()
+        return bill_trajectory(traj, fmt, device, profiler).single()
 
 
 def split_scores(vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,10 @@ from .power_method import (
     DEFAULT_EPSILON,
     MAX_ITERATIONS,
     PowerMethodResult,
+    Trajectory,
     app_span,
-    run_power_method_batch,
+    bill_trajectory,
+    run_trajectory,
     validate_limits,
 )
 
@@ -62,6 +64,39 @@ def google_matrix(adjacency: CSRMatrix) -> CSRMatrix:
     return normalized.transpose()
 
 
+def pagerank_trajectory(
+    fmt: SpMVFormat,
+    damping: float = DEFAULT_DAMPING,
+    epsilon: float = DEFAULT_EPSILON,
+    x0: np.ndarray | None = None,
+    max_iterations: int = MAX_ITERATIONS,
+) -> Trajectory:
+    """PageRank's numerics on ``fmt``'s matrix (:func:`google_matrix`
+    output), unbilled; :func:`pagerank` bills it for one backend."""
+    validate_limits(epsilon, max_iterations)
+    if not 0.0 < damping < 1.0:
+        raise ValueError("damping must be in (0, 1)")
+    n = fmt.n_rows
+    if fmt.n_cols != n:
+        raise ValueError("PageRank needs a square matrix")
+    pr0 = np.full(n, 1.0 / n)
+    start = pr0 if x0 is None else np.asarray(x0, dtype=np.float64)
+    if start.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},)")
+    teleport = ((1.0 - damping) * pr0)[:, None]
+
+    def step(_X: np.ndarray, AX: np.ndarray, _cols) -> np.ndarray:
+        return teleport + damping * AX.astype(np.float64)
+
+    return run_trajectory(
+        fmt,
+        start[:, None],
+        step,
+        epsilon=epsilon,
+        max_iterations=max_iterations,
+    )
+
+
 def pagerank(
     fmt: SpMVFormat,
     device: DeviceSpec,
@@ -80,29 +115,6 @@ def pagerank(
     ``profiler`` (a :class:`repro.obs.Profiler`) records one
     ``pagerank`` span with a nested span + counters per iteration.
     """
-    validate_limits(epsilon, max_iterations)
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must be in (0, 1)")
-    n = fmt.n_rows
-    if fmt.n_cols != n:
-        raise ValueError("PageRank needs a square matrix")
-    pr0 = np.full(n, 1.0 / n)
-    start = pr0 if x0 is None else np.asarray(x0, dtype=np.float64)
-    if start.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
-    teleport = ((1.0 - damping) * pr0)[:, None]
-
-    def step(_X: np.ndarray, AX: np.ndarray, _cols) -> np.ndarray:
-        return teleport + damping * AX.astype(np.float64)
-
+    traj = pagerank_trajectory(fmt, damping, epsilon, x0, max_iterations)
     with app_span(profiler, "pagerank", fmt, device):
-        res = run_power_method_batch(
-            fmt,
-            device,
-            start[:, None],
-            step,
-            epsilon=epsilon,
-            max_iterations=max_iterations,
-            profiler=profiler,
-        )
-    return res.single()
+        return bill_trajectory(traj, fmt, device, profiler).single()

@@ -1,23 +1,28 @@
-"""The one power-method loop behind the Section VI graph applications.
+"""The power method behind the Section VI graph applications.
 
 PageRank, HITS and RWR are all power methods: each iteration is one SpMV
 plus a handful of length-n vector operations, repeated until the Euclidean
 distance between successive iterates drops below ``epsilon`` ("Euclidean
 distance was used as the convergence measure, with eps = 1e-6").
 
-:func:`run_power_method_batch` is the only iteration loop.  It runs ``k``
-starts at once as one ``k``-wide SpMM per round; a single application run
-(:func:`~repro.apps.pagerank.pagerank`, :func:`~repro.apps.hits.hits`,
-:func:`~repro.apps.rwr.rwr`) is the same loop at ``k = 1``.  Each column's
-distance is the 1-D ``np.linalg.norm`` of that column's own contiguous
-float64 difference, so a column's arithmetic never depends on the block
-around it: column ``j`` of a batch equals its ``k = 1`` run by
-construction, not by a parallel implementation kept in step.
+A run has two halves.  :func:`run_trajectory` is the numerics: it runs
+``k`` starts at once as one ``k``-wide SpMM per round and returns a
+:class:`Trajectory` (vectors, iterations, convergence flags and the
+per-round width sequence).  :func:`bill_trajectory` is the modelled
+cost: it prices those widths with :func:`cost_of_width`, the format's
+SpMM time plus a common vector-update kernel (identical for every
+format, as on hardware where axpy/norm kernels don't depend on the
+matrix layout).  Every format multiplies through its source CSR, so one
+trajectory serves every backend built over the same matrix: Figure 6
+and the dynamic pipeline run it once and bill it per backend.
 
-The loop runs the *numeric* iteration with the format under test and
-accumulates *modelled* device time: the format's SpMM time plus a common
-vector-update kernel (identical for every format, as on hardware where
-axpy/norm kernels don't depend on the matrix layout).
+A single application run (:func:`~repro.apps.pagerank.pagerank`,
+:func:`~repro.apps.hits.hits`, :func:`~repro.apps.rwr.rwr`) is the same
+pair at ``k = 1``.  Each column's distance is the 1-D
+``np.linalg.norm`` of that column's own contiguous float64 difference,
+so a column's arithmetic never depends on the block around it: column
+``j`` of a batch equals its ``k = 1`` run by construction, not by a
+parallel implementation kept in step.
 """
 
 from __future__ import annotations
@@ -131,7 +136,7 @@ def batch_round_widths(iteration_counts) -> tuple[int, ...]:
     Column ``j`` participates in rounds ``1..iteration_counts[j]``, so the
     vector-block width of round ``r`` is ``#{j : iterations[j] >= r}``.
     This is exactly the shrinking-active-set schedule
-    :func:`run_power_method_batch` executes, reconstructed from the
+    :func:`run_trajectory` records, reconstructed from the
     per-column iteration counts alone — which is what lets the serving
     layer (:mod:`repro.serve`) bill a batch without re-running numerics.
     """
@@ -219,7 +224,7 @@ def make_batch_bill(iteration_counts, cost_of_width) -> BatchBill:
 
     ``cost_of_width(w)`` must return the modelled cost of one width-``w``
     round; it is consulted once per distinct width, in order of first
-    appearance, which reproduces :func:`run_power_method_batch`'s cost
+    appearance, which reproduces :func:`bill_trajectory`'s cost
     bookkeeping exactly.
     """
     widths = batch_round_widths(iteration_counts)
@@ -311,26 +316,48 @@ def app_span(profiler: "Profiler | None", name: str, fmt, device, **attrs):
     return profiler.span(name, format=fmt.name, device=device.name, **attrs)
 
 
-def run_power_method_batch(
+@dataclass(frozen=True)
+class Trajectory:
+    """The numerics of one batched power-method run, before any billing.
+
+    A trajectory depends only on the operator and the start block: every
+    format multiplies through its source CSR, so backends built over one
+    matrix run the same iterates.  Run it once, then let each backend
+    price it with :func:`bill_trajectory`.
+    """
+
+    #: ``(n, k)`` -- one solution per start vector.
+    vectors: np.ndarray
+    #: Per-column iteration counts.
+    iterations: np.ndarray
+    #: Per-column convergence flags (``False`` = diverged or hit the cap).
+    converged: np.ndarray
+    #: ``widths[r-1]`` is the number of columns active in round ``r``:
+    #: the SpMM width that round is billed at.
+    widths: tuple[int, ...]
+    #: Length-n array passes of each round's vector update (the step's
+    #: axpy + distance work), billed per round.
+    vector_passes: int
+
+
+def run_trajectory(
     fmt: SpMVFormat,
-    device: DeviceSpec,
     X0: np.ndarray,
     step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = MAX_ITERATIONS,
     vector_passes: int = DEFAULT_VECTOR_PASSES,
-    profiler: "Profiler | None" = None,
-) -> BatchPowerMethodResult:
+) -> Trajectory:
     """Iterate ``k`` power methods at once over a shrinking active set.
 
     ``X0`` has shape ``(n, k)``; ``step(X, AX, cols)`` receives the active
     columns of the iterate, their products, and the *original* column
     indices (so per-column terms like RWR's teleport can be selected), and
-    must apply the single-column update column by column.  Each iteration
-    charges ONE ``k_active``-wide SpMM plus one vector kernel over the
-    active elements; columns leave the batch as they converge, diverge
-    or reach ``max_iterations``, so late iterations of a mixed batch run
-    narrow and cheap.
+    must apply the single-column update column by column.  Each round is
+    ONE ``k_active``-wide :meth:`~repro.formats.base.SpMVFormat.
+    multiply_many`; columns leave the block as they converge, diverge or
+    reach ``max_iterations``.  The block stays Fortran-ordered, so the
+    product reads each column contiguously.
 
     Column ``j``'s distance is the 1-D ``np.linalg.norm`` of its own
     contiguous float64 difference, so it does not depend on which other
@@ -342,7 +369,7 @@ def run_power_method_batch(
     X0 = np.asarray(X0)
     if X0.ndim != 2 or X0.shape[1] < 1:
         raise ValueError("X0 must be 2-D of shape (n, k) with k >= 1")
-    n, k = X0.shape
+    k = X0.shape[1]
     vectors = np.array(X0, dtype=fmt.precision.numpy_dtype, order="F")
     iterations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
@@ -352,33 +379,13 @@ def run_power_method_batch(
     cols = np.arange(k, dtype=np.int64)
     X = vectors
     X64 = np.asarray(X, dtype=np.float64)
-    # Record the per-round width sequence; the bill is totalled at the
-    # end by :class:`BatchBill` as ``count * per_iteration_cost`` per
-    # width, which for ``k=1`` is ``iterations * (spmv_s + vec_s)`` bit
-    # for bit (repeated ``+=`` would drift in the last ulp).
     widths: list[int] = []
-    spmm_s: dict[int, float] = {}
-    round_cost: dict[int, float] = {}
-    counters: dict[int, tuple] = {}
     while cols.size:
         ka = int(cols.size)
-        if ka not in round_cost:
-            spmm_s[ka] = fmt.spmm_time_s(device, k=ka)
-            round_cost[ka] = spmm_s[ka] + simulate_kernel(
-                device, vector_ops_work(n * ka, vector_passes, fmt.precision)
-            ).time_s
-            if profiler is not None:
-                counters[ka] = _iteration_counters(
-                    fmt, device, n * ka, vector_passes, ka, profiler
-                )
         X_next = step(X, fmt.multiply_many(X), cols)
-        X_next = X_next.astype(X.dtype, copy=False)
+        X_next = np.asarray(X_next, dtype=X.dtype, order="F")
         widths.append(ka)
         round_no = len(widths)
-        if profiler is not None:
-            with profiler.span("iteration", i=round_no, k_active=ka):
-                for cs in counters[ka]:
-                    profiler.record(cs)
         next64 = np.asarray(X_next, dtype=np.float64)
         diff = np.subtract(next64, X64, order="F")
         dist = [float(np.linalg.norm(diff[:, j])) for j in range(ka)]
@@ -395,15 +402,102 @@ def run_power_method_batch(
         iterations[left] = round_no
         converged[left] = np.array(dist)[~stay] <= epsilon
         cols = cols[stay]
-        X = X[:, stay]
+        X = np.asarray(X[:, stay], order="F")
         X64 = np.asarray(X, dtype=np.float64)
-    bill = BatchBill(widths=tuple(widths), round_cost_s=round_cost)
-    return BatchPowerMethodResult(
+    return Trajectory(
         vectors=vectors,
         iterations=iterations,
         converged=converged,
+        widths=tuple(widths),
+        vector_passes=vector_passes,
+    )
+
+
+def cost_of_width(
+    fmt: SpMVFormat,
+    device: DeviceSpec,
+    vector_passes: int = DEFAULT_VECTOR_PASSES,
+    spmm_s: dict[int, float] | None = None,
+) -> Callable[[int], float]:
+    """``w -> `` modelled seconds of one width-``w`` round under ``fmt``.
+
+    One round is ``fmt.spmm_time_s(device, k=w)`` plus the vector-update
+    kernel over ``n * w`` elements, added in that order.  Every round
+    bill prices through this function or holds its floats:
+    :func:`bill_trajectory` (the apps, the dynamic pipeline and Figure 6)
+    calls it, and :meth:`repro.serve.plans.ServePlan.cost_of_width`
+    returns the same sums from its tables.  ``spmm_s``, when given,
+    collects the SpMM seconds of every width priced.
+    """
+    n = fmt.n_rows
+
+    def cost(w: int) -> float:
+        spmm = fmt.spmm_time_s(device, k=w)
+        if spmm_s is not None:
+            spmm_s[w] = spmm
+        vec = vector_ops_work(n * w, vector_passes, fmt.precision)
+        return spmm + simulate_kernel(device, vec).time_s
+
+    return cost
+
+
+def bill_trajectory(
+    traj: Trajectory,
+    fmt: SpMVFormat,
+    device: DeviceSpec,
+    profiler: "Profiler | None" = None,
+) -> BatchPowerMethodResult:
+    """Price ``traj`` as run with ``fmt`` on ``device``.
+
+    Each distinct width is priced once, in order of first appearance, by
+    :func:`cost_of_width`, and :class:`BatchBill` totals ``count *
+    per-round cost`` per width, which for ``k = 1`` is ``iterations *
+    (spmv_s + vec_s)`` bit for bit (repeated ``+=`` would drift in the
+    last ulp).  ``profiler`` gets one ``iteration`` span per round with
+    that round's SpMM and vector-kernel counters, replayed from the
+    widths.
+    """
+    spmm_s: dict[int, float] = {}
+    cost = cost_of_width(fmt, device, traj.vector_passes, spmm_s)
+    round_cost: dict[int, float] = {}
+    counters: dict[int, tuple] = {}
+    for round_no, w in enumerate(traj.widths, start=1):
+        if w not in round_cost:
+            round_cost[w] = cost(w)
+            if profiler is not None:
+                counters[w] = _iteration_counters(
+                    fmt, device, fmt.n_rows * w, traj.vector_passes, w,
+                    profiler,
+                )
+        if profiler is not None:
+            with profiler.span("iteration", i=round_no, k_active=w):
+                for cs in counters[w]:
+                    profiler.record(cs)
+    bill = BatchBill(widths=traj.widths, round_cost_s=round_cost)
+    return BatchPowerMethodResult(
+        vectors=traj.vectors,
+        iterations=traj.iterations,
+        converged=traj.converged,
         modeled_time_s=bill.total_s,
-        k=k,
-        column_times_s=bill.column_times_s(iterations),
+        k=traj.vectors.shape[1],
+        column_times_s=bill.column_times_s(traj.iterations),
         spmm_time_s=spmm_s,
     )
+
+
+def run_power_method_batch(
+    fmt: SpMVFormat,
+    device: DeviceSpec,
+    X0: np.ndarray,
+    step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    epsilon: float = DEFAULT_EPSILON,
+    max_iterations: int = MAX_ITERATIONS,
+    vector_passes: int = DEFAULT_VECTOR_PASSES,
+    profiler: "Profiler | None" = None,
+) -> BatchPowerMethodResult:
+    """:func:`run_trajectory` from ``X0``, billed for ``fmt`` by
+    :func:`bill_trajectory`."""
+    traj = run_trajectory(
+        fmt, X0, step, epsilon, max_iterations, vector_passes
+    )
+    return bill_trajectory(traj, fmt, device, profiler)

@@ -18,8 +18,10 @@ from .power_method import (
     MAX_ITERATIONS,
     BatchPowerMethodResult,
     PowerMethodResult,
+    Trajectory,
     app_span,
-    run_power_method_batch,
+    bill_trajectory,
+    run_trajectory,
     validate_limits,
 )
 
@@ -52,20 +54,18 @@ def column_normalized(adjacency: CSRMatrix) -> CSRMatrix:
     )
 
 
-def _walk(
+def rwr_trajectory(
     fmt: SpMVFormat,
-    device: DeviceSpec,
-    queries: np.ndarray,
-    restart: float,
-    epsilon: float,
-    max_iterations: int,
-    profiler,
-    span: str,
-    **span_attrs,
-) -> BatchPowerMethodResult:
-    """Validate an RWR call, then walk ``r <- c W r + (1 - c) e`` from
-    every query node at once, inside a ``span`` profiler span."""
+    query_nodes,
+    restart: float = DEFAULT_RESTART,
+    epsilon: float = DEFAULT_EPSILON,
+    max_iterations: int = MAX_ITERATIONS,
+) -> Trajectory:
+    """RWR's numerics on ``fmt``'s :func:`column_normalized` operator,
+    unbilled: the walk ``r <- c W r + (1 - c) e`` from every query node
+    at once, column ``j`` restarting at ``query_nodes[j]``."""
     validate_limits(epsilon, max_iterations)
+    queries = np.asarray(query_nodes, dtype=np.int64)
     n = fmt.n_rows
     if fmt.n_cols != n:
         raise ValueError("RWR needs a square matrix")
@@ -82,16 +82,9 @@ def _walk(
     def step(_X: np.ndarray, AX: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return restart * AX.astype(np.float64) + teleport[:, cols]
 
-    with app_span(profiler, span, fmt, device, **span_attrs):
-        return run_power_method_batch(
-            fmt,
-            device,
-            E,
-            step,
-            epsilon=epsilon,
-            max_iterations=max_iterations,
-            profiler=profiler,
-        )
+    return run_trajectory(
+        fmt, E, step, epsilon=epsilon, max_iterations=max_iterations
+    )
 
 
 def rwr(
@@ -108,10 +101,9 @@ def rwr(
     ``fmt`` must be built from :func:`column_normalized` output.
     ``profiler`` records an ``rwr`` span with per-iteration counters.
     """
-    return _walk(
-        fmt, device, np.array([seed_node], dtype=np.int64), restart,
-        epsilon, max_iterations, profiler, "rwr", seed=seed_node,
-    ).single()
+    traj = rwr_trajectory(fmt, [seed_node], restart, epsilon, max_iterations)
+    with app_span(profiler, "rwr", fmt, device, seed=seed_node):
+        return bill_trajectory(traj, fmt, device, profiler).single()
 
 
 def run_rwr_batch(
@@ -133,8 +125,8 @@ def run_rwr_batch(
     ``rwr(fmt, device, query_nodes[j], ...)`` — that call is this walk
     at ``k = 1``.
     """
-    queries = np.asarray(query_nodes, dtype=np.int64)
-    return _walk(
-        fmt, device, queries, restart, epsilon, max_iterations, profiler,
-        "rwr-batch", k=int(queries.size),
-    )
+    traj = rwr_trajectory(fmt, query_nodes, restart, epsilon, max_iterations)
+    with app_span(
+        profiler, "rwr-batch", fmt, device, k=int(traj.vectors.shape[1])
+    ):
+        return bill_trajectory(traj, fmt, device, profiler)

@@ -1,7 +1,7 @@
 """Dynamic graphs (Section VII): slack CSR, change lists, the epoch loop."""
 
 from .dyncsr import DynCSR, RowOverflowError
-from .dynamic_acsr import DynamicACSR, UpdateCost
+from .dynamic_acsr import DynamicACSR, UpdateCost, price_update
 from .rebin import IncrementalBinning, RebinResult, rebin_work
 from .pipeline import (
     DynamicRunResult,
@@ -20,6 +20,7 @@ __all__ = [
     "DynCSR",
     "DynamicACSR",
     "UpdateCost",
+    "price_update",
     "IncrementalBinning",
     "RebinResult",
     "rebin_work",

@@ -9,8 +9,9 @@ composed into a single mutable structure:
 * an :class:`~repro.dynamic.rebin.IncrementalBinning` keeps the ACSR bin
   structure current, touching only updated rows;
 * :meth:`apply_update` returns the modelled maintenance bill (change-list
-  transfer + update kernel + incremental re-bin), the quantity the
-  Figure 7 pipeline charges per epoch;
+  transfer + update kernel + incremental re-bin) from
+  :func:`price_update`, the one function the Figure 7 pipeline also
+  charges its ACSR epochs with;
 * :meth:`run_spmv` multiplies the *current* structure and times it
   through the standard ACSR driver.
 """
@@ -26,8 +27,9 @@ from ..core.dispatch import ACSRPlan, build_plan, time_spmv
 from ..core.parameters import ACSRParams
 from ..formats.base import SpMVResult
 from ..formats.csr import CSRMatrix
-from ..gpu.device import DeviceSpec, GTX_TITAN
+from ..gpu.device import DeviceSpec, GTX_TITAN, Precision
 from ..gpu.simulator import simulate_kernel
+from ..gpu.streams import StreamEngine
 from ..gpu.transfer import DEFAULT_LINK, PCIeLink
 from ..kernels import update_kernel
 from .dyncsr import DynCSR
@@ -44,10 +46,71 @@ class UpdateCost:
     rebin_s: float
     n_updated_rows: int
     n_migrated_rows: int
+    #: Seconds the update adds to the device timeline: the three parts
+    #: back to back or, when the change-list copy overlaps earlier
+    #: iterations, only the overhang past them.
+    total_s: float
 
-    @property
-    def total_s(self) -> float:
-        return self.transfer_s + self.update_kernel_s + self.rebin_s
+
+def price_update(
+    batch: UpdateBatch,
+    pre_lengths: np.ndarray,
+    post_lengths: np.ndarray,
+    rebinner: IncrementalBinning,
+    precision: Precision,
+    device: DeviceSpec,
+    link: PCIeLink = DEFAULT_LINK,
+    overlap_s: float | None = None,
+) -> UpdateCost:
+    """Re-bin the updated rows and bill one change list on the device.
+
+    The bill has three parts: the change-list H2D copy, the update
+    kernel's merge scan over each updated row's length *before* the edit
+    (``pre_lengths``), and the incremental re-bin of the rows now
+    ``post_lengths`` long (``rebinner`` moves them).  Back to back,
+    ``total_s`` is ``transfer + update + rebin``.  With ``overlap_s``
+    (the previous epoch's iteration seconds) the copy rides a copy stream
+    under those iterations and both kernels wait on its event, so
+    ``total_s`` is only the overhang past them.
+    """
+    rb = rebinner.apply(batch.rows, post_lengths)
+    upd = update_kernel.work(
+        pre_lengths,
+        batch.deletes_per_row(),
+        batch.inserts_per_row(),
+        precision,
+        device,
+    )
+    rbw = rebin_work(rb.n_updated, rb.n_migrated, precision)
+    payload = batch.payload_bytes(precision.value_bytes)
+    transfer_s = link.transfer_time_s(payload, n_transfers=3)
+    if overlap_s is None:
+        update_s = simulate_kernel(device, upd).time_s
+        rebin_s = simulate_kernel(device, rbw).time_s
+        total_s = transfer_s + update_s + rebin_s
+    else:
+        engine = StreamEngine(device, link=link)
+        compute = engine.stream(name="compute")
+        copier = engine.stream(name="copy")
+        compute.span("iterate[prev]", overlap_s)
+        copier.copy("changes-h2d", payload, n_transfers=3)
+        shipped = copier.record("changes-ready")
+        compute.wait(shipped)
+        compute.launch(upd)
+        compute.launch(rbw)
+        run = engine.run()
+        update_s, rebin_s = (r.timing.time_s for r in run.kernel_records())
+        # The earlier iterations are billed already; only the overhang
+        # is new.
+        total_s = run.duration_s - overlap_s
+    return UpdateCost(
+        transfer_s=transfer_s,
+        update_kernel_s=update_s,
+        rebin_s=rebin_s,
+        n_updated_rows=rb.n_updated,
+        n_migrated_rows=rb.n_migrated,
+        total_s=total_s,
+    )
 
 
 class DynamicACSR:
@@ -103,38 +166,19 @@ class DynamicACSR:
         self, batch: UpdateBatch, device: DeviceSpec = GTX_TITAN
     ) -> UpdateCost:
         """Apply a change list: mutate rows, re-bin, return the bill."""
-        # The update kernel's merge scan runs over each row's length
-        # before the edit.
         pre_lengths = self.dyn.row_len[batch.rows]
         apply_update(self.dyn, batch)
-        rb = self._rebinner.apply(batch.rows, self.dyn.row_len[batch.rows])
-
-        transfer_s = self.link.transfer_time_s(
-            batch.payload_bytes(self.dyn.precision.value_bytes),
-            n_transfers=3,
-        )
-        upd = update_kernel.work(
-            pre_lengths,
-            batch.deletes_per_row(),
-            batch.inserts_per_row(),
-            self.dyn.precision,
-            device,
-        )
-        update_s = simulate_kernel(device, upd).time_s
-        rebin_s = simulate_kernel(
-            device,
-            rebin_work(rb.n_updated, rb.n_migrated, self.dyn.precision),
-        ).time_s
-
         # Structure changed: drop cached plans and snapshot.
         self._plans.clear()
         self._snapshot = None
-        return UpdateCost(
-            transfer_s=transfer_s,
-            update_kernel_s=update_s,
-            rebin_s=rebin_s,
-            n_updated_rows=rb.n_updated,
-            n_migrated_rows=rb.n_migrated,
+        return price_update(
+            batch,
+            pre_lengths,
+            self.dyn.row_len[batch.rows],
+            self._rebinner,
+            self.dyn.precision,
+            device,
+            self.link,
         )
 
     # ------------------------------------------------------------------

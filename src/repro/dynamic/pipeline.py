@@ -25,12 +25,16 @@ previous iterations are still reading, so their epochs stay fully
 serialised and Figure 7's speedup gap widens, as it does on hardware.
 
 The run is epoch-major: each epoch generates its update, builds its
-iteration matrix once, and steps every backend on it, each backend
-carrying its own warm start, row lengths, re-binner and records.  Only
-the current adjacency snapshot and the current iteration matrix (with the
-SpMV index its first multiply builds) are alive; the previous epoch's are
-released before the next is built.  The rng draws, and so every
-backend's records, are those of running each backend alone.
+iteration matrix once, runs one warm-started PageRank trajectory on it,
+and lets every backend bill that trajectory, each backend carrying its
+own row lengths, re-binner and records.  Every format multiplies through
+the iteration matrix, so the backends' iterates are identical and
+computing them once per epoch changes no vector, iteration count or
+modelled second.  Only the current adjacency snapshot and the current
+iteration matrix (with the SpMV index its first multiply builds) are
+alive; the previous epoch's are released before the next is built.  The
+rng draws, and so every backend's records, are those of running each
+backend alone.
 """
 
 from __future__ import annotations
@@ -40,17 +44,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..apps.pagerank import DEFAULT_DAMPING, google_matrix, pagerank
+from ..apps.pagerank import (
+    DEFAULT_DAMPING,
+    google_matrix,
+    pagerank_trajectory,
+)
+from ..apps.power_method import app_span, bill_trajectory
 from ..core.acsr import ACSRFormat
 from ..formats.csr import CSRMatrix
 from ..formats.csr_format import CSRFormat
 from ..formats.hyb import HYBFormat
 from ..gpu.device import DeviceSpec
-from ..gpu.simulator import simulate_kernel
-from ..gpu.streams import StreamEngine
 from ..gpu.transfer import DEFAULT_LINK
-from ..kernels import update_kernel
-from .rebin import IncrementalBinning, rebin_work
+from .dynamic_acsr import price_update
+from .rebin import IncrementalBinning
 from .updates import UpdateBatch, apply_update_to_csr, generate_update
 
 
@@ -94,7 +101,6 @@ class _BackendState:
     """What one backend carries from one epoch to the next."""
 
     backend: str
-    x0: np.ndarray | None = None
     #: Row lengths of the iteration matrix the device holds (ACSR only).
     row_len: np.ndarray | None = None
     rebinner: IncrementalBinning | None = None
@@ -119,50 +125,27 @@ def _maintain(
             maintenance += link.transfer_time_s(
                 matrix.device_bytes(), n_transfers=3
             )
-            state.row_len = matrix.nnz_per_row
-            state.rebinner = IncrementalBinning.from_lengths(state.row_len)
+            state.rebinner = IncrementalBinning.from_lengths(
+                matrix.nnz_per_row
+            )
         else:
             # The iteration matrix is derived from the adjacency; ship a
-            # change list of the same magnitude and run the update kernel
-            # on the device; each updated row costs a merge scan of its
-            # length before the update.
-            upd = update_kernel.work(
-                state.row_len[batch.rows],
-                batch.deletes_per_row(),
-                batch.inserts_per_row(),
+            # change list of the same magnitude and update the device
+            # copy in place (numeric fidelity of that path is tested via
+            # DynCSR directly).  Overlapped, the copy hides under the
+            # previous epoch's iterations.
+            rows = batch.rows
+            maintenance += price_update(
+                batch,
+                state.row_len[rows],
+                matrix.nnz_per_row[rows],
+                state.rebinner,
                 matrix.precision,
                 device,
-            )
-            # The device now holds this epoch's matrix (numeric fidelity
-            # of the in-place update path is tested via DynCSR directly).
-            state.row_len = matrix.nnz_per_row
-            # Incremental re-bin: only the updated rows can change bins,
-            # and most don't cross a power-of-two boundary.
-            rb = state.rebinner.apply(batch.rows, state.row_len[batch.rows])
-            rbw = rebin_work(rb.n_updated, rb.n_migrated, matrix.precision)
-            payload = batch.payload_bytes(matrix.precision.value_bytes)
-            if overlap:
-                # Change-list copy rides a copy stream under the tail of
-                # the previous epoch's iteration kernels; update + re-bin
-                # wait on its event.
-                prev_iterate_s = state.records[-1].iterate_s
-                engine = StreamEngine(device, link=link)
-                compute = engine.stream(name="compute")
-                copier = engine.stream(name="copy")
-                compute.span("iterate[prev]", prev_iterate_s)
-                copier.copy("changes-h2d", payload, n_transfers=3)
-                shipped = copier.record("changes-ready")
-                compute.wait(shipped)
-                compute.launch(upd)
-                compute.launch(rbw)
-                run = engine.run()
-                # The previous iterations are already billed to the
-                # previous epoch; only the overhang is new.
-                maintenance += run.duration_s - prev_iterate_s
-            else:
-                maintenance += link.transfer_time_s(payload, n_transfers=3)
-                maintenance += simulate_kernel(device, upd).time_s
-                maintenance += simulate_kernel(device, rbw).time_s
+                link,
+                overlap_s=state.records[-1].iterate_s if overlap else None,
+            ).total_s
+        state.row_len = matrix.nnz_per_row
         fmt = ACSRFormat.from_csr(matrix, device=device)
     elif state.backend == "csr":
         # Full matrix re-copy every epoch.
@@ -197,9 +180,11 @@ def run_dynamic_pagerank(
     Every backend sees the *same* sequence of graph states (updates are
     generated once per epoch from the evolving adjacency matrix), so the
     iteration counts line up and only maintenance costs differ.  Epochs
-    run in order, each stepping every backend on one shared iteration
-    matrix, so a backend's records do not depend on which other backends
-    run beside it.
+    run in order.  Each epoch runs ONE PageRank trajectory on its shared
+    iteration matrix, warm-started from the previous epoch's ranks, and
+    every backend bills that trajectory with its own format beside its
+    own maintenance bill, so a backend's records do not depend on which
+    other backends run beside it.
 
     ``overlap=False`` reverts ACSR to the sequential copy-then-compute
     model (back-to-back costs, no streams), for A/B comparison.
@@ -218,31 +203,33 @@ def run_dynamic_pagerank(
     states = [_BackendState(backend) for backend in backends]
     current = adjacency
     batch: UpdateBatch | None = None
+    x0: np.ndarray | None = None
     for epoch in range(n_epochs):
         if epoch:
             batch = generate_update(current, rng, row_fraction=row_fraction)
             current = apply_update_to_csr(current, batch)
-        # One iteration matrix per epoch, shared by every backend and
-        # released before the next epoch's is built.
+        # One iteration matrix and one trajectory per epoch, shared by
+        # every backend and released before the next epoch's are built.
         matrix = google_matrix(current)
+        traj = None
         for state in states:
             fmt, maintenance = _maintain(
                 state, epoch, matrix, batch, device, overlap
             )
+            if traj is None:
+                # Every format multiplies through ``matrix``, so the
+                # first backend's format computes everyone's iterates.
+                traj = pagerank_trajectory(
+                    fmt, damping=damping, epsilon=epsilon, x0=x0
+                )
             scope = (
                 profiler.span("epoch", backend=state.backend, epoch=epoch)
                 if profiler is not None
                 else nullcontext()
             )
             with scope as sp:
-                res = pagerank(
-                    fmt,
-                    device,
-                    damping=damping,
-                    epsilon=epsilon,
-                    x0=state.x0,
-                    profiler=profiler,
-                )
+                with app_span(profiler, "pagerank", fmt, device):
+                    res = bill_trajectory(traj, fmt, device, profiler).single()
                 if sp is not None:
                     # Explicit duration: maintenance (copies, host
                     # transform, update kernels) has no per-launch
@@ -250,7 +237,6 @@ def run_dynamic_pagerank(
                     sp.duration_s = maintenance + res.modeled_time_s
                     sp.attrs["maintenance_s"] = maintenance
                     sp.attrs["iterations"] = res.iterations
-            state.x0 = res.vector
             state.records.append(
                 EpochRecord(
                     epoch=epoch,
@@ -260,6 +246,7 @@ def run_dynamic_pagerank(
                 )
             )
             del fmt
+        x0 = traj.vectors[:, 0]
         del matrix
     return {
         state.backend: DynamicRunResult(

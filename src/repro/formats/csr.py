@@ -306,7 +306,9 @@ class CSRMatrix:
         # instead and is passed as it is).
         if isinstance(rows.base, np.ndarray):
             rows = rows.base
-        Y = np.empty((self.n_rows, X.shape[1]), dtype=X.dtype)
+        # Column-major, so each column's write (and a Fortran-ordered
+        # ``X``'s gather) is contiguous.
+        Y = np.empty((self.n_rows, X.shape[1]), dtype=X.dtype, order="F")
         for j in range(X.shape[1]):
             prod = X[:, j].astype(np.float64, copy=False)[cols]
             prod *= self.values

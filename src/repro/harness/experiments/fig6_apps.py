@@ -1,8 +1,8 @@
 """Figure 6: PageRank / HITS / RWR speedup of ACSR over CSR and HYB.
 
 Each panel runs the application to convergence (eps = 1e-6, Euclidean
-distance) with each SpMV backend and reports ``time_backend /
-time_ACSR`` plus the iteration count.  Matrix copies and HYB's transform
+distance) once per matrix and bills that run with each SpMV backend,
+reporting ``time_backend / time_ACSR`` plus the iteration count.  Matrix copies and HYB's transform
 are excluded, matching Section VI ("the time for copying data to the
 device was not included; HYB data transformation cost was also not
 included").
@@ -10,30 +10,19 @@ included").
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ...apps.hits import hits, stacked_matrix
-from ...apps.pagerank import google_matrix, pagerank
-from ...apps.rwr import column_normalized, rwr
-from ...data.corpus import corpus_matrix, get_spec
+from ...apps.hits import hits_trajectory, stacked_matrix
+from ...apps.pagerank import google_matrix, pagerank_trajectory
+from ...apps.power_method import bill_trajectory
+from ...apps.rwr import column_normalized, rwr_trajectory
+from ...data.corpus import corpus_matrix
 from ...formats.convert import build_format
 from ...gpu.device import GTX_TITAN, DeviceSpec, Precision
 from ..report import render_table
 from .common import ExperimentResult, default_matrices
 
 BACKENDS = ("csr", "hyb", "acsr")
-APPS = ("pagerank", "hits", "rwr")
-
-
-def _prepare(app: str, adjacency):
-    if app == "pagerank":
-        return google_matrix(adjacency)
-    if app == "hits":
-        return stacked_matrix(adjacency)
-    if app == "rwr":
-        return column_normalized(adjacency)
-    raise ValueError(f"unknown app {app!r}")
-
 
 #: Iteration cap for the harness runs.  The speedup metric is invariant
 #: to the cap (every backend executes the *same* iteration count, so the
@@ -41,17 +30,17 @@ def _prepare(app: str, adjacency):
 #: can need thousands of power iterations to reach eps = 1e-6.
 MAX_APP_ITERATIONS = 100
 
-
-def _run_app(app: str, fmt, device):
-    if app == "pagerank":
-        return pagerank(fmt, device, max_iterations=MAX_APP_ITERATIONS)
-    if app == "hits":
-        return hits(fmt, device, max_iterations=MAX_APP_ITERATIONS)
-    if app == "rwr":
-        return rwr(
-            fmt, device, seed_node=0, max_iterations=MAX_APP_ITERATIONS
-        )
-    raise ValueError(f"unknown app {app!r}")
+#: Each app's operator (from the binarised adjacency) and its trajectory
+#: on a format over that operator.
+_APPS = {
+    "pagerank": (google_matrix, pagerank_trajectory),
+    "hits": (stacked_matrix, hits_trajectory),
+    "rwr": (
+        column_normalized,
+        lambda fmt, **kw: rwr_trajectory(fmt, [0], **kw),
+    ),
+}
+APPS = tuple(_APPS)
 
 
 def run(
@@ -65,13 +54,17 @@ def run(
         raise ValueError(f"app must be one of {APPS}")
     rows = []
     for key in default_matrices(matrices):
-        adjacency = corpus_matrix(key, precision=precision).binarized()
-        matrix = _prepare(app, adjacency)
+        prepare, trajectory = _APPS[app]
+        matrix = prepare(corpus_matrix(key, precision=precision).binarized())
         times: dict[str, float] = {}
-        iters = 0
+        traj = None
         for backend in BACKENDS:
             fmt = build_format(backend, matrix)
-            res = _run_app(app, fmt, device)
+            if traj is None:
+                # Every backend multiplies through ``matrix``: one
+                # trajectory, billed per backend.
+                traj = trajectory(fmt, max_iterations=MAX_APP_ITERATIONS)
+            res = bill_trajectory(traj, fmt, device).single()
             times[backend] = res.modeled_time_s
             iters = res.iterations
         rows.append(

@@ -11,8 +11,9 @@ in the session and, when ``REPRO_CELL_CACHE`` is set, on disk next to
 the harness's cell cache — so a warm process prices queries without a
 single ``simulate_kernel`` call.
 
-The round-cost table is built from the *same* calls the batched drivers
-bill with (``fmt.spmm_time_s`` / ``vector_ops_work`` with
+The round-cost table is built from the *same* calls
+:func:`repro.apps.power_method.cost_of_width` makes
+(``fmt.spmm_time_s`` / ``vector_ops_work`` with
 :data:`~repro.apps.power_method.DEFAULT_VECTOR_PASSES` passes), and JSON
 round-trips floats exactly, so a plan-priced batch is bit-identical to
 :func:`repro.apps.rwr.run_rwr_batch`'s ``modeled_time_s`` — and for a
@@ -93,10 +94,12 @@ class ServePlan:
     def cost_of_width(self, w: int) -> float:
         """Modelled cost of one width-``w`` power-method round, seconds.
 
-        The exact ``spmm + vec`` sum :func:`~repro.apps.power_method.
-        run_power_method_batch` bills per round, so a
+        The table form of :func:`repro.apps.power_method.cost_of_width`
+        at :data:`~repro.apps.power_method.DEFAULT_VECTOR_PASSES`: the
+        same ``spmm + vec`` floats, so a
         :class:`~repro.apps.power_method.BatchBill` built from this
-        function reproduces the driver's total bit for bit.
+        function reproduces :func:`~repro.apps.power_method.
+        bill_trajectory`'s total bit for bit.
         """
         self._check_width(w)
         return self.spmm_time_s[w - 1] + self.vec_time_s[w - 1]

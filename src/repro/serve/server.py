@@ -17,8 +17,9 @@ query's compute equals :func:`repro.apps.rwr.rwr`'s ``modeled_time_s``
 bit for bit, and a full batch's longest column equals
 :func:`repro.apps.rwr.run_rwr_batch`'s.
 
-The numeric side (per-query iteration counts) runs the real RWR
-iteration once per distinct ``(graph, seed)`` and is cached; billing
+The numeric side (per-query iteration counts) runs the RWR trajectory
+(:func:`repro.apps.rwr.rwr_trajectory`, numerics only) once per distinct
+``(graph, seed)`` and is cached; billing
 reconstructs the batch schedule from iteration counts alone, so the
 event loop never re-runs numerics for popular seeds.
 
@@ -36,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..apps.power_method import MAX_ITERATIONS, make_batch_bill
-from ..apps.rwr import DEFAULT_RESTART, rwr
+from ..apps.rwr import DEFAULT_RESTART, rwr_trajectory
 from ..gpu.device import DeviceSpec, Precision
 from ..obs.registry import MetricsRegistry
 from .admission import AdmissionController, AdmissionPolicy
@@ -223,15 +224,14 @@ class ServeEngine:
         """Iteration count of one query (real numerics, cached)."""
         cached = ctx.query_cache.get(node)
         if cached is None:
-            result = rwr(
+            traj = rwr_trajectory(
                 ctx.fmt,
-                self.device,
-                node,
+                [node],
                 restart=self.config.restart,
                 epsilon=self.config.epsilon,
                 max_iterations=self.config.max_iterations,
             )
-            cached = (result.iterations, result.converged)
+            cached = (int(traj.iterations[0]), bool(traj.converged[0]))
             ctx.query_cache[node] = cached
         return cached
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.binning import compute_binning
-from repro.dynamic.dynamic_acsr import DynamicACSR
+from repro.dynamic import pipeline
+from repro.dynamic.dynamic_acsr import DynamicACSR, price_update
+from repro.dynamic.rebin import IncrementalBinning
 from repro.dynamic.updates import apply_update_to_csr, generate_update
 from repro.gpu.device import GTX_580, GTX_TITAN
 from repro.gpu.simulator import simulate_kernel
@@ -123,3 +125,56 @@ class TestCosts:
     def test_x_validated(self, dacsr):
         with pytest.raises(ValueError):
             dacsr.run_spmv(np.ones(3, dtype=np.float32), GTX_TITAN)
+
+
+class TestOneUpdateBill:
+    """The Figure 7 pipeline and the facade price a change list through
+    the one :func:`price_update`."""
+
+    def test_pipeline_and_facade_bill_the_same_batch_equally(self):
+        src = make_powerlaw_csr(n_rows=2500, seed=301, max_degree=700)
+        batch = generate_update(src, np.random.default_rng(12))
+        dacsr = DynamicACSR.from_csr(src)
+        state = pipeline._BackendState("acsr")
+        pipeline._maintain(state, 0, src, None, GTX_TITAN, overlap=False)
+        _, maintenance = pipeline._maintain(
+            state,
+            1,
+            apply_update_to_csr(src, batch),
+            batch,
+            GTX_TITAN,
+            overlap=False,
+        )
+        cost = dacsr.apply_update(batch, GTX_TITAN)
+        assert maintenance == cost.total_s
+        assert cost.total_s == (
+            cost.transfer_s + cost.update_kernel_s + cost.rebin_s
+        )
+
+    def test_overlap_launches_the_same_kernels_under_the_copy(self):
+        src = make_powerlaw_csr(n_rows=2500, seed=301, max_degree=700)
+        batch = generate_update(src, np.random.default_rng(13))
+        post = apply_update_to_csr(src, batch).nnz_per_row[batch.rows]
+        pre = src.nnz_per_row[batch.rows]
+
+        def bill(overlap_s):
+            return price_update(
+                batch,
+                pre,
+                post,
+                IncrementalBinning.from_lengths(src.nnz_per_row),
+                src.precision,
+                GTX_TITAN,
+                overlap_s=overlap_s,
+            )
+
+        serial, hidden = bill(None), bill(1e-3)
+        assert hidden.update_kernel_s == serial.update_kernel_s
+        assert hidden.rebin_s == serial.rebin_s
+        assert hidden.transfer_s == serial.transfer_s
+        assert hidden.n_migrated_rows == serial.n_migrated_rows
+        # A 1 ms iteration tail hides the copy: only the kernels remain.
+        assert hidden.total_s == pytest.approx(
+            serial.update_kernel_s + serial.rebin_s
+        )
+        assert hidden.total_s < serial.total_s

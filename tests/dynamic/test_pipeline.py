@@ -9,6 +9,7 @@ import pytest
 from repro.apps.pagerank import google_matrix
 from repro.dynamic import pipeline
 from repro.dynamic.pipeline import epoch_speedups, run_dynamic_pagerank
+from repro.formats.base import SpMVFormat
 from repro.gpu.device import GTX_TITAN
 
 from ..conftest import make_powerlaw_csr
@@ -195,11 +196,28 @@ class TestEpochMajor:
         assert len(refs) == 4
         assert all(ref() is None for ref in refs[:-1])
 
+    def test_one_trajectory_per_epoch(self, adjacency, monkeypatch):
+        """The backends' iterates are identical, so each epoch multiplies
+        once per round, not once per round per backend."""
+        calls = []
+        inner = SpMVFormat.multiply_many
+
+        def counted(self, X):
+            calls.append(type(self).__name__)
+            return inner(self, X)
+
+        monkeypatch.setattr(SpMVFormat, "multiply_many", counted)
+        results = run_dynamic_pagerank(adjacency, GTX_TITAN, n_epochs=3, seed=9)
+        rounds = [rec.iterations for rec in results["acsr"].epochs]
+        for run in results.values():
+            assert [rec.iterations for rec in run.epochs] == rounds
+        assert len(calls) == sum(rounds)
+
     def test_unknown_backend_rejected_before_any_work(self, adjacency, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("iterated before validating backends")
 
-        monkeypatch.setattr(pipeline, "pagerank", never)
+        monkeypatch.setattr(pipeline, "pagerank_trajectory", never)
         with pytest.raises(ValueError, match="bogus"):
             run_dynamic_pagerank(
                 adjacency, GTX_TITAN, n_epochs=2, backends=("acsr", "bogus")

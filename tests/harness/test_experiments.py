@@ -5,6 +5,7 @@ live in benchmarks/; here we check the machinery."""
 import numpy as np
 import pytest
 
+from repro.formats.base import SpMVFormat
 from repro.gpu.device import GTX_580, GTX_TITAN, Precision
 from repro.harness.experiments import (
     ablations,
@@ -110,6 +111,21 @@ class TestAppFamily:
         for r in res.rows:
             assert r["iterations"] > 1
         assert "pagerank" in res.render()
+
+    @pytest.mark.parametrize("app", fig6_apps.APPS)
+    def test_fig6_runs_one_trajectory_per_matrix(self, app, monkeypatch):
+        """CSR, HYB and ACSR bill one shared run: each round multiplies
+        once, whatever the backend count."""
+        calls = []
+        inner = SpMVFormat.multiply_many
+
+        def counted(self, X):
+            calls.append(X.shape[1])
+            return inner(self, X)
+
+        monkeypatch.setattr(SpMVFormat, "multiply_many", counted)
+        res = fig6_apps.run(app, matrices=SUBSET)
+        assert len(calls) == sum(r["iterations"] for r in res.rows)
 
     def test_fig6_rejects_unknown_app(self):
         with pytest.raises(ValueError):

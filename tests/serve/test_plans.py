@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.power_method import DEFAULT_VECTOR_PASSES, cost_of_width
 from repro.formats.advisor import Workload, recommend
 from repro.gpu.device import GTX_TITAN, Precision
 from repro.gpu.simulator import add_launch_observer, remove_launch_observer
@@ -54,6 +55,15 @@ class TestPlanTables:
                 plan.spmm_time_s[w - 1] + plan.vec_time_s[w - 1]
             )
             assert plan.formation_s(w) == plan.form_time_s[w - 1]
+
+    @pytest.mark.parametrize("format_name", ["csr", "acsr"])
+    def test_cost_of_width_is_the_apps_cost_function(self, format_name):
+        """One cost function: the plan's table sums are the apps' bill."""
+        plan = plan_for(MATRIX, DEV, scale=SCALE, format_name=format_name)
+        fmt = operator_format(MATRIX, format_name, Precision.SINGLE, SCALE)
+        shared = cost_of_width(fmt, DEV, DEFAULT_VECTOR_PASSES)
+        for w in range(1, plan.k_max + 1):
+            assert repr(plan.cost_of_width(w)) == repr(shared(w))
 
     def test_width_range_checked(self):
         plan = plan_for(MATRIX, DEV, scale=SCALE, format_name="csr", k_max=2)

@@ -89,6 +89,19 @@ class TestBillingIdentities:
         assert outcome.iterations == direct.iterations
         assert outcome.converged == direct.converged
 
+    def test_numerics_run_no_cost_model(self, monkeypatch):
+        """Queries bill from the plan tables; the per-seed numerics are
+        the RWR trajectory alone, so they never price a round."""
+        engine = make_engine()
+        fmt = engine._graphs[MATRIX].fmt
+
+        def never(*args, **kwargs):
+            raise AssertionError("serve numerics priced a round")
+
+        monkeypatch.setattr(type(fmt), "spmm_time_s", never)
+        result = engine.run_trace([req(0, node=7), req(1, node=11)])
+        assert all(isinstance(o, CompletedQuery) for o in result.requests)
+
     def test_latency_is_the_plain_sum_of_its_terms(self):
         engine = make_engine()
         trace = generate_trace(
