@@ -25,9 +25,7 @@ from .power_method import (
     batch_round_widths,
     bill_trajectory,
     cost_of_width,
-    euclidean_distance,
     make_batch_bill,
-    run_power_method_batch,
     run_trajectory,
     vector_ops_work,
 )
@@ -56,13 +54,11 @@ __all__ = [
     "PowerMethodResult",
     "column_normalized",
     "cost_of_width",
-    "euclidean_distance",
     "google_matrix",
     "hits",
     "hits_trajectory",
     "pagerank",
     "pagerank_trajectory",
-    "run_power_method_batch",
     "run_rwr_batch",
     "run_trajectory",
     "rwr",

@@ -19,8 +19,7 @@ import numpy as np
 from ..formats.base import SpMVFormat
 from ..formats.csr import CSRMatrix
 from ..gpu.device import DeviceSpec
-from .power_method import vector_ops_work
-from ..gpu.simulator import simulate_kernel
+from .power_method import cost_of_width, make_batch_bill
 
 #: Level marker for unreachable vertices.
 UNREACHED = -1
@@ -62,8 +61,9 @@ def bfs(
     """Breadth-first levels from ``source`` using backend ``fmt``.
 
     ``fmt`` must be built from :func:`bfs_matrix` output.  Each level
-    costs one SpMV plus a frontier-update vector kernel; iteration stops
-    when the frontier empties.
+    costs one SpMV plus a frontier-update vector kernel, billed as a
+    width-1 run by :func:`~repro.apps.power_method.make_batch_bill`;
+    iteration stops when the frontier empties.
     """
     n = fmt.n_rows
     if fmt.n_cols != n:
@@ -73,11 +73,6 @@ def bfs(
     max_levels = n if max_levels is None else max_levels
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-
-    spmv_s = fmt.spmv_time_s(device)
-    vec_s = simulate_kernel(
-        device, vector_ops_work(n, 3, fmt.precision)
-    ).time_s
 
     levels = np.full(n, UNREACHED, dtype=np.int64)
     levels[source] = 0
@@ -98,5 +93,7 @@ def bfs(
     return BFSResult(
         levels=levels,
         iterations=iters,
-        modeled_time_s=iters * (spmv_s + vec_s),
+        modeled_time_s=make_batch_bill(
+            [iters], cost_of_width(fmt, device, vector_passes=3)
+        ).total_s,
     )

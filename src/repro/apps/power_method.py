@@ -7,14 +7,17 @@ distance was used as the convergence measure, with eps = 1e-6").
 
 A run has two halves.  :func:`run_trajectory` is the numerics: it runs
 ``k`` starts at once as one ``k``-wide SpMM per round and returns a
-:class:`Trajectory` (vectors, iterations, convergence flags and the
-per-round width sequence).  :func:`bill_trajectory` is the modelled
-cost: it prices those widths with :func:`cost_of_width`, the format's
-SpMM time plus a common vector-update kernel (identical for every
-format, as on hardware where axpy/norm kernels don't depend on the
-matrix layout).  Every format multiplies through its source CSR, so one
-trajectory serves every backend built over the same matrix: Figure 6
-and the dynamic pipeline run it once and bill it per backend.
+:class:`Trajectory` (vectors, iterations and convergence flags).
+:func:`bill_trajectory` is the modelled cost: :func:`make_batch_bill`
+rebuilds the round widths from the iteration counts and prices each
+width with :func:`cost_of_width`, the format's SpMM time plus a common
+vector-update kernel (identical for every format, as on hardware where
+axpy/norm kernels don't depend on the matrix layout).  The same
+:func:`make_batch_bill` bills BFS and the serving tier, so every
+iterative app is priced by one rule.  Every format multiplies through
+its source CSR, so one trajectory serves every backend built over the
+same matrix: Figure 6 and the dynamic pipeline run it once and bill it
+per backend.
 
 A single application run (:func:`~repro.apps.pagerank.pagerank`,
 :func:`~repro.apps.hits.hits`, :func:`~repro.apps.rwr.rwr`) is the same
@@ -38,7 +41,7 @@ from ..formats.base import SpMVFormat
 from ..gpu.device import DeviceSpec, WARP_SIZE
 from ..gpu.kernel import CounterHints, KernelWork
 from ..gpu.memory import coalesced_bytes
-from ..gpu.simulator import simulate_kernel
+from ..gpu.simulator import observers_suspended, simulate_kernel
 from ..kernels.common import launch_for_threads
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -56,13 +59,6 @@ MAX_ITERATIONS = 10_000
 #: (:mod:`repro.serve.plans`) must price vector work with the same pass
 #: count to stay byte-identical with the drivers here.
 DEFAULT_VECTOR_PASSES = 5
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """The paper's convergence measure (copy-free for float64 inputs)."""
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    return float(np.linalg.norm(a64 - b64))
 
 
 def vector_ops_work(n: int, passes: int, precision) -> KernelWork:
@@ -109,20 +105,20 @@ def _iteration_counters(
     n_elements: int,
     vector_passes: int,
     k: int,
-    profiler: "Profiler",
 ) -> tuple["CounterSet", ...]:
     """Counter sets billed once per iteration (SpMV/SpMM + vector kernel).
 
-    Derived under :meth:`Profiler.paused` so the derivation's own
-    ``simulate_kernel`` calls stay out of the span tree; the totals are
-    the *same floats* the iteration bill uses (``spmm_time_s`` and the
-    vector kernel's ``time_s``), so a profiled run's recorded device time
-    equals ``modeled_time_s`` exactly.
+    Derived under :func:`~repro.gpu.simulator.observers_suspended` so the
+    derivation's own ``simulate_kernel`` calls stay out of any live
+    profiler's span tree; the totals are the *same floats* the iteration
+    bill uses (``spmm_time_s`` and the vector kernel's ``time_s``), so a
+    profiled run's recorded device time equals ``modeled_time_s``
+    exactly.
     """
     from ..obs.counters import launch_counters, with_totals
     from ..obs.profile import profile_format
 
-    with profiler.paused():
+    with observers_suspended():
         spmv = profile_format(fmt, device, k=k).total
         vec = vector_ops_work(n_elements, vector_passes, fmt.precision)
         vec_cs = launch_counters(device, vec, simulate_kernel(device, vec))
@@ -136,9 +132,9 @@ def batch_round_widths(iteration_counts) -> tuple[int, ...]:
     Column ``j`` participates in rounds ``1..iteration_counts[j]``, so the
     vector-block width of round ``r`` is ``#{j : iterations[j] >= r}``.
     This is exactly the shrinking-active-set schedule
-    :func:`run_trajectory` records, reconstructed from the
-    per-column iteration counts alone — which is what lets the serving
-    layer (:mod:`repro.serve`) bill a batch without re-running numerics.
+    :func:`run_trajectory` runs, reconstructed from the per-column
+    iteration counts alone — which is what lets every bill
+    (:func:`make_batch_bill`) price a batch without re-running numerics.
     """
     its = np.asarray(iteration_counts, dtype=np.int64)
     if its.ndim != 1 or its.size < 1:
@@ -224,8 +220,9 @@ def make_batch_bill(iteration_counts, cost_of_width) -> BatchBill:
 
     ``cost_of_width(w)`` must return the modelled cost of one width-``w``
     round; it is consulted once per distinct width, in order of first
-    appearance, which reproduces :func:`bill_trajectory`'s cost
-    bookkeeping exactly.
+    appearance.  This is the one bill constructor: :func:`bill_trajectory`
+    (PageRank, HITS, RWR), :func:`~repro.apps.bfs.bfs` and the serving
+    engine all total their runs here.
     """
     widths = batch_round_widths(iteration_counts)
     cost: dict[int, float] = {}
@@ -245,7 +242,6 @@ class PowerMethodResult:
     #: Modelled device seconds (SpMV + vector kernels), excluding data
     #: copies and format transformation, per the Figure 6 methodology.
     modeled_time_s: float
-    spmv_time_s: float
 
     @property
     def time_per_iteration_s(self) -> float:
@@ -279,8 +275,6 @@ class BatchPowerMethodResult:
     #: come from the same :class:`BatchBill`).  The serving layer uses
     #: these to attribute batch latency to individual requests.
     column_times_s: np.ndarray
-    #: Modelled seconds of one SpMM at every width the run reached.
-    spmm_time_s: dict[int, float]
 
     @property
     def max_iterations_run(self) -> int:
@@ -296,7 +290,6 @@ class BatchPowerMethodResult:
             iterations=int(self.iterations[0]),
             converged=bool(self.converged[0]),
             modeled_time_s=self.modeled_time_s,
-            spmv_time_s=self.spmm_time_s[1],
         )
 
 
@@ -332,9 +325,6 @@ class Trajectory:
     iterations: np.ndarray
     #: Per-column convergence flags (``False`` = diverged or hit the cap).
     converged: np.ndarray
-    #: ``widths[r-1]`` is the number of columns active in round ``r``:
-    #: the SpMM width that round is billed at.
-    widths: tuple[int, ...]
     #: Length-n array passes of each round's vector update (the step's
     #: axpy + distance work), billed per round.
     vector_passes: int
@@ -379,13 +369,12 @@ def run_trajectory(
     cols = np.arange(k, dtype=np.int64)
     X = vectors
     X64 = np.asarray(X, dtype=np.float64)
-    widths: list[int] = []
+    round_no = 0
     while cols.size:
         ka = int(cols.size)
         X_next = step(X, fmt.multiply_many(X), cols)
         X_next = np.asarray(X_next, dtype=X.dtype, order="F")
-        widths.append(ka)
-        round_no = len(widths)
+        round_no += 1
         next64 = np.asarray(X_next, dtype=np.float64)
         diff = np.subtract(next64, X64, order="F")
         dist = [float(np.linalg.norm(diff[:, j])) for j in range(ka)]
@@ -408,7 +397,6 @@ def run_trajectory(
         vectors=vectors,
         iterations=iterations,
         converged=converged,
-        widths=tuple(widths),
         vector_passes=vector_passes,
     )
 
@@ -417,7 +405,6 @@ def cost_of_width(
     fmt: SpMVFormat,
     device: DeviceSpec,
     vector_passes: int = DEFAULT_VECTOR_PASSES,
-    spmm_s: dict[int, float] | None = None,
 ) -> Callable[[int], float]:
     """``w -> `` modelled seconds of one width-``w`` round under ``fmt``.
 
@@ -425,16 +412,14 @@ def cost_of_width(
     kernel over ``n * w`` elements, added in that order.  Every round
     bill prices through this function or holds its floats:
     :func:`bill_trajectory` (the apps, the dynamic pipeline and Figure 6)
-    calls it, and :meth:`repro.serve.plans.ServePlan.cost_of_width`
-    returns the same sums from its tables.  ``spmm_s``, when given,
-    collects the SpMM seconds of every width priced.
+    and :func:`~repro.apps.bfs.bfs` call it, and
+    :meth:`repro.serve.plans.ServePlan.cost_of_width` returns the same
+    sums from its tables.
     """
     n = fmt.n_rows
 
     def cost(w: int) -> float:
         spmm = fmt.spmm_time_s(device, k=w)
-        if spmm_s is not None:
-            spmm_s[w] = spmm
         vec = vector_ops_work(n * w, vector_passes, fmt.precision)
         return spmm + simulate_kernel(device, vec).time_s
 
@@ -449,31 +434,27 @@ def bill_trajectory(
 ) -> BatchPowerMethodResult:
     """Price ``traj`` as run with ``fmt`` on ``device``.
 
-    Each distinct width is priced once, in order of first appearance, by
-    :func:`cost_of_width`, and :class:`BatchBill` totals ``count *
-    per-round cost`` per width, which for ``k = 1`` is ``iterations *
-    (spmv_s + vec_s)`` bit for bit (repeated ``+=`` would drift in the
-    last ulp).  ``profiler`` gets one ``iteration`` span per round with
-    that round's SpMM and vector-kernel counters, replayed from the
-    widths.
+    The bill is :func:`make_batch_bill` over the trajectory's iteration
+    counts and :func:`cost_of_width`, so for ``k = 1`` the total is
+    ``iterations * (spmv_s + vec_s)`` bit for bit.  ``profiler`` gets one
+    ``iteration`` span per round with that round's SpMM and
+    vector-kernel counters, derived once per width and replayed from the
+    bill's widths.
     """
-    spmm_s: dict[int, float] = {}
-    cost = cost_of_width(fmt, device, traj.vector_passes, spmm_s)
-    round_cost: dict[int, float] = {}
-    counters: dict[int, tuple] = {}
-    for round_no, w in enumerate(traj.widths, start=1):
-        if w not in round_cost:
-            round_cost[w] = cost(w)
-            if profiler is not None:
-                counters[w] = _iteration_counters(
-                    fmt, device, fmt.n_rows * w, traj.vector_passes, w,
-                    profiler,
-                )
-        if profiler is not None:
+    bill = make_batch_bill(
+        traj.iterations, cost_of_width(fmt, device, traj.vector_passes)
+    )
+    if profiler is not None:
+        counters = {
+            w: _iteration_counters(
+                fmt, device, fmt.n_rows * w, traj.vector_passes, w
+            )
+            for w in bill.round_cost_s
+        }
+        for round_no, w in enumerate(bill.widths, start=1):
             with profiler.span("iteration", i=round_no, k_active=w):
                 for cs in counters[w]:
                     profiler.record(cs)
-    bill = BatchBill(widths=traj.widths, round_cost_s=round_cost)
     return BatchPowerMethodResult(
         vectors=traj.vectors,
         iterations=traj.iterations,
@@ -481,23 +462,4 @@ def bill_trajectory(
         modeled_time_s=bill.total_s,
         k=traj.vectors.shape[1],
         column_times_s=bill.column_times_s(traj.iterations),
-        spmm_time_s=spmm_s,
     )
-
-
-def run_power_method_batch(
-    fmt: SpMVFormat,
-    device: DeviceSpec,
-    X0: np.ndarray,
-    step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iterations: int = MAX_ITERATIONS,
-    vector_passes: int = DEFAULT_VECTOR_PASSES,
-    profiler: "Profiler | None" = None,
-) -> BatchPowerMethodResult:
-    """:func:`run_trajectory` from ``X0``, billed for ``fmt`` by
-    :func:`bill_trajectory`."""
-    traj = run_trajectory(
-        fmt, X0, step, epsilon, max_iterations, vector_passes
-    )
-    return bill_trajectory(traj, fmt, device, profiler)

@@ -281,11 +281,10 @@ class EngineResult:
     duration_s: float
     trace: KernelTrace
     #: The engine's device registry, so per-record counters can be
-    #: derived without the engine itself (empty for legacy construction).
-    devices: tuple[DeviceSpec, ...] = ()
-    #: Piecewise segments of the run, one per event-loop time step
-    #: (empty for legacy construction).
-    segments: tuple[TimeSegment, ...] = ()
+    #: derived without the engine itself.
+    devices: tuple[DeviceSpec, ...]
+    #: Piecewise segments of the run, one per event-loop time step.
+    segments: tuple[TimeSegment, ...]
 
     def record_by_op_id(self, op_id: int) -> OpRecord | None:
         """The record whose :attr:`OpRecord.op_id` matches (or ``None``)."""
@@ -311,15 +310,10 @@ class EngineResult:
         """Per-launch :class:`~repro.obs.CounterSet`\\s for the timeline.
 
         Derived from the exact work/timing pairs the engine scheduled, so
-        they agree with the trace by construction.  Requires the engine to
-        have recorded its ``devices`` (always true for engine-run results).
+        they agree with the trace by construction.
         """
         from ..obs.counters import launch_counters  # lazy: obs imports gpu
 
-        if not self.devices:
-            raise ValueError(
-                "EngineResult has no device registry; counters need one"
-            )
         sets = []
         for r in self.kernel_records(device):
             if r.timing is None or r.work is None:

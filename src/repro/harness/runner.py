@@ -105,45 +105,51 @@ def disk_cache_dir() -> Path | None:
     return Path(DEFAULT_DISK_CACHE_DIR if value == "1" else value)
 
 
-def _cell_path(cache_dir: Path, key: tuple) -> Path:
-    digest = hashlib.sha1(
-        repr((DISK_CACHE_VERSION, key)).encode()
-    ).hexdigest()
-    return cache_dir / f"cell-{digest}.json"
+def _disk_path(cache_dir: Path, prefix: str, hashed: tuple) -> Path:
+    digest = hashlib.sha1(repr(hashed).encode()).hexdigest()
+    return cache_dir / f"{prefix}-{digest}.json"
 
 
-def _load_disk_cell(key: tuple) -> CellResult | None:
+def load_disk_entry(prefix: str, hashed: tuple, decode):
+    """``decode(payload)`` of the disk entry for ``hashed``, or ``None``.
+
+    ``None`` when the disk cache is off, the entry is missing, or it is
+    stale/corrupt (unreadable JSON, or ``decode`` raises ``KeyError`` /
+    ``TypeError`` / ``ValueError``): the caller recomputes and overwrites.
+    Entries are named ``<prefix>-<sha1 of repr(hashed)>.json``.
+    """
     cache_dir = disk_cache_dir()
     if cache_dir is None:
         return None
-    path = _cell_path(cache_dir, key)
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
+        payload = json.loads(_disk_path(cache_dir, prefix, hashed).read_text())
+        return decode(payload)
+    except (OSError, KeyError, TypeError, ValueError):
         return None
-    try:
-        payload["precision"] = Precision(payload["precision"])
-        return CellResult(**payload)
-    except (KeyError, TypeError, ValueError):
-        return None  # stale/corrupt entry: recompute and overwrite
 
 
-def _store_disk_cell(key: tuple, cell: CellResult) -> None:
+def store_disk_entry(prefix: str, hashed: tuple, payload: dict) -> None:
+    """Write ``payload`` as the disk entry for ``hashed`` (atomic
+    replace; a no-op when the disk cache is off)."""
     cache_dir = disk_cache_dir()
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
-    payload = asdict(cell)
-    payload["precision"] = cell.precision.value
-    path = _cell_path(cache_dir, key)
+    path = _disk_path(cache_dir, prefix, hashed)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload))
     tmp.replace(path)
 
 
-def _kwargs_key(format_kwargs: dict) -> tuple:
-    """Hashable cache key for format kwargs (keys AND values)."""
-    return tuple(sorted((k, repr(v)) for k, v in format_kwargs.items()))
+def _decode_cell(payload: dict) -> CellResult:
+    payload["precision"] = Precision(payload["precision"])
+    return CellResult(**payload)
+
+
+def _store_disk_cell(key: tuple, cell: CellResult) -> None:
+    payload = asdict(cell)
+    payload["precision"] = cell.precision.value
+    store_disk_entry("cell", (DISK_CACHE_VERSION, key), payload)
 
 
 def get_format(
@@ -151,16 +157,15 @@ def get_format(
     format_name: str,
     precision: Precision = Precision.SINGLE,
     scale: float | None = None,
-    **format_kwargs,
 ):
     """Build (or fetch) a format instance over a corpus matrix."""
     spec = get_spec(matrix_key)
     s = spec.default_scale if scale is None else scale
-    key = (spec.name, format_name, precision, round(s, 9), _kwargs_key(format_kwargs))
+    key = (spec.name, format_name, precision, round(s, 9))
     fmt = _FORMATS.get(key)
     if fmt is None:
         csr = corpus_matrix(matrix_key, scale=s, precision=precision)
-        fmt = build_format(format_name, csr, **format_kwargs)
+        fmt = build_format(format_name, csr)
         _FORMATS[key] = fmt
     return fmt
 
@@ -172,7 +177,6 @@ def cell_counters(
     precision: Precision = Precision.SINGLE,
     scale: float | None = None,
     k: int = 1,
-    **format_kwargs,
 ):
     """Hardware-counter profile of one cell (session-cached).
 
@@ -192,13 +196,12 @@ def cell_counters(
         precision,
         round(s, 9),
         int(k),
-        _kwargs_key(format_kwargs),
     )
     profile = _PROFILES.get(key)
     if profile is None:
         from ..obs.profile import profile_format
 
-        fmt = get_format(matrix_key, format_name, precision, s, **format_kwargs)
+        fmt = get_format(matrix_key, format_name, precision, s)
         profile = profile_format(fmt, device, k=k, matrix=spec.abbrev)
         _PROFILES[key] = profile
     return profile
@@ -210,31 +213,21 @@ def run_cell(
     device: DeviceSpec,
     precision: Precision = Precision.SINGLE,
     scale: float | None = None,
-    **format_kwargs,
 ) -> CellResult:
     """Measure one cell (cached)."""
     spec = get_spec(matrix_key)
     s = spec.default_scale if scale is None else scale
-    key = (
-        spec.name,
-        format_name,
-        device.name,
-        precision,
-        round(s, 9),
-        tuple(sorted(format_kwargs)),
-    )
+    key = (spec.name, format_name, device.name, precision, round(s, 9))
     cell = _CELLS.get(key)
     if cell is not None:
         return cell
-    cell = _load_disk_cell(key)
+    cell = load_disk_entry("cell", (DISK_CACHE_VERSION, key), _decode_cell)
     if cell is not None:
         _CELLS[key] = cell
         return cell
 
     try:
-        fmt = get_format(
-            matrix_key, format_name, precision, s, **format_kwargs
-        )
+        fmt = get_format(matrix_key, format_name, precision, s)
     except FormatCapacityError as exc:
         cell = CellResult(
             matrix=spec.abbrev,

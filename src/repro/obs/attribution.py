@@ -446,8 +446,6 @@ def attribute_engine(result, *, name: str = "engine") -> Attribution:
     proportion to its standalone attribution.  The target total is the
     engine's ``duration_s``.
     """
-    if not result.devices:
-        raise ValueError("EngineResult has no device registry")
     fractions: dict[int, tuple[tuple[str, float], ...]] = {}
     terms = _zero_terms()
     for seg in result.segments:

@@ -11,7 +11,9 @@ dynamic-pipeline epoch, per bin grid.
 Drivers whose inner loop reuses a *memoised* timing (the app drivers
 compute one SpMV cost and bill it per iteration) record counters
 explicitly with :meth:`Profiler.record` instead — the span tree is the
-same either way.
+same either way.  They derive those counters under
+:func:`~repro.gpu.simulator.observers_suspended`, so the derivation's
+own launches never reach a live profiler.
 
 Every record also feeds the profiler's :class:`MetricsRegistry`
 (launch totals, DRAM bytes, flops, a launch-duration histogram), and the
@@ -99,7 +101,6 @@ class Profiler:
         self.root = Span(name=name)
         self._stack: list[Span] = [self.root]
         self._active = 0
-        self._pause_depth = 0
 
     # -- span structure -------------------------------------------------
     @property
@@ -179,30 +180,6 @@ class Profiler:
         self._active -= 1
         if self._active == 0:
             remove_launch_observer(self._observe)
-
-    @contextmanager
-    def paused(self):
-        """Suspend live capture inside the block.
-
-        Drivers that bill a *memoised* cost per iteration derive their
-        per-iteration counters once (which calls ``simulate_kernel``) and
-        then :meth:`record` them explicitly each round; deriving under
-        ``paused()`` keeps those derivation launches out of the span tree
-        even when the profiler is also entered as a context manager.
-        Nests safely: only the outermost ``paused()`` detaches and
-        re-attaches the observer, so an inner pause cannot resume
-        capture while an outer pause is still in force.
-        """
-        detach = self._active > 0 and self._pause_depth == 0
-        self._pause_depth += 1
-        if detach:
-            remove_launch_observer(self._observe)
-        try:
-            yield
-        finally:
-            self._pause_depth -= 1
-            if detach:
-                add_launch_observer(self._observe)
 
     # -- results --------------------------------------------------------
     def all_records(self) -> list[CounterSet]:

@@ -372,7 +372,7 @@ def timeline_from_engine(result, *, name: str = "engine") -> Timeline:
                 category=category.get(r.kind, "kernel"),
             )
         )
-        if r.kind == "kernel" and r.work is not None and result.devices:
+        if r.kind == "kernel" and r.work is not None:
             details.append(
                 launch_detail(
                     result.devices[r.device],
@@ -389,14 +389,10 @@ def timeline_from_engine(result, *, name: str = "engine") -> Timeline:
     t = 0.0
     for seg in result.segments:
         t += seg.dt_s
-    if not result.segments:
-        t = result.duration_s
     critical = 0
     if lanes:
         critical = max(range(len(lanes)), key=lambda i: lanes[i].end_s)
-    device_name = "+".join(
-        dict.fromkeys(d.name for d in result.devices)
-    ) or "GPU"
+    device_name = "+".join(dict.fromkeys(d.name for d in result.devices))
     return Timeline(
         name=name,
         device_name=device_name,

@@ -22,10 +22,7 @@ solo query to :func:`repro.apps.rwr.rwr`'s.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from ..apps.power_method import DEFAULT_VECTOR_PASSES, vector_ops_work
 from ..apps.rwr import column_normalized
@@ -169,42 +166,10 @@ def _plan_key(
     )
 
 
-def _plan_path(cache_dir: Path, key: tuple) -> Path:
-    digest = hashlib.sha1(
-        repr((SERVE_PLAN_VERSION, runner.DISK_CACHE_VERSION, key)).encode()
-    ).hexdigest()
-    return cache_dir / f"serve-plan-{digest}.json"
-
-
-def _load_disk_plan(key: tuple) -> ServePlan | None:
-    cache_dir = runner.disk_cache_dir()
-    if cache_dir is None:
-        return None
-    path = _plan_path(cache_dir, key)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    try:
-        for name in ("spmm_time_s", "vec_time_s", "form_time_s"):
-            payload[name] = tuple(payload[name])
-        return ServePlan(**payload)
-    except (KeyError, TypeError, ValueError):
-        return None  # stale/corrupt entry: recompute and overwrite
-
-
-def _store_disk_plan(key: tuple, plan: ServePlan) -> None:
-    cache_dir = runner.disk_cache_dir()
-    if cache_dir is None:
-        return
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    payload = asdict(plan)
+def _decode_plan(payload: dict) -> ServePlan:
     for name in ("spmm_time_s", "vec_time_s", "form_time_s"):
-        payload[name] = list(payload[name])
-    path = _plan_path(cache_dir, key)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(path)
+        payload[name] = tuple(payload[name])
+    return ServePlan(**payload)
 
 
 def _build_plan(
@@ -286,9 +251,10 @@ def plan_for(
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
-    plan = _load_disk_plan(key)
+    hashed = (SERVE_PLAN_VERSION, runner.DISK_CACHE_VERSION, key)
+    plan = runner.load_disk_entry("serve-plan", hashed, _decode_plan)
     if plan is None:
         plan = _build_plan(matrix_key, device, precision, s, format_name, k_max)
-        _store_disk_plan(key, plan)
+        runner.store_disk_entry("serve-plan", hashed, asdict(plan))
     _PLANS[key] = plan
     return plan

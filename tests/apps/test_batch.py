@@ -8,9 +8,10 @@ import pytest
 from repro.apps import (
     DEFAULT_EPSILON,
     DEFAULT_VECTOR_PASSES,
+    bill_trajectory,
     column_normalized,
-    run_power_method_batch,
     run_rwr_batch,
+    run_trajectory,
     rwr,
     vector_ops_work,
 )
@@ -89,8 +90,8 @@ class TestPowerMethodBatch:
             GTX_TITAN,
             vector_ops_work(n, DEFAULT_VECTOR_PASSES, walk_fmt.precision),
         ).time_s
-        batch = run_power_method_batch(
-            walk_fmt, GTX_TITAN, x0[:, None], stepk
+        batch = bill_trajectory(
+            run_trajectory(walk_fmt, x0[:, None], stepk), walk_fmt, GTX_TITAN
         )
         assert np.array_equal(batch.vectors[:, 0], x)
         assert batch.iterations[0] == its
@@ -110,11 +111,8 @@ class TestPowerMethodBatch:
 
     def test_x0_shape_validated(self, walk_fmt):
         with pytest.raises(ValueError):
-            run_power_method_batch(
-                walk_fmt,
-                GTX_TITAN,
-                np.ones(walk_fmt.n_cols),
-                lambda X, AX, c: AX,
+            run_trajectory(
+                walk_fmt, np.ones(walk_fmt.n_cols), lambda X, AX, c: AX
             )
 
 

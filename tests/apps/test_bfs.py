@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.apps.bfs import UNREACHED, bfs, bfs_matrix
+from repro.apps.power_method import vector_ops_work
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_format import CSRFormat
 from repro.formats.convert import build_format
 from repro.gpu.device import GTX_TITAN, Precision
+from repro.gpu.simulator import simulate_kernel
 
 from ..conftest import make_powerlaw_csr
 
@@ -71,6 +73,23 @@ class TestBfs:
         fmt = CSRFormat.from_csr(bfs_matrix(chain_graph(8)))
         res = bfs(fmt, GTX_TITAN, source=0)
         assert res.modeled_time_s > 0
+
+    @pytest.mark.parametrize("name", ["csr", "hyb", "acsr"])
+    def test_bill_is_iterations_times_spmv_plus_vector_kernel(self, name):
+        """The width-1 batch bill reproduces the per-level formula
+        ``iters * (spmv + frontier kernel)`` bit for bit."""
+        op = bfs_matrix(make_powerlaw_csr(n_rows=300, seed=35, max_degree=40))
+        fmt = build_format(name, op)
+        res = bfs(fmt, GTX_TITAN, source=1)
+        assert res.iterations > 1
+        vec = vector_ops_work(fmt.n_rows, 3, fmt.precision)
+        assert repr(res.modeled_time_s) == repr(
+            res.iterations
+            * (
+                fmt.spmv_time_s(GTX_TITAN)
+                + simulate_kernel(GTX_TITAN, vec).time_s
+            )
+        )
 
     def test_validation(self):
         fmt = CSRFormat.from_csr(bfs_matrix(chain_graph(8)))

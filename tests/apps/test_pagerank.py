@@ -117,7 +117,7 @@ class TestPageRank:
         assert res.modeled_time_s == pytest.approx(
             res.iterations * res.time_per_iteration_s
         )
-        assert res.spmv_time_s > 0
+        assert res.time_per_iteration_s > fmt.spmv_time_s(GTX_TITAN) > 0
 
     def test_validates_damping(self):
         fmt = CSRFormat.from_csr(google_matrix(ring_graph()))

@@ -1,4 +1,4 @@
-"""The one power-method loop."""
+"""The one power-method loop and its bill."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import hits, pagerank, run_rwr_batch, rwr
 from repro.apps.power_method import (
     DEFAULT_VECTOR_PASSES,
-    euclidean_distance,
+    bill_trajectory,
     make_batch_bill,
-    run_power_method_batch,
+    run_trajectory,
     vector_ops_work,
 )
 from repro.formats.csr_format import CSRFormat
@@ -27,22 +27,17 @@ def diagonal_halver(n=32):
     )
 
 
+def run_batch(fmt, X0, step, **kwargs):
+    """The loop from ``X0``, billed for ``fmt`` as the apps bill it."""
+    traj = run_trajectory(fmt, X0, step, **kwargs)
+    return bill_trajectory(traj, fmt, GTX_TITAN)
+
+
 def run_single(fmt, x0, step, **kwargs):
     """The loop at k = 1, as the apps run it; ``step`` maps ``A @ x``."""
-    return run_power_method_batch(
-        fmt, GTX_TITAN, x0[:, None], lambda X, AX, _cols: step(AX), **kwargs
+    return run_batch(
+        fmt, x0[:, None], lambda X, AX, _cols: step(AX), **kwargs
     ).single()
-
-
-class TestDistance:
-    def test_zero_for_identical(self):
-        v = np.ones(10)
-        assert euclidean_distance(v, v) == 0.0
-
-    def test_known_value(self):
-        assert euclidean_distance(
-            np.array([3.0, 0.0]), np.array([0.0, 4.0])
-        ) == pytest.approx(5.0)
 
 
 class TestVectorOpsWork:
@@ -140,7 +135,7 @@ class TestDriver:
             step=lambda ax: ax,
             epsilon=1e-6,
         )
-        assert res.modeled_time_s > res.iterations * res.spmv_time_s
+        assert res.modeled_time_s > res.iterations * fmt.spmv_time_s(GTX_TITAN)
 
 
 def oracle_run(A, x0, teleport, epsilon, max_iterations):
@@ -194,9 +189,8 @@ class TestOracle:
         X0 = rng.standard_normal((n, k))
         T = rng.random((n, k))
         cap = 40
-        res = run_power_method_batch(
-            fmt, GTX_TITAN, X0, affine_step(T),
-            epsilon=epsilon, max_iterations=cap,
+        res = run_batch(
+            fmt, X0, affine_step(T), epsilon=epsilon, max_iterations=cap
         )
 
         def cost_of_width(w):
@@ -239,9 +233,8 @@ class TestFixedStep:
         # A second column stepping 3d moves 3e, 1.5e, 0.75e: it runs
         # three rounds, the last two alone.
         D = np.stack([d, 3.0 * d], axis=1)[:, :k]
-        res = run_power_method_batch(
-            identity, GTX_TITAN, np.zeros((n, k)), affine_step(D),
-            epsilon=epsilon,
+        res = run_batch(
+            identity, np.zeros((n, k)), affine_step(D), epsilon=epsilon
         )
         assert res.iterations[0] == 1
         assert res.converged[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps import (
+    batch_round_widths,
     bill_trajectory,
     column_normalized,
     cost_of_width,
@@ -14,7 +15,6 @@ from repro.apps import (
     hits_trajectory,
     pagerank,
     pagerank_trajectory,
-    run_power_method_batch,
     run_rwr_batch,
     run_trajectory,
     rwr,
@@ -100,7 +100,16 @@ class TestSharedTrajectory:
             assert shared.converged == own.converged
             assert shared.vector.tobytes() == own.vector.tobytes()
             assert repr(shared.modeled_time_s) == repr(own.modeled_time_s)
-            assert repr(shared.spmv_time_s) == repr(own.spmv_time_s)
+            vec = vector_ops_work(
+                fmt.n_rows, traj.vector_passes, fmt.precision
+            )
+            assert repr(shared.modeled_time_s) == repr(
+                shared.iterations
+                * (
+                    fmt.spmv_time_s(GTX_TITAN)
+                    + simulate_kernel(GTX_TITAN, vec).time_s
+                )
+            )
             assert profile_lines(shared_prof, tmp_path, "s") == profile_lines(
                 own_prof, tmp_path, "o"
             )
@@ -110,35 +119,43 @@ class TestSharedTrajectory:
         batch = run_rwr_batch(fmt, GTX_TITAN, [0, 7, 300], epsilon=1e-9)
         traj = rwr_trajectory(fmt, [0, 7, 300], epsilon=1e-9)
         billed = bill_trajectory(traj, fmt, GTX_TITAN)
-        assert traj.widths[0] == 3 and traj.widths[-1] == 1
+        widths = batch_round_widths(traj.iterations)
+        assert widths[0] == 3 and widths[-1] == 1
         assert billed.vectors.tobytes() == batch.vectors.tobytes()
         assert billed.iterations.tolist() == batch.iterations.tolist()
         assert billed.modeled_time_s == batch.modeled_time_s
         assert billed.column_times_s.tolist() == batch.column_times_s.tolist()
 
-    def test_bill_prices_each_width_once_with_the_shared_cost(self, adjacency):
+    def test_bill_prices_each_width_once_with_the_shared_cost(
+        self, adjacency, monkeypatch
+    ):
         fmt = build_format("acsr", column_normalized(adjacency))
         traj = rwr_trajectory(fmt, [1, 2, 3, 4], epsilon=1e-9)
         cost = cost_of_width(fmt, GTX_TITAN, traj.vector_passes)
+        all_widths = batch_round_widths(traj.iterations)
+        widths = list(dict.fromkeys(all_widths))
+        priced = []
+        inner = type(fmt).spmm_time_s
+
+        def spy(self, device, k=1):
+            priced.append(k)
+            return inner(self, device, k=k)
+
+        monkeypatch.setattr(type(fmt), "spmm_time_s", spy)
         billed = bill_trajectory(traj, fmt, GTX_TITAN)
-        widths = list(dict.fromkeys(traj.widths))
-        assert list(billed.spmm_time_s) == widths
-        total = sum(traj.widths.count(w) * cost(w) for w in widths)
+        assert priced == widths
+        total = sum(all_widths.count(w) * cost(w) for w in widths)
         assert billed.modeled_time_s == total
 
     def test_cost_of_width_is_spmm_plus_vector_kernel(self, adjacency):
         fmt = build_format("csr", google_matrix(adjacency))
-        spmm_s = {}
-        cost = cost_of_width(fmt, GTX_TITAN, 6, spmm_s)
+        cost = cost_of_width(fmt, GTX_TITAN, 6)
         for w in (1, 4):
             vec = vector_ops_work(fmt.n_rows * w, 6, fmt.precision)
             assert cost(w) == (
                 fmt.spmm_time_s(GTX_TITAN, k=w)
                 + simulate_kernel(GTX_TITAN, vec).time_s
             )
-        assert spmm_s == {
-            w: fmt.spmm_time_s(GTX_TITAN, k=w) for w in (1, 4)
-        }
 
     def test_trajectory_runs_no_cost_model(self, adjacency, monkeypatch):
         fmt = build_format("acsr", google_matrix(adjacency))
@@ -148,7 +165,7 @@ class TestSharedTrajectory:
 
         monkeypatch.setattr(type(fmt), "spmm_time_s", never)
         traj = pagerank_trajectory(fmt)
-        assert traj.iterations[0] == len(traj.widths) > 1
+        assert traj.iterations[0] > 1
         assert traj.vector_passes == 5
 
 
@@ -191,20 +208,19 @@ class TestFortranBlocks:
 
 
 def test_k1_profiles_match_the_batch_driver(adjacency, tmp_path):
-    """``pagerank`` is the batch driver at k = 1, spans included."""
+    """``pagerank`` is the trajectory + bill at k = 1, spans included."""
     fmt = build_format("acsr", google_matrix(adjacency))
     n = fmt.n_rows
     a, b = Profiler("pr"), Profiler("pr")
     pagerank(fmt, GTX_TITAN, profiler=a)
     teleport = np.full((n, 1), 0.15 / n)
     with b.span("pagerank", format=fmt.name, device=GTX_TITAN.name):
-        run_power_method_batch(
+        traj = run_trajectory(
             fmt,
-            GTX_TITAN,
             np.full((n, 1), 1.0 / n),
             lambda X, AX, cols: teleport + 0.85 * AX.astype(np.float64),
-            profiler=b,
         )
+        bill_trajectory(traj, fmt, GTX_TITAN, profiler=b)
     la, lb = profile_lines(a, tmp_path, "a"), profile_lines(b, tmp_path, "b")
     assert la == lb
     records = [json.loads(line) for line in la]

@@ -7,7 +7,11 @@ import numpy as np
 
 from repro.gpu.device import GTX_TITAN, Precision
 from repro.gpu.memory import GatherProfile
-from repro.gpu.simulator import simulate_kernel
+from repro.gpu.simulator import (
+    _LAUNCH_OBSERVERS,
+    observers_suspended,
+    simulate_kernel,
+)
 from repro.kernels.common import gang_row_work
 from repro.obs import (
     Profiler,
@@ -90,16 +94,18 @@ class TestLiveCapture:
     def test_paused_suppresses_capture(self):
         prof = Profiler("live")
         with prof:
-            with prof.paused():
+            with observers_suspended():
                 simulate_kernel(GTX_TITAN, _work())
             simulate_kernel(GTX_TITAN, _work())
         assert len(prof.all_records()) == 1
 
     def test_paused_is_safe_when_not_entered(self):
         prof = Profiler("idle")
-        with prof.paused():
+        before = list(_LAUNCH_OBSERVERS)
+        with observers_suspended():
             simulate_kernel(GTX_TITAN, _work())
         assert prof.all_records() == []
+        assert _LAUNCH_OBSERVERS == before
 
     def test_reentrant(self):
         prof = Profiler("nested")
@@ -110,30 +116,28 @@ class TestLiveCapture:
         assert len(prof.all_records()) == 2
 
     def test_pause_inside_pause_stays_paused(self):
-        """Nested paused() must not resume capture when the inner one
-        exits — only the outermost exit re-attaches the observer."""
+        """Nested suspensions must not resume capture when the inner one
+        exits — only the outermost exit re-attaches the observers."""
         prof = Profiler("live")
         with prof:
-            with prof.paused():
-                with prof.paused():
+            with observers_suspended():
+                with observers_suspended():
                     simulate_kernel(GTX_TITAN, _work())
-                # Still inside the outer pause: nothing captured.
+                # Still inside the outer suspension: nothing captured.
                 simulate_kernel(GTX_TITAN, _work())
             simulate_kernel(GTX_TITAN, _work())
         assert len(prof.all_records()) == 1
 
     def test_pause_nesting_restores_exactly_one_observer(self):
-        from repro.gpu.simulator import _LAUNCH_OBSERVERS
-
         prof = Profiler("live")
         with prof:
             n_active = len(_LAUNCH_OBSERVERS)
-            with prof.paused():
-                with prof.paused():
+            with observers_suspended():
+                with observers_suspended():
                     pass
-                # Inner exit must not re-attach while the outer pause
-                # is still open.
-                assert len(_LAUNCH_OBSERVERS) == n_active - 1
+                # Inner exit must not re-attach while the outer
+                # suspension is still open.
+                assert _LAUNCH_OBSERVERS == []
             assert len(_LAUNCH_OBSERVERS) == n_active
         # No duplicate observers leaked by the nesting.
         simulate_kernel(GTX_TITAN, _work())
@@ -143,7 +147,7 @@ class TestLiveCapture:
         prof = Profiler("live")
         with prof:
             try:
-                with prof.paused():
+                with observers_suspended():
                     raise RuntimeError("boom")
             except RuntimeError:
                 pass
