@@ -171,8 +171,12 @@ class SpMVFormat(abc.ABC):
 
     # -- compute --------------------------------------------------------
     def multiply(self, x: np.ndarray) -> np.ndarray:
-        """Exact ``y = A @ x`` through the source CSR's kernel."""
-        return self.csr.matvec(x)
+        """Exact ``y = A @ x``: :meth:`multiply_many` of the one-column
+        block ``x``, so ``x`` is cast to the format's precision first."""
+        x = np.asarray(x)
+        if x.shape != (self.n_cols,):
+            raise ValueError(f"x must have shape ({self.n_cols},)")
+        return self.multiply_many(x[:, None])[:, 0]
 
     def multiply_many(self, X: np.ndarray) -> np.ndarray:
         """Exact ``Y = A @ X`` for a block of vectors.

@@ -31,6 +31,10 @@ from ..gpu.memory import GatherProfile
 #: Widest matrix ``col_idx`` (int32, as on the device) can index.
 _MAX_COLS = int(np.iinfo(np.int32).max)
 
+#: :meth:`CSRMatrix.matmat` multiplies only the stored entries whose
+#: ``x[col]`` is non-zero while they are at most ``nnz // _SPARSE_SHARE``.
+_SPARSE_SHARE = 4
+
 
 def _index_array(a, name: str) -> np.ndarray:
     """``a`` as int64, refusing non-integer input rather than truncating
@@ -80,6 +84,10 @@ class CSRMatrix:
     host.  The first multiply also builds :attr:`spmv_index`, a
     per-matrix ``intp`` index of 16 bytes per non-zero that every later
     multiply reuses; :meth:`matmat` then sums ``X`` one column at a time.
+    The first column sparse enough for :meth:`matmat` to skip its zeros
+    adds :attr:`col_major`, 8 more bytes per non-zero in single precision
+    (12 in double); a matrix only ever multiplied by dense vectors never
+    builds it.
     """
 
     values: np.ndarray
@@ -253,10 +261,8 @@ class CSRMatrix:
         """Column-access locality profile for the texture-cache model."""
         if self.nnz == 0:
             return GatherProfile(reuse=1.0, clustering=1.0)
-        # Column occupancy: O(nnz + n_cols), no sort.
-        distinct = int(
-            np.count_nonzero(np.bincount(self.col_idx, minlength=self.n_cols))
-        )
+        # Column occupancy from the cached counts: no sort.
+        distinct = int(np.count_nonzero(self.col_counts))
         reuse = max(1.0, self.nnz / distinct)
         if self.nnz > 1:
             deltas = np.abs(np.diff(self.col_idx.astype(np.int64)))
@@ -284,9 +290,70 @@ class CSRMatrix:
             view.flags.writeable = False
         return index
 
+    @cached_property
+    def col_counts(self) -> np.ndarray:
+        """Stored entries per column: ``np.bincount(col_idx)``, read-only,
+        built at first use."""
+        counts = np.bincount(self.col_idx, minlength=self.n_cols)
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
+    def col_major(self) -> "CSRMatrix":
+        """This matrix's entries column by column: :meth:`transpose`,
+        whose rows are the columns, rows ascending within each.
+
+        :meth:`matmat` builds it at the first column it multiplies on its
+        sparse path and keeps it for the matrix's lifetime: 4 index bytes
+        plus one value per non-zero, and ``n_cols + 1`` offsets.
+        """
+        return self.transpose()
+
+    @cached_property
+    def skips_zeros_exactly(self) -> bool:
+        """Whether :meth:`matmat` may skip the entries whose ``x[col]``
+        is ±0.0 without changing a bit: every stored value is finite, and
+        every row stores its columns in ascending order, so walking the
+        entries column by column adds each row's terms in storage order.
+        Checked once per matrix."""
+        if not np.isfinite(self.values).all():
+            return False
+        descending = self.col_idx[1:] < self.col_idx[:-1]
+        starts = self.row_off[1:-1]
+        descending[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
+        return not descending.any()
+
+    def _nonzero_terms(
+        self, x: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(rows, values, x values)`` of the stored entries whose
+        ``x[col]`` is non-zero, column by column, or ``None`` when ``x``
+        takes the full pass: skipping is not exact for this matrix, or
+        those entries number more than ``nnz // _SPARSE_SHARE``."""
+        limit = self.nnz // _SPARSE_SHARE
+        nonzero = x != 0
+        n_support = np.count_nonzero(nonzero)
+        # Full support touches every entry, so it skips no work.
+        if (
+            n_support > limit
+            or n_support == self.n_cols
+            or not self.skips_zeros_exactly
+            or np.dot(self.col_counts, nonzero) > limit
+        ):
+            return None
+        by_col = self.col_major
+        support = np.flatnonzero(nonzero)
+        starts = by_col.row_off[support]
+        lens = by_col.row_off[support + 1] - starts
+        # The runs by_col[starts[i]:starts[i] + lens[i]], concatenated.
+        runs = np.arange(int(lens.sum()), dtype=np.intp)
+        runs += np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        xs = np.repeat(x[support].astype(np.float64, copy=False), lens)
+        return by_col.col_idx[runs], by_col.values[runs], xs
+
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        """``Y = A @ X`` for ``X`` of shape ``(n_cols, k)``: the one
-        numeric SpMV kernel every format multiplies through.
+        """``Y = A @ X`` for a floating ``X`` of shape ``(n_cols, k)``:
+        the one numeric SpMV kernel every format multiplies through.
 
         Columns are summed one at a time through :attr:`spmv_index`:
         gather ``X[:, j]`` in float64, scale by ``values`` and reduce
@@ -296,10 +363,22 @@ class CSRMatrix:
         ``Y`` is bitwise equal to ``scipy.sparse.csr_matrix @ X`` in
         float64.  The result is cast back to ``X``'s dtype, like a GPU
         kernel that accumulates in registers.
+
+        A column whose non-zeros reach at most ``nnz // 4`` stored
+        entries multiplies only those, walking :attr:`col_major` (built at
+        the first such column).  Each row still adds its terms in storage
+        order, and the skipped products are ±0.0, so no bit changes: a
+        round-to-nearest sum started at +0.0 is never −0.0, and adding
+        ±0.0 leaves it as it is.  A matrix storing ``inf`` or NaN always
+        takes the full pass, because inf·0 is NaN, as does one whose rows
+        do not store their columns in ascending order
+        (:attr:`skips_zeros_exactly`).
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[0] != self.n_cols:
             raise ValueError(f"X must have shape ({self.n_cols}, k)")
+        if X.dtype.kind != "f":
+            raise ValueError(f"X must be a floating-point array, got {X.dtype}")
         rows, cols = self.spmv_index
         # np.bincount copies a read-only input, so it reads the writeable
         # array the view was taken of (an unpickled view sits on bytes
@@ -310,9 +389,15 @@ class CSRMatrix:
         # ``X``'s gather) is contiguous.
         Y = np.empty((self.n_rows, X.shape[1]), dtype=X.dtype, order="F")
         for j in range(X.shape[1]):
-            prod = X[:, j].astype(np.float64, copy=False)[cols]
-            prod *= self.values
-            Y[:, j] = np.bincount(rows, weights=prod, minlength=self.n_rows)
+            x = X[:, j]
+            terms = self._nonzero_terms(x)
+            if terms is None:
+                r, v = rows, self.values
+                prod = x.astype(np.float64, copy=False)[cols]
+            else:
+                r, v, prod = terms
+            prod *= v
+            Y[:, j] = np.bincount(r, weights=prod, minlength=self.n_rows)
         return Y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -348,15 +433,19 @@ class CSRMatrix:
         )
 
     def transpose(self) -> "CSRMatrix":
-        """A^T in CSR (used by PageRank/HITS/RWR formulations)."""
+        """A^T in CSR (used by PageRank/HITS/RWR formulations).
+
+        Row ``c`` of A^T lists column ``c``'s entries in storage order,
+        which is row order: one stable sort of ``col_idx``.
+        """
+        order = _sort_keys(self.col_idx.astype(np.int64), self.n_cols)[1]
+        if order is None:
+            order = np.arange(self.nnz)
         rows = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.nnz_per_row
-        )
-        return CSRMatrix.from_coo(
-            self.col_idx.astype(np.int64),
-            rows,
-            self.values,
-            shape=(self.n_cols, self.n_rows),
-            precision=self.precision,
-            sum_duplicates=False,
+            np.arange(self.n_rows, dtype=np.int32), self.nnz_per_row
+        )[order]
+        row_off = np.zeros(self.n_cols + 1, dtype=np.int64)
+        np.cumsum(self.col_counts, out=row_off[1:])
+        return CSRMatrix.from_arrays(
+            self.values[order], rows, row_off, self.n_rows
         )

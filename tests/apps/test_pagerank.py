@@ -9,7 +9,11 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.csr_format import CSRFormat
 from repro.gpu.device import GTX_TITAN, Precision
 
-from ..conftest import make_csr_with_empty_rows, make_powerlaw_csr
+from ..conftest import (
+    make_csr_with_empty_rows,
+    make_powerlaw_csr,
+    make_uniform_csr,
+)
 
 
 def ring_graph(n=50):
@@ -90,6 +94,17 @@ class TestPageRank:
         got = res.vector / res.vector.sum()
         for node, pr in expected.items():
             assert got[node] == pytest.approx(pr, rel=1e-4)
+
+    def test_dense_iterate_never_builds_the_column_index(self):
+        """PageRank's iterate has no zeros, so no multiply skips any:
+        the kernel's column-major copy is never built, even when ``n``
+        is below the ``nnz // 4`` sparse-path threshold."""
+        g = google_matrix(make_uniform_csr(seed=3).binarized())
+        assert g.n_cols <= g.nnz // 4
+        fmt = CSRFormat.from_csr(g)
+        res = pagerank(fmt, GTX_TITAN)
+        assert res.converged and res.iterations > 1
+        assert "col_major" not in vars(fmt.csr)
 
     def test_uniform_on_symmetric_ring(self):
         n = 40

@@ -170,6 +170,20 @@ class TestMatvec:
         with pytest.raises(ValueError):
             powerlaw_csr.matvec(np.ones(powerlaw_csr.n_cols + 1))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool])
+    def test_rejects_non_floating_x(self, dtype):
+        """``Y`` takes ``X``'s dtype, so an integer or bool ``X`` would
+        truncate ``[[0.5, 0.25]] @ [1, 1]`` to ``[0]``: refused."""
+        m = CSRMatrix.from_coo(
+            np.array([0, 0]), np.array([0, 1]), np.array([0.5, 0.25]), (1, 2)
+        )
+        name = np.dtype(dtype).name
+        with pytest.raises(ValueError, match=name):
+            m.matvec(np.ones(2, dtype=dtype))
+        with pytest.raises(ValueError, match=name):
+            m.matmat(np.ones((2, 3), dtype=dtype))
+        np.testing.assert_array_equal(m.matvec(np.ones(2)), [0.75])
+
     def test_rectangular(self, rng):
         m = make_powerlaw_csr(n_rows=100, n_cols=300, seed=5)
         x = rng.standard_normal(300).astype(np.float32)

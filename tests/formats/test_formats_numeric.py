@@ -191,21 +191,123 @@ def test_multiply_bitwise_equals_csr_kernel(fmt_name, matrix_name):
             assert np.array_equal(Y[:, j], fmt.multiply(X[:, j])), (k, j)
 
 
-@settings(max_examples=40, deadline=None)
+#: Per-column shares of ``x`` set to ±0.0: dense, sparse enough for the
+#: kernel to skip zeros, and all-zero.
+ZERO_SHARES = st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=40),
     m=st.integers(min_value=1, max_value=40),
-    k=st.integers(min_value=1, max_value=6),
     density=st.floats(min_value=0.0, max_value=0.6),
+    zero_shares=st.lists(ZERO_SHARES, min_size=1, max_size=6),
+    x_specials=st.booleans(),
+    stored_non_finite=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_csr_kernel_bitwise_equals_scipy(n, m, k, density, seed):
+def test_csr_kernel_bitwise_equals_scipy(
+    n, m, density, zero_shares, x_specials, stored_non_finite, seed
+):
     """The kernel sums each row sequentially from 0.0 in storage order:
-    SciPy's CSR loop, bit for bit, in float64."""
+    SciPy's CSR loop, bit for bit, in float64.  Each column of ``X`` has
+    its own share of ±0.0 entries, so a block mixes columns that take the
+    zero-skipping path with columns that take the full pass; ``x`` may
+    hold -0.0, NaN and inf, and the matrix negative and non-finite
+    values."""
+    rng = np.random.default_rng(seed)
     mat = sp.random(n, m, density=density, format="csr", random_state=seed)
+    mat.data -= 0.5
+    if stored_non_finite and mat.nnz:
+        mat.data[rng.integers(0, mat.nnz, 2)] = [np.inf, np.nan]
     csr = CSRMatrix.from_scipy(mat, precision=Precision.DOUBLE)
-    X = np.random.default_rng(seed).standard_normal((m, k))
-    assert np.array_equal(csr.matmat(X), mat @ X)
+    k = len(zero_shares)
+    X = rng.standard_normal((m, k))
+    zero = rng.random((m, k)) < np.array(zero_shares)
+    X[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+    if x_specials:
+        X[rng.integers(0, m, 3), rng.integers(0, k, 3)] = [-0.0, np.nan, np.inf]
+    assert np.array_equal(csr.matmat(X), mat @ X, equal_nan=True)
+
+
+def _two_entry_columns(n_cols: int = 64) -> CSRMatrix:
+    """Rows ``i`` and ``i + n_cols/2`` both store columns ``2i`` and
+    ``2i + 1``: every column holds two entries, so a support of ``s``
+    columns touches exactly ``2s`` entries."""
+    cols = np.tile(np.arange(n_cols), 2)
+    vals = np.random.default_rng(0).standard_normal(2 * n_cols)
+    return CSRMatrix.from_coo(
+        cols // 2 + np.repeat([0, n_cols // 2], n_cols),
+        cols,
+        vals,
+        (n_cols, n_cols),
+        Precision.DOUBLE,
+    )
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_zero_skipping_switches_at_a_quarter_of_the_entries(offset):
+    """A column touching at most ``nnz // 4`` entries walks the column
+    index (built at that call); one touching more takes the full pass and
+    builds nothing, although its support is well under ``nnz // 4``.
+    Both are scipy's bits."""
+    csr = _two_entry_columns()
+    touched = csr.nnz // 4 + offset
+    x = np.zeros(csr.n_cols)
+    x[np.random.default_rng(1).permutation(csr.n_cols)[: touched // 2]] = 1.5
+    y = csr.matvec(x)
+    assert ("col_major" in vars(csr)) == (offset <= 0)
+    assert np.array_equal(y, csr.to_scipy() @ x)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stored_non_finite_values_take_the_full_pass():
+    """inf·0 is NaN: a zero ``x[c]`` still reaches the rows that store a
+    non-finite value in column ``c``."""
+    n = 16
+    vals = np.ones(n)
+    vals[0], vals[1] = np.inf, np.nan
+    csr = CSRMatrix.from_coo(np.arange(n), np.arange(n), vals, (n, n))
+    x = np.zeros(n)
+    x[2] = 3.0
+    y = csr.matvec(x)
+    assert np.isnan(y[0]) and np.isnan(y[1]) and y[2] == 3.0
+    assert not np.any(y[3:])
+    assert "col_major" not in vars(csr)
+
+
+def test_rows_with_unsorted_columns_sum_in_storage_order():
+    """Row 0 stores columns 2, 0, 1 with values 1, 1e16, -1e16: in
+    storage order 1 is absorbed by 1e16 and the row sums to 0.0, while a
+    column-ordered walk would give 1.0.  Such a matrix multiplies by the
+    full pass, bitwise like scipy on the same arrays."""
+    n_cols = 8
+    col_idx = np.array([2, 0, 1] + [3, 4, 5, 6, 7] * 3)
+    values = np.array([1.0, 1e16, -1e16] + [2.0] * 15)
+    row_off = np.array([0, 3, 8, 13, 18])
+    csr = CSRMatrix.from_arrays(values, col_idx, row_off, n_cols)
+    x = np.zeros(n_cols)
+    x[:3] = 1.0
+    y = csr.matvec(x)
+    assert y[0] == 0.0
+    assert np.array_equal(y, csr.to_scipy() @ x)
+    assert "col_major" not in vars(csr)
+
+
+def test_multiply_casts_x_to_the_format_precision():
+    """``multiply`` is ``multiply_many`` of the one-column block, so a
+    float64 ``x`` on a single-precision format is rounded to float32
+    first and the result is float32, bit for bit the block's column."""
+    csr = MATRICES["powerlaw"]
+    assert csr.precision is Precision.SINGLE
+    fmt = build("csr", csr)
+    x = np.random.default_rng(5).standard_normal(csr.n_cols) / 3.0
+    y = fmt.multiply(x)
+    assert y.dtype == np.float32
+    assert np.array_equal(y, fmt.multiply_many(x[:, None])[:, 0])
+    with pytest.raises(ValueError, match="shape"):
+        fmt.multiply(x[:, None])
 
 
 @pytest.mark.parametrize("fmt_name", available_formats())
