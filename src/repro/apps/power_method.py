@@ -41,7 +41,7 @@ from ..formats.base import SpMVFormat
 from ..gpu.device import DeviceSpec, WARP_SIZE
 from ..gpu.kernel import CounterHints, KernelWork
 from ..gpu.memory import coalesced_bytes
-from ..gpu.simulator import observers_suspended, simulate_kernel
+from ..gpu.simulator import simulate_kernel
 from ..kernels.common import launch_for_threads
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -108,20 +108,16 @@ def _iteration_counters(
 ) -> tuple["CounterSet", ...]:
     """Counter sets billed once per iteration (SpMV/SpMM + vector kernel).
 
-    Derived under :func:`~repro.gpu.simulator.observers_suspended` so the
-    derivation's own ``simulate_kernel`` calls stay out of any live
-    profiler's span tree; the totals are the *same floats* the iteration
-    bill uses (``spmm_time_s`` and the vector kernel's ``time_s``), so a
-    profiled run's recorded device time equals ``modeled_time_s``
-    exactly.
+    The totals are the *same floats* the iteration bill uses
+    (``spmm_time_s`` and the vector kernel's ``time_s``), so a profiled
+    run's recorded device time equals ``modeled_time_s`` exactly.
     """
     from ..obs.counters import launch_counters, with_totals
     from ..obs.profile import profile_format
 
-    with observers_suspended():
-        spmv = profile_format(fmt, device, k=k).total
-        vec = vector_ops_work(n_elements, vector_passes, fmt.precision)
-        vec_cs = launch_counters(device, vec, simulate_kernel(device, vec))
+    spmv = profile_format(fmt, device, k=k).total
+    vec = vector_ops_work(n_elements, vector_passes, fmt.precision)
+    vec_cs = launch_counters(device, vec, simulate_kernel(device, vec))
     label = f"spmm[k={k}]" if k > 1 else "spmv"
     return (with_totals(spmv, name=label), vec_cs)
 

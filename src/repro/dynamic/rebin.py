@@ -34,10 +34,6 @@ class RebinResult:
     n_migrated: int
     binning: Binning
 
-    @property
-    def migration_fraction(self) -> float:
-        return self.n_migrated / self.n_updated if self.n_updated else 0.0
-
 
 class IncrementalBinning:
     """A mutable view over a :class:`Binning` that absorbs row updates."""

@@ -183,9 +183,14 @@ class SpMVFormat(abc.ABC):
 
         ``X`` has shape ``(n_cols, k)``; the result has ``(n_rows, k)``.
         Every column of the result is *bitwise identical* to the
-        corresponding single-vector :meth:`multiply`.
+        corresponding single-vector :meth:`multiply`.  Real ``X`` is
+        cast to the format's precision; complex, string, bytes and
+        object ``X`` raise ``ValueError`` instead of losing data.
         """
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
+        X = np.asarray(X)
+        if X.dtype.kind in "cSUO":
+            raise ValueError(f"X must be a real numeric array, got {X.dtype}")
+        X = X.astype(self.precision.numpy_dtype, copy=False)
         if X.ndim != 2 or X.shape[0] != self.n_cols:
             raise ValueError(f"X must have shape ({self.n_cols}, k)")
         if X.shape[1] < 1:

@@ -31,7 +31,6 @@ billions of warps in a handful of entries (see
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,46 +43,6 @@ from .memory import bandwidth_efficiency
 #: Outstanding memory operations one warp keeps in flight (loop unrolling +
 #: independent load addresses give SpMV inner loops substantial MLP).
 MLP_PER_WARP = 8.0
-
-#: Launch observers: callables ``(device, work, timing) -> None`` invoked
-#: after every :func:`simulate_kernel` call.  This is the profiler's tap —
-#: observers see exactly the work/timing pair the model produced and can
-#: never alter it (the timing is frozen before they run).
-_LAUNCH_OBSERVERS: list = []
-
-
-def add_launch_observer(observer) -> None:
-    """Register a ``(device, work, timing)`` callback on every launch."""
-    _LAUNCH_OBSERVERS.append(observer)
-
-
-def remove_launch_observer(observer) -> None:
-    """Unregister a previously added launch observer (idempotent)."""
-    try:
-        _LAUNCH_OBSERVERS.remove(observer)
-    except ValueError:
-        pass
-
-
-@contextmanager
-def observers_suspended():
-    """Temporarily detach every launch observer inside the block.
-
-    The observability layer (:mod:`repro.obs`) re-runs ``simulate_kernel``
-    on the very works a timing model already evaluated — to rebuild
-    timelines or attribute time, never to change it.  Those replay
-    launches must not leak into a live :class:`~repro.obs.Profiler`'s
-    span tree, so replay code wraps itself in this context manager.  The
-    observer list is restored verbatim on exit.
-    """
-    saved = list(_LAUNCH_OBSERVERS)
-    _LAUNCH_OBSERVERS.clear()
-    try:
-        yield
-    finally:
-        _LAUNCH_OBSERVERS.clear()
-        _LAUNCH_OBSERVERS.extend(saved)
-
 
 @dataclass(frozen=True)
 class KernelTiming:
@@ -335,7 +294,7 @@ def simulate_kernel(
     )
     n_warps = work.n_warps
     if n_warps == 0 or work.total_insts == 0:
-        timing = KernelTiming(
+        return KernelTiming(
             name=work.name,
             time_s=overhead,
             compute_s=0.0,
@@ -347,9 +306,6 @@ def simulate_kernel(
             occupancy=0.0,
             k=work.k,
         )
-        for observer in tuple(_LAUNCH_OBSERVERS):
-            observer(device, work, timing)
-        return timing
 
     clock_hz = device.clock_ghz * 1e9
     inflation = _dp_inflation(device, work)
@@ -388,7 +344,7 @@ def simulate_kernel(
     critical_s = float(chain_cycles.max()) / clock_hz
 
     body = max(compute_s, memory_s, critical_s)
-    timing = KernelTiming(
+    return KernelTiming(
         name=work.name,
         time_s=body + overhead,
         compute_s=compute_s,
@@ -400,9 +356,6 @@ def simulate_kernel(
         occupancy=float(occupancy),
         k=work.k,
     )
-    for observer in tuple(_LAUNCH_OBSERVERS):
-        observer(device, work, timing)
-    return timing
 
 
 @dataclass(frozen=True)
@@ -436,8 +389,7 @@ def simulate_many(
     lexsort pass (:func:`canonicalize_works`); each launch is then
     priced off its cached canonical slice.  The result is
     field-for-field identical to calling :func:`simulate_kernel` per
-    work — launch observers fire once per launch, in order, with the
-    same ``(device, work, timing)`` triples.
+    work.
 
     The per-launch totals (DRAM bytes, busiest-SM base) deliberately
     stay as pairwise ``np.sum`` over each launch's own slice: a fused

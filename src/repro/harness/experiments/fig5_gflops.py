@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ...gpu.device import DEVICES, GTX_TITAN, DeviceSpec, Precision
+from ...gpu.device import GTX_TITAN, DeviceSpec, Precision
 from ..report import render_table
 from ..runner import run_cell
 from .common import ExperimentResult, default_matrices
@@ -80,14 +80,3 @@ def run(
     return ExperimentResult(
         experiment="fig5", rows=rows, renderer=renderer, summary=summary
     )
-
-
-def run_all_panels(
-    matrices: Sequence[str] | None = None,
-) -> dict[tuple[str, str], ExperimentResult]:
-    """All six panels (3 devices x 2 precisions)."""
-    out = {}
-    for dev in DEVICES.values():
-        for prec in (Precision.SINGLE, Precision.DOUBLE):
-            out[(dev.name, prec.value)] = run(matrices, dev, prec)
-    return out

@@ -50,10 +50,3 @@ def work(
         k=k,
     )
     return base
-
-
-def tile_x_bytes(n_cols: int, n_tiles: int, precision: Precision) -> float:
-    """Bytes of the ``x`` slice one tile gathers from."""
-    if n_tiles < 1:
-        raise ValueError("need at least one tile")
-    return n_cols / n_tiles * precision.value_bytes

@@ -7,9 +7,11 @@ first-class telemetry, in the vocabulary of CUPTI/nvprof:
 * :mod:`~repro.obs.counters` — per-launch :class:`CounterSet` derived
   from the exact ``(work, timing)`` pairs the timing model produced,
   plus aggregation across sequences / streams / devices / SpMM batches.
-* :mod:`~repro.obs.profiler` — the zero-dependency :class:`Profiler`
-  context manager with nested spans, feeding a
-  :class:`~repro.obs.registry.MetricsRegistry`.
+* :mod:`~repro.obs.profiler` — the zero-dependency :class:`Profiler`:
+  nested spans of explicitly recorded counter sets, feeding a
+  :class:`~repro.obs.registry.MetricsRegistry`.  Nothing taps the
+  simulator; every record comes from a ``(work, timing)`` pair a timing
+  model returned, so a profile totals the modelled seconds.
 * :mod:`~repro.obs.profile` — ``nvprof``-style :func:`profile_format`
   with a :class:`RooflineVerdict` (limiting resource + headroom).
 * :mod:`~repro.obs.imbalance` — warp-skew statistics (Gini, tail-warp

@@ -33,9 +33,8 @@ The decomposition is a telescoping walk over roofline breakpoints, so
 every term is non-negative by construction; a final fix-point nudge on
 the ``ideal`` term forces the left-to-right float sum to equal the
 model's ``time_s`` exactly — the invariant the tests enforce on every
-device.  Attribution only *reads* frozen timings (re-simulation happens
-under :func:`~repro.gpu.simulator.observers_suspended`), so enabling it
-can never change a modelled time.
+device.  Attribution only *reads* frozen timings, so enabling it can
+never change a modelled time.
 """
 
 from __future__ import annotations
@@ -47,12 +46,7 @@ import numpy as np
 
 from ..gpu.device import INDEX_BYTES, DeviceSpec
 from ..gpu.kernel import KernelWork
-from ..gpu.simulator import (
-    KernelTiming,
-    observers_suspended,
-    simulate_kernel,
-    warp_chain_detail,
-)
+from ..gpu.simulator import KernelTiming, simulate_kernel, warp_chain_detail
 
 #: Canonical term order — also the summation order of the exactness
 #: invariant ``fl(Σ terms) == time_s``.  Append-only for compatibility.
@@ -377,16 +371,15 @@ def attribute_sequence(
     ``SequenceTiming.time_s`` computes, so the result agrees with
     ``fmt.spmv_time_s`` / ``spmm_time_s`` bit-for-bit.
     """
-    with observers_suspended():
-        pairs = [
-            (
-                w,
-                simulate_kernel(
-                    device, w, include_launch_overhead=include_launch_overhead
-                ),
-            )
-            for w in works
-        ]
+    pairs = [
+        (
+            w,
+            simulate_kernel(
+                device, w, include_launch_overhead=include_launch_overhead
+            ),
+        )
+        for w in works
+    ]
     parts = [attribute_launch(device, w, t) for w, t in pairs]
     target = sum(t.time_s for _, t in pairs)
     return merge_attributions(
@@ -399,9 +392,8 @@ def _attribute_acsr(fmt, device: DeviceSpec, *, k: int) -> Attribution:
     from ..core.dispatch import pooled_kernel_work, time_spmv
 
     plan = fmt.plan_for(device)
-    with observers_suspended():
-        acsr = time_spmv(fmt.csr, plan, device, k=k)
-        pooled = pooled_kernel_work(fmt.csr, plan, device, k=k)
+    acsr = time_spmv(fmt.csr, plan, device, k=k)
+    pooled = pooled_kernel_work(fmt.csr, plan, device, k=k)
     base = attribute_launch(device, pooled, acsr.pool)
     dp_serial = max(acsr.pool.time_s, acsr.enqueue_s) - acsr.pool.time_s
     return merge_attributions(

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpu.device import DeviceSpec
-from ..gpu.simulator import (
-    add_launch_observer,
-    canonicalize_works,
-    remove_launch_observer,
-    simulate_kernel,
-)
+from ..gpu.simulator import canonicalize_works, simulate_kernel
 from .counters import CounterSet, aggregate, launch_counters, with_totals
 
 
@@ -147,8 +142,9 @@ def profile_format(
 
     Generic formats re-run the exact per-launch roofline evaluation of
     ``simulate_sequence`` (same works, same order, same floats); ACSR is
-    profiled through its DP-aware :func:`~repro.core.dispatch.time_spmv`
-    model via the simulator's observer tap.  Either way
+    profiled as the pooled work of its DP-aware
+    :func:`~repro.core.dispatch.time_spmv` model and that model's pool
+    timing.  Either way
     ``profile.total.time_s == fmt.spmm_time_s(device, k)`` exactly.
     """
     from ..core.acsr import ACSRFormat  # local: core imports formats
@@ -175,24 +171,16 @@ def profile_format(
 
 
 def _profile_acsr(fmt, device: DeviceSpec, *, k: int, matrix: str) -> FormatProfile:
-    """ACSR path: capture the pooled launch from the DP-aware model."""
-    from ..core.dispatch import time_spmv
+    """ACSR path: the pooled launch of the DP-aware model."""
+    from ..core.dispatch import pooled_kernel_work, time_spmv
 
-    captured = []
-
-    def tap(dev, work, timing):
-        captured.append((work, timing))
-
-    add_launch_observer(tap)
-    try:
-        acsr = time_spmv(fmt.csr, fmt.plan_for(device), device, k=k)
-    finally:
-        remove_launch_observer(tap)
-    work, timing = captured[-1]
+    plan = fmt.plan_for(device)
+    acsr = time_spmv(fmt.csr, plan, device, k=k)
+    work = pooled_kernel_work(fmt.csr, plan, device, k=k)
     pool = launch_counters(
         device,
         work,
-        timing,
+        acsr.pool,
         dp_children=acsr.n_row_grids,
         dp_overflow=acsr.dp_overflow,
     )

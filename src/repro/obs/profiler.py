@@ -1,19 +1,14 @@
-"""Span-structured profiler over the simulator's launch stream.
+"""Span-structured profiler over recorded launches.
 
-A :class:`Profiler` is a zero-dependency context manager.  While active
-it observes every :func:`~repro.gpu.simulator.simulate_kernel` call
-(via the simulator's launch-observer hook) and records its
-:class:`~repro.obs.counters.CounterSet` into the *current span*; nested
-``with profiler.span("pagerank-iter", iter=3):`` blocks give the launch
-stream the shape of the computation — per app iteration, per
-dynamic-pipeline epoch, per bin grid.
-
-Drivers whose inner loop reuses a *memoised* timing (the app drivers
-compute one SpMV cost and bill it per iteration) record counters
-explicitly with :meth:`Profiler.record` instead — the span tree is the
-same either way.  They derive those counters under
-:func:`~repro.gpu.simulator.observers_suspended`, so the derivation's
-own launches never reach a live profiler.
+A :class:`Profiler` holds a tree of named spans.  Callers record each
+launch explicitly — :meth:`Profiler.record` for a ready
+:class:`~repro.obs.counters.CounterSet`, :meth:`Profiler.record_launch`
+for the ``(work, timing)`` pair a timing model returned — into the
+*current span*; nested ``with profiler.span("pagerank-iter", iter=3):``
+blocks give the launch stream the shape of the computation — per app
+iteration, per dynamic-pipeline epoch, per bin grid.  Nothing else
+fills a profiler, so a profile totals exactly the modelled seconds its
+caller billed.
 
 Every record also feeds the profiler's :class:`MetricsRegistry`
 (launch totals, DRAM bytes, flops, a launch-duration histogram), and the
@@ -28,11 +23,7 @@ from dataclasses import dataclass, field
 
 from ..gpu.device import DeviceSpec
 from ..gpu.kernel import KernelWork
-from ..gpu.simulator import (
-    KernelTiming,
-    add_launch_observer,
-    remove_launch_observer,
-)
+from ..gpu.simulator import KernelTiming
 from .counters import CounterSet, aggregate, launch_counters
 from .registry import MetricsRegistry
 
@@ -79,18 +70,12 @@ class Span:
 
 
 class Profiler:
-    """Collects spans + counters; optionally taps the simulator live.
-
-    Use as a context manager to capture every simulated launch within
-    the block::
+    """Collects spans + explicitly recorded counters::
 
         prof = Profiler("spmv")
-        with prof:
-            fmt.spmv_time_s(device)     # launches recorded automatically
+        with prof.span("iter", i=0):
+            prof.record_launch(device, work, simulate_kernel(device, work))
         print(prof.root.total())
-
-    or drive it explicitly (``prof.record(cs)``) when launch costs come
-    from memoised timings rather than fresh simulation.
     """
 
     def __init__(
@@ -100,7 +85,6 @@ class Profiler:
         self.registry = registry or MetricsRegistry()
         self.root = Span(name=name)
         self._stack: list[Span] = [self.root]
-        self._active = 0
 
     # -- span structure -------------------------------------------------
     @property
@@ -163,23 +147,6 @@ class Profiler:
     ) -> CounterSet:
         """Derive counters from a (work, timing) pair and record them."""
         return self.record(launch_counters(device, work, timing, **kwargs))
-
-    # -- live capture ---------------------------------------------------
-    def _observe(
-        self, device: DeviceSpec, work: KernelWork, timing: KernelTiming
-    ) -> None:
-        self.record_launch(device, work, timing)
-
-    def __enter__(self) -> "Profiler":
-        if self._active == 0:
-            add_launch_observer(self._observe)
-        self._active += 1
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._active -= 1
-        if self._active == 0:
-            remove_launch_observer(self._observe)
 
     # -- results --------------------------------------------------------
     def all_records(self) -> list[CounterSet]:

@@ -18,9 +18,8 @@ model used (a running cursor for sequences, the engine's ``t += dt``
 segment walk, the literal timing expressions for ACSR and multi-GPU), so
 ``Timeline.time_s`` equals the model's ``time_s`` bit-for-bit — the
 reconstructed critical path *is* the modelled time, not an estimate.
-Re-simulation happens under
-:func:`~repro.gpu.simulator.observers_suspended`, so building a timeline
-never pollutes a live profiler and never changes a modelled time.
+Re-simulation only reads frozen works, so building a timeline never
+changes a modelled time.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from ..gpu.dynamic_parallelism import child_launch_split
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import (
     KernelTiming,
-    observers_suspended,
     simulate_kernel,
     sm_inst_loads,
     warp_chain_detail,
@@ -100,13 +98,6 @@ class LaunchDetail:
     dp_within: int = 0
     dp_overflow: int = 0
 
-    @property
-    def mean_idle_s(self) -> float:
-        """Average per-SM idle gap below the busiest SM."""
-        if not self.idle_s:
-            return 0.0
-        return float(sum(self.idle_s)) / len(self.idle_s)
-
     def render(self, width: int = 40) -> str:
         """Per-SM busy bars for one launch (busiest SM marked ``*``)."""
         lines = [
@@ -147,13 +138,6 @@ class Timeline:
     #: (multi-GPU: the critical device; others: the busiest lane).
     critical_lane: int = 0
     notes: str = field(default="", compare=False)
-
-    def detail_for(self, name: str) -> LaunchDetail | None:
-        """The first launch detail matching ``name`` (or ``None``)."""
-        for d in self.details:
-            if d.name == name:
-                return d
-        return None
 
     def gantt(self, width: int = 64) -> str:
         """A one-screen text Gantt of the lanes."""
@@ -250,23 +234,20 @@ def timeline_from_sequence(
     events: list[LaneEvent] = []
     details: list[LaunchDetail] = []
     cursor = 0.0
-    with observers_suspended():
-        for w in works:
-            timing = simulate_kernel(
-                device, w, include_launch_overhead=include_launch_overhead
+    for w in works:
+        timing = simulate_kernel(
+            device, w, include_launch_overhead=include_launch_overhead
+        )
+        events.append(
+            LaneEvent(
+                name=timing.name,
+                start_s=cursor,
+                duration_s=timing.time_s,
+                category="kernel",
             )
-            events.append(
-                LaneEvent(
-                    name=timing.name,
-                    start_s=cursor,
-                    duration_s=timing.time_s,
-                    category="kernel",
-                )
-            )
-            details.append(
-                launch_detail(device, w, timing, start_s=cursor)
-            )
-            cursor += timing.time_s
+        )
+        details.append(launch_detail(device, w, timing, start_s=cursor))
+        cursor += timing.time_s
     return Timeline(
         name=name,
         device_name=device.name,
@@ -286,9 +267,8 @@ def timeline_from_acsr(fmt, device: DeviceSpec, *, k: int = 1) -> Timeline:
     from ..core.dispatch import pooled_kernel_work, time_spmv
 
     plan = fmt.plan_for(device)
-    with observers_suspended():
-        acsr = time_spmv(fmt.csr, plan, device, k=k)
-        pooled = pooled_kernel_work(fmt.csr, plan, device, k=k)
+    acsr = time_spmv(fmt.csr, plan, device, k=k)
+    pooled = pooled_kernel_work(fmt.csr, plan, device, k=k)
     lanes = [
         Lane(
             label="host",

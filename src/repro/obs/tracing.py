@@ -532,14 +532,12 @@ class QueryTracer(RunObserver):
                 )
                 cursor = cursor + dur
 
-        self._timelines: dict[int, Timeline] = {}
         for batch in self._result.batch_events:
             b = batch.record
             ctx = batch_ctx.get(b.batch_id)
             if ctx is None:
                 continue
             timeline = batch_timeline(b, batch.bill, device)
-            self._timelines[b.batch_id] = timeline
             spans.append(
                 ctx.span(
                     0, None, f"batch-{b.batch_id} {b.graph} k={b.k}",
@@ -659,14 +657,6 @@ class QueryTracer(RunObserver):
     def waterfall(self, trace_id: str) -> Timeline:
         """One kept trace's span tree as a PR-5 timeline."""
         return trace_waterfall(self._trace(trace_id))
-
-    def batch_timeline_for(self, batch_id: int) -> Timeline:
-        """The kept batch's compute timeline (``time_s == compute_s``)."""
-        self._ensure_built()
-        timeline = self._timelines.get(batch_id)
-        if timeline is None:
-            raise KeyError(f"batch {batch_id!r} not kept by this tracer")
-        return timeline
 
     def meta(self) -> dict:
         """Tracer configuration + sampling summary, for ``meta`` lines."""

@@ -32,9 +32,6 @@ from .server import ServeResult
 
 __all__ = ["serve_dash_html", "write_serve_dash"]
 
-#: All shared styling now lives in :data:`repro.obs.report_html._CSS`.
-_DASH_CSS = _CSS
-
 
 def _fmt_us(v) -> str:
     return "-" if v is None else f"{v * 1e6:.1f}"
@@ -226,7 +223,7 @@ def serve_dash_html(
     return f"""<!DOCTYPE html>
 <html><head><meta charset="utf-8">
 <title>{html.escape(title)}</title>
-<style>{_DASH_CSS}</style></head>
+<style>{_CSS}</style></head>
 <body>
 <h1>{html.escape(title)}</h1>
 {_summary_table(result, monitor)}

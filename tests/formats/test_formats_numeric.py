@@ -8,6 +8,7 @@ per-row ``math.fsum`` under the sequential-sum error bound.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -298,7 +299,8 @@ def test_rows_with_unsorted_columns_sum_in_storage_order():
 def test_multiply_casts_x_to_the_format_precision():
     """``multiply`` is ``multiply_many`` of the one-column block, so a
     float64 ``x`` on a single-precision format is rounded to float32
-    first and the result is float32, bit for bit the block's column."""
+    first and the result is float32, bit for bit the block's column.
+    Integer ``x`` is cast the same way."""
     csr = MATRICES["powerlaw"]
     assert csr.precision is Precision.SINGLE
     fmt = build("csr", csr)
@@ -308,6 +310,22 @@ def test_multiply_casts_x_to_the_format_precision():
     assert np.array_equal(y, fmt.multiply_many(x[:, None])[:, 0])
     with pytest.raises(ValueError, match="shape"):
         fmt.multiply(x[:, None])
+    ints = np.arange(csr.n_cols) % 5
+    assert np.array_equal(fmt.multiply(ints), fmt.multiply(ints.astype(np.float32)))
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.complex64, np.complex128, np.str_, np.bytes_, object]
+)
+def test_format_layer_rejects_non_real_x(dtype):
+    """A complex, string, bytes or object ``x`` is refused by name
+    before any cast, through both entry points."""
+    fmt = build("csr", MATRICES["powerlaw"])
+    x = np.ones(fmt.n_cols).astype(dtype)
+    with pytest.raises(ValueError, match=re.escape(str(x.dtype))):
+        fmt.multiply(x)
+    with pytest.raises(ValueError, match=re.escape(str(x.dtype))):
+        fmt.multiply_many(x[:, None])
 
 
 @pytest.mark.parametrize("fmt_name", available_formats())

@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpu.device import DEVICES, Precision
 from repro.gpu.kernel import KernelWork
-from repro.gpu.simulator import (
-    KernelTiming,
-    add_launch_observer,
-    remove_launch_observer,
-    simulate_kernel,
-    simulate_many,
-)
+from repro.gpu.simulator import KernelTiming, simulate_kernel, simulate_many
 
 TIMING_FIELDS = tuple(f.name for f in dataclasses.fields(KernelTiming))
 
@@ -64,31 +58,6 @@ def test_simulate_many_equals_sequential(seed, n_works, weighted):
         for t_got, t_exp in zip(got, expected):
             for field in TIMING_FIELDS:
                 assert getattr(t_got, field) == getattr(t_exp, field), field
-
-
-def test_observers_fire_per_launch_in_order():
-    """Observers see the same (work, timing) stream as sequential calls."""
-    device = next(iter(DEVICES.values()))
-    solo = build_works(3, 5, True)
-    batch = build_works(3, 5, True)
-    expected = [simulate_kernel(device, w) for w in solo]
-
-    calls = []
-
-    def observer(dev, work, timing):
-        calls.append((dev, work, timing))
-
-    add_launch_observer(observer)
-    try:
-        got = simulate_many(device, batch)
-    finally:
-        remove_launch_observer(observer)
-    assert len(calls) == len(batch)
-    for (dev, work, timing), w, t_exp in zip(calls, batch, expected):
-        assert dev is device
-        assert work is w
-        assert timing.time_s == t_exp.time_s
-        assert timing.name == w.name
 
 
 def test_include_launch_overhead_forwarded():

@@ -180,15 +180,10 @@ class TestFormatAttribution:
         assert att.term("dp_serialization") == pytest.approx(expected)
 
     def test_attribution_never_perturbs_the_model(self, csr):
-        """Enabling attribution leaves modelled times bit-identical and
-        leaks no launch observer."""
-        from repro.gpu.simulator import _LAUNCH_OBSERVERS
-
+        """Enabling attribution leaves modelled times bit-identical."""
         fmt = build_format("hyb", csr)
         before_t = fmt.spmv_time_s(GTX_TITAN)
-        n_obs = len(_LAUNCH_OBSERVERS)
         attribute_format(fmt, GTX_TITAN)
-        assert len(_LAUNCH_OBSERVERS) == n_obs
         assert fmt.spmv_time_s(GTX_TITAN) == before_t
 
 

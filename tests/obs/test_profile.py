@@ -82,6 +82,28 @@ class TestACSRProfile:
         assert p.total.dp_overflow == acsr.dp_overflow
         assert "bin grids" in p.notes
 
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("device", DEVICES3, ids=lambda d: d.name)
+    def test_pool_launch_is_the_models_pooled_pair(self, csr, device, k):
+        """The one launch is the DP-aware model's pooled work + timing."""
+        from repro.core.acsr import ACSRFormat
+        from repro.core.dispatch import pooled_kernel_work, time_spmv
+        from repro.obs import launch_counters
+
+        fmt = ACSRFormat.from_csr(csr, device=device)
+        p = profile_format(fmt, device, k=k)
+        plan = fmt.plan_for(device)
+        acsr = time_spmv(fmt.csr, plan, device, k=k)
+        expected = launch_counters(
+            device,
+            pooled_kernel_work(fmt.csr, plan, device, k=k),
+            acsr.pool,
+            dp_children=acsr.n_row_grids,
+            dp_overflow=acsr.dp_overflow,
+        )
+        assert p.launches == (expected,)
+        assert p.total.time_s == fmt.spmm_time_s(device, k=k)
+
     def test_no_dp_device_has_zero_children(self, csr):
         from repro.core.acsr import ACSRFormat
 
@@ -100,12 +122,8 @@ class TestRender:
         assert "Occ" in out and "WEff" in out and "DRAM(KB)" in out
 
     def test_profiling_is_reentrant_and_pure(self, csr):
-        """Profiling twice gives identical results and leaves no observer."""
-        from repro.gpu.simulator import _LAUNCH_OBSERVERS
-
+        """Profiling twice gives identical results."""
         fmt = _build("csr", csr, GTX_TITAN)
-        before = len(_LAUNCH_OBSERVERS)
         a = profile_format(fmt, GTX_TITAN)
         b = profile_format(fmt, GTX_TITAN)
-        assert len(_LAUNCH_OBSERVERS) == before
         assert a.total == b.total

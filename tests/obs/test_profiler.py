@@ -1,4 +1,4 @@
-"""Spans, live capture, and the three exporters."""
+"""Spans, explicit records, and the three exporters."""
 
 import csv
 import json
@@ -7,11 +7,7 @@ import numpy as np
 
 from repro.gpu.device import GTX_TITAN, Precision
 from repro.gpu.memory import GatherProfile
-from repro.gpu.simulator import (
-    _LAUNCH_OBSERVERS,
-    observers_suspended,
-    simulate_kernel,
-)
+from repro.gpu.simulator import simulate_kernel
 from repro.kernels.common import gang_row_work
 from repro.obs import (
     Profiler,
@@ -80,79 +76,6 @@ class TestSpans:
         assert snap["launches_total"]["value"] == 2
         assert snap["dram_bytes_total"]["value"] == 2 * cs.dram_bytes
         assert snap["launch_duration_seconds"]["count"] == 2
-
-
-class TestLiveCapture:
-    def test_context_manager_taps_simulate_kernel(self):
-        prof = Profiler("live")
-        with prof:
-            simulate_kernel(GTX_TITAN, _work())
-            simulate_kernel(GTX_TITAN, _work((7, 9)))
-        simulate_kernel(GTX_TITAN, _work())  # outside: not recorded
-        assert len(prof.all_records()) == 2
-
-    def test_paused_suppresses_capture(self):
-        prof = Profiler("live")
-        with prof:
-            with observers_suspended():
-                simulate_kernel(GTX_TITAN, _work())
-            simulate_kernel(GTX_TITAN, _work())
-        assert len(prof.all_records()) == 1
-
-    def test_paused_is_safe_when_not_entered(self):
-        prof = Profiler("idle")
-        before = list(_LAUNCH_OBSERVERS)
-        with observers_suspended():
-            simulate_kernel(GTX_TITAN, _work())
-        assert prof.all_records() == []
-        assert _LAUNCH_OBSERVERS == before
-
-    def test_reentrant(self):
-        prof = Profiler("nested")
-        with prof:
-            with prof:
-                simulate_kernel(GTX_TITAN, _work())
-            simulate_kernel(GTX_TITAN, _work())
-        assert len(prof.all_records()) == 2
-
-    def test_pause_inside_pause_stays_paused(self):
-        """Nested suspensions must not resume capture when the inner one
-        exits — only the outermost exit re-attaches the observers."""
-        prof = Profiler("live")
-        with prof:
-            with observers_suspended():
-                with observers_suspended():
-                    simulate_kernel(GTX_TITAN, _work())
-                # Still inside the outer suspension: nothing captured.
-                simulate_kernel(GTX_TITAN, _work())
-            simulate_kernel(GTX_TITAN, _work())
-        assert len(prof.all_records()) == 1
-
-    def test_pause_nesting_restores_exactly_one_observer(self):
-        prof = Profiler("live")
-        with prof:
-            n_active = len(_LAUNCH_OBSERVERS)
-            with observers_suspended():
-                with observers_suspended():
-                    pass
-                # Inner exit must not re-attach while the outer
-                # suspension is still open.
-                assert _LAUNCH_OBSERVERS == []
-            assert len(_LAUNCH_OBSERVERS) == n_active
-        # No duplicate observers leaked by the nesting.
-        simulate_kernel(GTX_TITAN, _work())
-        assert len(prof.all_records()) == 0
-
-    def test_pause_exception_safe(self):
-        prof = Profiler("live")
-        with prof:
-            try:
-                with observers_suspended():
-                    raise RuntimeError("boom")
-            except RuntimeError:
-                pass
-            simulate_kernel(GTX_TITAN, _work())
-        assert len(prof.all_records()) == 1
 
 
 class TestJsonl:

@@ -7,10 +7,9 @@ import pytest
 from repro.apps.power_method import DEFAULT_VECTOR_PASSES, cost_of_width
 from repro.formats.advisor import Workload, recommend
 from repro.gpu.device import GTX_TITAN, Precision
-from repro.gpu.simulator import add_launch_observer, remove_launch_observer
 from repro.harness.runner import DISK_CACHE_ENV_VAR
 from repro.data.corpus import corpus_matrix
-from repro.serve import clear_plan_cache, operator_format, plan_for
+from repro.serve import clear_plan_cache, operator_format, plan_for, plans
 from repro.serve.plans import SERVE_SPMV_PER_STRUCTURE, ServePlan
 
 MATRIX = "WIK"
@@ -27,21 +26,18 @@ def fresh_session(monkeypatch):
     clear_plan_cache()
 
 
-class LaunchCounter:
-    """Counts ``simulate_kernel`` launches while installed."""
+@pytest.fixture
+def cold_builds(monkeypatch):
+    """Spy on the cold path: one entry per plan the simulator builds."""
+    calls = []
+    build = plans._build_plan
 
-    def __init__(self):
-        self.count = 0
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
 
-    def __call__(self, device, work, timing):
-        self.count += 1
-
-    def __enter__(self):
-        add_launch_observer(self)
-        return self
-
-    def __exit__(self, *exc):
-        remove_launch_observer(self)
+    monkeypatch.setattr(plans, "_build_plan", spy)
+    return calls
 
 
 class TestPlanTables:
@@ -111,11 +107,11 @@ class TestMemoization:
         cold = plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
         assert plan_for(MATRIX, DEV, scale=SCALE, format_name="csr") is cold
 
-    def test_warm_session_call_simulates_nothing(self):
+    def test_warm_session_call_simulates_nothing(self, cold_builds):
         plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
-        with LaunchCounter() as launches:
-            plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
-        assert launches.count == 0
+        assert len(cold_builds) == 1
+        plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
+        assert len(cold_builds) == 1
 
     def test_operator_format_is_shared(self):
         fmt = operator_format(MATRIX, "csr", Precision.SINGLE, SCALE)
@@ -124,20 +120,18 @@ class TestMemoization:
 
 class TestDiskCache:
     def test_cold_run_writes_warm_run_loads_without_simulating(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, cold_builds
     ):
         monkeypatch.setenv(DISK_CACHE_ENV_VAR, str(tmp_path))
-        with LaunchCounter() as launches:
-            cold = plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
-        assert launches.count > 0  # the cold path simulates the tables
+        cold = plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
+        assert len(cold_builds) == 1  # the cold path simulates the tables
         stored = list(tmp_path.glob("serve-plan-*.json"))
         assert len(stored) == 1
         # A fresh session (caches dropped) must reload the plan from
-        # disk with zero simulator launches and zero matrix builds.
+        # disk without building it again.
         clear_plan_cache()
-        with LaunchCounter() as launches:
-            warm = plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
-        assert launches.count == 0
+        warm = plan_for(MATRIX, DEV, scale=SCALE, format_name="csr")
+        assert len(cold_builds) == 1
         assert warm == cold  # identical tables after the JSON round-trip
 
     def test_corrupt_disk_entry_is_recomputed(self, tmp_path, monkeypatch):
