@@ -1,4 +1,4 @@
-"""A zero-dependency metrics registry: counters, gauges, histograms.
+"""A plain-Python metrics registry: counters, gauges, histograms.
 
 The :class:`~repro.obs.profiler.Profiler` feeds launch telemetry into a
 :class:`MetricsRegistry`; experiments and the harness may register their
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def _key(name: str, labels: dict | None) -> tuple:
@@ -211,9 +213,10 @@ class WindowLog:
     arithmetic on the caller's clock — deterministic by construction.
 
     Each entry carries a value (a latency, say) and an optional
-    exemplar; :meth:`count`/:meth:`rate` read the log as a windowed
-    event counter, :meth:`quantiles`/:meth:`exemplar_near` as a windowed
-    distribution with *exact* order statistics (:func:`exact_quantile`).
+    exemplar; :meth:`count` reads the log as a windowed event counter,
+    :meth:`quantiles`/:meth:`exemplar_near` as a windowed distribution
+    with *exact* order statistics (:func:`exact_quantile`).  A sealed
+    log is read at many times at once by :meth:`windows`.
     """
 
     def __init__(self, window_s: float, n_buckets: int = 20) -> None:
@@ -255,37 +258,51 @@ class WindowLog:
         self._values.append(value)
         self._exemplars.append(exemplar)
 
+    def _span_buckets(self, window_s: float | None) -> int:
+        """``m``: the buckets a read over ``window_s`` spans."""
+        w = self.window_s if window_s is None else float(window_s)
+        if not 0 < w <= self.window_s * (1 + 1e-12):
+            raise ValueError(
+                f"read window {w} outside retained window {self.window_s}"
+            )
+        return max(1, int(round(w / self.bucket_s)))
+
     def _window(
         self, t_s: float, window_s: float | None = None
     ) -> tuple[int, int, float]:
         """``(lo, hi, span_s)``: the log slice of the window ending at
         ``t_s``, and the bucket-aligned span it covers (clipped to the
         buckets since time 0, so early reads are not diluted)."""
-        w = self.window_s if window_s is None else float(window_s)
-        if not 0 < w <= self.window_s * (1 + 1e-12):
-            raise ValueError(
-                f"read window {w} outside retained window {self.window_s}"
-            )
-        m = max(1, int(round(w / self.bucket_s)))
+        m = self._span_buckets(window_s)
         cur = self._bucket_of(t_s)
         lo = bisect_left(self._buckets, cur - m + 1)
         hi = bisect_right(self._buckets, cur, lo)
         return lo, hi, min(m, cur + 1) * self.bucket_s
 
+    def windows(
+        self, ticks, window_s: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every tick's trailing window in one array pass.
+
+        Returns ``(lo, span_s)`` arrays: the first log entry of
+        ``ticks[i]``'s window and the span it covers, as :meth:`_window`
+        gives them.  The slice ends at the log's length when the tick
+        was read, which the caller notes: entries appended later are at
+        or after the tick, so a bisect of its bucket would take them.
+        """
+        m = self._span_buckets(window_s)
+        t = np.asarray(ticks, dtype=np.float64)
+        if not np.all(t >= 0):
+            raise ValueError("window logs need t_s >= 0")
+        cur = np.floor(t / self.bucket_s).astype(np.int64)
+        buckets = np.asarray(self._buckets, dtype=np.int64)
+        lo = np.searchsorted(buckets, cur - m + 1, side="left")
+        return lo, np.minimum(m, cur + 1) * self.bucket_s
+
     def count(self, t_s: float, window_s: float | None = None) -> int:
         """Entries in the trailing window."""
         lo, hi, _ = self._window(t_s, window_s)
         return hi - lo
-
-    def rate(self, t_s: float, window_s: float | None = None) -> float:
-        """Entries per second over the trailing window's span."""
-        lo, hi, span = self._window(t_s, window_s)
-        return (hi - lo) / span
-
-    def values(self, t_s: float, window_s: float | None = None) -> tuple:
-        """The trailing window's values, in append order."""
-        lo, hi, _ = self._window(t_s, window_s)
-        return tuple(self._values[lo:hi])
 
     def _sorted_values(self, lo: int, hi: int) -> list[float]:
         # The log only grows, so a slice never changes: consecutive
@@ -295,14 +312,19 @@ class WindowLog:
             self._sorted = (lo, hi, sorted(self._values[lo:hi]))
         return self._sorted[2]
 
+    def slice_quantiles(self, qs, lo: int, hi: int) -> tuple[float, ...]:
+        """Exact ``q``-quantile of log slice ``[lo, hi)`` for each ``q``
+        (nan when it is empty), from one sort of the slice."""
+        data = self._sorted_values(lo, hi)
+        return tuple(sorted_quantile(data, q) for q in qs)
+
     def quantiles(
         self, qs, t_s: float, window_s: float | None = None
     ) -> tuple[float, ...]:
         """Exact ``q``-quantile of the trailing window for each ``q``
         (nan when it is empty), from one sort of the window."""
         lo, hi, _ = self._window(t_s, window_s)
-        data = self._sorted_values(lo, hi)
-        return tuple(sorted_quantile(data, q) for q in qs)
+        return self.slice_quantiles(qs, lo, hi)
 
     def quantile(
         self, q: float, t_s: float, window_s: float | None = None

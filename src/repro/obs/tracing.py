@@ -840,5 +840,7 @@ def trace_report_lines(tracer: QueryTracer, **meta) -> list[str]:
 def write_trace_jsonl(tracer: QueryTracer, path, **meta) -> Path:
     """Dump one tracer's kept spans as a validated JSONL artifact."""
     path = Path(path)
-    path.write_text("\n".join(trace_report_lines(tracer, **meta)) + "\n")
+    with path.open("w") as f:
+        for line in trace_report_lines(tracer, **meta):
+            f.write(line + "\n")
     return path

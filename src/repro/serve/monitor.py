@@ -10,8 +10,10 @@ replays its batch and shed events in virtual-time order and produces:
   depth and exact windowed p50/p95/p99 latency, sampled on a fixed
   virtual-time grid into ``metric`` JSONL records.  Each series reads
   window logs (:class:`~repro.obs.registry.WindowLog`), written in
-  replay order, which is non-decreasing virtual time, so each sample's
-  bucket-aligned window is one slice of a log, sorted once for all
+  replay order, which is non-decreasing virtual time.  A tick only
+  notes each log's length; after the replay one array read per log
+  (:meth:`~repro.obs.registry.WindowLog.windows`) gives every tick's
+  bucket-aligned slice, and each distinct slice is sorted once for all
   three quantiles.
 * **Alerts** — every objective from :class:`MonitorConfig.slos` is
   evaluated through :class:`~repro.obs.slo.SLOEngine`'s multi-window
@@ -37,6 +39,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from ..obs.attribution import Attribution
 from ..obs.observer import (
@@ -88,6 +92,13 @@ class MonitorConfig:
         check_window(self.window_s, self.n_buckets, self.p99_min_samples)
         if self.sample_every_s is not None:
             check_finite_positive("sample_every_s", self.sample_every_s)
+            # A tick finer than a bucket only repeats the last sample
+            # (windows are bucket-aligned) and can ask for billions.
+            if self.sample_every_s < self.bucket_s * (1 - 1e-12):
+                raise ValueError(
+                    f"sample_every_s {self.sample_every_s} is finer than "
+                    f"one window bucket ({self.bucket_s})"
+                )
         if self.slo_buckets < 1:
             raise ValueError("slo_buckets must be >= 1")
         if self.flightrec_capacity < 1:
@@ -215,11 +226,23 @@ class ServeMonitor(RunObserver):
             )
         events.sort(key=lambda e: e[:3])
 
+        # A tick notes what its samples need; they are computed after
+        # the replay.  Entries at or after a tick are not logged yet, so
+        # each log's length bounds the tick's window.
+        logs = [self._lat[k] for k in self._keys]
+        logs += [self._shedlog[k] for k in self._keys]
+        ticks: list[tuple] = []
+
+        def tick(t: float) -> None:
+            ticks.append(
+                (t, self._depth, len(self.records), [len(g) for g in logs])
+            )
+
         cadence = cfg.cadence_s
         next_tick = cadence
         for t, _rank, _eid, kind, payload in events:
             while t >= next_tick:
-                self._emit_samples(next_tick)
+                tick(next_tick)
                 next_tick += cadence
             if kind == "batch":
                 self._depth = payload.queue_depth
@@ -230,10 +253,11 @@ class ServeMonitor(RunObserver):
         end_t = max(
             result.makespan_s, events[-1][0] if events else 0.0
         )
-        self._emit_samples(end_t)
+        tick(end_t)
+        self._splice_samples(ticks)
         if self._slo_engine is not None:
             self.alerts = list(self._slo_engine.alerts)
-        self._build_summary(end_t)
+        self._build_summary(end_t, len(ticks) * len(self._keys))
 
     def _replay_shed(self, t: float, shed: ShedEvent) -> None:
         self._depth = shed.queue_depth
@@ -284,29 +308,60 @@ class ServeMonitor(RunObserver):
             }
         )
 
-    def _emit_samples(self, t: float) -> None:
-        for scope, key in self._keys:
-            k = (scope, key)
-            lat = self._lat[k]
-            shed = self._shedlog[k].count(t)
-            seen = lat.count(t) + shed
-            p50, p95, p99 = lat.quantiles(_QUANTILES, t)
-            self.records.append(
-                {
-                    "record": "metric",
-                    "t_s": t,
-                    "scope": scope,
-                    "key": key,
-                    "window_s": self.config.window_s,
-                    "qps": lat.rate(t),
-                    "shed_rate": shed / seen if seen > 0 else 0.0,
-                    "n": seen,
-                    "p50_s": _noneify(p50),
-                    "p95_s": _noneify(p95),
-                    "p99_s": _noneify(p99),
-                    "queue_depth": self._depth if scope == "global" else None,
-                }
+    def _splice_samples(self, ticks: list[tuple]) -> None:
+        """Compute every tick's metric records and splice each tick's
+        block in where the replay stood, among alerts and flightrecs."""
+        times, depths, cuts, lengths = zip(*ticks)
+        lengths = np.array(lengths, dtype=np.int64)
+        n_keys = len(self._keys)
+        window_s = self.config.window_s
+        series = []
+        for j, (scope, key) in enumerate(self._keys):
+            lat = self._lat[(scope, key)]
+            lo, span = lat.windows(times)
+            s_lo, _ = self._shedlog[(scope, key)].windows(times)
+            hi = lengths[:, j]
+            done, shed = hi - lo, lengths[:, n_keys + j] - s_lo
+            seen = (done + shed).tolist()
+            quantiles = []
+            window = stats = None
+            for pair in zip(lo.tolist(), hi.tolist()):
+                if pair != window:
+                    window = pair
+                    stats = tuple(
+                        map(_noneify, lat.slice_quantiles(_QUANTILES, *pair))
+                    )
+                quantiles.append(stats)
+            series.append(
+                (scope, key, (done / span).tolist(), shed.tolist(), seen,
+                 quantiles)
             )
+        replayed = self.records
+        self.records = []
+        last = 0
+        for i, (t, cut) in enumerate(zip(times, cuts)):
+            self.records.extend(replayed[last:cut])
+            last = cut
+            for scope, key, qps, shed, seen, quantiles in series:
+                n = seen[i]
+                p50, p95, p99 = quantiles[i]
+                self.records.append(
+                    {
+                        "record": "metric",
+                        "t_s": t,
+                        "scope": scope,
+                        "key": key,
+                        "window_s": window_s,
+                        "qps": qps[i],
+                        "shed_rate": shed[i] / n if n > 0 else 0.0,
+                        "n": n,
+                        "p50_s": p50,
+                        "p95_s": p95,
+                        "p99_s": p99,
+                        "queue_depth": depths[i] if scope == "global" else None,
+                    }
+                )
+        self.records.extend(replayed[last:])
 
     # --------------------- flight recorder capture ----------------------
 
@@ -372,7 +427,7 @@ class ServeMonitor(RunObserver):
         self._require_finalized()
         return self._lat[("global", "*")].quantile(q, self.summary["end_t_s"])
 
-    def _build_summary(self, end_t: float) -> None:
+    def _build_summary(self, end_t: float, metric_records: int) -> None:
         glob = self._lat[("global", "*")]
         p50, p95, p99 = glob.quantiles(_QUANTILES, end_t)
         self.summary = {
@@ -384,9 +439,7 @@ class ServeMonitor(RunObserver):
             "alert_count": self.alert_count,
             "alerts_logged": len(self.alerts),
             "flight_records": len(self.flight_records),
-            "metric_records": sum(
-                1 for r in self.records if r["record"] == "metric"
-            ),
+            "metric_records": metric_records,
         }
 
     def meta(self) -> dict:

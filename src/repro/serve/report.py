@@ -146,7 +146,7 @@ def serve_report_lines(result: ServeResult, monitor=None, **meta) -> list[str]:
 def write_serve_jsonl(result: ServeResult, path, monitor=None, **meta) -> Path:
     """Write one serve report; returns the path written."""
     path = Path(path)
-    path.write_text(
-        "\n".join(serve_report_lines(result, monitor=monitor, **meta)) + "\n"
-    )
+    with path.open("w") as f:
+        for line in serve_report_lines(result, monitor=monitor, **meta):
+            f.write(line + "\n")
     return path

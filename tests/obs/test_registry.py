@@ -1,9 +1,10 @@
-"""The zero-dependency metrics registry primitives."""
+"""The plain-Python metrics registry primitives."""
 
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     Counter,
@@ -183,6 +184,25 @@ class TestRegistry:
         assert snap["lat"]["count"] == 1
 
 
+def array_read(log, t_s):
+    """``(lo, hi, span_s)`` at ``t_s`` of a sealed log, via the array
+    pass; nothing is appended after the read, so the slice ends at the
+    log's length."""
+    (lo,), (span,) = log.windows([t_s])
+    return int(lo), len(log), float(span)
+
+
+def array_rate(log, t_s):
+    lo, hi, span = array_read(log, t_s)
+    return (hi - lo) / span
+
+
+def array_values(log, t_s):
+    """The window's values, as the log stores them."""
+    lo, hi, _ = array_read(log, t_s)
+    return tuple(log._values[lo:hi])
+
+
 class TestWindowedCounter:
     """The window log read as an event counter (count and rate)."""
 
@@ -193,7 +213,7 @@ class TestWindowedCounter:
         c.append(0.45)
         c.append(0.95)
         assert c.count(0.95) == 4
-        assert c.rate(0.95) == pytest.approx(4.0)
+        assert array_rate(c, 0.95) == pytest.approx(4.0)
         assert len(c) == 4
 
     def test_old_buckets_age_out(self):
@@ -214,7 +234,7 @@ class TestWindowedCounter:
         # reads as 10/s, not 1/s diluted over the unseen window.
         c = WindowLog(window_s=1.0, n_buckets=10)
         c.append(0.05)
-        assert c.rate(0.05) == pytest.approx(10.0)
+        assert array_rate(c, 0.05) == pytest.approx(10.0)
 
     def test_negative_time_rejected(self):
         c = WindowLog(window_s=1.0)
@@ -257,7 +277,7 @@ class TestWindowedHistogram:
         assert h.quantiles((0.0, 0.5, 0.95), 0.5) == (
             1.0, 3.0, exact_quantile((5.0, 1.0, 3.0, 2.0, 4.0), 0.95)
         )
-        assert h.values(0.5) == (5.0, 1.0, 3.0, 2.0, 4.0)
+        assert array_values(h, 0.5) == (5.0, 1.0, 3.0, 2.0, 4.0)
         assert h.count(0.5) == 5
         # A read of an earlier window sees only that window's entries.
         assert h.quantile(0.5, 0.05) == 5.0
@@ -266,7 +286,7 @@ class TestWindowedHistogram:
         h = WindowLog(window_s=1.0, n_buckets=10)
         h.append(0.05, 100.0)
         h.append(1.25, 1.0)
-        assert h.values(1.25) == (1.0,)
+        assert array_values(h, 1.25) == (1.0,)
         assert math.isnan(h.quantile(0.5, 3.0))
         assert len(h) == 2
 
@@ -276,9 +296,86 @@ class TestWindowedHistogram:
         h.append(0.35, 3.0)
         h.append(0.35, 2.0)
         # Bucket order (0.0s slice before 0.3s slice), then insertion.
-        assert h.values(0.4) == (1.0, 3.0, 2.0)
+        assert array_values(h, 0.4) == (1.0, 3.0, 2.0)
 
     def test_nan_value_rejected(self):
         h = WindowLog(window_s=1.0)
         with pytest.raises(ValueError, match="NaN"):
             h.append(0.1, math.nan)
+
+
+class TestArrayWindows:
+    """:meth:`WindowLog.windows` against scalar reads of a cut-back log."""
+
+    @given(
+        n_buckets=st.integers(min_value=1, max_value=6),
+        steps=st.lists(
+            st.integers(min_value=0, max_value=40), min_size=0, max_size=30
+        ),
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=30, max_size=30
+        ),
+        tick_steps=st.lists(
+            st.integers(min_value=1, max_value=40), min_size=1, max_size=12
+        ),
+        on_entries=st.lists(st.integers(min_value=0, max_value=29),
+                            max_size=4),
+        window_frac=st.sampled_from([None, 0.5, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reads_of_the_truncated_log(
+        self, n_buckets, steps, values, tick_steps, on_entries, window_frac
+    ):
+        # Times are multiples of 1/8 of a bucket, so ticks land exactly
+        # on bucket edges and on entry times as well as between them.
+        window_s = 1.0
+        bucket_s = window_s / n_buckets
+        grain = bucket_s / 8
+        times, t = [], 0
+        for step in steps:
+            t += step
+            times.append(t * grain)
+        ticks, t = [], 0
+        for step in tick_steps:
+            t += step
+            ticks.append(t * grain)
+        ticks += [times[i] for i in on_entries if i < len(times)]
+        ticks = sorted(set(ticks))
+        end = max(times + ticks) + grain  # a final tick after every entry
+        read_w = None if window_frac is None else window_s * window_frac
+
+        log = WindowLog(window_s, n_buckets)
+        for ts, v in zip(times, values):
+            log.append(ts, v)
+        # A tick sees what was logged before it; the final one sees all.
+        lengths = [sum(1 for ts in times if ts < tick) for tick in ticks]
+        lengths.append(len(times))
+        reads = ticks + [end]
+        lo, span = log.windows(reads, read_w)
+
+        m = n_buckets if read_w is None else max(
+            1, round(read_w / bucket_s)
+        )
+        for i, (tick, length) in enumerate(zip(reads, lengths)):
+            cut = WindowLog(window_s, n_buckets)
+            for ts, v in zip(times[:length], values):
+                cut.append(ts, v)
+            assert length - lo[i] == cut.count(tick, read_w)
+            cur = math.floor(tick / bucket_s)
+            assert span[i] == min(m, cur + 1) * bucket_s
+            qs = (0.0, 0.5, 0.95, 0.99, 1.0)
+            got = log.slice_quantiles(qs, int(lo[i]), length)
+            want = cut.quantiles(qs, tick, read_w)
+            assert [g if g == g else None for g in got] == [
+                w if w == w else None for w in want
+            ]
+
+    def test_empty_log_and_bad_ticks(self):
+        log = WindowLog(window_s=1.0, n_buckets=4)
+        lo, span = log.windows([0.1, 2.0])
+        assert lo.tolist() == [0, 0]
+        assert span.tolist() == [0.25, 1.0]
+        with pytest.raises(ValueError, match="t_s >= 0"):
+            log.windows([math.nan])
+        with pytest.raises(ValueError, match="outside retained window"):
+            log.windows([0.1], window_s=2.0)

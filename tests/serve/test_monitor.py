@@ -280,6 +280,17 @@ class TestMonitorConfig:
         assert cfg.cadence_s == cfg.bucket_s == 0.05
         assert MonitorConfig(sample_every_s=0.5).cadence_s == 0.5
 
+    def test_cadence_finer_than_a_bucket_rejected(self):
+        with pytest.raises(ValueError, match="finer than one window bucket"):
+            MonitorConfig(window_s=5e-3, n_buckets=20, sample_every_s=1e-9)
+        with pytest.raises(ValueError, match="finer than one window bucket"):
+            MonitorConfig(window_s=1.0, n_buckets=20, sample_every_s=0.049)
+        # One bucket as the CLI spells it (100 * 1e-6 is one ulp below
+        # 2000 * 1e-6 / 20) is still one bucket.
+        cfg = MonitorConfig(window_s=2000 * 1e-6, n_buckets=20,
+                            sample_every_s=100 * 1e-6)
+        assert cfg.cadence_s < cfg.bucket_s
+
 
 def metric_oracle(result, config):
     """Every ``metric`` record, recomputed from plain lists of the log.
@@ -362,35 +373,82 @@ def metric_oracle(result, config):
     return out
 
 
+#: The oracle configurations: alerting, shedding off the default grid
+#: (7 buckets, a 310 us cadence), and a one-bucket window.
+ORACLE_CASES = pytest.mark.parametrize(
+    "seed, config, serve",
+    [
+        (3, HOT_CONFIG, ServeConfig()),
+        (7, MonitorConfig(window_s=2e-3, n_buckets=7,
+                          sample_every_s=3.1e-4),
+         ServeConfig(queue_limit=6, tenant_limit=3)),
+        (11, MonitorConfig(window_s=1e-3, n_buckets=1),
+         ServeConfig(queue_limit=4, tenant_limit=2)),
+    ],
+    ids=["hot", "shedding", "one-bucket"],
+)
+
+
+def run_oracle_case(device, seed, config, serve):
+    engine = ServeEngine(device, serve)
+    engine.register(MATRIX, scale=SCALE, format_name="csr")
+    trace = generate_trace(
+        TraceConfig(n_requests=96, seed=seed, burst_factor=6.0),
+        engine.registered_graphs(),
+        120e-6,
+    )
+    monitor = ServeMonitor(config)
+    return engine.run_trace(trace, monitor=monitor), monitor
+
+
 class TestMetricOracle:
     """Every metric record equals a plain-list recomputation, exactly."""
 
     @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
-    @pytest.mark.parametrize(
-        "seed, config, serve",
-        [
-            (3, HOT_CONFIG, ServeConfig()),
-            (7, MonitorConfig(window_s=2e-3, n_buckets=7,
-                              sample_every_s=3.1e-4),
-             ServeConfig(queue_limit=6, tenant_limit=3)),
-            (11, MonitorConfig(window_s=1e-3, n_buckets=1),
-             ServeConfig(queue_limit=4, tenant_limit=2)),
-        ],
-        ids=["hot", "shedding", "one-bucket"],
-    )
+    @ORACLE_CASES
     def test_metric_records_match_the_list_oracle(
         self, device, seed, config, serve
     ):
-        engine = ServeEngine(device, serve)
-        engine.register(MATRIX, scale=SCALE, format_name="csr")
-        trace = generate_trace(
-            TraceConfig(n_requests=96, seed=seed, burst_factor=6.0),
-            engine.registered_graphs(),
-            120e-6,
-        )
-        monitor = ServeMonitor(config)
-        result = engine.run_trace(trace, monitor=monitor)
+        result, monitor = run_oracle_case(device, seed, config, serve)
         got = [r for r in monitor.records if r["record"] == "metric"]
         assert got == metric_oracle(result, config)
         if serve.queue_limit < 64:
             assert result.shed_events  # the sheds reach the oracle
+
+
+class TestSampleOrder:
+    """Samples splice back into the replay's record stream at their
+    ticks."""
+
+    @staticmethod
+    def assert_samples_in_replay_order(records):
+        """A metric record at tick ``T`` follows every alert/flightrec
+        with ``t_s < T`` and precedes every one with ``t_s >= T``; the
+        end-of-run samples (one per series) follow everything."""
+        n_series = len({
+            (r["scope"], r["key"]) for r in records if r["record"] == "metric"
+        })
+        ticked, final = records[:-n_series], records[-n_series:]
+        assert all(r["record"] == "metric" for r in final)
+        event_times = [r["t_s"] for r in records if r["record"] != "metric"]
+        events_seen = 0
+        for r in ticked:
+            if r["record"] != "metric":
+                events_seen += 1
+                continue
+            t = r["t_s"]
+            assert all(x < t for x in event_times[:events_seen])
+            assert all(x >= t for x in event_times[events_seen:])
+
+    def test_samples_splice_between_events_hot(self, hot_run):
+        _, monitor = hot_run
+        assert {r["record"] for r in monitor.records} == {
+            "metric", "alert", "flightrec"
+        }
+        self.assert_samples_in_replay_order(monitor.records)
+
+    @ORACLE_CASES
+    def test_samples_splice_between_events(self, seed, config, serve):
+        _, monitor = run_oracle_case(GTX_TITAN, seed, config, serve)
+        assert monitor.records[-1]["record"] == "metric"
+        self.assert_samples_in_replay_order(monitor.records)

@@ -362,6 +362,22 @@ class TestServeSimMonitorCli:
         assert main(args) == 2
         assert "finite and positive" in capsys.readouterr().err
 
+    def test_cadence_finer_than_a_bucket_exits_2_before_serving(
+        self, capsys, monkeypatch
+    ):
+        # 1 ns against a 250 us bucket would be ~10^9 ticks per key.
+        from repro.serve import ServeEngine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("served with a sub-bucket cadence")
+
+        monkeypatch.setattr(ServeEngine, "run_trace", refuse)
+        args = TestServeSimCli.ARGS + [
+            "--monitor", "--sample-every-us", "0.001"
+        ]
+        assert main(args) == 2
+        assert "finer than one window bucket" in capsys.readouterr().err
+
     def test_non_finite_tracer_window_exits_2(self, capsys, tmp_path):
         args = TestServeSimCli.ARGS + [
             "--trace-queries",
