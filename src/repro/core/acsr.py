@@ -13,13 +13,11 @@ lazily per device and cached.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..formats.base import (
+    ModelledRun,
     PreprocessReport,
-    SpMMResult,
     SpMVFormat,
-    SpMVResult,
+    check_width,
 )
 from ..formats.csr import CSRMatrix
 from ..gpu.device import DeviceSpec, GTX_TITAN
@@ -33,6 +31,7 @@ from .dispatch import (
     bin_works,
     build_plan,
     dp_children_works,
+    pooled_kernel_work,
     time_spmv,
 )
 from .parameters import ACSRParams
@@ -118,11 +117,11 @@ class ACSRFormat(SpMVFormat):
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         """All launches of one SpMV (children merged as one concurrent pool).
 
-        Used by generic tooling; note the base-class sequence timing does
-        not include device-side launch overheads — prefer
-        :meth:`spmv_time_s` / :meth:`spmm_time_s`, which route through the
-        DP model.  ``k > 1`` widens the data grids to the batched (SpMM)
-        variant; the DP parent is control-only and stays ``k=1``.
+        Used by generic tooling; note a back-to-back sequence of these
+        launches is not ACSR's time — :meth:`modelled_run` (and so every
+        entry point and view) goes through the DP-aware pooled model.
+        ``k > 1`` widens the data grids to the batched (SpMM) variant; the
+        DP parent is control-only and stays ``k=1``.
         """
         plan = self.plan_for(device)
         works = list(bin_works(self.csr, plan, device, k=k))
@@ -149,45 +148,27 @@ class ACSRFormat(SpMVFormat):
             self._timings[key] = timing
         return timing
 
-    def spmv_time_s(self, device: DeviceSpec) -> float:
-        return self.timing(device).time_s
+    def modelled_run(self, device: DeviceSpec, k: int = 1) -> ModelledRun:
+        """One SpMV/SpMM through the DP-aware model: the pooled work and
+        its pool timing behind the host launch bill, beside the child
+        enqueue window (:class:`~repro.core.dispatch.ACSRTiming`).
 
-    def spmm_time_s(self, device: DeviceSpec, k: int = 1) -> float:
-        """Batched SpMM time through the DP-aware ACSR model.
-
+        ``k=1`` reuses the cached single-vector timing, so
         ``spmm_time_s(device, 1)`` is byte-identical to
-        :meth:`spmv_time_s` — the ``k=1`` batch reuses the cached single-
-        vector timing.
+        :meth:`spmv_time_s`.
         """
-        if k < 1:
-            raise ValueError("vector-block width k must be >= 1")
-        return self.timing(device, k=k).time_s
-
-    def run_spmv(self, x: np.ndarray, device: DeviceSpec) -> SpMVResult:
-        """Exact product plus the DP-aware ACSR timing of one SpMV."""
-        x = np.asarray(x, dtype=self.precision.numpy_dtype)
-        if x.shape != (self.n_cols,):
-            raise ValueError(f"x must have shape ({self.n_cols},)")
-        timing = self.timing(device)
-        return SpMVResult(
-            y=self.multiply(x),
-            time_s=timing.time_s,
-            timings=(timing.pool,),
-            flops=2.0 * self.nnz,
-        )
-
-    def run_spmm(self, X: np.ndarray, device: DeviceSpec) -> SpMMResult:
-        """Batched ``Y = A @ X``, timed as one ``k``-wide launch of the
-        same plan via :meth:`timing`."""
-        Y = self.multiply_many(X)
-        k = int(Y.shape[1])
+        k = check_width(k)
         timing = self.timing(device, k=k)
-        return SpMMResult(
-            Y=Y,
+        plan = self.plan_for(device)
+        pooled = pooled_kernel_work(self.csr, plan, device, k=k)
+        return ModelledRun(
+            launches=((pooled, timing.pool),),
             time_s=timing.time_s,
-            timings=(timing.pool,),
-            flops=2.0 * self.nnz * k,
-            k=k,
+            launch_s=timing.launch_s,
+            host_launches=timing.n_bin_grids + int(timing.n_row_grids > 0),
+            enqueue_s=timing.enqueue_s,
+            dp_children=timing.n_row_grids,
+            dp_overflow=timing.dp_overflow,
         )
 
     # ------------------------------------------------------------------
@@ -199,31 +180,7 @@ class ACSRFormat(SpMVFormat):
         return (plan.n_bin_grids, plan.n_row_grids)
 
     def trace(self, device: DeviceSpec):
-        """A :class:`~repro.gpu.trace.KernelTrace` of one SpMV.
-
-        Shows the launch bill, the pooled bin/DP execution, and (when it
-        exceeds the pool) the child-enqueue stream — exportable to
-        ``chrome://tracing`` via ``trace.save(path)``.
-        """
-        from ..gpu.trace import KernelTrace, TraceEvent
-
-        timing = self.timing(device)
-        tr = KernelTrace(device_name=device.name)
-        tr.add_span(
-            "launch x%d" % (timing.n_bin_grids + (1 if timing.n_row_grids else 0)),
-            timing.launch_s,
-            category="overhead",
-        )
-        pool_ev = tr.append_timing(timing.pool, stream=0)
-        if timing.n_row_grids:
-            tr.add(
-                TraceEvent(
-                    name=f"dp-enqueue x{timing.n_row_grids}",
-                    start_s=pool_ev.start_s,
-                    duration_s=timing.enqueue_s,
-                    stream=1,
-                    category="overhead",
-                    args={"children": timing.n_row_grids},
-                )
-            )
-        return tr
+        """A :class:`~repro.gpu.trace.KernelTrace` of one SpMV: the timing
+        model's own (:meth:`ACSRTiming.trace
+        <repro.core.dispatch.ACSRTiming.trace>`)."""
+        return self.timing(device).trace()

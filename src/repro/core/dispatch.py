@@ -209,8 +209,9 @@ def pooled_kernel_work(
 
     G2 bin grids, the DP parent and the DP children all share the device
     as one warp pool (see :class:`ACSRTiming`); this is the exact work
-    :func:`time_spmv` simulates, factored out so the observability layer
-    can replay the same floats without going through the timing model.
+    :func:`time_spmv` simulates, factored out so
+    :meth:`ACSRFormat.modelled_run <repro.core.acsr.ACSRFormat.modelled_run>`
+    can pair it with the pool timing for every view.
 
     Cached on the plan per ``(matrix, device, k)`` like the launch
     lists: the merged pool (and, via the simulator's canonical-form

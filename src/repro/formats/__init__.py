@@ -29,6 +29,7 @@ submodule named above), never from the "other" module.
 from .advisor import Recommendation, Workload, matrix_traits, recommend
 from .base import (
     FormatCapacityError,
+    ModelledRun,
     PreprocessReport,
     SpMMResult,
     SpMVFormat,
@@ -67,6 +68,7 @@ __all__ = [
     "FORMAT_BUILDERS",
     "FormatCapacityError",
     "HYBFormat",
+    "ModelledRun",
     "PAPER_COMPARISON_SET",
     "PreprocessReport",
     "SICFormat",

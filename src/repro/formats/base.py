@@ -24,7 +24,7 @@ import numpy as np
 
 from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
-from ..gpu.simulator import KernelTiming, simulate_sequence
+from ..gpu.simulator import KernelTiming, simulate_many
 from ..gpu.transfer import DEFAULT_LINK, PCIeLink
 from .csr import CSRMatrix
 
@@ -90,6 +90,62 @@ class PreprocessReport:
     def scalable_s(self) -> float:
         """The portion of ``PT`` that grows with matrix size."""
         return self.host_s + self.tuning_s + self.device_s
+
+
+def check_width(k) -> int:
+    """``k`` as a vector-block width: an integer (NumPy integers too), >= 1."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(
+            f"vector-block width k must be an integer >= 1, got {k!r}"
+        )
+    return int(k)
+
+
+@dataclass(frozen=True)
+class ModelledRun:
+    """One modelled SpMV (``k=1``) or ``k``-wide SpMM of a format.
+
+    The one source of a format's launches and time: the entry points
+    (``spmv_time_s``, ``spmm_time_s``, ``run_spmv``, ``run_spmm``) and
+    the profile, attribution and timeline views all read it.
+
+    A back-to-back sequence lists one ``(work, timing)`` pair per launch,
+    each timing carrying its own launch overhead, and ``time_s`` is their
+    left-to-right sum.  A model whose launches overlap (ACSR's G2 bin
+    grids, DP parent and DP children) lists its one pooled pair, priced
+    without launch overhead, behind a separate host launch bill and
+    beside the device-side child-enqueue window:
+    ``time_s = launch_s + max(pool, enqueue_s)``.
+    """
+
+    #: ``(work, timing)`` of each launch, in launch order.
+    launches: tuple[tuple[KernelWork, KernelTiming], ...]
+    #: The modelled time, seconds (the paper's ``ST``).
+    time_s: float
+    #: Host launch bill paid before the launches run, seconds; 0.0 for a
+    #: sequence, whose timings carry their own launch overhead.
+    launch_s: float = 0.0
+    #: Host launches that bill covers.
+    host_launches: int = 0
+    #: Device-side DP child-enqueue window, overlapped with the launches.
+    enqueue_s: float = 0.0
+    #: DP child grids the run enqueues.
+    dp_children: int = 0
+    #: Of those, the ones past the device's pending-launch cap.
+    dp_overflow: int = 0
+
+    @property
+    def pooled(self) -> bool:
+        """Whether the launches overlap behind a separate host launch bill."""
+        return self.launch_s > 0.0
+
+    @property
+    def timings(self) -> tuple[KernelTiming, ...]:
+        return tuple(t for _, t in self.launches)
+
+    @property
+    def flops(self) -> float:
+        return sum(w.flops for w, _ in self.launches)
 
 
 @dataclass(frozen=True)
@@ -235,9 +291,25 @@ class SpMVFormat(abc.ABC):
         return self.preprocess.device_bytes
 
     # -- shared entry points ---------------------------------------------
+    def modelled_run(self, device: DeviceSpec, k: int = 1) -> ModelledRun:
+        """One SpMV (``k=1``) or ``k``-wide SpMM as modelled on ``device``.
+
+        The base model runs :meth:`cached_kernel_works` back to back.  A
+        format whose launches overlap overrides this (ACSR's pool).
+        ``k`` must be an integer >= 1; anything else raises
+        ``ValueError``.
+        """
+        k = check_width(k)
+        works = self.cached_kernel_works(device, k=k)
+        timings = simulate_many(device, works)
+        return ModelledRun(
+            launches=tuple(zip(works, timings)),
+            time_s=sum(t.time_s for t in timings),
+        )
+
     def spmv_time_s(self, device: DeviceSpec) -> float:
         """Modelled time of one SpMV on ``device`` (the paper's ``ST``)."""
-        return simulate_sequence(device, self.cached_kernel_works(device)).time_s
+        return self.modelled_run(device).time_s
 
     def trace(self, device: DeviceSpec):
         """A :class:`~repro.gpu.trace.KernelTrace` of one SpMV's launches."""
@@ -260,15 +332,10 @@ class SpMVFormat(abc.ABC):
 
     def run_spmv(self, x: np.ndarray, device: DeviceSpec) -> SpMVResult:
         """Execute numerically and model the time in one call."""
-        x = np.asarray(x, dtype=self.precision.numpy_dtype)
-        if x.shape != (self.n_cols,):
-            raise ValueError(f"x must have shape ({self.n_cols},)")
         y = self.multiply(x)
-        works = self.cached_kernel_works(device)
-        seq = simulate_sequence(device, works)
-        flops = sum(w.flops for w in works)
+        run = self.modelled_run(device)
         return SpMVResult(
-            y=y, time_s=seq.time_s, timings=seq.timings, flops=flops
+            y=y, time_s=run.time_s, timings=run.timings, flops=run.flops
         )
 
     # -- batched (SpMM) entry points --------------------------------------
@@ -278,29 +345,20 @@ class SpMVFormat(abc.ABC):
         ``spmm_time_s(device, 1) == spmv_time_s(device)`` exactly — the
         ``k=1`` batch runs the very same launch sequence.
         """
-        return simulate_sequence(
-            device, self.cached_kernel_works(device, k=k)
-        ).time_s
+        return self.modelled_run(device, k=k).time_s
 
     def run_spmm(self, X: np.ndarray, device: DeviceSpec) -> SpMMResult:
         """Execute ``Y = A @ X`` numerically and model one batched launch.
 
-        The numeric result matches :meth:`multiply_many`; the modelled
-        time is ONE SpMM over all ``X.shape[1]`` columns, which is what a
+        The numeric result is :meth:`multiply_many`'s; the modelled time
+        is ONE SpMM over all ``X.shape[1]`` columns, which is what a
         batched server would launch instead of ``k`` SpMVs.
         """
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        k = X.shape[1]
-        if k < 1:
-            raise ValueError("X must have at least one column")
         Y = self.multiply_many(X)
-        works = self.cached_kernel_works(device, k=k)
-        seq = simulate_sequence(device, works)
-        flops = sum(w.flops for w in works)
+        k = Y.shape[1]
+        run = self.modelled_run(device, k=k)
         return SpMMResult(
-            Y=Y, time_s=seq.time_s, timings=seq.timings, flops=flops, k=k
+            Y=Y, time_s=run.time_s, timings=run.timings, flops=run.flops, k=k
         )
 
 

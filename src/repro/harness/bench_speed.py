@@ -178,12 +178,11 @@ def run_case(
     warps = [w.n_warps for w in works]
     # Hardware-counter columns: deterministic model outputs, so the CI
     # gate can hold efficiency (not just wall-clock) to the baseline.
-    from ..core.dispatch import pooled_kernel_work
     from ..obs.imbalance import tail_warp_share, warp_work_gini
     from ..obs.profile import profile_format
 
     total = profile_format(fmt, device, k=k).total
-    pooled = pooled_kernel_work(csr, fmt.plan_for(device), device, k=k)
+    ((pooled, _),) = fmt.modelled_run(device, k=k).launches
     return {
         "name": spec.abbrev,
         "scale": scale,

@@ -100,7 +100,6 @@ from .timeline import (
     LaunchDetail,
     Timeline,
     launch_detail,
-    timeline_from_acsr,
     timeline_from_engine,
     timeline_from_format,
     timeline_from_multigpu,
@@ -170,7 +169,6 @@ __all__ = [
     "LaunchDetail",
     "launch_detail",
     "timeline_from_sequence",
-    "timeline_from_acsr",
     "timeline_from_engine",
     "timeline_from_multigpu",
     "timeline_from_format",

@@ -387,45 +387,29 @@ def attribute_sequence(
     )
 
 
-def _attribute_acsr(fmt, device: DeviceSpec, *, k: int) -> Attribution:
-    """ACSR path: pool waterfall + launch bill + DP serialisation."""
-    from ..core.dispatch import pooled_kernel_work, time_spmv
-
-    plan = fmt.plan_for(device)
-    acsr = time_spmv(fmt.csr, plan, device, k=k)
-    pooled = pooled_kernel_work(fmt.csr, plan, device, k=k)
-    base = attribute_launch(device, pooled, acsr.pool)
-    dp_serial = max(acsr.pool.time_s, acsr.enqueue_s) - acsr.pool.time_s
-    return merge_attributions(
-        [base],
-        name=f"{fmt.name}" + (f"[k={k}]" if k > 1 else ""),
-        device=device.name,
-        time_s=acsr.time_s,
-        extra={
-            "launch_overhead": acsr.launch_s,
-            "dp_serialization": dp_serial,
-        },
-    )
-
-
 def attribute_format(
     fmt, device: DeviceSpec, *, k: int = 1
 ) -> Attribution:
     """Attribute one SpMV (``k=1``) or ``k``-wide SpMM of a format.
 
-    Generic formats walk their launch sequence; ACSR goes through its
-    DP-aware pooled model.  Either way the attribution's ``time_s`` is
-    the format's own modelled time, bit-for-bit.
+    Walks the format's :meth:`~repro.formats.base.SpMVFormat.modelled_run`
+    launch by launch, then adds the host launch bill and the DP enqueue
+    window's excess over the launches (both 0.0 for a sequence, whose
+    timings carry their own launch overhead).  The attribution's
+    ``time_s`` is the format's own modelled time, bit-for-bit.
     """
-    from ..core.acsr import ACSRFormat  # local: core imports formats
-
-    if isinstance(fmt, ACSRFormat):
-        return _attribute_acsr(fmt, device, k=k)
-    works = fmt.cached_kernel_works(device, k=k)
-    return attribute_sequence(
-        device,
-        works,
+    run = fmt.modelled_run(device, k=k)
+    parts = [attribute_launch(device, w, t) for w, t in run.launches]
+    body = sum(t.time_s for _, t in run.launches)
+    return merge_attributions(
+        parts,
         name=f"{fmt.name}" + (f"[k={k}]" if k > 1 else ""),
+        device=device.name,
+        time_s=run.time_s,
+        extra={
+            "launch_overhead": run.launch_s,
+            "dp_serialization": max(body, run.enqueue_s) - body,
+        },
     )
 
 

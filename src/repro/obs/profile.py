@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpu.device import DeviceSpec
-from ..gpu.simulator import canonicalize_works, simulate_kernel
 from .counters import CounterSet, aggregate, launch_counters, with_totals
 
 
@@ -140,23 +139,39 @@ def profile_format(
 ) -> FormatProfile:
     """Profile one SpMV (``k=1``) or ``k``-wide SpMM of ``fmt``.
 
-    Generic formats re-run the exact per-launch roofline evaluation of
-    ``simulate_sequence`` (same works, same order, same floats); ACSR is
-    profiled as the pooled work of its DP-aware
-    :func:`~repro.core.dispatch.time_spmv` model and that model's pool
-    timing.  Either way
+    Reads the format's :meth:`~repro.formats.base.SpMVFormat.modelled_run`:
+    one counter set per ``(work, timing)`` pair.  A sequence totals its
+    launches; a pooled run (ACSR) totals its one pool with the host
+    launch bill and the overlapped enqueue.  Either way
     ``profile.total.time_s == fmt.spmm_time_s(device, k)`` exactly.
     """
-    from ..core.acsr import ACSRFormat  # local: core imports formats
-
-    if isinstance(fmt, ACSRFormat):
-        return _profile_acsr(fmt, device, k=k, matrix=matrix)
-    works = fmt.cached_kernel_works(device, k=k)
-    canonicalize_works(works)  # one batched grouping pass for all launches
+    run = fmt.modelled_run(device, k=k)
     launches = tuple(
-        launch_counters(device, w, simulate_kernel(device, w)) for w in works
+        launch_counters(
+            device,
+            w,
+            t,
+            dp_children=run.dp_children,
+            dp_overflow=run.dp_overflow,
+        )
+        for w, t in run.launches
     )
-    total = aggregate(launches, name="total")
+    if run.pooled:
+        total = with_totals(
+            launches[0],
+            time_s=run.time_s,
+            launch_overhead_s=run.launch_s,
+            n_launches=max(1, run.host_launches),
+            name="total",
+        )
+        n_grids = run.host_launches - (1 if run.dp_children else 0)
+        notes = (
+            f"{n_grids} bin grids + {run.dp_children} DP child grids; "
+            f"enqueue {run.enqueue_s * 1e6:.2f} us overlapped with the pool"
+        )
+    else:
+        total = aggregate(launches, name="total")
+        notes = f"{len(launches)} launches"
     return FormatProfile(
         format_name=fmt.name,
         device=device.name,
@@ -164,47 +179,7 @@ def profile_format(
         launches=launches,
         total=total,
         verdict=verdict_for(total),
-        model_time_s=fmt.spmm_time_s(device, k=k),
-        matrix=matrix,
-        notes=f"{len(launches)} launches",
-    )
-
-
-def _profile_acsr(fmt, device: DeviceSpec, *, k: int, matrix: str) -> FormatProfile:
-    """ACSR path: the pooled launch of the DP-aware model."""
-    from ..core.dispatch import pooled_kernel_work, time_spmv
-
-    plan = fmt.plan_for(device)
-    acsr = time_spmv(fmt.csr, plan, device, k=k)
-    work = pooled_kernel_work(fmt.csr, plan, device, k=k)
-    pool = launch_counters(
-        device,
-        work,
-        acsr.pool,
-        dp_children=acsr.n_row_grids,
-        dp_overflow=acsr.dp_overflow,
-    )
-    n_host = acsr.n_bin_grids + (1 if acsr.n_row_grids else 0)
-    total = with_totals(
-        pool,
-        time_s=acsr.time_s,
-        launch_overhead_s=acsr.launch_s,
-        n_launches=max(1, n_host),
-        name="total",
-    )
-    notes = (
-        f"{acsr.n_bin_grids} bin grids + "
-        f"{acsr.n_row_grids} DP child grids; "
-        f"enqueue {acsr.enqueue_s * 1e6:.2f} us overlapped with the pool"
-    )
-    return FormatProfile(
-        format_name=fmt.name,
-        device=device.name,
-        k=k,
-        launches=(pool,),
-        total=total,
-        verdict=verdict_for(total),
-        model_time_s=acsr.time_s,
+        model_time_s=run.time_s,
         matrix=matrix,
         notes=notes,
     )

@@ -12,12 +12,12 @@ the records.  This module rebuilds the full picture, read-only:
   round-robin placement, the tail-warp set and its skew statistics, and
   the DP child fan-out against the pending-launch cap.
 
-**Exactness invariant.**  Every builder reconstructs the source model's
-total by replaying the *same float operations in the same order* the
-model used (a running cursor for sequences, the engine's ``t += dt``
-segment walk, the literal timing expressions for ACSR and multi-GPU), so
-``Timeline.time_s`` equals the model's ``time_s`` bit-for-bit — the
-reconstructed critical path *is* the modelled time, not an estimate.
+**Exactness invariant.**  ``Timeline.time_s`` equals the model's
+``time_s`` bit-for-bit — the reconstructed critical path *is* the
+modelled time, not an estimate.  A format's timeline takes it from the
+format's ``modelled_run``; the engine and multi-GPU builders replay the
+*same float operations in the same order* the model used (the engine's
+``t += dt`` segment walk, the board's max-plus-barrier expression).
 Re-simulation only reads frozen works, so building a timeline never
 changes a modelled time.
 """
@@ -218,6 +218,30 @@ def launch_detail(
     )
 
 
+def _back_to_back(
+    device: DeviceSpec, pairs, *, start_s: float = 0.0, dp_children: int = 0
+):
+    """Place ``(work, timing)`` pairs back to back from ``start_s``.
+
+    Returns the lane's events, the launches' details and the body time:
+    the left-to-right float sum of the timings, the same sum
+    ``SequenceTiming.time_s`` performs.
+    """
+    events: list[LaneEvent] = []
+    details: list[LaunchDetail] = []
+    body = 0.0
+    for w, t in pairs:
+        start = start_s + body
+        events.append(
+            LaneEvent(name=t.name, start_s=start, duration_s=t.time_s)
+        )
+        details.append(
+            launch_detail(device, w, t, start_s=start, dp_children=dp_children)
+        )
+        body += t.time_s
+    return tuple(events), tuple(details), body
+
+
 def timeline_from_sequence(
     device: DeviceSpec,
     works: list[KernelWork],
@@ -227,110 +251,59 @@ def timeline_from_sequence(
 ) -> Timeline:
     """Rebuild a back-to-back launch sequence as a single-lane timeline.
 
-    The cursor accumulates ``timing.time_s`` launch by launch — the same
+    The total accumulates ``timing.time_s`` launch by launch — the same
     left-to-right float sum ``SequenceTiming.time_s`` performs — so the
     reconstructed total equals the sequence model's time exactly.
     """
-    events: list[LaneEvent] = []
-    details: list[LaunchDetail] = []
-    cursor = 0.0
-    for w in works:
-        timing = simulate_kernel(
-            device, w, include_launch_overhead=include_launch_overhead
+    pairs = [
+        (
+            w,
+            simulate_kernel(
+                device, w, include_launch_overhead=include_launch_overhead
+            ),
         )
-        events.append(
-            LaneEvent(
-                name=timing.name,
-                start_s=cursor,
-                duration_s=timing.time_s,
-                category="kernel",
-            )
-        )
-        details.append(launch_detail(device, w, timing, start_s=cursor))
-        cursor += timing.time_s
+        for w in works
+    ]
+    events, details, total = _back_to_back(device, pairs)
     return Timeline(
         name=name,
         device_name=device.name,
         source="sequence",
-        time_s=cursor,
-        lanes=(Lane(label="stream 0", events=tuple(events)),),
-        details=tuple(details),
+        time_s=total,
+        lanes=(Lane(label="stream 0", events=events),),
+        details=details,
     )
 
 
-def timeline_from_acsr(fmt, device: DeviceSpec, *, k: int = 1) -> Timeline:
-    """Rebuild the serial ACSR model: launch bill, pool, enqueue window.
-
-    The total replays ``ACSRTiming.time_s``'s own expression
-    (``launch_s + max(pool, enqueue)``) on the frozen timing's floats.
-    """
-    from ..core.dispatch import pooled_kernel_work, time_spmv
-
-    plan = fmt.plan_for(device)
-    acsr = time_spmv(fmt.csr, plan, device, k=k)
-    pooled = pooled_kernel_work(fmt.csr, plan, device, k=k)
-    lanes = [
-        Lane(
-            label="host",
-            events=(
-                LaneEvent(
-                    name="launch-bill",
-                    start_s=0.0,
-                    duration_s=acsr.launch_s,
-                    category="overhead",
-                ),
-            ),
-        ),
-        Lane(
-            label="pool",
-            events=(
-                LaneEvent(
-                    name=acsr.pool.name,
-                    start_s=acsr.launch_s,
-                    duration_s=acsr.pool.time_s,
-                    category="kernel",
-                ),
-            ),
-        ),
-    ]
-    critical = 1
-    if acsr.n_row_grids:
-        lanes.append(
-            Lane(
-                label="dp-enqueue",
-                events=(
-                    LaneEvent(
-                        name="child-enqueue",
-                        start_s=acsr.launch_s,
-                        duration_s=acsr.enqueue_s,
-                        category="sync",
-                    ),
-                ),
+def _record_lanes(result, key, *, spans: bool = True):
+    """Walk an engine run's records once, grouping lane events by
+    ``key(record)`` (stream or device), and rebuild the launch detail of
+    every kernel record as a ``(key, detail)`` pair, in record order.
+    ``spans=False`` leaves the engine's sync spans out."""
+    category = {"kernel": "kernel", "copy": "copy", "span": "sync"}
+    events: dict[int, list[LaneEvent]] = {}
+    details: list[tuple[int, LaunchDetail]] = []
+    for r in result.records:
+        if r.kind == "span" and not spans:
+            continue
+        events.setdefault(key(r), []).append(
+            LaneEvent(
+                name=r.name,
+                start_s=r.start_s,
+                duration_s=r.duration_s,
+                category=category.get(r.kind, "kernel"),
             )
         )
-        if acsr.enqueue_s > acsr.pool.time_s:
-            critical = 2
-    detail = launch_detail(
-        device,
-        pooled,
-        acsr.pool,
-        start_s=acsr.launch_s,
-        dp_children=acsr.n_row_grids,
-    )
-    notes = (
-        f"{acsr.n_bin_grids} bin grids + {acsr.n_row_grids} DP children"
-        + (f", {acsr.dp_overflow} past the launch cap" if acsr.dp_overflow else "")
-    )
-    return Timeline(
-        name=fmt.name + (f"[k={k}]" if k > 1 else ""),
-        device_name=device.name,
-        source="acsr",
-        time_s=acsr.launch_s + max(acsr.pool.time_s, acsr.enqueue_s),
-        lanes=tuple(lanes),
-        details=(detail,),
-        critical_lane=critical,
-        notes=notes,
-    )
+        if r.kind == "kernel" and r.work is not None:
+            detail = launch_detail(
+                result.devices[r.device],
+                r.work,
+                r.timing,
+                start_s=r.start_s,
+                dp_children=r.dp_children,
+            )
+            details.append((key(r), detail))
+    return events, details
 
 
 def timeline_from_engine(result, *, name: str = "engine") -> Timeline:
@@ -340,28 +313,7 @@ def timeline_from_engine(result, *, name: str = "engine") -> Timeline:
     recorded :class:`~repro.gpu.streams.TimeSegment`\\s, re-accumulating
     ``duration_s`` bit-for-bit.
     """
-    category = {"kernel": "kernel", "copy": "copy", "span": "sync"}
-    by_stream: dict[int, list[LaneEvent]] = {}
-    details: list[LaunchDetail] = []
-    for r in result.records:
-        by_stream.setdefault(r.stream, []).append(
-            LaneEvent(
-                name=r.name,
-                start_s=r.start_s,
-                duration_s=r.duration_s,
-                category=category.get(r.kind, "kernel"),
-            )
-        )
-        if r.kind == "kernel" and r.work is not None:
-            details.append(
-                launch_detail(
-                    result.devices[r.device],
-                    r.work,
-                    r.timing,
-                    start_s=r.start_s,
-                    dp_children=r.dp_children,
-                )
-            )
+    by_stream, details = _record_lanes(result, lambda r: r.stream)
     lanes = tuple(
         Lane(label=f"stream {s}", events=tuple(evs))
         for s, evs in sorted(by_stream.items())
@@ -379,7 +331,7 @@ def timeline_from_engine(result, *, name: str = "engine") -> Timeline:
         source="engine",
         time_s=t,
         lanes=lanes,
-        details=tuple(details),
+        details=tuple(d for _, d in details),
         critical_lane=critical,
     )
 
@@ -395,32 +347,13 @@ def timeline_from_multigpu(mg, *, name: str = "multi-gpu") -> Timeline:
     if mg.result is None:
         raise ValueError("this MultiGPUTiming was built without an engine result")
     cd = mg.critical_device
-    lanes = []
-    details: list[LaunchDetail] = []
-    for d in range(mg.n_devices):
-        events = []
-        for r in mg.result.records:
-            if r.device != d or r.kind == "span":
-                continue
-            events.append(
-                LaneEvent(
-                    name=r.name,
-                    start_s=r.start_s,
-                    duration_s=r.duration_s,
-                    category="kernel" if r.kind == "kernel" else "copy",
-                )
-            )
-            if r.kind == "kernel" and r.work is not None:
-                details.append(
-                    launch_detail(
-                        mg.result.devices[r.device],
-                        r.work,
-                        r.timing,
-                        start_s=r.start_s,
-                        dp_children=r.dp_children,
-                    )
-                )
-        lanes.append(Lane(label=f"dev{d}", events=tuple(events)))
+    by_device, details = _record_lanes(
+        mg.result, lambda r: r.device, spans=False
+    )
+    lanes = [
+        Lane(label=f"dev{d}", events=tuple(by_device.get(d, ())))
+        for d in range(mg.n_devices)
+    ]
     if mg.n_devices > 1:
         start = max(t.time_s for t in mg.per_device)
         lanes.append(
@@ -449,24 +382,64 @@ def timeline_from_multigpu(mg, *, name: str = "multi-gpu") -> Timeline:
         source="multi-gpu",
         time_s=total,
         lanes=tuple(lanes),
-        details=tuple(details),
+        # Device by device, each in record order.
+        details=tuple(d for _, d in sorted(details, key=lambda p: p[0])),
         critical_lane=cd,
         notes=f"critical device: dev{cd}",
     )
 
 
 def timeline_from_format(fmt, device: DeviceSpec, *, k: int = 1) -> Timeline:
-    """Rebuild one SpMV/SpMM of any registered format.
+    """Rebuild one SpMV/SpMM of any registered format from its
+    :meth:`~repro.formats.base.SpMVFormat.modelled_run`.
 
-    ACSR goes through its pooled model; every other format through its
-    launch sequence.  ``Timeline.time_s`` equals the format's own
-    ``spmm_time_s(device, k)`` bit-for-bit.
+    A sequence's launches lie back to back on one stream.  A pooled run
+    (ACSR) draws its host launch bill, then its pool, beside the DP
+    child-enqueue window when it has children; the critical lane is the
+    longer of pool and enqueue.  ``Timeline.time_s`` is the run's own
+    ``time_s``, i.e. ``fmt.spmm_time_s(device, k)`` bit-for-bit.
     """
-    from ..core.acsr import ACSRFormat  # local: core imports formats
-
-    if isinstance(fmt, ACSRFormat):
-        return timeline_from_acsr(fmt, device, k=k)
-    works = fmt.cached_kernel_works(device, k=k)
-    return timeline_from_sequence(
-        device, works, name=fmt.name + (f"[k={k}]" if k > 1 else "")
+    run = fmt.modelled_run(device, k=k)
+    events, details, body = _back_to_back(
+        device, run.launches, start_s=run.launch_s, dp_children=run.dp_children
+    )
+    if run.pooled:
+        bill = LaneEvent(
+            name="launch-bill",
+            start_s=0.0,
+            duration_s=run.launch_s,
+            category="overhead",
+        )
+        lanes = [
+            Lane(label="host", events=(bill,)),
+            Lane(label="pool", events=events),
+        ]
+        critical = 1
+        if run.dp_children:
+            enqueue = LaneEvent(
+                name="child-enqueue",
+                start_s=run.launch_s,
+                duration_s=run.enqueue_s,
+                category="sync",
+            )
+            lanes.append(Lane(label="dp-enqueue", events=(enqueue,)))
+            if run.enqueue_s > body:
+                critical = 2
+        n_grids = run.host_launches - (1 if run.dp_children else 0)
+        notes = f"{n_grids} bin grids + {run.dp_children} DP children"
+        if run.dp_overflow:
+            notes += f", {run.dp_overflow} past the launch cap"
+    else:
+        lanes = [Lane(label="stream 0", events=events)]
+        critical = 0
+        notes = ""
+    return Timeline(
+        name=fmt.name + (f"[k={k}]" if k > 1 else ""),
+        device_name=device.name,
+        source="acsr" if run.pooled else "sequence",
+        time_s=run.time_s,
+        lanes=tuple(lanes),
+        details=details,
+        critical_lane=critical,
+        notes=notes,
     )

@@ -18,8 +18,7 @@ end on the simulator's virtual clock, deterministically:
 * :mod:`~repro.serve.scheduler` — earliest-free placement onto the
   multi-GPU worker pool, plus stream-engine replay for Chrome traces.
 * :mod:`~repro.serve.loadgen` — seeded Zipfian/bursty load generator.
-* :mod:`~repro.serve.server` — the discrete-event engine itself and
-  its ``asyncio`` facade.
+* :mod:`~repro.serve.server` — the discrete-event engine itself.
 * :mod:`~repro.serve.report` — JSONL reports with exact-percentile SLO
   summaries, schema-validated by ``repro profile-check``.
 * :mod:`~repro.serve.monitor` — live (virtual-clock) telemetry: rolling
@@ -81,7 +80,6 @@ from .report import (
 from .scheduler import WorkerPool, replay_engine
 from .server import (
     DEFAULT_SERVE_EPSILON,
-    AsyncServeEngine,
     GraphContext,
     ServeConfig,
     ServeEngine,
@@ -91,7 +89,6 @@ from .server import (
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "AsyncServeEngine",
     "BatchEvent",
     "BatchRecord",
     "CoalescePolicy",

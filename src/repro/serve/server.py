@@ -24,14 +24,11 @@ reconstructs the batch schedule from iteration counts alone, so the
 event loop never re-runs numerics for popular seeds.
 
 Everything is deterministic: events order by ``(time, push sequence)``,
-no wall clock or RNG anywhere.  :class:`AsyncServeEngine` wraps the
-loop in an ``asyncio`` facade whose futures resolve when the virtual
-clock drains.
+no wall clock or RNG anywhere.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -420,63 +417,4 @@ class ServeEngine:
         ).set(result.queries_per_s)
         for watcher in observers:
             watcher._finalize(result)
-        return result
-
-
-class AsyncServeEngine:
-    """``asyncio`` facade over :class:`ServeEngine`.
-
-    Clients :meth:`submit` queries and receive futures; :meth:`drain`
-    advances the virtual clock over everything submitted since the last
-    drain and resolves each future with its :class:`CompletedQuery` or
-    :class:`ShedQuery`.  Registration state (graphs, plans, query
-    caches, metrics) persists across drains; request ids keep counting
-    up so consecutive drains never collide.
-    """
-
-    def __init__(self, engine: ServeEngine) -> None:
-        self.engine = engine
-        self._pending: list[QueryRequest] = []
-        self._futures: dict[int, asyncio.Future] = {}
-        self._next_rid = 0
-        self._last_arrival = 0.0
-
-    def submit(
-        self,
-        tenant: str,
-        graph: str,
-        node: int,
-        arrival_s: float | None = None,
-    ) -> asyncio.Future:
-        """Queue one query; the returned future resolves on drain.
-
-        ``arrival_s`` defaults to the previous submission's arrival
-        (simultaneous arrival), and must never run backwards.  Must be
-        called from a running event loop.
-        """
-        arrival = self._last_arrival if arrival_s is None else arrival_s
-        if arrival < self._last_arrival:
-            raise ValueError("arrival times must be non-decreasing")
-        self._last_arrival = arrival
-        req = QueryRequest(
-            rid=self._next_rid,
-            tenant=tenant,
-            graph=graph,
-            node=node,
-            arrival_s=arrival,
-        )
-        self._next_rid += 1
-        self._pending.append(req)
-        future = asyncio.get_running_loop().create_future()
-        self._futures[req.rid] = future
-        return future
-
-    async def drain(self) -> ServeResult:
-        """Serve everything submitted so far; resolves the futures."""
-        pending, self._pending = self._pending, []
-        result = self.engine.run_trace(pending)
-        for outcome in result.requests:
-            future = self._futures.pop(outcome.request.rid, None)
-            if future is not None and not future.done():
-                future.set_result(outcome)
         return result

@@ -54,10 +54,23 @@ class TestApi:
         x = rng.standard_normal(acsr.n_cols).astype(np.float32)
         res = acsr.run_spmv(x, GTX_TITAN)
         assert res.time_s > 0
-        assert res.flops == pytest.approx(2.0 * acsr.nnz)
+        assert res.flops == 2.0 * acsr.nnz
         assert_spmv_close(
             res.y, reference_matvec(acsr.csr, x), Precision.SINGLE
         )
+
+    @pytest.mark.parametrize(
+        "device", [GTX_580, TESLA_K10, GTX_TITAN], ids=lambda d: d.name
+    )
+    def test_flops_are_two_per_nonzero_per_vector(self, acsr, device):
+        """The pooled work counts 2 flops per stored entry and vector,
+        with and without DP children (the fixture has some on Titan)."""
+        x = np.ones(acsr.n_cols, dtype=np.float32)
+        assert acsr.run_spmv(x, device).flops == 2.0 * acsr.nnz
+        X = np.ones((acsr.n_cols, 8), dtype=np.float32)
+        assert acsr.run_spmm(X, device).flops == 2.0 * acsr.nnz * 8
+        if device is GTX_TITAN:
+            assert acsr.modelled_run(device).dp_children > 0
 
     def test_run_spmv_validates_x(self, acsr):
         with pytest.raises(ValueError):

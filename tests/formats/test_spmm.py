@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.acsr import ACSRFormat
 from repro.formats import PAPER_COMPARISON_SET, build_format
+from repro.formats.base import FormatCapacityError
 from repro.formats.bccoo import BCCOOConfig
+from repro.formats.convert import available_formats
 from repro.gpu.device import GTX_580, GTX_TITAN, TESLA_K10, Precision
 from repro.gpu.kernel import KernelWork
 
@@ -146,6 +148,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             fmt.multiply_many(np.ones((fmt.n_cols, 0), dtype=np.float32))
 
+    @pytest.mark.parametrize("name", ("hyb", "acsr"))
+    def test_complex_input_rejected(self, formats, name):
+        """run_spmv / run_spmm validate through multiply_many instead of
+        casting complex input to the format's precision."""
+        fmt = formats[name]
+        with pytest.raises(ValueError, match="real numeric"):
+            fmt.run_spmv(np.full(fmt.n_cols, 1 + 1j), GTX_TITAN)
+        with pytest.raises(ValueError, match="real numeric"):
+            fmt.run_spmm(np.full((fmt.n_cols, 2), 1 + 1j), GTX_TITAN)
+
     def test_kernel_work_k_validated(self):
         w = KernelWork.empty("x", Precision.SINGLE)
         with pytest.raises(ValueError):
@@ -163,6 +175,26 @@ class TestValidation:
     def test_spmm_time_k_validated(self, formats):
         with pytest.raises(ValueError):
             formats["acsr"].spmm_time_s(GTX_TITAN, k=0)
+
+
+class TestWidthValidated:
+    """``modelled_run`` takes ``k`` as an integer >= 1 on every format."""
+
+    @pytest.mark.parametrize("name", available_formats())
+    def test_non_integer_or_sub_one_k_rejected(self, name):
+        csr = make_powerlaw_csr(n_rows=300, seed=7, max_degree=60)
+        try:
+            fmt = build_format(name, csr, **FAST_KWARGS.get(name, {}))
+        except FormatCapacityError as exc:
+            pytest.skip(f"{name}: {exc}")
+        for bad in (0, -3, np.int64(0), 2.5, 2.0, "2", None, True):
+            with pytest.raises(ValueError, match="vector-block width k"):
+                fmt.modelled_run(GTX_TITAN, k=bad)
+            with pytest.raises(ValueError, match="vector-block width k"):
+                fmt.spmm_time_s(GTX_TITAN, bad)
+        assert fmt.spmm_time_s(GTX_TITAN, np.int64(3)) == fmt.spmm_time_s(
+            GTX_TITAN, 3
+        )
 
 
 class TestFromCsrKwargs:

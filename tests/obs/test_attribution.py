@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.acsr import ACSRFormat
 from repro.core.dispatch import time_spmv
 from repro.formats.base import FormatCapacityError
-from repro.formats.convert import build_format
+from repro.formats.convert import available_formats, build_format
 from repro.gpu.device import GTX_580, GTX_TITAN, TESLA_K10, Precision
 from repro.gpu.kernel import KernelWork
 from repro.gpu.memory import GatherProfile
@@ -148,11 +148,10 @@ class TestLaunchAttribution:
 
 
 class TestFormatAttribution:
-    @pytest.mark.parametrize(
-        "name", ("csr", "csr-vector", "coo", "ell", "hyb", "acsr")
-    )
+    @pytest.mark.parametrize("name", available_formats())
     def test_time_is_the_models_float(self, name, csr):
-        """attribute_format totals == spmv_time_s bit-for-bit, 3 devices."""
+        """attribute_format totals == spmm_time_s bit-for-bit, every
+        format, 3 devices, SpMV and an 8-wide SpMM."""
         for device in DEVICES3:
             kwargs = {"device": device} if name == "acsr" else {}
             try:
@@ -162,6 +161,13 @@ class TestFormatAttribution:
             att = attribute_format(fmt, device)
             assert att.check_exact()
             assert att.time_s == fmt.spmv_time_s(device)
+            for k in (1, 8):
+                att = attribute_format(fmt, device, k=k)
+                want = fmt.spmm_time_s(device, k)
+                assert att.check_exact()
+                assert att.time_s == want
+                X = np.ones((fmt.n_cols, k))
+                assert fmt.run_spmm(X, device).time_s == want
 
     @pytest.mark.parametrize("k", (1, 8))
     def test_spmm_attribution_tracks_spmm_time(self, csr, k):

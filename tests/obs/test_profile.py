@@ -1,5 +1,6 @@
 """``profile_format``: the profile observes the model, never re-models."""
 
+import numpy as np
 import pytest
 
 from repro.formats.base import FormatCapacityError
@@ -27,12 +28,20 @@ def csr():
 class TestEveryRegistryFormat:
     @pytest.mark.parametrize("name", available_formats())
     def test_total_time_equals_model_time(self, name, csr):
-        """The headline identity, for every format on every device."""
+        """The headline identity, for every format on every device, for
+        SpMV and an 8-wide SpMM."""
         for device in DEVICES3:
             fmt = _build(name, csr, device)
             p = profile_format(fmt, device)
             assert p.total.time_s == fmt.spmv_time_s(device)
             assert p.model_time_s == fmt.spmv_time_s(device)
+            for k in (1, 8):
+                p = profile_format(fmt, device, k=k)
+                want = fmt.spmm_time_s(device, k)
+                assert p.total.time_s == want
+                assert p.model_time_s == want
+                X = np.ones((fmt.n_cols, k))
+                assert fmt.run_spmm(X, device).time_s == want
 
     @pytest.mark.parametrize("name", available_formats())
     def test_verdict_agrees_with_bound(self, name, csr):

@@ -95,11 +95,18 @@ class TestSequenceReconstruction:
 class TestFormatReconstruction:
     @pytest.mark.parametrize("name", available_formats())
     def test_timeline_total_is_the_models_float(self, name, csr):
-        """The tentpole invariant on every registry format x 3 devices."""
+        """The tentpole invariant on every registry format x 3 devices,
+        for SpMV and an 8-wide SpMM."""
         for device in DEVICES3:
             fmt = _build(name, csr, device)
             tl = timeline_from_format(fmt, device)
             assert tl.time_s == fmt.spmv_time_s(device)
+            for k in (1, 8):
+                tl = timeline_from_format(fmt, device, k=k)
+                want = fmt.spmm_time_s(device, k)
+                assert tl.time_s == want
+                X = np.ones((fmt.n_cols, k))
+                assert fmt.run_spmm(X, device).time_s == want
 
     @pytest.mark.parametrize("k", (1, 8))
     def test_spmm_timeline_tracks_spmm_time(self, csr, k):

@@ -1,8 +1,6 @@
-"""The serving engine: billing identities, shedding, async facade."""
+"""The serving engine: billing identities, shedding, the event log."""
 
 from __future__ import annotations
-
-import asyncio
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +10,6 @@ from repro.gpu.device import GTX_TITAN, Precision
 from repro.serve import (
     REASON_QUEUE_FULL,
     REASON_TENANT_LIMIT,
-    AsyncServeEngine,
     BatchEvent,
     CompletedQuery,
     QueryRequest,
@@ -256,63 +253,6 @@ class TestScheduling:
         engine.run_trace([req(0, 5), req(1, 5, t=1.0)])
         cache = engine._graphs[MATRIX].query_cache
         assert list(cache) == [5]  # one numeric run for both queries
-
-
-class TestAsyncFacade:
-    def test_futures_resolve_on_drain(self):
-        engine = make_engine(max_batch=2)
-        serve = AsyncServeEngine(engine)
-
-        async def scenario():
-            f1 = serve.submit("a", MATRIX, 3, arrival_s=0.0)
-            f2 = serve.submit("b", MATRIX, 9)
-            assert not f1.done()
-            result = await serve.drain()
-            return f1.result(), f2.result(), result
-
-        o1, o2, result = asyncio.run(scenario())
-        assert isinstance(o1, CompletedQuery)
-        assert isinstance(o2, CompletedQuery)
-        assert o1.batch_id == o2.batch_id  # simultaneous: coalesced
-        assert len(result.admitted) == 2
-
-    def test_rids_continue_across_drains(self):
-        engine = make_engine()
-        serve = AsyncServeEngine(engine)
-
-        async def scenario():
-            serve.submit("a", MATRIX, 1, arrival_s=0.0)
-            await serve.drain()
-            f = serve.submit("a", MATRIX, 2, arrival_s=1.0)
-            await serve.drain()
-            return f.result()
-
-        outcome = asyncio.run(scenario())
-        assert outcome.request.rid == 1
-
-    def test_arrivals_must_not_run_backwards(self):
-        engine = make_engine()
-        serve = AsyncServeEngine(engine)
-
-        async def scenario():
-            serve.submit("a", MATRIX, 1, arrival_s=2.0)
-            with pytest.raises(ValueError, match="non-decreasing"):
-                serve.submit("a", MATRIX, 2, arrival_s=1.0)
-            await serve.drain()
-
-        asyncio.run(scenario())
-
-    def test_shed_future_resolves_to_shed_outcome(self):
-        engine = make_engine(queue_limit=1, max_batch=16)
-        serve = AsyncServeEngine(engine)
-
-        async def scenario():
-            serve.submit("a", MATRIX, 1, arrival_s=0.0)
-            f = serve.submit("b", MATRIX, 2, arrival_s=0.0)
-            await serve.drain()
-            return f.result()
-
-        assert isinstance(asyncio.run(scenario()), ShedQuery)
 
 
 class TestEmptyRun:

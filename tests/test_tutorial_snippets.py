@@ -64,7 +64,13 @@ def test_sections_3_and_4_formats_and_acsr():
         "latency",
         "launch",
     )
-    assert "trace" in acsr.trace(GTX_TITAN).summary() or True
+    timing = acsr.timing(GTX_TITAN)
+    events = acsr.trace(GTX_TITAN).events
+    assert any(e.name == "launch" for e in events)
+    assert any(
+        e.category == "kernel" and e.duration_s == timing.pool.time_s
+        for e in events
+    )
     ACSRParams(thread_load=8, enable_dp=False)  # the documented knobs
 
 
