@@ -25,7 +25,7 @@ from ..gpu.kernel import KernelWork
 from ..gpu.memory import coalesced_bytes, scattered_bytes
 from ..kernels.common import launch_for_threads
 
-#: Powers of two delimiting the bins (supports rows up to 2^48 non-zeros).
+#: Powers of two delimiting the bins, up to bin 48.
 _POWERS = 2 ** np.arange(49, dtype=np.int64)
 
 
@@ -33,15 +33,16 @@ def bin_index_of(nnz: np.ndarray | int) -> np.ndarray | int:
     """Bin index for each non-zero count: ``ceil(log2(nnz))``, min 1.
 
     Empty rows (``nnz == 0``) map to bin 0, which no kernel processes
-    (their ``y`` entry is simply zero).  Computed by binary search over
-    exact integer powers, so there is no floating-point edge case at
-    powers of two.
+    (their ``y`` entry is simply zero).  ``ceil(log2(n))`` is the bit
+    length of ``n - 1``, read off as the binary exponent ``np.frexp``
+    returns; ``n - 1`` is an exact float64 integer below 2^53, so there is
+    no floating-point edge case at powers of two.
     """
     scalar = np.isscalar(nnz)
     n = np.asarray(nnz, dtype=np.int64)
     if np.any(n < 0):
         raise ValueError("nnz counts must be non-negative")
-    idx = np.searchsorted(_POWERS, n, side="left")
+    idx = np.frexp(n - 1.0)[1].astype(np.int64)
     idx = np.where(n == 0, 0, np.maximum(idx, 1))
     return int(idx) if scalar else idx
 

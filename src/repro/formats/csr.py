@@ -35,6 +35,10 @@ _MAX_COLS = int(np.iinfo(np.int32).max)
 #: ``x[col]`` is non-zero while they are at most ``nnz // _SPARSE_SHARE``.
 _SPARSE_SHARE = 4
 
+#: Longest row (a power of two) :class:`RowBins` pads into a bin; longer
+#: rows are summed by ``np.bincount``.
+_BIN_CAP = 512
+
 
 def _index_array(a, name: str) -> np.ndarray:
     """``a`` as int64, refusing non-integer input rather than truncating
@@ -76,18 +80,148 @@ def _sort_keys(
 
 
 @dataclass(frozen=True)
+class RowBins:
+    """A matrix's stored entries laid out for summing rows by length.
+
+    Rows are binned by the paper's rule,
+    :func:`~repro.core.binning.bin_index_of`: bin ``i`` holds the rows of
+    ``2^(i-1) < len <= 2^i`` entries.  Each bin up to ``_BIN_CAP`` is a ``(2^i, rows)`` block
+    stored position-major, so slot ``(p, r)`` holds entry ``p`` of the
+    bin's ``r``-th row; a bin of one row gets a second, empty row.  Rows
+    longer than ``_BIN_CAP`` follow the blocks entry by entry, in storage
+    order.  A padded slot has value 0.0 and points at column ``n_cols``,
+    a sentinel :meth:`row_sums` reads as +0.0, so no ``inf`` or NaN of
+    ``x`` reaches a padded slot.
+    """
+
+    #: Every slot's column (``intp``) and value (float64).
+    cols: np.ndarray
+    vals: np.ndarray
+    #: ``(first slot, width, rows)`` of each bin's block, bins ascending.
+    blocks: tuple[tuple[int, int, int], ...]
+    #: The long row of each slot after the blocks, numbered from 0.
+    long_rows: np.ndarray
+    #: Where each row's sum lands in :meth:`row_sums`'s work array: bin
+    #: rows in block order, then the long rows, then one 0.0 shared by
+    #: the empty rows.
+    sum_of_row: np.ndarray
+    #: Length of that work array.
+    n_sums: int
+
+    @classmethod
+    def build(cls, csr: "CSRMatrix") -> "RowBins":
+        """Bin ``csr``'s rows: one sort of the row bins, then each bin's
+        block gathered into one flat allocation, with no loop over rows."""
+        # Deferred: repro.core imports this package.
+        from ..core.binning import bin_index_of
+
+        lens = csr.nnz_per_row
+        n_rows = lens.shape[0]
+        top = _BIN_CAP.bit_length() - 1
+        # 0 for empty rows, the bin for binned rows, top + 1 for long rows.
+        key = np.minimum(bin_index_of(lens), top + 1)
+        counts = np.bincount(key, minlength=top + 2)
+        order = np.argsort(key.astype(np.uint8), kind="stable")
+        first_row = np.cumsum(counts) - counts
+        # Each key's rows in the work array of sums: none for empty rows,
+        # at least two per bin.
+        rows = np.where(counts > 1, counts, 2 * (counts > 0))
+        rows[0] = 0
+        rows[-1] = counts[-1]
+        first_sum = np.cumsum(rows) - rows
+        n_sums = int(rows.sum()) + 1
+        sum_of_row = np.empty(n_rows, dtype=np.intp)
+        sum_of_row[order] = np.arange(n_rows) + np.repeat(first_sum - first_row, counts)
+        sum_of_row[key == 0] = n_sums - 1
+
+        long = order[first_row[-1] :]
+        long_lens = lens[long]
+        # Bin b's block holds 2^b slots per row.
+        slots = rows[1:-1] << np.arange(1, top + 1)
+        cols = np.empty(int(slots.sum() + long_lens.sum()), dtype=np.intp)
+        vals = np.empty(cols.shape[0])
+        # Entry nnz is the padding: column n_cols, value 0.0.
+        col_of = np.append(csr.col_idx, np.int32(csr.n_cols))
+        val_of = np.append(csr.values, csr.values.dtype.type(0))
+        # One scratch array holds each block's entry indices in turn.
+        scratch = np.empty(int(slots.max()), dtype=np.intp)
+        blocks = []
+        first = 0
+        for b in np.flatnonzero(slots) + 1:
+            members = order[first_row[b] : first_row[b] + counts[b]]
+            width, n = 1 << int(b), int(rows[b])
+            starts = np.full(n, csr.nnz)
+            ends = np.zeros(n, dtype=np.int64)
+            starts[: members.shape[0]] = csr.row_off[members]
+            ends[: members.shape[0]] = csr.row_off[members + 1]
+            # Slot (p, r) holds entry starts[r] + p, or the padding past
+            # the row's end (without a branch per slot).
+            src = scratch[: width * n].reshape(width, n)
+            np.add(np.arange(width)[:, None], starts, out=src)
+            inside = src < ends
+            src -= csr.nnz
+            src *= inside
+            src += csr.nnz
+            cols[first : first + src.size] = col_of[src.ravel()]
+            vals[first : first + src.size] = val_of[src.ravel()]
+            blocks.append((first, width, n))
+            first += src.size
+        # The long rows' entries, one row after another.
+        src = np.arange(cols.shape[0] - first) + np.repeat(
+            csr.row_off[long] - (np.cumsum(long_lens) - long_lens), long_lens
+        )
+        cols[first:] = col_of[src]
+        vals[first:] = val_of[src]
+        long_rows = np.repeat(np.arange(long.shape[0], dtype=np.intp), long_lens)
+        for a in (cols, vals, long_rows, sum_of_row):
+            a.flags.writeable = False
+        return cls(cols, vals, tuple(blocks), long_rows, sum_of_row, n_sums)
+
+    def row_sums(self, x: np.ndarray) -> np.ndarray:
+        """Every row's ``sum(values * x[cols])`` in float64, summed
+        sequentially from 0.0 in storage order.
+
+        One ``np.add.reduce`` over axis 0 of each block adds the block's
+        rows position by position, a strided reduction and so in order;
+        a block at least two rows wide keeps NumPy from reducing a
+        contiguous axis pairwise.  ``initial=0.0`` starts every row at
+        +0.0, as SciPy does, also on NumPy versions that would start from
+        the first term (a row of -0.0 terms would stay -0.0).  The long
+        rows go through ``np.bincount``, which adds its weights one at a
+        time.
+        """
+        x64 = np.empty(x.shape[0] + 1)
+        x64[:-1] = x
+        x64[-1] = 0.0
+        prod = x64[self.cols]
+        prod *= self.vals
+        sums = np.empty(self.n_sums)
+        at = 0
+        for first, width, rows in self.blocks:
+            block = prod[first : first + width * rows].reshape(width, rows)
+            np.add.reduce(block, axis=0, initial=0.0, out=sums[at : at + rows])
+            at += rows
+        long_first = prod.shape[0] - self.long_rows.shape[0]
+        sums[at:-1] = np.bincount(
+            self.long_rows, prod[long_first:], minlength=self.n_sums - 1 - at
+        )
+        sums[-1] = 0.0
+        return sums[self.sum_of_row]
+
+
+@dataclass(frozen=True)
 class CSRMatrix:
     """An immutable CSR matrix with GPU-oriented metadata.
 
     ``values`` carries the storage precision (float32 or float64);
     ``col_idx`` is int32 (as on the device); ``row_off`` is int64 on the
-    host.  The first multiply also builds :attr:`spmv_index`, a
-    per-matrix ``intp`` index of 16 bytes per non-zero that every later
-    multiply reuses; :meth:`matmat` then sums ``X`` one column at a time.
-    The first column sparse enough for :meth:`matmat` to skip its zeros
+    host.  :meth:`matmat` sums ``X`` one column at a time.  The first
+    column it multiplies in full builds :attr:`spmv_bins`, the rows
+    binned by length at 16 bytes per padded slot, which every later
+    multiply reuses.  The first column sparse enough to skip its zeros
     adds :attr:`col_major`, 8 more bytes per non-zero in single precision
     (12 in double); a matrix only ever multiplied by dense vectors never
-    builds it.
+    builds it, and one only multiplied by sparse vectors builds no bins.
     """
 
     values: np.ndarray
@@ -275,20 +409,11 @@ class CSRMatrix:
     # Compute
     # ------------------------------------------------------------------
     @cached_property
-    def spmv_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, cols)``: the row id of every stored entry and
-        ``col_idx``, as read-only ``intp`` views.
-
-        Only the matrix decides them, so they are built once, at the
-        first multiply, and every later multiply of an iterative app
-        reuses them: 16 bytes per non-zero, freed with the matrix.
-        """
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.intp), self.nnz_per_row)
-        cols = self.col_idx.astype(np.intp)
-        index = rows.view(), cols.view()
-        for view in index:
-            view.flags.writeable = False
-        return index
+    def spmv_bins(self) -> "RowBins":
+        """This matrix's rows binned by length for :meth:`matmat`'s full
+        pass: :class:`RowBins`, built at the first full pass and reused
+        by every later one for the matrix's lifetime."""
+        return RowBins.build(self)
 
     @cached_property
     def col_counts(self) -> np.ndarray:
@@ -355,36 +480,31 @@ class CSRMatrix:
         """``Y = A @ X`` for a floating ``X`` of shape ``(n_cols, k)``:
         the one numeric SpMV kernel every format multiplies through.
 
-        Columns are summed one at a time through :attr:`spmv_index`:
-        gather ``X[:, j]`` in float64, scale by ``values`` and reduce
-        with ``np.bincount`` over the row ids.  ``np.bincount`` adds its
-        weights one at a time in input order, so each row sums
-        sequentially from 0.0 in storage order — scipy's CSR loop — and
-        ``Y`` is bitwise equal to ``scipy.sparse.csr_matrix @ X`` in
-        float64.  The result is cast back to ``X``'s dtype, like a GPU
-        kernel that accumulates in registers.
+        A column of ``X`` takes the full pass through :attr:`spmv_bins`
+        (built at the first such column): gather ``X[:, j]`` in float64,
+        scale by the binned values, and reduce each padded bin with
+        ``np.add.reduce`` and the rows above the cap with
+        ``np.bincount``.  Both add each row's terms one at a time, so each
+        row sums sequentially from 0.0 in storage order — scipy's CSR
+        loop — and ``Y`` is bitwise equal to ``scipy.sparse.csr_matrix @
+        X`` in float64.  The result is cast back to ``X``'s dtype, like a
+        GPU kernel that accumulates in registers.
 
         A column whose non-zeros reach at most ``nnz // 4`` stored
         entries multiplies only those, walking :attr:`col_major` (built at
-        the first such column).  Each row still adds its terms in storage
-        order, and the skipped products are ±0.0, so no bit changes: a
-        round-to-nearest sum started at +0.0 is never −0.0, and adding
-        ±0.0 leaves it as it is.  A matrix storing ``inf`` or NaN always
-        takes the full pass, because inf·0 is NaN, as does one whose rows
-        do not store their columns in ascending order
-        (:attr:`skips_zeros_exactly`).
+        the first such column) and summing them with ``np.bincount``.
+        Each row still adds its terms in storage order, and the skipped
+        products are ±0.0, so no bit changes: a round-to-nearest sum
+        started at +0.0 is never −0.0, and adding ±0.0 leaves it as it
+        is.  A matrix storing ``inf`` or NaN always takes the full pass,
+        because inf·0 is NaN, as does one whose rows do not store their
+        columns in ascending order (:attr:`skips_zeros_exactly`).
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[0] != self.n_cols:
             raise ValueError(f"X must have shape ({self.n_cols}, k)")
         if X.dtype.kind != "f":
             raise ValueError(f"X must be a floating-point array, got {X.dtype}")
-        rows, cols = self.spmv_index
-        # np.bincount copies a read-only input, so it reads the writeable
-        # array the view was taken of (an unpickled view sits on bytes
-        # instead and is passed as it is).
-        if isinstance(rows.base, np.ndarray):
-            rows = rows.base
         # Column-major, so each column's write (and a Fortran-ordered
         # ``X``'s gather) is contiguous.
         Y = np.empty((self.n_rows, X.shape[1]), dtype=X.dtype, order="F")
@@ -392,12 +512,11 @@ class CSRMatrix:
             x = X[:, j]
             terms = self._nonzero_terms(x)
             if terms is None:
-                r, v = rows, self.values
-                prod = x.astype(np.float64, copy=False)[cols]
+                Y[:, j] = self.spmv_bins.row_sums(x)
             else:
-                r, v, prod = terms
-            prod *= v
-            Y[:, j] = np.bincount(r, weights=prod, minlength=self.n_rows)
+                rows, vals, prod = terms
+                prod *= vals
+                Y[:, j] = np.bincount(rows, weights=prod, minlength=self.n_rows)
         return Y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

@@ -41,6 +41,14 @@ class TestBinIndex:
         vec = bin_index_of(nnz)
         assert all(vec[i] == bin_index_of(int(i)) for i in range(0, 5000, 37))
 
+    def test_exact_around_every_power_of_two(self):
+        """``ceil(log2(n))`` is the bit length of ``n - 1``, at and next to
+        every power of two that float64 still holds exactly."""
+        nnz = sorted({max(0, (1 << k) + d) for k in range(53) for d in (-1, 0, 1)})
+        want = [0 if n == 0 else max(1, (n - 1).bit_length()) for n in nnz]
+        np.testing.assert_array_equal(bin_index_of(np.array(nnz)), want)
+        assert [bin_index_of(n) for n in nnz] == want
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bin_index_of(np.array([-1]))

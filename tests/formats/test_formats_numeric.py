@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.formats import available_formats, build_format
 from repro.formats.bccoo import BCCOOConfig
-from repro.formats.csr import CSRMatrix
+from repro.formats.csr import _BIN_CAP, CSRMatrix
 from repro.gpu.device import GTX_TITAN, Precision
 
 from ..conftest import (
@@ -232,6 +232,77 @@ def test_csr_kernel_bitwise_equals_scipy(
     assert np.array_equal(csr.matmat(X), mat @ X, equal_nan=True)
 
 
+#: Row lengths at every bin edge up to the cap and just past it: each
+#: power of two and the first length of the next bin.
+BIN_EDGES = sorted(
+    {0, _BIN_CAP + 1}
+    | {1 << i for i in range(_BIN_CAP.bit_length())}
+    | {(1 << i) + 1 for i in range(_BIN_CAP.bit_length() - 1)}
+)
+
+
+def binned_csr(lengths, n_cols, precision, seed) -> CSRMatrix:
+    """Rows of the given lengths over random distinct columns, with
+    values of both signs."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.choice(n_cols, size=n, replace=False) for n in lengths]
+    return CSRMatrix.from_coo(
+        np.repeat(np.arange(len(lengths)), lengths),
+        np.concatenate([np.zeros(0, dtype=np.int64), *cols]),
+        rng.standard_normal(sum(lengths)),
+        (len(lengths), n_cols),
+        precision,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(
+        st.one_of(st.sampled_from(BIN_EDGES), st.integers(0, _BIN_CAP + 40)),
+        min_size=1,
+        max_size=12,
+    ),
+    precision=st.sampled_from([Precision.SINGLE, Precision.DOUBLE]),
+    zero_shares=st.lists(ZERO_SHARES, min_size=1, max_size=4),
+    edge_specials=st.lists(
+        st.sampled_from([np.inf, -np.inf, np.nan, -0.0]), min_size=2, max_size=2
+    ),
+    specials=st.booleans(),
+    stored_inf=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_binned_kernel_bitwise_equals_scipy(
+    lengths, precision, zero_shares, edge_specials, specials, stored_inf, seed
+):
+    """The binned full pass against SciPy's float64 CSR product, bit for
+    bit, on rows at every bin width up to the cap, at the cap and past it,
+    in bins of one row and beside empty rows.  ``x`` may hold inf, NaN or
+    -0.0 at column 0 and at the last column (the padding reads neither),
+    and a block mixes dense, sparse and all-zero columns, so full-pass
+    and zero-skipping columns share one product.  A stored ``inf`` sends
+    every column through the full pass, the all-zero ones included."""
+    n_cols = _BIN_CAP + 64
+    csr = binned_csr(lengths, n_cols, precision, seed)
+    if stored_inf and csr.nnz:
+        values = csr.values.copy()
+        values[seed % csr.nnz] = np.inf
+        csr = CSRMatrix.from_arrays(values, csr.col_idx, csr.row_off, n_cols)
+    dtype = precision.numpy_dtype
+    rng = np.random.default_rng(seed)
+    k = len(zero_shares)
+    X = rng.standard_normal((n_cols, k))
+    zero = rng.random((n_cols, k)) < np.array(zero_shares)
+    X[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+    if specials:
+        X[[0, -1], rng.integers(0, k)] = edge_specials
+    X = X.astype(dtype)
+    want = csr.to_scipy().astype(np.float64) @ X.astype(np.float64)
+    Y = csr.matmat(X)
+    assert Y.dtype == dtype
+    assert np.array_equal(Y, want.astype(dtype), equal_nan=True)
+
+
 def _two_entry_columns(n_cols: int = 64) -> CSRMatrix:
     """Rows ``i`` and ``i + n_cols/2`` both store columns ``2i`` and
     ``2i + 1``: every column holds two entries, so a support of ``s``
@@ -432,36 +503,88 @@ def test_matmat_columns_bitwise_equal_matvec_and_scipy(k, matrix_name, precision
             assert np.array_equal(Y[:, j], csr.matvec(block[:, j])), (layout, j)
 
 
-def test_spmv_index_built_once_and_read_only():
-    csr = make_uniform_csr(seed=5)
-    assert "spmv_index" not in vars(csr)
-    x = np.ones(csr.n_cols, dtype=np.float32)
+@pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE])
+def test_rows_of_negative_zero_products_sum_to_positive_zero(precision):
+    """A row whose every product is -0.0 sums to +0.0, as SciPy's sum
+    from 0.0 does: rows that fill their bin's width (no padding to add
+    +0.0) and a row above the cap.  The other columns of ``x`` are dense,
+    so the product takes the full pass."""
+    lengths = [2, 4, 8, _BIN_CAP, _BIN_CAP + 3]
+    n_cols = 2 * _BIN_CAP
+    csr = CSRMatrix.from_coo(
+        np.repeat(np.arange(len(lengths)), lengths),
+        np.concatenate([np.arange(n) for n in lengths]),
+        np.ones(sum(lengths)),
+        (len(lengths), n_cols),
+        precision,
+    )
+    x = np.ones(n_cols, dtype=precision.numpy_dtype)
+    x[: _BIN_CAP + 3] = -0.0
+    y = csr.matvec(x)
+    assert "spmv_bins" in vars(csr)
+    assert not np.signbit(y).any()
+    assert np.array_equal(y, csr.to_scipy() @ x)
+
+
+#: Rows at both ends of every bin below the cap's, one row (257
+#: entries) in the cap's bin, rows above the cap and empty rows.
+LONG_ROWS = [0, *(n for i in range(9) for n in ((1 << i) + 1, 1 << i)), 0, 513, 700]
+
+
+def test_spmv_bins_built_at_the_first_full_pass():
+    """A matrix multiplied only by sparse ``x`` builds no bins.  The first
+    full pass builds them and later ones reuse them; every block is a
+    power of two wide up to the cap and holds at least two rows; the
+    arrays are read-only and hold 16 bytes per padded slot, plus the
+    long-row ids and one sum position per row."""
+    csr = binned_csr(LONG_ROWS, 800, Precision.SINGLE, seed=0)
+    x = np.zeros(csr.n_cols, dtype=np.float32)
+    x[3] = 1.0
     csr.matvec(x)
-    index = csr.spmv_index
+    assert "col_major" in vars(csr) and "spmv_bins" not in vars(csr)
+    csr.matvec(np.ones(csr.n_cols, dtype=np.float32))
+    bins = csr.spmv_bins
     csr.matmat(np.ones((csr.n_cols, 3), dtype=np.float32))
-    assert csr.spmv_index is index
-    rows, cols = index
-    assert rows.dtype == cols.dtype == np.intp
-    assert rows.nbytes + cols.nbytes == 16 * csr.nnz
-    np.testing.assert_array_equal(rows, np.repeat(np.arange(csr.n_rows), csr.nnz_per_row))
-    np.testing.assert_array_equal(cols, csr.col_idx)
-    for arr in index:
+    assert csr.spmv_bins is bins
+
+    lens = np.array(LONG_ROWS)
+    binned = lens[(lens > 0) & (lens <= _BIN_CAP)]
+    # Rows per bin width: 2 for one or two entries, else 2^ceil(log2 n).
+    per_bin = {}
+    for n in binned:
+        width = max(2, 1 << int(n - 1).bit_length())
+        per_bin[width] = per_bin.get(width, 0) + 1
+    slots = sum(w * max(r, 2) for w, r in per_bin.items())
+    long_entries = int(lens[lens > _BIN_CAP].sum())
+    assert [(w, r) for _, w, r in bins.blocks] == [
+        (w, max(r, 2)) for w, r in sorted(per_bin.items())
+    ]
+    assert bins.cols.dtype == np.intp and bins.vals.dtype == np.float64
+    assert bins.cols.shape[0] == slots + long_entries
+    arrays = (bins.cols, bins.vals, bins.long_rows, bins.sum_of_row)
+    assert sum(a.nbytes for a in arrays) == 16 * (slots + long_entries) + 8 * (
+        long_entries + csr.n_rows
+    )
+    for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
 
 def test_copied_matrix_multiplies_bitwise():
-    """A deep copy or pickle round trip carries the built index along and
-    still multiplies bit for bit."""
+    """A deep copy or pickle round trip carries the built bins along, long
+    rows included, and still multiplies bit for bit."""
     import copy
     import pickle
 
-    csr = MATRICES["powerlaw"]
-    x = np.random.default_rng(3).standard_normal(csr.n_cols).astype(np.float32)
-    y = csr.matvec(x)
-    for clone in (copy.deepcopy(csr), pickle.loads(pickle.dumps(csr))):
-        assert np.array_equal(clone.matvec(x), y)
+    long_rows = binned_csr(LONG_ROWS, 800, Precision.SINGLE, seed=1)
+    for csr in (MATRICES["powerlaw"], long_rows):
+        x = np.random.default_rng(3).standard_normal(csr.n_cols).astype(np.float32)
+        y = csr.matvec(x)
+        assert "spmv_bins" in vars(csr)
+        for clone in (copy.deepcopy(csr), pickle.loads(pickle.dumps(csr))):
+            assert "spmv_bins" in vars(clone)
+            assert np.array_equal(clone.matvec(x), y)
 
 
 @pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE])
