@@ -795,7 +795,7 @@ def _serve_sim_cli(args) -> int:
             f"rolling p50 {us(mon['windowed_p50_s'])}, "
             f"p95 {us(mon['windowed_p95_s'])}, "
             f"p99 {us(mon['windowed_p99_s'])} | "
-            f"{mon['metric_records']} samples, "
+            f"{mon['samples']} samples, "
             f"{mon['alert_count']} alert(s), "
             f"{mon['flight_records']} flight record(s)"
         )

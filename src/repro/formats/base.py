@@ -312,22 +312,15 @@ class SpMVFormat(abc.ABC):
         return self.modelled_run(device).time_s
 
     def trace(self, device: DeviceSpec):
-        """A :class:`~repro.gpu.trace.KernelTrace` of one SpMV's launches."""
-        from ..gpu.simulator import simulate_kernel
+        """A :class:`~repro.gpu.trace.KernelTrace` of one SpMV: one event
+        per launch of :meth:`modelled_run`, back to back, each lasting
+        its timing (launch overhead included), so the trace's duration
+        is :meth:`spmv_time_s` exactly."""
         from ..gpu.trace import KernelTrace
 
         tr = KernelTrace(device_name=device.name)
-        for work in self.cached_kernel_works(device):
-            tr.add_span(
-                f"launch {work.name}",
-                device.kernel_launch_overhead_s,
-                category="overhead",
-            )
-            tr.append_timing(
-                simulate_kernel(
-                    device, work, include_launch_overhead=False
-                )
-            )
+        for _, timing in self.modelled_run(device).launches:
+            tr.append_timing(timing)
         return tr
 
     def run_spmv(self, x: np.ndarray, device: DeviceSpec) -> SpMVResult:

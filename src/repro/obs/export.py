@@ -492,6 +492,86 @@ def _validate_metric_fields(obj: dict, where: str) -> list[str]:
     return errors
 
 
+def tick_grid(sample_every_s: float, n_ticks: int, end_t_s: float) -> list:
+    """A serve monitor's sample ticks, as its replay places them.
+
+    ``n_ticks - 1`` running sums of the cadence (``t1 = cadence``,
+    ``t(i+1) = t(i) + cadence`` in float arithmetic), then the
+    end-of-run tick, which may equal the last of them.
+    """
+    grid = []
+    t = sample_every_s
+    for _ in range(n_ticks - 1):
+        grid.append(t)
+        t += sample_every_s
+    grid.append(end_t_s)
+    return grid
+
+
+def _validate_metric_grid(path, meta, series: dict) -> list[str]:
+    """Cross-line checks over a serve report's ``metric`` series.
+
+    The monitor writes a series only where it changes, so a reader
+    needs the tick grid from the meta line's ``monitor`` object, and
+    every series must hold a record at the first tick and end with one
+    at the end tick; the records before that sit on the running-sum
+    grid in strictly increasing ``t_s``.
+    """
+    monitor = meta.get("monitor") if isinstance(meta, dict) else None
+    if not isinstance(monitor, dict):
+        monitor = {}
+    cadence = monitor.get("sample_every_s")
+    n_ticks = monitor.get("n_ticks")
+    end_t = monitor.get("end_t_s")
+    if not (
+        isinstance(cadence, (int, float)) and cadence > 0
+        and isinstance(n_ticks, int) and n_ticks >= 1
+        and isinstance(end_t, (int, float)) and end_t >= 0
+    ):
+        return [
+            f"{path}: metric records need the monitor's tick grid "
+            "(sample_every_s > 0, n_ticks >= 1, end_t_s >= 0) in the "
+            "meta line"
+        ]
+    if n_ticks - 1 > end_t / cadence + 1:
+        return [
+            f"{path}: a grid of {n_ticks} ticks every {cadence!r} s runs "
+            f"past end_t_s={end_t!r}"
+        ]
+    grid = tick_grid(cadence, n_ticks, end_t)
+    on_grid = set(grid[:-1])
+    errors = []
+    for (scope, key), points in series.items():
+        name = f"series {scope}:{key}"
+        *steps, (end_where, last_t) = points
+        if n_ticks > 1 and (not steps or steps[0][1] != grid[0]):
+            errors.append(
+                f"{path}: {name} has no record at the first tick {grid[0]!r}"
+            )
+        prev = None
+        for where, t in steps:
+            if t not in on_grid:
+                errors.append(
+                    f"{where}: {name} t_s={t!r} is off the monitor's "
+                    "tick grid"
+                )
+            if prev is not None and t <= prev:
+                errors.append(
+                    f"{where}: {name} t_s={t!r} does not increase"
+                )
+            prev = t
+        if last_t != end_t:
+            errors.append(
+                f"{end_where}: {name} ends at t_s={last_t!r}, not at the "
+                f"end tick {end_t!r}"
+            )
+        elif prev is not None and last_t < prev:
+            errors.append(
+                f"{end_where}: {name} end tick precedes its previous record"
+            )
+    return errors
+
+
 def _validate_alert_fields(obj: dict, where: str) -> list[str]:
     """Field checks for one burn-rate ``alert`` transition record."""
     errors = []
@@ -714,8 +794,10 @@ def validate_profile_jsonl(path) -> list[str]:
     graph / latency-term fields (and ``slo`` summaries valid
     percentiles); causal-trace ``span`` records (those with a
     ``trace_id``) pass per-span field checks plus the cross-line
-    linkage/exact-sum checks of :func:`_validate_trace_linkage`; at
-    least one launch, aggregate, request, metric, or trace span exists.
+    linkage/exact-sum checks of :func:`_validate_trace_linkage`; serve
+    ``metric`` series sit on the meta line's monitor tick grid
+    (:func:`_validate_metric_grid`); at least one launch, aggregate,
+    request, metric, or trace span exists.
     """
     path = Path(path)
     errors: list[str] = []
@@ -727,7 +809,8 @@ def validate_profile_jsonl(path) -> list[str]:
         return [f"{path}: empty file"]
     n_counter_records = 0
     n_request_records = 0
-    n_metric_records = 0
+    meta = None
+    series: dict = {}
     trace_spans: list[tuple[str, dict]] = []
     for i, line in enumerate(lines, start=1):
         where = f"{path}:{i}"
@@ -745,8 +828,11 @@ def validate_profile_jsonl(path) -> list[str]:
         if kind not in _RECORD_KINDS:
             errors.append(f"{where}: unknown record kind {kind!r}")
             continue
-        if i == 1 and kind != "meta":
-            errors.append(f"{where}: first record must be 'meta'")
+        if i == 1:
+            if kind == "meta":
+                meta = obj
+            else:
+                errors.append(f"{where}: first record must be 'meta'")
         if kind in ("launch", "aggregate"):
             n_counter_records += 1
             errors.extend(_validate_counter_fields(obj, where))
@@ -772,15 +858,21 @@ def validate_profile_jsonl(path) -> list[str]:
         elif kind == "slo":
             errors.extend(_validate_slo_fields(obj, where))
         elif kind == "metric":
-            n_metric_records += 1
-            errors.extend(_validate_metric_fields(obj, where))
+            metric_errors = _validate_metric_fields(obj, where)
+            errors.extend(metric_errors)
+            if not metric_errors:
+                series.setdefault((obj["scope"], obj["key"]), []).append(
+                    (where, obj["t_s"])
+                )
         elif kind == "alert":
             errors.extend(_validate_alert_fields(obj, where))
         elif kind == "flightrec":
             errors.extend(_validate_flightrec_fields(obj, where))
     errors.extend(_validate_trace_linkage(trace_spans))
+    if series:
+        errors.extend(_validate_metric_grid(path, meta, series))
     if n_counter_records == 0 and n_request_records == 0 \
-            and n_metric_records == 0 and not trace_spans:
+            and not series and not trace_spans:
         errors.append(
             f"{path}: no launch/aggregate/request/metric/trace records"
         )

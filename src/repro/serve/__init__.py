@@ -62,6 +62,7 @@ from .monitor import (
     MonitorConfig,
     ServeMonitor,
     batch_timeline,
+    expand_series,
 )
 from .queries import (
     BatchEvent,
@@ -115,6 +116,7 @@ __all__ = [
     "auto_interarrival_s",
     "batch_timeline",
     "clear_plan_cache",
+    "expand_series",
     "expected_iterations",
     "generate_trace",
     "operator_format",

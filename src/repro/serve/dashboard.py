@@ -26,7 +26,7 @@ from ..obs.report_html import (
     svg_waterfall,
 )
 from ..obs.tracing import ExplainTable, trace_waterfall
-from .monitor import ServeMonitor
+from .monitor import ServeMonitor, expand_series
 from .report import slo_summary
 from .server import ServeResult
 
@@ -38,11 +38,9 @@ def _fmt_us(v) -> str:
 
 
 def _series(monitor: ServeMonitor) -> dict:
-    """Metric records regrouped per (scope, key), in time order."""
+    """Per-tick metric records regrouped per (scope, key), in time order."""
     out: dict = {}
-    for rec in monitor.records:
-        if rec["record"] != "metric":
-            continue
+    for rec in expand_series(monitor.records, monitor.meta()):
         s = out.setdefault(
             (rec["scope"], rec["key"]),
             {"t": [], "qps": [], "p99": [], "shed": [], "depth": []},

@@ -8,13 +8,18 @@ replays its batch and shed events in virtual-time order and produces:
 
 * **Rolling series** — per-graph and per-tenant qps, shed rate, queue
   depth and exact windowed p50/p95/p99 latency, sampled on a fixed
-  virtual-time grid into ``metric`` JSONL records.  Each series reads
-  window logs (:class:`~repro.obs.registry.WindowLog`), written in
-  replay order, which is non-decreasing virtual time.  A tick only
-  notes each log's length; after the replay one array read per log
+  virtual-time grid.  Each series reads window logs
+  (:class:`~repro.obs.registry.WindowLog`), written in replay order,
+  which is non-decreasing virtual time.  A tick only notes each log's
+  length; after the replay one array read per log
   (:meth:`~repro.obs.registry.WindowLog.windows`) gives every tick's
   bucket-aligned slice, and each distinct slice is sorted once for all
-  three quantiles.
+  three quantiles.  A series is a step function on the grid, so it is
+  written as ``metric`` JSONL records only at its change points: its
+  first tick, every tick where a field's encoded value differs from
+  its previous tick, and the end of the run.  :meth:`ServeMonitor.meta`
+  states the grid (``sample_every_s``, ``n_ticks``, ``end_t_s``) and
+  :func:`expand_series` restores one record per tick and series.
 * **Alerts** — every objective from :class:`MonitorConfig.slos` is
   evaluated through :class:`~repro.obs.slo.SLOEngine`'s multi-window
   burn-rate rules; transitions become ``alert`` JSONL records and an
@@ -37,12 +42,14 @@ byte-identical JSONL/HTML.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..obs.attribution import Attribution
+from ..obs.export import tick_grid
 from ..obs.observer import (
     P99TailRule,
     RunObserver,
@@ -61,6 +68,7 @@ __all__ = [
     "FlightRecord",
     "ServeMonitor",
     "batch_timeline",
+    "expand_series",
 ]
 
 #: The latency quantiles of every metric record.
@@ -159,7 +167,8 @@ class ServeMonitor(RunObserver):
     Attach by passing the monitor to ``run_trace(requests,
     monitor=...)``.  A monitor watches exactly one run — reuse raises.
     After the run: :attr:`records` (time-ordered metric/alert/flightrec
-    dicts), :attr:`alerts`, :attr:`flight_records`, :attr:`summary`,
+    dicts, metrics at their change points), :attr:`alerts`,
+    :attr:`flight_records`, :attr:`summary`, :meth:`meta`,
     :meth:`jsonl_lines` and :meth:`chrome_counters`.
     """
 
@@ -255,6 +264,7 @@ class ServeMonitor(RunObserver):
         )
         tick(end_t)
         self._splice_samples(ticks)
+        self._n_ticks = len(ticks)
         if self._slo_engine is not None:
             self.alerts = list(self._slo_engine.alerts)
         self._build_summary(end_t, len(ticks) * len(self._keys))
@@ -309,58 +319,83 @@ class ServeMonitor(RunObserver):
         )
 
     def _splice_samples(self, ticks: list[tuple]) -> None:
-        """Compute every tick's metric records and splice each tick's
-        block in where the replay stood, among alerts and flightrecs."""
+        """Compute every series' change points and splice their metric
+        records in where the replay stood at their ticks, among alerts
+        and flightrecs.
+
+        A series keeps a tick's record only at its first tick, where any
+        field's encoded value differs from its previous tick (float bit
+        patterns, so ``-0.0`` and ``0.0`` never merge), and at the end
+        of the run; :func:`expand_series` restores the per-tick view.
+        """
         times, depths, cuts, lengths = zip(*ticks)
         lengths = np.array(lengths, dtype=np.int64)
         n_keys = len(self._keys)
         window_s = self.config.window_s
-        series = []
+        # keep[i, j]: series j writes its record at tick i.  The queue
+        # depth is the global series' (the first key) alone.
+        keep = np.zeros((len(times), n_keys), dtype=bool)
+        keep[1:, 0] = np.diff(depths) != 0
+        columns = []
         for j, (scope, key) in enumerate(self._keys):
             lat = self._lat[(scope, key)]
             lo, span = lat.windows(times)
             s_lo, _ = self._shedlog[(scope, key)].windows(times)
             hi = lengths[:, j]
             done, shed = hi - lo, lengths[:, n_keys + j] - s_lo
-            seen = (done + shed).tolist()
-            quantiles = []
-            window = stats = None
-            for pair in zip(lo.tolist(), hi.tolist()):
-                if pair != window:
-                    window = pair
-                    stats = tuple(
-                        map(_noneify, lat.slice_quantiles(_QUANTILES, *pair))
-                    )
-                quantiles.append(stats)
-            series.append(
-                (scope, key, (done / span).tolist(), shed.tolist(), seen,
-                 quantiles)
+            seen = done + shed
+            qps = done / span
+            keep[1:, j] |= (
+                (np.diff(qps.view(np.int64)) != 0)
+                | (np.diff(shed) != 0)
+                | (np.diff(seen) != 0)
             )
+            # Quantiles move only where the window slice does.  Each
+            # distinct slice is sorted once, and it is a step where its
+            # encoded quantiles differ from the previous slice's.
+            moved = np.flatnonzero(
+                np.r_[True, (np.diff(lo) != 0) | (np.diff(hi) != 0)]
+            ).tolist()
+            lo, hi = lo.tolist(), hi.tolist()
+            stats = [
+                tuple(
+                    map(_noneify, lat.slice_quantiles(_QUANTILES, lo[i], hi[i]))
+                )
+                for i in moved
+            ]
+            enc = list(map(repr, stats))
+            steps = [i for i, a, b in zip(moved[1:], enc, enc[1:]) if a != b]
+            keep[steps, j] = True
+            columns.append(
+                (qps.tolist(), shed.tolist(), seen.tolist(), moved, stats)
+            )
+        keep[[0, -1]] = True
         replayed = self.records
         self.records = []
         last = 0
-        for i, (t, cut) in enumerate(zip(times, cuts)):
-            self.records.extend(replayed[last:cut])
-            last = cut
-            for scope, key, qps, shed, seen, quantiles in series:
-                n = seen[i]
-                p50, p95, p99 = quantiles[i]
-                self.records.append(
-                    {
-                        "record": "metric",
-                        "t_s": t,
-                        "scope": scope,
-                        "key": key,
-                        "window_s": window_s,
-                        "qps": qps[i],
-                        "shed_rate": shed[i] / n if n > 0 else 0.0,
-                        "n": n,
-                        "p50_s": p50,
-                        "p95_s": p95,
-                        "p99_s": p99,
-                        "queue_depth": depths[i] if scope == "global" else None,
-                    }
-                )
+        for i, j in np.argwhere(keep).tolist():
+            self.records.extend(replayed[last:cuts[i]])
+            last = cuts[i]
+            scope, key = self._keys[j]
+            qps, shed, seen, moved, stats = columns[j]
+            n = seen[i]
+            p50, p95, p99 = stats[bisect_right(moved, i) - 1]
+            self.records.append(
+                {
+                    "record": "metric",
+                    "t_s": times[i],
+                    "scope": scope,
+                    "key": key,
+                    "window_s": window_s,
+                    "qps": qps[i],
+                    "shed_rate": shed[i] / n if n > 0 else 0.0,
+                    "n": n,
+                    "p50_s": p50,
+                    "p95_s": p95,
+                    "p99_s": p99,
+                    "queue_depth": depths[i] if scope == "global" else None,
+                }
+            )
         self.records.extend(replayed[last:])
 
     # --------------------- flight recorder capture ----------------------
@@ -427,7 +462,7 @@ class ServeMonitor(RunObserver):
         self._require_finalized()
         return self._lat[("global", "*")].quantile(q, self.summary["end_t_s"])
 
-    def _build_summary(self, end_t: float, metric_records: int) -> None:
+    def _build_summary(self, end_t: float, samples: int) -> None:
         glob = self._lat[("global", "*")]
         p50, p95, p99 = glob.quantiles(_QUANTILES, end_t)
         self.summary = {
@@ -439,15 +474,19 @@ class ServeMonitor(RunObserver):
             "alert_count": self.alert_count,
             "alerts_logged": len(self.alerts),
             "flight_records": len(self.flight_records),
-            "metric_records": metric_records,
+            "samples": samples,
         }
 
     def meta(self) -> dict:
-        """Monitor configuration, for the JSONL ``meta`` record."""
+        """Monitor configuration and tick grid, for the JSONL ``meta``
+        record (the grid is what :func:`expand_series` reads)."""
+        self._require_finalized()
         return {
             "window_s": self.config.window_s,
             "n_buckets": self.config.n_buckets,
             "sample_every_s": self.config.cadence_s,
+            "n_ticks": self._n_ticks,
+            "end_t_s": self.summary["end_t_s"],
             "slos": [
                 s if isinstance(s, str) else s.spec for s in self.config.slos
             ],
@@ -464,7 +503,8 @@ class ServeMonitor(RunObserver):
         """Chrome ``"ph": "C"`` counter tracks of the rolling series.
 
         One pid per ``scope:key`` series; qps, shed-rate, windowed p99
-        (ms) and — on the global pid — queue depth.  Passes
+        (ms) and — on the global pid — queue depth, at the series'
+        change points (counter tracks draw steps).  Passes
         :func:`~repro.obs.export.validate_chrome_trace`.
         """
         self._require_finalized()
@@ -497,3 +537,34 @@ class ServeMonitor(RunObserver):
                     }
                 )
         return {"traceEvents": events, "displayTimeUnit": "ns"}
+
+
+def expand_series(records, meta: dict) -> list[dict]:
+    """The per-tick ``metric`` records behind a monitor's change points.
+
+    ``records`` is a monitor's record stream (:attr:`ServeMonitor.records`
+    or a serve report's parsed lines; other kinds are skipped) and
+    ``meta`` its :meth:`ServeMonitor.meta` (a report's
+    ``meta["monitor"]``).  A series' last record is its end-of-run tick;
+    on the running-sum grid before it, the value at tick ``t`` is the
+    series' latest record at or before ``t``.  Returns one record per
+    tick and series, tick-major, series in order of first appearance.
+    """
+    grid = tick_grid(meta["sample_every_s"], meta["n_ticks"], meta["end_t_s"])
+    series: dict = {}
+    for rec in records:
+        if rec["record"] == "metric":
+            series.setdefault((rec["scope"], rec["key"]), []).append(rec)
+    columns = []
+    for (scope, key), (*steps, end) in series.items():
+        if len(grid) > 1 and (not steps or steps[0]["t_s"] != grid[0]):
+            raise ValueError(f"series {scope}:{key} has no first-tick record")
+        column, j = [], 0
+        for t in grid[:-1]:
+            while j < len(steps) and steps[j]["t_s"] <= t:
+                j += 1
+            cur = steps[j - 1]
+            column.append(cur if cur["t_s"] == t else {**cur, "t_s": t})
+        column.append(end)
+        columns.append(column)
+    return [rec for row in zip(*columns) for rec in row]

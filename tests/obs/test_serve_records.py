@@ -1,4 +1,5 @@
-"""Validator rules for the serve-report record kinds (request, slo)."""
+"""Validator rules for the serve-report record kinds (request, slo,
+metric, alert, flightrec) and the monitor's tick grid."""
 
 from __future__ import annotations
 
@@ -6,7 +7,13 @@ import json
 
 from repro.obs import validate_profile_jsonl
 
-META = {"record": "meta", "kind": "serve"}
+#: A one-tick monitor grid: the lone METRIC record below is its series'
+#: first and end-of-run tick.
+META = {
+    "record": "meta",
+    "kind": "serve",
+    "monitor": {"sample_every_s": 2.5e-4, "n_ticks": 1, "end_t_s": 2.5e-4},
+}
 OK_REQUEST = {
     "record": "request",
     "rid": 0,
@@ -241,3 +248,82 @@ class TestFlightrecRecords:
         errors = validate_profile_jsonl(write(tmp_path, META, METRIC, bad))
         assert any("k >= 1" in e for e in errors)
         assert any("'rids'" in e for e in errors)
+
+
+#: Five ticks every 100 us: the running sums 1e-4, 2e-4,
+#: 0.00030000000000000003 and 4e-4, then the end of the run at 4.5e-4.
+GRID = {"sample_every_s": 1e-4, "n_ticks": 5, "end_t_s": 4.5e-4}
+T3 = 1e-4 + 1e-4 + 1e-4
+
+
+def grid_meta(**grid):
+    return {"record": "meta", "kind": "serve", "monitor": {**GRID, **grid}}
+
+
+def sample(t_s, key="*", **fields):
+    scope = "global" if key == "*" else "tenant"
+    depth = 0 if key == "*" else None
+    return dict(METRIC, t_s=t_s, scope=scope, key=key, queue_depth=depth,
+                **fields)
+
+
+#: A change-only stream of two series: the global one changes at the
+#: third tick, the tenant one never does.
+CHANGE_ONLY = (
+    sample(1e-4), sample(1e-4, key="t0"),
+    sample(T3, n=7),
+    sample(4.5e-4, n=7), sample(4.5e-4, key="t0"),
+)
+
+
+class TestMetricGrid:
+    def test_change_only_series_are_valid(self, tmp_path):
+        path = write(tmp_path, grid_meta(), *CHANGE_ONLY)
+        assert validate_profile_jsonl(path) == []
+
+    def test_end_tick_may_repeat_the_last_grid_tick(self, tmp_path):
+        path = write(
+            tmp_path, grid_meta(n_ticks=4, end_t_s=T3),
+            sample(1e-4), sample(T3, n=7), sample(T3, n=8),
+        )
+        assert validate_profile_jsonl(path) == []
+
+    def test_metrics_need_the_grid_in_the_meta_line(self, tmp_path):
+        meta = {"record": "meta", "kind": "serve"}
+        errors = validate_profile_jsonl(write(tmp_path, meta, *CHANGE_ONLY))
+        assert any("tick grid" in e for e in errors)
+
+    def test_off_grid_tick_rejected(self, tmp_path):
+        # 3e-4 is not the running sum the monitor's replay reaches.
+        records = list(CHANGE_ONLY)
+        records[2] = sample(3e-4, n=7)
+        errors = validate_profile_jsonl(write(tmp_path, grid_meta(), *records))
+        assert any("off the monitor's tick grid" in e for e in errors)
+
+    def test_series_must_strictly_increase(self, tmp_path):
+        records = list(CHANGE_ONLY)
+        records.insert(3, sample(2e-4, n=6))
+        errors = validate_profile_jsonl(write(tmp_path, grid_meta(), *records))
+        assert any("does not increase" in e for e in errors)
+        records[3] = sample(T3, n=6)
+        errors = validate_profile_jsonl(write(tmp_path, grid_meta(), *records))
+        assert any("does not increase" in e for e in errors)
+
+    def test_series_needs_its_first_tick(self, tmp_path):
+        records = [r for r in CHANGE_ONLY if r is not CHANGE_ONLY[1]]
+        errors = validate_profile_jsonl(write(tmp_path, grid_meta(), *records))
+        assert any("tenant:t0 has no record at the first tick" in e
+                   for e in errors)
+
+    def test_series_needs_its_end_tick(self, tmp_path):
+        errors = validate_profile_jsonl(
+            write(tmp_path, grid_meta(), *CHANGE_ONLY[:4])
+        )
+        assert any("tenant:t0 ends at t_s=0.0001, not at the end tick" in e
+                   for e in errors)
+
+    def test_grid_past_the_end_of_the_run_rejected(self, tmp_path):
+        errors = validate_profile_jsonl(
+            write(tmp_path, grid_meta(n_ticks=10**9), *CHANGE_ONLY)
+        )
+        assert any("runs past end_t_s" in e for e in errors)

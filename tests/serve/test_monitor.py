@@ -29,6 +29,7 @@ from repro.serve import (
     TraceConfig,
     auto_interarrival_s,
     batch_timeline,
+    expand_series,
     generate_trace,
     serve_dash_html,
     serve_report_lines,
@@ -229,6 +230,8 @@ class TestSurfaces:
         meta = monitor.meta()
         assert meta["window_s"] == HOT_CONFIG.window_s
         assert meta["slos"] == ["p99<=0.00035@5ms"]
+        assert meta["end_t_s"] == monitor.summary["end_t_s"]
+        assert meta["n_ticks"] > 1
 
 
 class TestMonitorConfig:
@@ -401,8 +404,30 @@ def run_oracle_case(device, seed, config, serve):
     return engine.run_trace(trace, monitor=monitor), monitor
 
 
+def assert_change_points(monitor):
+    """Each series is written at its first tick, where a field changes,
+    and at the end tick: no two consecutive records of a series encode
+    the same fields but ``t_s``, except the end tick's."""
+    meta = monitor.meta()
+    t_first = meta["sample_every_s"] if meta["n_ticks"] > 1 else (
+        meta["end_t_s"]
+    )
+    by_series: dict = {}
+    for rec in monitor.records:
+        if rec["record"] == "metric":
+            by_series.setdefault((rec["scope"], rec["key"]), []).append(rec)
+    for recs in by_series.values():
+        assert recs[0]["t_s"] == t_first
+        assert recs[-1]["t_s"] == meta["end_t_s"]
+        fields = [json.dumps({**r, "t_s": None}) for r in recs[:-1]]
+        assert all(a != b for a, b in zip(fields, fields[1:]))
+    n_series = len(by_series)
+    assert monitor.summary["samples"] == meta["n_ticks"] * n_series
+
+
 class TestMetricOracle:
-    """Every metric record equals a plain-list recomputation, exactly."""
+    """The expanded metric records equal a plain-list recomputation,
+    exactly."""
 
     @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
     @ORACLE_CASES
@@ -410,10 +435,80 @@ class TestMetricOracle:
         self, device, seed, config, serve
     ):
         result, monitor = run_oracle_case(device, seed, config, serve)
-        got = [r for r in monitor.records if r["record"] == "metric"]
+        got = expand_series(monitor.records, monitor.meta())
         assert got == metric_oracle(result, config)
+        assert_change_points(monitor)
         if serve.queue_limit < 64:
             assert result.shed_events  # the sheds reach the oracle
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        window_us=st.integers(min_value=200, max_value=8000),
+        n_buckets=st.integers(min_value=1, max_value=24),
+        cadence_buckets=st.one_of(
+            st.none(), st.floats(min_value=1.0, max_value=6.0)
+        ),
+        queue_limit=st.sampled_from([3, 6, 64]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_expansion_matches_the_oracle_on_random_runs(
+        self, seed, window_us, n_buckets, cadence_buckets, queue_limit
+    ):
+        window_s = window_us * 1e-6
+        bucket_s = window_s / n_buckets
+        config = MonitorConfig(
+            window_s=window_s,
+            n_buckets=n_buckets,
+            sample_every_s=(
+                None if cadence_buckets is None
+                else bucket_s * cadence_buckets
+            ),
+        )
+        engine = ServeEngine(
+            GTX_TITAN,
+            ServeConfig(queue_limit=queue_limit,
+                        tenant_limit=min(queue_limit, 16)),
+        )
+        engine.register(MATRIX, scale=SCALE, format_name="csr")
+        trace = generate_trace(
+            TraceConfig(n_requests=40, seed=seed, burst_factor=4.0),
+            engine.registered_graphs(),
+            150e-6,
+        )
+        monitor = ServeMonitor(config)
+        result = engine.run_trace(trace, monitor=monitor)
+        got = expand_series(monitor.records, monitor.meta())
+        assert got == metric_oracle(result, config)
+        assert_change_points(monitor)
+
+
+class TestExpandSeries:
+    T3 = 1e-4 + 1e-4 + 1e-4
+    META = {"sample_every_s": 1e-4, "n_ticks": 4, "end_t_s": T3}
+
+    @staticmethod
+    def sample(t_s, n, key="*"):
+        return {"record": "metric", "t_s": t_s, "scope": "global",
+                "key": key, "n": n}
+
+    def test_steps_fill_the_grid_and_the_end_tick_stays_apart(self):
+        t3 = self.T3
+        records = [
+            self.sample(1e-4, 1),
+            {"record": "alert", "t_s": 1.5e-4},
+            self.sample(t3, 2),
+            self.sample(t3, 3),
+        ]
+        got = expand_series(records, self.META)
+        assert [(r["t_s"], r["n"]) for r in got] == [
+            (1e-4, 1), (2e-4, 1), (t3, 2), (t3, 3)
+        ]
+        assert list(got[1]) == list(records[0])  # field order kept
+
+    def test_series_without_its_first_tick_rejected(self):
+        records = [self.sample(2e-4, 1), self.sample(self.T3, 1)]
+        with pytest.raises(ValueError, match="first-tick"):
+            expand_series(records, self.META)
 
 
 class TestSampleOrder:
