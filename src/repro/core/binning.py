@@ -96,7 +96,9 @@ def compute_binning(nnz_per_row: np.ndarray) -> Binning:
     """Scan row lengths into bins (the whole of ACSR's preprocessing)."""
     nnz = np.asarray(nnz_per_row, dtype=np.int64)
     bins = bin_index_of(nnz)
-    occupied = np.unique(bins)
+    # Bin occupancy by bincount, not np.unique: on NumPy 2 the first
+    # np.unique call imports numpy.ma, a 10-15 ms cold-path cost.
+    occupied = np.flatnonzero(np.bincount(bins))
     occupied = occupied[occupied > 0]
     order = np.argsort(bins, kind="stable")
     sorted_bins = bins[order]

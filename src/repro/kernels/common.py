@@ -298,6 +298,19 @@ def gang_row_work(
     )
 
 
+def boundaries_per_warp(total_elements: int, rows_spanned: int) -> float:
+    """Expected row boundaries inside one warp of a thread-per-element
+    launch: ``rows_spanned`` boundaries spread over the launch's warps,
+    plus the warp's own carry, capped at one per lane.
+
+    The only way :func:`elementwise_work`'s timing depends on
+    ``rows_spanned``, so a caller that varies only ``rows_spanned`` can
+    key its trials on this value.
+    """
+    n_warps = -(-total_elements // WARP_SIZE)
+    return min(float(WARP_SIZE), rows_spanned / max(1, n_warps) + 1.0)
+
+
 def elementwise_work(
     name: str,
     total_elements: int,
@@ -351,19 +364,17 @@ def elementwise_work(
     # scan (5 shuffle steps) and the expected atomics: a warp emits one
     # carry atomic, plus extra atomics when many row boundaries fall inside
     # it.
-    boundaries_per_warp = min(
-        float(WARP_SIZE), rows_spanned / max(1, n_warps) + 1.0
-    )
+    boundaries = boundaries_per_warp(total_elements, rows_spanned)
     compute = (
         counts / WARP_SIZE * INST_PER_ITER
         + (5 * SHUFFLE_INST if reduction else 0.0)
-        + (ATOMIC_INSTS * boundaries_per_warp if reduction else 0.0)
+        + (ATOMIC_INSTS * boundaries if reduction else 0.0)
     )
     if k > 1:
         compute = compute + (k - 1) * (
             counts / WARP_SIZE * INST_PER_EXTRA_VEC
             + (5 * SHUFFLE_INST if reduction else 0.0)
-            + (ATOMIC_INSTS * boundaries_per_warp if reduction else 0.0)
+            + (ATOMIC_INSTS * boundaries if reduction else 0.0)
         )
 
     hit = (
@@ -376,7 +387,7 @@ def elementwise_work(
     )
     gather = block_gather_dram_bytes(counts, vb, hit, k=k)
     atomic_traffic = (
-        scattered_bytes(np.full(counts.shape[0], boundaries_per_warp))
+        scattered_bytes(np.full(counts.shape[0], boundaries))
         if reduction
         else 0.0
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.memory import GatherProfile
-from .common import elementwise_work
+from .common import boundaries_per_warp, elementwise_work
 
 #: Gather hit rate inside a tile whose x-slice fits the texture cache.
 TILE_HIT_RATE = 0.97
@@ -50,3 +50,15 @@ def work(
         k=k,
     )
     return base
+
+
+def launch_key(nnz: int, n_rows: int, n_tiles: int) -> tuple[float, bool]:
+    """What :func:`work`'s modelled time reads of ``n_tiles``.
+
+    The tile count enters the launch only as the per-warp boundary count
+    of ``n_rows * n_tiles`` spanned rows and as the tiled hit-rate
+    override; the work's name and useful-byte hint also carry it, but the
+    simulator reads neither.  Tile counts with equal keys therefore give
+    bit-equal trial times.
+    """
+    return (boundaries_per_warp(nnz, n_rows * n_tiles), n_tiles > 1)

@@ -10,9 +10,18 @@ from repro.formats.bccoo import (
     all_configs,
     stored_elements_by_geometry,
 )
+from repro.formats.base import transfer_report_s
 from repro.formats.csr import CSRMatrix
-from repro.formats.tcoo import TCOOFormat
-from repro.gpu.device import GTX_TITAN, Precision
+from repro.formats.tcoo import TILE_CANDIDATES, TCOOFormat
+from repro.gpu.device import (
+    DEFAULT_HOST,
+    DEVICES,
+    GTX_TITAN,
+    INDEX_BYTES,
+    Precision,
+)
+from repro.gpu.simulator import simulate_kernel
+from repro.kernels import tcoo_kernel
 
 from ..conftest import make_powerlaw_csr
 
@@ -145,6 +154,43 @@ class TestStoredElementsOracle:
         assert counts[(2, 4)] == block_oracle(csr, 2, 4)
 
 
+class TestWideKeys:
+    """Sort keys past int32: ``uint32`` keys above ``2**31``, and the
+    ``int64`` fallback once block-row starts times ``n_cols`` reaches
+    ``2**32``."""
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols",
+        [
+            # 4 row offsets at height 1 -> 4 * (2**30 - 1) < 2**32:
+            # uint32 keys, the last block-row's above 2**31.
+            (3, 2**30 - 1),
+            # At least 3 block-row starts at every tuner height, so every
+            # height's keys reach past 2**32: int64 keys.
+            (20, 2**31 - 1),
+        ],
+    )
+    def test_every_tuner_geometry_matches_the_oracle(self, n_rows, n_cols):
+        rng = np.random.default_rng(n_rows)
+        lengths = rng.integers(0, 8, size=n_rows)
+        lengths[[0, -1]] = 6
+        # Columns across the range, unsorted and repeated.
+        pool = np.array(
+            [n_cols - 1, 0, n_cols - 2, 7, n_cols // 2, 3, n_cols // 3]
+        )
+        cols = rng.choice(pool, size=int(lengths.sum()))
+        csr = CSRMatrix.from_arrays(
+            np.ones(cols.shape[0], dtype=np.float32),
+            cols,
+            np.concatenate(([0], np.cumsum(lengths))),
+            n_cols,
+        )
+        geometries = [cfg.key for cfg in all_configs()]
+        counts = stored_elements_by_geometry(csr, geometries)
+        for (bh, bw), stored in counts.items():
+            assert stored == block_oracle(csr, bh, bw), (bh, bw)
+
+
 class TestBccooConfig:
     @pytest.mark.parametrize(
         "field", ["block_h", "block_w", "workgroup", "elems_per_thread"]
@@ -220,3 +266,90 @@ class TestTcoo:
         np.testing.assert_allclose(
             f.multiply(x), csr.matvec(x), rtol=1e-4, atol=1e-4
         )
+
+
+def tile_trials(csr: CSRMatrix, device) -> list[float]:
+    """Every candidate's trial time, one simulated launch per candidate."""
+    return [
+        simulate_kernel(
+            device,
+            tcoo_kernel.work(
+                csr.nnz,
+                csr.n_rows,
+                t,
+                device=device,
+                n_cols=csr.n_cols,
+                precision=csr.precision,
+                profile=csr.gather_profile,
+            ),
+        ).time_s
+        for t in TILE_CANDIDATES
+    ]
+
+
+def brute_force_search(csr: CSRMatrix, device) -> tuple[int, float, str]:
+    """The tile search as one trial per candidate, summed in order."""
+    data_bytes = csr.nnz * (csr.precision.value_bytes + 2 * INDEX_BYTES)
+    best_tiles, best_time, tuning_s = None, float("inf"), 0.0
+    for t, trial in zip(TILE_CANDIDATES, tile_trials(csr, device)):
+        tuning_s += (
+            DEFAULT_HOST.stream_time(2 * csr.nnz)
+            + transfer_report_s(data_bytes)
+            + trial
+        )
+        if trial < best_time:
+            best_time, best_tiles = trial, t
+    notes = f"searched {len(TILE_CANDIDATES)} tile counts -> {best_tiles}"
+    return best_tiles, tuning_s, notes
+
+
+class TestTcooLaunchKey:
+    """Tile counts sharing ``tcoo_kernel.launch_key`` run the same trial,
+    so the memoised search equals the one-launch-per-candidate loop."""
+
+    def check(self, csr, device):
+        by_key: dict = {}
+        for t, trial in zip(TILE_CANDIDATES, tile_trials(csr, device)):
+            key = tcoo_kernel.launch_key(csr.nnz, csr.n_rows, t)
+            assert by_key.setdefault(key, trial).hex() == trial.hex(), t
+        f = TCOOFormat.from_csr(csr, tuning_device=device)
+        tiles, tuning_s, notes = brute_force_search(csr, device)
+        assert f.n_tiles == tiles
+        assert repr(f.preprocess.tuning_s) == repr(tuning_s)
+        assert f.preprocess.notes == notes
+
+    @pytest.mark.parametrize(
+        "device", DEVICES.values(), ids=lambda d: d.name
+    )
+    def test_powerlaw_matches_brute_force(self, csr, device):
+        self.check(csr, device)
+
+    @pytest.mark.parametrize(
+        "device", DEVICES.values(), ids=lambda d: d.name
+    )
+    def test_saturated_boundaries_keep_the_untiled_trial(self, device):
+        # 60k entries over 100k rows: every tile count, one included, caps
+        # the per-warp boundaries at 32, so only the hit-rate override
+        # tells one tile from several; 4M columns keep x out of the
+        # texture cache, so the override moves the memory-bound trial.
+        rng = np.random.default_rng(5)
+        n_rows, nnz = 100_000, 60_000
+        rows = np.sort(rng.choice(n_rows, nnz, replace=False))
+        lengths = np.bincount(rows, minlength=n_rows)
+        csr = CSRMatrix.from_arrays(
+            np.ones(nnz, dtype=np.float32),
+            rng.integers(0, 4_000_000, nnz),
+            np.concatenate(([0], np.cumsum(lengths))),
+            4_000_000,
+        )
+        keys = {
+            tcoo_kernel.launch_key(csr.nnz, csr.n_rows, t)[0]
+            for t in TILE_CANDIDATES
+        }
+        assert keys == {32.0}
+        self.check(csr, device)
+
+    @given(csr=raw_csrs(), device=st.sampled_from(list(DEVICES.values())))
+    @settings(max_examples=40, deadline=None)
+    def test_raw_csrs_match_brute_force(self, csr, device):
+        self.check(csr, device)
