@@ -855,8 +855,12 @@ def _serve_sim_cli(args) -> int:
         )
         print(f"wrote {args.trace_queries}")
     if args.trace:
+        import json
+        from pathlib import Path
+
         engine_result = replay_engine(device, config.gpus, result.batches)
-        path = engine_result.trace.save(args.trace)
+        path = Path(args.trace)
+        path.write_text(json.dumps(engine_result.chrome_trace(), indent=1))
         print(f"wrote {path}")
     if args.html_dash:
         write_serve_dash(
@@ -1001,17 +1005,19 @@ def _trace_cli(args) -> int:
 
 def _dump_trace(args) -> None:
     """Write the stream-engine timeline for the run's first matrix."""
-    from .core.dispatch import time_spmv
+    import json
+    from pathlib import Path
+
+    from .core.dispatch import time_spmv_streamed
     from .harness.experiments.common import default_matrices
     from .harness.runner import get_format
 
     key = default_matrices(args.matrices)[0]
     device = get_device(args.device)
     acsr = get_format(key, "acsr", Precision(args.precision))
-    timing = time_spmv(
-        acsr.csr, acsr.plan_for(device), device, stream=True
-    )
-    path = timing.trace().save(args.trace)
+    timing = time_spmv_streamed(acsr.csr, acsr.plan_for(device), device)
+    path = Path(args.trace)
+    path.write_text(json.dumps(timing.result.chrome_trace(), indent=1))
     print(
         f"stream-engine trace: ACSR SpMV of {key} on {device.name} "
         f"({timing.n_bin_grids} bin grids, {timing.n_row_grids} row "

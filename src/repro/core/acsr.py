@@ -178,9 +178,3 @@ class ACSRFormat(SpMVFormat):
         """Table V's ``(BS, RS)``: bin-specific and row-specific grids."""
         plan = self.plan_for(device)
         return (plan.n_bin_grids, plan.n_row_grids)
-
-    def trace(self, device: DeviceSpec):
-        """A :class:`~repro.gpu.trace.KernelTrace` of one SpMV: the timing
-        model's own (:meth:`ACSRTiming.trace
-        <repro.core.dispatch.ACSRTiming.trace>`)."""
-        return self.timing(device).trace()

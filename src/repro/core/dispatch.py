@@ -31,8 +31,6 @@ from ..gpu.dynamic_parallelism import (
 from ..gpu.kernel import KernelWork, merge_concurrent
 from ..gpu.simulator import KernelTiming, simulate_kernel
 from ..gpu.streams import EngineResult, StreamEngine
-from ..gpu.timing import TimingLike
-from ..gpu.trace import KernelTrace
 from ..kernels import acsr_bin, acsr_dp
 from .binning import Binning
 from .parameters import ACSRParams, ResolvedParams, resolve
@@ -107,8 +105,6 @@ class ACSRTiming:
     launch_s: float
     #: Device-side child enqueue time (overlapped with the pool).
     enqueue_s: float
-    #: Device the timing was modelled for (labels the trace).
-    device_name: str = ""
     #: Child launches beyond the device's pending-launch limit — each
     #: paid the overflow penalty (the profiler's DP-stall counter).
     dp_overflow: int = 0
@@ -116,37 +112,6 @@ class ACSRTiming:
     @property
     def time_s(self) -> float:
         return self.launch_s + max(self.pool.time_s, self.enqueue_s)
-
-    def trace(self) -> KernelTrace:
-        """Timeline of the serial model (:class:`TimingLike`).
-
-        Stream 0 carries the host launch bill followed by the pooled
-        grid; the device-side child-enqueue window (which overlaps the
-        pool) is drawn on stream 1.
-        """
-        tr = KernelTrace(device_name=self.device_name or "GPU")
-        if self.launch_s > 0:
-            tr.add_span("launch", self.launch_s, category="overhead")
-        tr.append_timing(self.pool)
-        if self.enqueue_s > 0:
-            tr.add_span(
-                "child-enqueue",
-                self.enqueue_s,
-                stream=1,
-                category="overhead",
-                start_s=self.launch_s,
-            )
-        return tr
-
-    def bound_summary(self) -> str:
-        """One-line verdict on the pooled launch (:class:`TimingLike`)."""
-        return (
-            f"acsr pool: {self.pool.bound}-bound, "
-            f"{self.pool.time_s * 1e6:.2f} us body + "
-            f"{self.launch_s * 1e6:.2f} us launch, "
-            f"enqueue {self.enqueue_s * 1e6:.2f} us "
-            f"({self.n_bin_grids} bin grids, {self.n_row_grids} row grids)"
-        )
 
 
 def bin_works(
@@ -250,8 +215,8 @@ class StreamedACSRTiming:
     Unlike :class:`ACSRTiming`'s single merged pool, every G2 bin grid is
     a separate launch on its own stream: bins that under-occupy the
     device overlap for free, saturating bins serialise under the engine's
-    processor-sharing model, and the resulting trace is an honest
-    multi-stream timeline (``result.trace``).
+    processor-sharing model, and the engine's records are an honest
+    multi-stream timeline (``result.chrome_trace()``).
     """
 
     result: EngineResult
@@ -262,12 +227,8 @@ class StreamedACSRTiming:
     def time_s(self) -> float:
         return self.result.duration_s
 
-    def trace(self) -> KernelTrace:
-        """The engine's multi-stream timeline (:class:`TimingLike`)."""
-        return self.result.trace
-
     def bound_summary(self) -> str:
-        """Per-launch bound breakdown (:class:`TimingLike`)."""
+        """Per-launch bound breakdown."""
         return self.result.bound_summary()
 
     def counter_sets(self) -> tuple:
@@ -344,7 +305,7 @@ def time_spmv_streamed(
     k: int = 1,
 ) -> StreamedACSRTiming:
     """Model one ACSR SpMV with per-bin grids on concurrent streams."""
-    engine = StreamEngine(device, name=f"acsr@{device.name}")
+    engine = StreamEngine(device)
     stream_spmv(csr, plan, device, engine, max_streams=max_streams, k=k)
     return StreamedACSRTiming(
         result=engine.run(),
@@ -358,34 +319,15 @@ def time_spmv(
     plan: ACSRPlan,
     device: DeviceSpec,
     *,
-    stream: bool | StreamEngine = False,
-    max_streams: int = 8,
     k: int = 1,
-) -> TimingLike:
+) -> ACSRTiming:
     """Model one ACSR SpMV: G2 grids, DP parent and children as one pool.
 
-    With ``stream=True`` the SpMV is instead issued through the stream
-    engine, one launch per bin grid on concurrent streams
-    (:func:`time_spmv_streamed`); pass a :class:`StreamEngine` to enqueue
-    into an engine the caller owns and runs.  ``k > 1`` models the
-    batched (SpMM) launch: every data grid widens to ``k`` vectors while
-    the DP *parent* stays a control-only ``k=1`` grid (it launches
-    children, it touches no vector data).  Returns a
-    :class:`~repro.gpu.timing.TimingLike` either way.
+    ``k > 1`` models the batched (SpMM) launch: every data grid widens to
+    ``k`` vectors while the DP *parent* stays a control-only ``k=1`` grid
+    (it launches children, it touches no vector data).  The per-bin,
+    multi-stream variant is :func:`time_spmv_streamed`.
     """
-    if stream is not False:
-        if isinstance(stream, StreamEngine):
-            stream_spmv(
-                csr, plan, device, stream, max_streams=max_streams, k=k
-            )
-            return StreamedACSRTiming(
-                result=stream.run(),
-                n_bin_grids=plan.n_bin_grids,
-                n_row_grids=plan.n_row_grids,
-            )
-        return time_spmv_streamed(
-            csr, plan, device, max_streams=max_streams, k=k
-        )
     n_children = int(plan.g1_rows.shape[0])
     if n_children and not device.supports_dynamic_parallelism:
         raise DynamicParallelismUnsupported(
@@ -407,6 +349,5 @@ def time_spmv(
         n_row_grids=n_children,
         launch_s=launch_s,
         enqueue_s=enqueue_s,
-        device_name=device.name,
         dp_overflow=pending_launch_overflow(device, n_children),
     )

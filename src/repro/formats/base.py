@@ -311,18 +311,6 @@ class SpMVFormat(abc.ABC):
         """Modelled time of one SpMV on ``device`` (the paper's ``ST``)."""
         return self.modelled_run(device).time_s
 
-    def trace(self, device: DeviceSpec):
-        """A :class:`~repro.gpu.trace.KernelTrace` of one SpMV: one event
-        per launch of :meth:`modelled_run`, back to back, each lasting
-        its timing (launch overhead included), so the trace's duration
-        is :meth:`spmv_time_s` exactly."""
-        from ..gpu.trace import KernelTrace
-
-        tr = KernelTrace(device_name=device.name)
-        for _, timing in self.modelled_run(device).launches:
-            tr.append_timing(timing)
-        return tr
-
     def run_spmv(self, x: np.ndarray, device: DeviceSpec) -> SpMVResult:
         """Execute numerically and model the time in one call."""
         y = self.multiply(x)

@@ -61,7 +61,6 @@ from .streams import (
     Stream,
     StreamEngine,
 )
-from .trace import KernelTrace, TraceEvent
 from .simulator import (
     KernelTiming,
     SequenceTiming,
@@ -96,7 +95,6 @@ __all__ = [
     "INDEX_BYTES",
     "KernelResources",
     "KernelTiming",
-    "KernelTrace",
     "KernelWork",
     "OccupancyResult",
     "LaunchConfig",
@@ -112,7 +110,6 @@ __all__ = [
     "TESLA_K10",
     "WARP_SIZE",
     "bandwidth_efficiency",
-    "TraceEvent",
     "canonicalize_works",
     "child_launch_overhead_s",
     "compute_occupancy",

@@ -23,7 +23,6 @@ from .device import DeviceSpec
 from .kernel import KernelWork
 from .simulator import SequenceTiming
 from .streams import EngineResult, StreamEngine
-from .trace import KernelTrace
 
 #: Cross-device synchronisation (event record + stream sync), seconds.
 SYNC_OVERHEAD_S = 20.0e-6
@@ -35,9 +34,8 @@ class MultiGPUTiming:
 
     per_device: tuple[SequenceTiming, ...]
     sync_overhead_s: float
-    #: Multi-stream timeline from the engine run that produced this timing.
-    trace: KernelTrace | None = field(default=None, compare=False)
-    #: The engine result behind the timing (source of per-launch counters).
+    #: The engine result behind the timing (source of per-launch counters
+    #: and, through :meth:`EngineResult.chrome_trace`, of its timeline).
     result: EngineResult | None = field(default=None, compare=False)
 
     @property
@@ -103,7 +101,7 @@ class MultiGPUContext:
             raise ValueError(
                 f"expected {self.n_devices} work lists, got {len(per_device_works)}"
             )
-        engine = StreamEngine(self.devices, name="multi-gpu")
+        engine = StreamEngine(self.devices)
         end_events = []
         for d, works in enumerate(per_device_works):
             s = engine.stream(device=d, name=f"dev{d}")
@@ -130,6 +128,5 @@ class MultiGPUContext:
         return MultiGPUTiming(
             per_device=timings,
             sync_overhead_s=sync,
-            trace=result.trace,
             result=result,
         )

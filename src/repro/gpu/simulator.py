@@ -73,16 +73,8 @@ class KernelTiming:
         }
         return max(terms, key=terms.get)  # type: ignore[arg-type]
 
-    def trace(self) -> "KernelTrace":
-        """A single-event timeline of this launch (:class:`TimingLike`)."""
-        from .trace import KernelTrace  # local import (trace imports us)
-
-        tr = KernelTrace()
-        tr.append_timing(self)
-        return tr
-
     def bound_summary(self) -> str:
-        """One-line roofline verdict for this launch (:class:`TimingLike`)."""
+        """One-line roofline verdict for this launch."""
         return (
             f"{self.name}: {self.bound}-bound, {self.time_s * 1e6:.2f} us "
             f"(compute {self.compute_s * 1e6:.2f}, "

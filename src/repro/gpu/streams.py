@@ -15,8 +15,9 @@ semantics, deterministically:
 * :class:`Event` — a cross-stream dependency: ``record()`` on the
   producing stream, ``wait()`` on every consumer.
 * :class:`StreamEngine` — a discrete-event scheduler that advances
-  modelled time across all streams and devices and emits every
-  operation's *true* start time into a :class:`~repro.gpu.trace.KernelTrace`.
+  modelled time across all streams and devices and records every
+  operation's *true* placement; :meth:`EngineResult.chrome_trace` draws
+  those records for ``chrome://tracing`` / Perfetto.
 
 Concurrency model
 -----------------
@@ -53,18 +54,29 @@ and no wall clock or RNG is consulted anywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .device import DeviceSpec
 from .dynamic_parallelism import CONCURRENT_LAUNCH_WAYS, OVERFLOW_PENALTY
 from .kernel import KernelWork
 from .memory import bandwidth_efficiency
 from .simulator import KernelTiming, simulate_kernel
-from .trace import KernelTrace
 from .transfer import DEFAULT_LINK, PCIeLink
 
 #: Completion slack for float accumulation in the event loop, seconds.
 _EPS_S = 1e-15
+
+
+def label_with_k(name: str, k: int) -> str:
+    """Suffix a launch name with its vector-block width when batched.
+
+    ``csr_vector`` at ``k=8`` renders as ``csr_vector[k=8]`` so batched
+    (SpMM) and scalar launches are distinguishable at a glance in
+    ``chrome://tracing``.  ``k == 1`` launches keep their plain name.
+    """
+    if k > 1 and f"[k={k}]" not in name:
+        return f"{name}[k={k}]"
+    return name
 
 
 class CopyDirection(enum.Enum):
@@ -279,7 +291,6 @@ class EngineResult:
 
     records: tuple[OpRecord, ...]
     duration_s: float
-    trace: KernelTrace
     #: The engine's device registry, so per-record counters can be
     #: derived without the engine itself.
     devices: tuple[DeviceSpec, ...]
@@ -329,6 +340,48 @@ class EngineResult:
             )
         return tuple(sets)
 
+    def chrome_trace(self) -> dict:
+        """The run as a Chrome/Perfetto ``traceEvents`` document.
+
+        One complete (``"ph": "X"``) event per record, in finish order
+        (``end_s``, ties by start order), placed at the record's true
+        start: ``ts``/``dur`` in microseconds, ``pid`` the device (its
+        name, suffixed ``#index`` on a multi-device engine), ``tid`` the
+        stream.  Kernel events carry their roofline verdict and
+        ``"shared": True`` when co-residency stretched them.
+        """
+        pids = [
+            d.name if len(self.devices) == 1 else f"{d.name}#{i}"
+            for i, d in enumerate(self.devices)
+        ]
+        events = []
+        for r in sorted(self.records, key=lambda r: (r.end_s, r.op_id)):
+            name, args = r.name, {}
+            if r.timing is not None:
+                name = label_with_k(r.name, r.timing.k)
+                args = {
+                    "bound": r.timing.bound,
+                    "warps": r.timing.n_warps,
+                    "dram_bytes": r.timing.dram_bytes,
+                    "occupancy": round(r.timing.occupancy, 3),
+                    "k": r.timing.k,
+                }
+                if r.stretched:
+                    args["shared"] = True
+            events.append(
+                {
+                    "name": name,
+                    "cat": r.kind,
+                    "ph": "X",
+                    "ts": r.start_s * 1e6,
+                    "dur": r.duration_s * 1e6,
+                    "pid": pids[r.device],
+                    "tid": f"stream {r.stream}",
+                    "args": args,
+                }
+            )
+        return {"traceEvents": events, "displayTimeUnit": "ns"}
+
     def bound_summary(self) -> str:
         """Per-launch roofline-bound breakdown (one line per kernel)."""
         lines = ["launch breakdown (start, duration, bound):"]
@@ -368,7 +421,6 @@ class StreamEngine:
         self,
         devices: DeviceSpec | tuple[DeviceSpec, ...] | list[DeviceSpec],
         link: PCIeLink = DEFAULT_LINK,
-        name: str = "stream-engine",
     ) -> None:
         if isinstance(devices, DeviceSpec):
             devices = (devices,)
@@ -376,7 +428,6 @@ class StreamEngine:
             raise ValueError("need at least one device")
         self.devices: tuple[DeviceSpec, ...] = tuple(devices)
         self.link = link
-        self.name = name
         self.streams: list[Stream] = []
         self._n_events = 0
 
@@ -401,12 +452,6 @@ class StreamEngine:
         ev = Event(label, self._n_events, self)
         self._n_events += 1
         return ev
-
-    def _device_label(self, index: int) -> str:
-        spec = self.devices[index]
-        if len(self.devices) == 1:
-            return spec.name
-        return f"{spec.name}#{index}"
 
     # -- the model ------------------------------------------------------
     def _launch_profile(
@@ -453,7 +498,7 @@ class StreamEngine:
 
     # -- execution ------------------------------------------------------
     def run(self) -> EngineResult:
-        """Schedule every enqueued op; returns placements and the trace.
+        """Schedule every enqueued op; returns their placements.
 
         Re-runnable: the engine's program (streams and their ops) is
         immutable state, all scheduling state is local to this call.
@@ -467,7 +512,6 @@ class StreamEngine:
         pending_children = [0] * len(self.devices)
         records: list[OpRecord] = []
         segments: list[TimeSegment] = []
-        trace = KernelTrace(device_name=self.name)
         op_seq = [0]
         t = 0.0
 
@@ -551,13 +595,27 @@ class StreamEngine:
                     channel_busy[r.channel] = False
                 if r.op.dp_children:
                     pending_children[r.device] -= r.op.dp_children
-                self._finish(r, t, records, trace)
+                records.append(
+                    OpRecord(
+                        name=r.op.name,
+                        kind=r.category,
+                        stream=r.stream,
+                        device=r.device,
+                        start_s=r.start_s,
+                        end_s=t,
+                        timing=r.timing,
+                        dp_children=r.op.dp_children,
+                        dp_overflow=r.dp_overflow,
+                        work=r.op.work,
+                        utilization=r.utilization,
+                        op_id=r.op_id,
+                    )
+                )
 
         records.sort(key=lambda r: (r.start_s, r.stream))
         return EngineResult(
             records=tuple(records),
             duration_s=t,
-            trace=trace,
             devices=self.devices,
             segments=tuple(segments),
         )
@@ -661,59 +719,3 @@ class StreamEngine:
                 u = demand[r.device]
                 rates.append(1.0 if u <= 1.0 else 1.0 / u)
         return rates
-
-    def _finish(
-        self,
-        r: _Running,
-        t: float,
-        records: list[OpRecord],
-        trace: KernelTrace,
-    ) -> None:
-        device_label = self._device_label(r.device)
-        rec = OpRecord(
-            name=r.op.name,
-            kind=r.category,
-            stream=r.stream,
-            device=r.device,
-            start_s=r.start_s,
-            end_s=t,
-            timing=r.timing,
-            dp_children=r.op.dp_children,
-            dp_overflow=r.dp_overflow,
-            work=r.op.work,
-            utilization=r.utilization,
-            op_id=r.op_id,
-        )
-        records.append(rec)
-        if r.timing is not None:
-            from .trace import TraceEvent, label_with_k
-
-            args = {
-                "bound": r.timing.bound,
-                "warps": r.timing.n_warps,
-                "dram_bytes": r.timing.dram_bytes,
-                "occupancy": round(r.timing.occupancy, 3),
-                "k": r.timing.k,
-            }
-            if rec.stretched:
-                args["shared"] = True
-            trace.add(
-                TraceEvent(
-                    name=label_with_k(r.op.name, r.timing.k),
-                    start_s=r.start_s,
-                    duration_s=rec.duration_s,
-                    stream=r.stream,
-                    category="kernel",
-                    args=args,
-                    device=device_label,
-                )
-            )
-        else:
-            trace.add_span(
-                r.op.name,
-                rec.duration_s,
-                stream=r.stream,
-                category=r.category,
-                start_s=r.start_s,
-                device=device_label,
-            )

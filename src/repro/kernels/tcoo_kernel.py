@@ -31,8 +31,12 @@ def work(
 ) -> KernelWork:
     """Cost model for one tiled-COO SpMV (all tiles, one launch).
 
-    More tiles improve locality but re-touch ``y`` once per tile; the
-    extra accumulation traffic is charged per tile.
+    Tiling (``n_tiles > 1``) swaps in the tiled texture hit rate.  Each
+    tile spans the rows again, so the launch sees ``n_rows * n_tiles``
+    spanned rows; the only per-tile term is the per-warp row-boundary
+    count :func:`~repro.kernels.common.boundaries_per_warp` derives from
+    them, which saturates at 32 (one per lane).  Past that point every
+    tile count is the same launch (see :func:`launch_key`).
     """
     if n_tiles < 1:
         raise ValueError("need at least one tile")

@@ -363,7 +363,6 @@ def attribute_sequence(
     works: list[KernelWork],
     *,
     name: str = "sequence",
-    include_launch_overhead: bool = True,
 ) -> Attribution:
     """Attribute a back-to-back launch sequence.
 
@@ -371,15 +370,7 @@ def attribute_sequence(
     ``SequenceTiming.time_s`` computes, so the result agrees with
     ``fmt.spmv_time_s`` / ``spmm_time_s`` bit-for-bit.
     """
-    pairs = [
-        (
-            w,
-            simulate_kernel(
-                device, w, include_launch_overhead=include_launch_overhead
-            ),
-        )
-        for w in works
-    ]
+    pairs = [(w, simulate_kernel(device, w)) for w in works]
     parts = [attribute_launch(device, w, t) for w, t in pairs]
     target = sum(t.time_s for _, t in pairs)
     return merge_attributions(

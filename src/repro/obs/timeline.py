@@ -247,7 +247,6 @@ def timeline_from_sequence(
     works: list[KernelWork],
     *,
     name: str = "sequence",
-    include_launch_overhead: bool = True,
 ) -> Timeline:
     """Rebuild a back-to-back launch sequence as a single-lane timeline.
 
@@ -255,15 +254,7 @@ def timeline_from_sequence(
     left-to-right float sum ``SequenceTiming.time_s`` performs — so the
     reconstructed total equals the sequence model's time exactly.
     """
-    pairs = [
-        (
-            w,
-            simulate_kernel(
-                device, w, include_launch_overhead=include_launch_overhead
-            ),
-        )
-        for w in works
-    ]
+    pairs = [(w, simulate_kernel(device, w)) for w in works]
     events, details, total = _back_to_back(device, pairs)
     return Timeline(
         name=name,

@@ -68,12 +68,10 @@ def replay_engine(
     One stream per worker on its own device instance; each batch becomes
     a formation span followed by a compute span at its placed start
     (idle gaps are zero-utilisation spans, so they contend with
-    nothing).  The result's trace renders in Chrome/Perfetto and its
+    nothing).  The result's ``chrome_trace()`` renders in Perfetto and its
     ``duration_s`` reproduces the serve run's makespan.
     """
-    engine = StreamEngine(
-        tuple(device for _ in range(n_workers)), name="serve"
-    )
+    engine = StreamEngine(tuple(device for _ in range(n_workers)))
     streams = [
         engine.stream(device=i, name=f"gpu{i}") for i in range(n_workers)
     ]

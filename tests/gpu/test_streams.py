@@ -212,14 +212,14 @@ class TestDeterminism:
         return eng
 
     def test_identical_runs_are_byte_identical(self):
-        doc1 = json.dumps(self._build().run().trace.to_chrome_trace())
-        doc2 = json.dumps(self._build().run().trace.to_chrome_trace())
+        doc1 = json.dumps(self._build().run().chrome_trace())
+        doc2 = json.dumps(self._build().run().chrome_trace())
         assert doc1 == doc2
 
     def test_rerun_of_same_engine_is_byte_identical(self):
         eng = self._build()
-        doc1 = json.dumps(eng.run().trace.to_chrome_trace())
-        doc2 = json.dumps(eng.run().trace.to_chrome_trace())
+        doc1 = json.dumps(eng.run().chrome_trace())
+        doc2 = json.dumps(eng.run().chrome_trace())
         assert doc1 == doc2
 
 
@@ -245,5 +245,5 @@ class TestResult:
         s.span("first", 10e-6)
         s.launch(work(name="second"))
         res = eng.run()
-        by_name = {e.name: e for e in res.trace.events}
-        assert by_name["second"].start_s == pytest.approx(10e-6)
+        by_name = {e["name"]: e for e in res.chrome_trace()["traceEvents"]}
+        assert by_name["second"]["ts"] == pytest.approx(10.0)

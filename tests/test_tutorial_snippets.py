@@ -28,6 +28,7 @@ from repro.dynamic import (
     run_dynamic_pagerank,
 )
 from repro.formats import Workload, recommend
+from repro.obs import timeline_from_format
 from repro.harness.experiments import fig5_gflops
 
 
@@ -65,8 +66,10 @@ def test_sections_3_and_4_formats_and_acsr():
         "launch",
     )
     timing = acsr.timing(GTX_TITAN)
-    events = acsr.trace(GTX_TITAN).events
-    assert any(e.name == "launch" for e in events)
+    timeline = timeline_from_format(acsr, GTX_TITAN)
+    assert "GTXTitan" in timeline.gantt()
+    events = [e for lane in timeline.lanes for e in lane.events]
+    assert any(e.name == "launch-bill" for e in events)
     assert any(
         e.category == "kernel" and e.duration_s == timing.pool.time_s
         for e in events
