@@ -45,14 +45,11 @@ def matrix_traits(csr: CSRMatrix) -> dict[str, float]:
     deg = csr.nnz_per_row
     mu = csr.mu
     sigma = csr.sigma
-    if csr.nnz:
-        rows = np.repeat(
-            np.arange(csr.n_rows, dtype=np.int64), deg
-        )
-        diags = csr.col_idx.astype(np.int64) - rows
-        n_diags = int(np.unique(diags).shape[0])
-    else:
-        n_diags = 0
+    # Occupied diagonals, counted without a sort: diagonal col - row
+    # shifted by n_rows - 1 into [0, n_rows + n_cols - 1).
+    rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64), deg)
+    diags = csr.col_idx.astype(np.int64) - rows + (csr.n_rows - 1)
+    n_diags = int(np.count_nonzero(np.bincount(diags)))
     return {
         "mu": mu,
         "sigma": sigma,

@@ -92,11 +92,18 @@ class RowBins:
     order.  A padded slot has value 0.0 and points at column ``n_cols``,
     a sentinel :meth:`row_sums` reads as +0.0, so no ``inf`` or NaN of
     ``x`` reaches a padded slot.
+
+    A matrix with a :attr:`~CSRMatrix.col_scale` keeps it in ``scale``
+    and stores no per-slot values (8 bytes per slot); any other matrix
+    stores every slot's value in ``vals`` (16 bytes per slot).
     """
 
-    #: Every slot's column (``intp``) and value (float64).
+    #: Every slot's column (``intp``).
     cols: np.ndarray
-    vals: np.ndarray
+    #: Every slot's value (float64), or ``None`` when ``scale`` is set.
+    vals: np.ndarray | None
+    #: The matrix's :attr:`~CSRMatrix.col_scale`, or ``None``.
+    scale: np.ndarray | None
     #: ``(first slot, width, rows)`` of each bin's block, bins ascending.
     blocks: tuple[tuple[int, int, int], ...]
     #: The long row of each slot after the blocks, numbered from 0.
@@ -111,7 +118,8 @@ class RowBins:
     @classmethod
     def build(cls, csr: "CSRMatrix") -> "RowBins":
         """Bin ``csr``'s rows: one sort of the row bins, then each bin's
-        block gathered into one flat allocation, with no loop over rows."""
+        block gathered into one flat allocation, with no loop over rows.
+        The values are gathered only when ``csr`` has no column scale."""
         # Deferred: repro.core imports this package.
         from ..core.binning import bin_index_of
 
@@ -139,7 +147,8 @@ class RowBins:
         # Bin b's block holds 2^b slots per row.
         slots = rows[1:-1] << np.arange(1, top + 1)
         cols = np.empty(int(slots.sum() + long_lens.sum()), dtype=np.intp)
-        vals = np.empty(cols.shape[0])
+        scale = csr.col_scale
+        vals = None if scale is not None else np.empty(cols.shape[0])
         # Entry nnz is the padding: column n_cols, value 0.0.
         col_of = np.append(csr.col_idx, np.int32(csr.n_cols))
         val_of = np.append(csr.values, csr.values.dtype.type(0))
@@ -163,7 +172,8 @@ class RowBins:
             src *= inside
             src += csr.nnz
             cols[first : first + src.size] = col_of[src.ravel()]
-            vals[first : first + src.size] = val_of[src.ravel()]
+            if vals is not None:
+                vals[first : first + src.size] = val_of[src.ravel()]
             blocks.append((first, width, n))
             first += src.size
         # The long rows' entries, one row after another.
@@ -171,11 +181,13 @@ class RowBins:
             csr.row_off[long] - (np.cumsum(long_lens) - long_lens), long_lens
         )
         cols[first:] = col_of[src]
-        vals[first:] = val_of[src]
+        if vals is not None:
+            vals[first:] = val_of[src]
+            vals.flags.writeable = False
         long_rows = np.repeat(np.arange(long.shape[0], dtype=np.intp), long_lens)
-        for a in (cols, vals, long_rows, sum_of_row):
+        for a in (cols, long_rows, sum_of_row):
             a.flags.writeable = False
-        return cls(cols, vals, tuple(blocks), long_rows, sum_of_row, n_sums)
+        return cls(cols, vals, scale, tuple(blocks), long_rows, sum_of_row, n_sums)
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
         """Every row's ``sum(values * x[cols])`` in float64, summed
@@ -189,12 +201,20 @@ class RowBins:
         the first term (a row of -0.0 terms would stay -0.0).  The long
         rows go through ``np.bincount``, which adds its weights one at a
         time.
+
+        With a ``scale``, ``x`` is scaled once per column before the
+        gather, and the gather yields the products themselves:
+        ``x_c * v_c`` is the same IEEE product whether it is formed once
+        per column or once per entry.
         """
         x64 = np.empty(x.shape[0] + 1)
         x64[:-1] = x
         x64[-1] = 0.0
+        if self.scale is not None:
+            x64[:-1] *= self.scale
         prod = x64[self.cols]
-        prod *= self.vals
+        if self.vals is not None:
+            prod *= self.vals
         sums = np.empty(self.n_sums)
         at = 0
         for first, width, rows in self.blocks:
@@ -217,8 +237,9 @@ class CSRMatrix:
     ``col_idx`` is int32 (as on the device); ``row_off`` is int64 on the
     host.  :meth:`matmat` sums ``X`` one column at a time.  The first
     column it multiplies in full builds :attr:`spmv_bins`, the rows
-    binned by length at 16 bytes per padded slot, which every later
-    multiply reuses.  The first column sparse enough to skip its zeros
+    binned by length, which every later multiply reuses: 8 bytes per
+    padded slot when every column stores one value (:attr:`col_scale`),
+    16 otherwise.  The first column sparse enough to skip its zeros
     adds :attr:`col_major`, 8 more bytes per non-zero in single precision
     (12 in double); a matrix only ever multiplied by dense vectors never
     builds it, and one only multiplied by sparse vectors builds no bins.
@@ -448,13 +469,39 @@ class CSRMatrix:
         descending[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
         return not descending.any()
 
+    @cached_property
+    def col_scale(self) -> np.ndarray | None:
+        """Each column's one stored value in float64, when every stored
+        entry of each column has the same value bit for bit (a column
+        storing nothing gets 1.0), else ``None``.  The values are compared
+        as unsigned integers, so ``-0.0`` and ``0.0``, or two NaN
+        payloads, never count as one value.  Checked once per matrix.
+
+        The graph operators are such matrices: a 0/1 pattern scaled per
+        column (RWR's column-normalised adjacency, PageRank's Google
+        matrix, HITS's stacked binarized adjacency).  :meth:`matmat` then
+        scales ``x`` once per column instead of once per stored entry.
+        """
+        bits = self.values.view(f"u{self.values.itemsize}")
+        first = np.full(self.n_cols, 1, dtype=self.values.dtype).view(bits.dtype)
+        # intp indices: numpy would convert int32 ones at each use.
+        cols = self.col_idx.astype(np.intp)
+        first[cols] = bits
+        if not np.array_equal(first[cols], bits):
+            return None
+        scale = first.view(self.values.dtype).astype(np.float64)
+        scale.flags.writeable = False
+        return scale
+
     def _nonzero_terms(
         self, x: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray] | None:
         """``(rows, values, x values)`` of the stored entries whose
         ``x[col]`` is non-zero, column by column, or ``None`` when ``x``
         takes the full pass: skipping is not exact for this matrix, or
-        those entries number more than ``nnz // _SPARSE_SHARE``."""
+        those entries number more than ``nnz // _SPARSE_SHARE``.  With a
+        :attr:`col_scale` the x values come scaled and ``values`` is
+        ``None``."""
         limit = self.nnz // _SPARSE_SHARE
         nonzero = x != 0
         n_support = np.count_nonzero(nonzero)
@@ -473,8 +520,13 @@ class CSRMatrix:
         # The runs by_col[starts[i]:starts[i] + lens[i]], concatenated.
         runs = np.arange(int(lens.sum()), dtype=np.intp)
         runs += np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        xs = np.repeat(x[support].astype(np.float64, copy=False), lens)
-        return by_col.col_idx[runs], by_col.values[runs], xs
+        xs = x[support].astype(np.float64, copy=False)
+        if self.col_scale is None:
+            vals = by_col.values[runs]
+        else:
+            vals = None
+            xs *= self.col_scale[support]
+        return by_col.col_idx[runs], vals, np.repeat(xs, lens)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """``Y = A @ X`` for a floating ``X`` of shape ``(n_cols, k)``:
@@ -482,13 +534,15 @@ class CSRMatrix:
 
         A column of ``X`` takes the full pass through :attr:`spmv_bins`
         (built at the first such column): gather ``X[:, j]`` in float64,
-        scale by the binned values, and reduce each padded bin with
-        ``np.add.reduce`` and the rows above the cap with
-        ``np.bincount``.  Both add each row's terms one at a time, so each
-        row sums sequentially from 0.0 in storage order — scipy's CSR
-        loop — and ``Y`` is bitwise equal to ``scipy.sparse.csr_matrix @
-        X`` in float64.  The result is cast back to ``X``'s dtype, like a
-        GPU kernel that accumulates in registers.
+        scale by the binned values (with a :attr:`col_scale`, scale
+        ``X[:, j]`` once per column before the gather instead), and
+        reduce each padded bin with ``np.add.reduce`` and the rows above
+        the cap with ``np.bincount``.  Both add each row's terms one at a
+        time, so each row sums sequentially from 0.0 in storage order —
+        scipy's CSR loop — and ``Y`` is bitwise equal to
+        ``scipy.sparse.csr_matrix @ X`` in float64.  The result is cast
+        back to ``X``'s dtype, like a GPU kernel that accumulates in
+        registers.
 
         A column whose non-zeros reach at most ``nnz // 4`` stored
         entries multiplies only those, walking :attr:`col_major` (built at
@@ -515,7 +569,8 @@ class CSRMatrix:
                 Y[:, j] = self.spmv_bins.row_sums(x)
             else:
                 rows, vals, prod = terms
-                prod *= vals
+                if vals is not None:
+                    prod *= vals
                 Y[:, j] = np.bincount(rows, weights=prod, minlength=self.n_rows)
         return Y
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.hits import hits, split_scores, stacked_matrix
+from repro.apps.pagerank import google_matrix
 from repro.apps.rwr import column_normalized, rwr
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_format import CSRFormat
@@ -16,6 +17,25 @@ def small_web(n=60, seed=4):
     return make_powerlaw_csr(
         n_rows=n, n_cols=n, seed=seed, max_degree=20
     ).binarized()
+
+
+@pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE])
+@pytest.mark.parametrize(
+    "operator", [column_normalized, google_matrix, stacked_matrix]
+)
+def test_app_operators_store_one_value_per_column(operator, precision):
+    """The graph operators are a 0/1 pattern scaled per column, so the
+    kernel multiplies them through a column scale (bitwise like scipy in
+    float64); the random-valued matrix they come from has none."""
+    raw = make_csr_with_empty_rows(seed=6, precision=precision)
+    assert raw.col_scale is None
+    op = operator(raw.binarized())
+    scale = op.col_scale
+    assert scale is not None
+    assert np.array_equal(scale[op.col_idx], op.values.astype(np.float64))
+    x = np.random.default_rng(1).random(op.n_cols).astype(op.values.dtype)
+    want = op.to_scipy().astype(np.float64) @ x.astype(np.float64)
+    assert np.array_equal(op.matvec(x), want.astype(x.dtype))
 
 
 class TestStackedMatrix:

@@ -24,6 +24,15 @@ def titan_plan(csr):
     )
 
 
+@pytest.fixture(scope="module")
+def dp_plan(csr):
+    """A plan whose top bin's rows go to the dynamic-parallelism group."""
+    binning = compute_binning(csr.nnz_per_row)
+    return build_plan(
+        binning, ACSRParams(bin_max=binning.max_bin - 1), GTX_TITAN, mu=csr.mu
+    )
+
+
 class TestPlan:
     def test_g1_g2_partition_complete(self, csr, titan_plan):
         g2_rows = (
@@ -61,11 +70,10 @@ class TestTiming:
         assert t.n_row_grids == titan_plan.g1_rows.shape[0]
         assert t.launch_s >= GTX_TITAN.kernel_launch_overhead_s
 
-    def test_dp_plan_rejected_on_fermi(self, csr, titan_plan):
-        if titan_plan.g1_rows.size == 0:
-            pytest.skip("plan has no DP group")
+    def test_dp_plan_rejected_on_fermi(self, csr, dp_plan):
+        assert dp_plan.g1_rows.size > 0, "plan has no DP group"
         with pytest.raises(DynamicParallelismUnsupported):
-            time_spmv(csr, titan_plan, GTX_580)
+            time_spmv(csr, dp_plan, GTX_580)
 
     def test_binning_only_timing_on_fermi(self, csr):
         plan = build_plan(
@@ -126,11 +134,10 @@ class TestStreamedTiming:
         streamed = time_spmv_streamed(csr, titan_plan, GTX_TITAN)
         assert result.duration_s == streamed.time_s > 0
 
-    def test_streamed_dp_rejected_on_fermi(self, csr, titan_plan):
-        if titan_plan.g1_rows.size == 0:
-            pytest.skip("plan has no DP group")
+    def test_streamed_dp_rejected_on_fermi(self, csr, dp_plan):
+        assert dp_plan.g1_rows.size > 0, "plan has no DP group"
         with pytest.raises(DynamicParallelismUnsupported):
-            time_spmv_streamed(csr, titan_plan, GTX_580)
+            time_spmv_streamed(csr, dp_plan, GTX_580)
 
     def test_streamed_dp_group_rides_its_own_stream(self):
         csr_big = make_powerlaw_csr(n_rows=50_000, seed=31, max_degree=3000)

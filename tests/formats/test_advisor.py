@@ -1,7 +1,14 @@
 """Format advisor: the Section IX decision procedure."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
 
 from repro.formats.advisor import (
     Recommendation,
@@ -36,6 +43,44 @@ class TestTraits:
         t = matrix_traits(make_powerlaw_csr(seed=3))
         assert t["cv"] > 1.0
         assert t["max_over_mu"] > 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(min_value=0, max_value=30),
+        n_cols=st.integers(min_value=0, max_value=30),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_diagonal_count_matches_unique(self, n_rows, n_cols, density, seed):
+        """``n_diags`` is the number of distinct ``col - row`` over the
+        stored entries, on rectangular shapes, with empty rows and with
+        no entries at all."""
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n_rows, n_cols)) < density
+        rows, cols = np.nonzero(mask)
+        csr = CSRMatrix.from_coo(rows, cols, np.ones(rows.size), (n_rows, n_cols))
+        assert matrix_traits(csr)["n_diags"] == np.unique(cols - rows).size
+
+    def test_registering_a_graph_leaves_numpy_ma_unloaded(self):
+        """Serving a corpus graph counts its diagonals without a sort,
+        so ``numpy.ma`` (which ``np.unique`` imports) is never loaded."""
+        code = (
+            "import sys\n"
+            "from repro.gpu import GTX_TITAN\n"
+            "from repro.serve.server import ServeEngine\n"
+            "ServeEngine(GTX_TITAN).register('WIK', scale=0.01)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRecommendations:

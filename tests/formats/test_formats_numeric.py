@@ -303,6 +303,80 @@ def test_binned_kernel_bitwise_equals_scipy(
     assert np.array_equal(Y, want.astype(dtype), equal_nan=True)
 
 
+#: Per-column stored values: finite ones of both signs and both zeros,
+#: and the non-finite ones a column scale must carry through.
+FINITE_COLUMN_VALUES = [0.0, -0.0, 0.75, -1.5, 1e-30, 3e30]
+SPECIAL_COLUMN_VALUES = [np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(
+    n_rows=st.integers(min_value=1, max_value=40),
+    n_cols=st.integers(min_value=1, max_value=40),
+    density=st.floats(min_value=0.0, max_value=0.7),
+    empty_share=st.sampled_from([0.0, 0.3]),
+    precision=st.sampled_from([Precision.SINGLE, Precision.DOUBLE]),
+    zero_shares=st.lists(ZERO_SHARES, min_size=1, max_size=4),
+    stored_specials=st.booleans(),
+    x_specials=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_column_scaled_kernel_bitwise_equals_scipy(
+    n_rows, n_cols, density, empty_share, precision, zero_shares,
+    stored_specials, x_specials, seed,
+):
+    """A matrix storing one value per column multiplies through its
+    :attr:`~CSRMatrix.col_scale`, by the full pass and by the
+    zero-skipping path, bit for bit like SciPy's float64 CSR product.
+    Columns may store 0.0, -0.0, inf or NaN, some columns store nothing,
+    and ``x`` may hold inf, NaN or -0.0 anywhere, empty columns included."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_rows, n_cols)) < density
+    mask[:, rng.random(n_cols) < empty_share] = False
+    rows, cols = np.nonzero(mask)
+    choices = FINITE_COLUMN_VALUES + (SPECIAL_COLUMN_VALUES if stored_specials else [])
+    per_col = np.array(choices)[rng.integers(0, len(choices), n_cols)]
+    row_off = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(mask.sum(axis=1), out=row_off[1:])
+    dtype = precision.numpy_dtype
+    csr = CSRMatrix.from_arrays(per_col[cols].astype(dtype), cols, row_off, n_cols)
+    assert csr.col_scale is not None
+    k = len(zero_shares)
+    X = rng.standard_normal((n_cols, k))
+    zero = rng.random((n_cols, k)) < np.array(zero_shares)
+    X[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+    if x_specials:
+        X[rng.integers(0, n_cols, 3), rng.integers(0, k, 3)] = [-0.0, np.nan, np.inf]
+    X = X.astype(dtype)
+    want = csr.to_scipy().astype(np.float64) @ X.astype(np.float64)
+    Y = csr.matmat(X)
+    assert Y.dtype == dtype
+    assert np.array_equal(Y, want.astype(dtype), equal_nan=True)
+
+
+def test_col_scale_compares_value_bits():
+    """A column holding 0.0 beside -0.0, or two NaN payloads, has no one
+    value; a column storing nothing scales by 1.0."""
+    quiet = np.float64(np.nan)
+    other = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+    def of(values):
+        n = len(values)
+        return CSRMatrix.from_arrays(
+            np.array(values), np.zeros(n, dtype=np.int32), np.arange(n + 1), 2
+        ).col_scale
+
+    assert of([0.0, -0.0]) is None
+    assert of([quiet, other]) is None
+    for values in ([quiet, quiet], [-0.0, -0.0], [2.5, 2.5]):
+        scale = of(values)
+        want = np.array([values[0], 1.0])
+        assert np.array_equal(scale.view(np.uint64), want.view(np.uint64))
+        assert not scale.flags.writeable
+    assert binned_csr([3, 5, 2], 8, Precision.DOUBLE, seed=0).col_scale is None
+
+
 def _two_entry_columns(n_cols: int = 64) -> CSRMatrix:
     """Rows ``i`` and ``i + n_cols/2`` both store columns ``2i`` and
     ``2i + 1``: every column holds two entries, so a support of ``s``
@@ -535,18 +609,17 @@ def test_spmv_bins_built_at_the_first_full_pass():
     """A matrix multiplied only by sparse ``x`` builds no bins.  The first
     full pass builds them and later ones reuse them; every block is a
     power of two wide up to the cap and holds at least two rows; the
-    arrays are read-only and hold 16 bytes per padded slot, plus the
-    long-row ids and one sum position per row."""
-    csr = binned_csr(LONG_ROWS, 800, Precision.SINGLE, seed=0)
-    x = np.zeros(csr.n_cols, dtype=np.float32)
-    x[3] = 1.0
-    csr.matvec(x)
-    assert "col_major" in vars(csr) and "spmv_bins" not in vars(csr)
-    csr.matvec(np.ones(csr.n_cols, dtype=np.float32))
-    bins = csr.spmv_bins
-    csr.matmat(np.ones((csr.n_cols, 3), dtype=np.float32))
-    assert csr.spmv_bins is bins
-
+    arrays are read-only and hold 16 bytes per padded slot, or 8 when
+    the matrix has a column scale (kept as one float64 per column instead
+    of per-slot values), plus the long-row ids and one sum position per
+    row.  Both layouts sum long rows included as scipy does in float64."""
+    per_slot = binned_csr(LONG_ROWS, 800, Precision.SINGLE, seed=0)
+    scaled = CSRMatrix.from_arrays(
+        (1.0 + per_slot.col_idx % 7).astype(np.float32),
+        per_slot.col_idx,
+        per_slot.row_off,
+        per_slot.n_cols,
+    )
     lens = np.array(LONG_ROWS)
     binned = lens[(lens > 0) & (lens <= _BIN_CAP)]
     # Rows per bin width: 2 for one or two entries, else 2^ceil(log2 n).
@@ -554,21 +627,44 @@ def test_spmv_bins_built_at_the_first_full_pass():
     for n in binned:
         width = max(2, 1 << int(n - 1).bit_length())
         per_bin[width] = per_bin.get(width, 0) + 1
-    slots = sum(w * max(r, 2) for w, r in per_bin.items())
     long_entries = int(lens[lens > _BIN_CAP].sum())
-    assert [(w, r) for _, w, r in bins.blocks] == [
-        (w, max(r, 2)) for w, r in sorted(per_bin.items())
-    ]
-    assert bins.cols.dtype == np.intp and bins.vals.dtype == np.float64
-    assert bins.cols.shape[0] == slots + long_entries
-    arrays = (bins.cols, bins.vals, bins.long_rows, bins.sum_of_row)
-    assert sum(a.nbytes for a in arrays) == 16 * (slots + long_entries) + 8 * (
-        long_entries + csr.n_rows
-    )
-    for arr in arrays:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
+    slots = sum(w * max(r, 2) for w, r in per_bin.items()) + long_entries
+    for csr in (per_slot, scaled):
+        x = np.zeros(csr.n_cols, dtype=np.float32)
+        x[3] = 1.0
+        csr.matvec(x)
+        assert "col_major" in vars(csr) and "spmv_bins" not in vars(csr)
+        csr.matvec(np.ones(csr.n_cols, dtype=np.float32))
+        bins = csr.spmv_bins
+        csr.matmat(np.ones((csr.n_cols, 3), dtype=np.float32))
+        assert csr.spmv_bins is bins
+
+        assert [(w, r) for _, w, r in bins.blocks] == [
+            (w, max(r, 2)) for w, r in sorted(per_bin.items())
+        ]
+        assert bins.cols.dtype == np.intp and bins.cols.shape[0] == slots
+        if csr is scaled:
+            assert bins.vals is None and bins.scale is csr.col_scale
+            stored = bins.scale
+            assert stored.shape == (csr.n_cols,)
+            bytes_per_slot = 8
+        else:
+            assert bins.scale is None and csr.col_scale is None
+            stored = bins.vals
+            bytes_per_slot = 16
+        assert stored.dtype == np.float64
+        arrays = (bins.cols, stored, bins.long_rows, bins.sum_of_row)
+        per_matrix = stored.nbytes if csr is scaled else 0
+        assert sum(a.nbytes for a in arrays) == bytes_per_slot * slots + (
+            per_matrix + 8 * (long_entries + csr.n_rows)
+        )
+        x = np.arange(csr.n_cols, dtype=np.float32)
+        want = csr.to_scipy().astype(np.float64) @ x.astype(np.float64)
+        assert np.array_equal(csr.matvec(x), want.astype(np.float32))
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 def test_copied_matrix_multiplies_bitwise():
