@@ -161,12 +161,6 @@ class KernelWork:
             precision=precision,
         )
 
-    def merged_with(self, other: "KernelWork") -> "KernelWork":
-        """Concatenate two works that execute concurrently on one device."""
-        return merge_concurrent(
-            [self, other], name=f"{self.name}+{other.name}"
-        )
-
 
 def merge_hints(works: list[KernelWork]) -> CounterHints | None:
     """Combine observability hints across concurrently merged works.

@@ -10,7 +10,7 @@ from .metrics import (
     speedup,
     spmv_gflops,
 )
-from .report import render_series, render_table
+from .report import render_table
 from .runner import CellResult, clear_caches, get_format, run_cell
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "experiments",
     "geometric_mean",
     "get_format",
-    "render_series",
     "render_table",
     "run_cell",
     "speedup",

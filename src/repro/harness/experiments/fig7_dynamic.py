@@ -17,7 +17,7 @@ import numpy as np
 from ...data.corpus import corpus_matrix
 from ...dynamic.pipeline import epoch_speedups, run_dynamic_pagerank
 from ...gpu.device import GTX_TITAN, DeviceSpec, Precision
-from ..report import render_series, render_table
+from ..report import render_table
 from .common import ExperimentResult, default_matrices
 
 #: The paper's representative matrix for the per-epoch panel.

@@ -45,8 +45,3 @@ def save_json(result: ExperimentResult, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(result_to_dict(result), indent=1))
     return path
-
-
-def load_json(path: str | Path) -> dict:
-    """Read a file produced by :func:`save_json`."""
-    return json.loads(Path(path).read_text())

@@ -1,4 +1,4 @@
-"""Plain-text renderers that print the paper's rows and series.
+"""Plain-text renderers that print the paper's table rows.
 
 Every experiment module renders through these helpers so the benchmark
 logs read like the paper's tables: one row per matrix, ``∅`` for
@@ -52,16 +52,4 @@ def render_table(
             format_cell(v, w) for v, w in zip(row[1:], widths)
         )
         out.append(line)
-    return "\n".join(out)
-
-
-def render_series(
-    title: str, labels: Sequence, values: Sequence[float], unit: str = ""
-) -> str:
-    """A labelled 1-D series (one figure panel's data)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    out = [title, "=" * max(len(title), 8)]
-    for label, v in zip(labels, values):
-        out.append(f"  {str(label):<12s} {format_cell(v, 12)} {unit}")
     return "\n".join(out)

@@ -6,10 +6,15 @@ Three formats, all dependency-free:
   kind (``meta`` / ``launch`` / ``span`` / ``aggregate`` / ``metrics``,
   ``attribution`` / ``delta`` for differential profiles, ``request`` /
   ``slo`` for serving reports, ``metric`` / ``alert`` / ``flightrec``
-  for the live serve monitor's rolling series).  This is
-  the machine-readable artifact CI uploads and gates on;
-  :func:`validate_profile_jsonl` is the gate and
-  :func:`write_diff_jsonl` the diff-report writer.
+  for the live serve monitor's rolling series).  This is the
+  machine-readable artifact CI uploads and gates on;
+  :func:`write_diff_jsonl` is the diff-report writer.  The gate,
+  :func:`validate_profile_jsonl`, enforces one record schema, the table
+  :data:`_FIELDS`: per record kind, each field's named rules (present,
+  a string, a non-negative number, an enum, ...), read by
+  :func:`_check_fields`.  The only checks outside the table relate
+  fields to each other: the bit-exact compute timelines, trace linkage
+  and exact sums, and the serve monitor's tick grid.
 * **CSV** — one row per launch, for spreadsheets.
 * **Chrome counter tracks** — ``"ph": "C"`` events that render as stacked
   counter charts alongside the kernel timeline in ``chrome://tracing`` /
@@ -21,72 +26,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .counters import CounterSet
-
-#: Fields every launch/aggregate JSONL record must carry.
-_REQUIRED_COUNTER_FIELDS = (
-    "name",
-    "device",
-    "n_launches",
-    "k",
-    "time_s",
-    "launch_overhead_s",
-    "dram_bytes",
-    "flops",
-    "n_warps",
-    "achieved_occupancy",
-    "warp_execution_efficiency",
-    "gld_coalescing_ratio",
-    "dp_children",
-    "dp_overflow",
-    "bound",
-)
-
-#: Counter fields constrained to [0, 1].
-_UNIT_INTERVAL_FIELDS = (
-    "achieved_occupancy",
-    "warp_execution_efficiency",
-    "gld_coalescing_ratio",
-    "launch_overhead_share",
-)
-
-_RECORD_KINDS = (
-    "meta",
-    "launch",
-    "span",
-    "aggregate",
-    "metrics",
-    "attribution",
-    "delta",
-    "request",
-    "slo",
-    "metric",
-    "alert",
-    "flightrec",
-)
-
-#: Scopes a serve-monitor ``metric`` record may carry.
-_METRIC_SCOPES = ("global", "tenant", "graph")
-
-#: Rolling-percentile fields of a ``metric`` record (numeric or null).
-_METRIC_PERCENTILE_FIELDS = ("p50_s", "p95_s", "p99_s")
-
-#: Flight-recorder triggers.
-_FLIGHTREC_TRIGGERS = ("p99_tail", "alert")
-
-#: Modelled-latency fields every admitted ``request`` record must carry
-#: (``latency_s`` is their plain float sum, in this order).
-_REQUEST_LATENCY_FIELDS = (
-    "queue_wait_s",
-    "formation_s",
-    "compute_s",
-    "latency_s",
-)
-
-#: Percentile fields of the serve report's ``slo`` summary record.
-_SLO_PERCENTILE_FIELDS = ("p50_s", "p95_s", "p99_s")
 
 #: CSV column order (stable; append-only for compatibility).
 CSV_COLUMNS = (
@@ -117,33 +60,11 @@ CSV_COLUMNS = (
 
 
 def counter_set_dict(cs: CounterSet) -> dict:
-    """JSON-ready dict of a counter set, derived ratios included."""
+    """JSON-ready dict of a counter set, derived ratios included: the CSV
+    columns, then the device peaks."""
     return {
-        "name": cs.name,
-        "device": cs.device,
-        "n_launches": cs.n_launches,
-        "k": cs.k,
-        "time_s": cs.time_s,
-        "launch_overhead_s": cs.launch_overhead_s,
-        "compute_s": cs.compute_s,
-        "memory_s": cs.memory_s,
-        "critical_path_s": cs.critical_path_s,
-        "dram_bytes": cs.dram_bytes,
-        "flops": cs.flops,
-        "n_warps": cs.n_warps,
-        "achieved_occupancy": cs.achieved_occupancy,
-        "warp_execution_efficiency": cs.warp_execution_efficiency,
-        "gld_coalescing_ratio": cs.gld_coalescing_ratio,
-        "tex_hit_rate": cs.tex_hit_rate,
-        "dp_children": cs.dp_children,
-        "dp_overflow": cs.dp_overflow,
-        "bound": cs.bound,
-        "dram_bw_fraction": cs.dram_bw_fraction,
-        "flop_fraction": cs.flop_fraction,
-        "launch_overhead_share": cs.launch_overhead_share,
-        "gflops": cs.gflops,
-        "peak_dram_gbps": cs.peak_dram_gbps,
-        "peak_gflops": cs.peak_gflops,
+        col: getattr(cs, col)
+        for col in (*CSV_COLUMNS, "peak_dram_gbps", "peak_gflops")
     }
 
 
@@ -388,106 +309,228 @@ def validate_chrome_trace(trace: dict) -> list[str]:
     return errors
 
 
-def _validate_counter_fields(obj: dict, where: str) -> list[str]:
+def _num(v) -> bool:
+    return isinstance(v, (int, float))
+
+
+def _is(type_):
+    return lambda v: isinstance(v, type_)
+
+
+#: Stands in for a field the record does not carry.
+_ABSENT = object()
+
+#: Field rules by name, as ``(test, message)``.  A rule whose message is
+#: ``None`` is a guard: when its test holds, the field passes without its
+#: later rules.  The comparisons follow ``num``/``int`` or the ``if num``
+#: guard, so they only ever see numbers.
+_RULES = {
+    "opt": (lambda v: v is _ABSENT, None),
+    "null": (lambda v: v is None or v is _ABSENT, None),
+    "if num": (lambda v: not _num(v), None),
+    "present": (lambda v: v is not _ABSENT, "{kind} missing field {field!r}"),
+    "str": (_is(str), "{kind} needs a string {field!r}"),
+    "list": (_is(list), "{kind} needs a list {field!r}"),
+    "object": (_is(dict), "{kind} needs an object {field!r}"),
+    "str list": (
+        lambda v: isinstance(v, list) and all(map(_is(str), v)),
+        "{kind} needs a string list {field!r}",
+    ),
+    "terms": (
+        lambda v: isinstance(v, dict) and all(map(_num, v.values())),
+        "{kind} needs numeric {field!r} terms",
+    ),
+    "num": (_num, "{kind} needs numeric {field!r}"),
+    "int": (_is(int), "{kind} needs integer {field!r}"),
+    ">=0": (lambda v: not v < 0, "{kind} {field}={value!r} negative"),
+    ">0": (lambda v: not v <= 0, "{kind} {field}={value!r} not positive"),
+    ">=1": (lambda v: not v < 1, "{kind} needs {field} >= 1, not {value!r}"),
+    "<=1": (lambda v: not v > 1.0 + 1e-9, "{kind} {field}={value!r} above 1"),
+    "[0,1]": (
+        lambda v: -1e-9 <= v <= 1.0 + 1e-9,
+        "{kind} {field}={value!r} outside [0, 1]",
+    ),
+}
+
+#: A non-negative number; a non-negative integer.
+_NUM = ("num", ">=0")
+_INT = ("int", ">=0")
+
+_COUNTER_FIELDS = {
+    **dict.fromkeys(
+        ("name", "device", "n_launches", "k", "launch_overhead_s", "n_warps",
+         "dp_children", "dp_overflow"),
+        ("present",),
+    ),
+    **dict.fromkeys(
+        ("time_s", "dram_bytes", "flops"), ("present", "if num", ">=0")
+    ),
+    **dict.fromkeys(
+        ("achieved_occupancy", "warp_execution_efficiency",
+         "gld_coalescing_ratio"),
+        ("present", "if num", "[0,1]"),
+    ),
+    "launch_overhead_share": ("if num", "[0,1]"),
+    "bound": ("present", "null", ("compute", "memory", "latency", "launch")),
+}
+
+#: Latency percentiles; null when there is nothing to rank.
+_PERCENTILES = dict.fromkeys(("p50_s", "p95_s", "p99_s"), ("null", "num"))
+
+#: The JSONL record schema: record kind -> field -> rules (names from
+#: :data:`_RULES`; a tuple is an enum the value must be one of).  A key
+#: ``(kind, field)`` adds rules for the records of ``kind`` that carry
+#: ``field``, a key ``(kind, field, value)`` for those whose ``field``
+#: holds ``value``.
+_FIELDS = {
+    "meta": {},
+    "launch": _COUNTER_FIELDS,
+    "aggregate": _COUNTER_FIELDS,
+    "span": dict.fromkeys(("name", "path", "time_s"), ("present",)),
+    # Causal-trace spans (repro.obs.tracing).
+    ("span", "trace_id"): {
+        **dict.fromkeys(("trace_id", "span_id", "kind"), ("str",)),
+        "status": (("ok", "shed"),),
+        "parent_id": ("null", "str"),
+        "start_s": _NUM,
+        "time_s": _NUM,
+        "attrs": ("opt", "object"),
+        "links": ("opt", "str list"),
+    },
+    "metrics": {"metrics": ("object",)},
+    "attribution": {"terms": ("terms",)},
+    "delta": {"terms": ("terms",)},
+    "request": {
+        **dict.fromkeys(("tenant", "graph", "node"), ("present",)),
+        "arrival_s": ("present", "if num", ">=0"),
+        "status": (("ok", "shed"),),
+    },
+    # latency_s is the plain float sum of the three terms before it.
+    ("request", "status", "ok"): {
+        **dict.fromkeys(
+            ("queue_wait_s", "formation_s", "compute_s", "latency_s"), _NUM
+        ),
+        "k": ("int", ">=1"),
+    },
+    ("request", "status", "shed"): {"retry_after_s": _NUM},
+    "slo": {"queries_per_s": _NUM, **_PERCENTILES},
+    "metric": {
+        "t_s": _NUM,
+        "scope": (("global", "tenant", "graph"),),
+        "key": ("str",),
+        "window_s": ("num", ">0"),
+        "qps": _NUM,
+        "shed_rate": ("num", ">=0", "<=1"),
+        "n": _INT,
+        **_PERCENTILES,
+        "queue_depth": ("null", *_INT),
+    },
+    "alert": {
+        "t_s": _NUM,
+        "slo": ("str",),
+        "key": ("str",),
+        "state": (("firing", "resolved"),),
+        "burn_fast": _NUM,
+        "burn_slow": _NUM,
+        "window_events": _INT,
+    },
+    "flightrec": {
+        "trigger": (("p99_tail", "alert"),),
+        **dict.fromkeys(
+            ("t_s", "latency_s", "close_s", "start_s", "formation_s",
+             "compute_s", "end_s"),
+            _NUM,
+        ),
+        **dict.fromkeys(
+            ("batch_id", "worker", "rid", "queue_depth", "coalescer_pending"),
+            _INT,
+        ),
+        "k": ("int", ">=1"),
+        "tenant": ("str",),
+        "graph": ("str",),
+        **dict.fromkeys(("rids", "iterations", "alerts"), ("list",)),
+        "timeline_time_s": ("num",),
+        "attribution": ("terms",),
+    },
+}
+
+
+def _check_fields(obj: dict, kind: str, where: str) -> list[str]:
+    """``obj``'s errors against the :data:`_FIELDS` rules of ``kind``
+    and of each variant key of ``kind`` that ``obj`` selects; a failing
+    field reports its first failing rule only."""
     errors = []
-    for field in _REQUIRED_COUNTER_FIELDS:
-        if field not in obj:
-            errors.append(f"{where}: missing field {field!r}")
-    for field in _UNIT_INTERVAL_FIELDS:
-        v = obj.get(field)
-        if isinstance(v, (int, float)) and not -1e-9 <= v <= 1.0 + 1e-9:
-            errors.append(f"{where}: {field}={v} outside [0, 1]")
-    for field in ("time_s", "dram_bytes", "flops"):
-        v = obj.get(field)
-        if isinstance(v, (int, float)) and v < 0:
-            errors.append(f"{where}: {field}={v} negative")
-    bound = obj.get("bound")
-    if bound is not None and bound not in (
-        "compute",
-        "memory",
-        "latency",
-        "launch",
-    ):
-        errors.append(f"{where}: unknown bound {bound!r}")
+    for key, fields in _FIELDS.items():
+        if key == kind:
+            name = kind
+        elif not isinstance(key, tuple) or key[0] != kind:
+            continue
+        elif len(key) == 2 and key[1] in obj:
+            name = f"{kind} with {key[1]}"
+        elif len(key) == 3 and obj.get(key[1]) == key[2]:
+            name = f"{kind} with {key[1]}={key[2]!r}"
+        else:
+            continue
+        for field, rules in fields.items():
+            value = obj.get(field, _ABSENT)
+            for rule in rules:
+                test, message = _RULES[rule] if isinstance(rule, str) else (
+                    rule.__contains__, "unknown {kind} {field} {value!r}"
+                )
+                ok = test(value)
+                if message is None:
+                    if ok:
+                        break
+                elif not ok:
+                    errors.append(f"{where}: " + message.format(
+                        kind=name, field=field, value=obj.get(field)
+                    ))
+                    break
     return errors
 
 
-def _validate_request_fields(obj: dict, where: str) -> list[str]:
-    """Field checks for one serve-report ``request`` record."""
+def _float_sum(values) -> float:
+    """Left-to-right float sum, the order the writers add in; NaN when
+    an integer term is too large for a float."""
+    s = 0.0
+    try:
+        for v in values:
+            s += v
+    except OverflowError:
+        return math.nan
+    return s
+
+
+def _check_timeline(obj: dict, where: str) -> list[str]:
+    """The bit-exact identities of a captured compute timeline.
+
+    A ``flightrec`` capture's ``timeline_time_s`` equals the batch's
+    billed ``compute_s`` and its ``attribution`` terms float-sum (in
+    listed order) to the same total; a ``batch_compute`` trace span's
+    ``attrs.timeline_time_s`` equals its ``time_s``.  JSON round-trips
+    IEEE doubles exactly, so both survive serialisation.
+    """
+    if obj["record"] == "flightrec":
+        label, tl = "timeline_time_s", obj["timeline_time_s"]
+        billed, terms = "compute_s", obj["attribution"]
+    elif obj["kind"] == "batch_compute":
+        label = "attrs.timeline_time_s"
+        tl = obj.get("attrs", {}).get("timeline_time_s")
+        billed, terms = "time_s", None
+        if not _num(tl):
+            return [f"{where}: batch_compute span needs numeric {label}"]
+    else:
+        return []
     errors = []
-    for field in ("tenant", "graph", "node", "arrival_s", "status"):
-        if field not in obj:
-            errors.append(f"{where}: request missing field {field!r}")
-    status = obj.get("status")
-    if status not in ("ok", "shed"):
-        errors.append(f"{where}: unknown request status {status!r}")
-    arrival = obj.get("arrival_s")
-    if isinstance(arrival, (int, float)) and arrival < 0:
-        errors.append(f"{where}: arrival_s={arrival} negative")
-    if status == "ok":
-        for field in _REQUEST_LATENCY_FIELDS:
-            v = obj.get(field)
-            if not isinstance(v, (int, float)):
-                errors.append(f"{where}: request missing numeric {field!r}")
-            elif v < 0:
-                errors.append(f"{where}: {field}={v} negative")
-        k = obj.get("k")
-        if not isinstance(k, int) or k < 1:
-            errors.append(f"{where}: admitted request needs batch width k >= 1")
-    elif status == "shed":
-        v = obj.get("retry_after_s")
-        if not isinstance(v, (int, float)) or v < 0:
-            errors.append(
-                f"{where}: shed request needs non-negative retry_after_s"
-            )
-    return errors
-
-
-def _validate_slo_fields(obj: dict, where: str) -> list[str]:
-    """Field checks for the serve-report ``slo`` summary record."""
-    errors = []
-    qps = obj.get("queries_per_s")
-    if not isinstance(qps, (int, float)) or qps < 0:
-        errors.append(f"{where}: slo needs non-negative queries_per_s")
-    for field in _SLO_PERCENTILE_FIELDS:
-        v = obj.get(field)
-        # null is allowed (no admitted requests -> no percentiles).
-        if v is not None and not isinstance(v, (int, float)):
-            errors.append(f"{where}: {field}={v!r} not numeric or null")
-    return errors
-
-
-def _validate_metric_fields(obj: dict, where: str) -> list[str]:
-    """Field checks for one serve-monitor rolling ``metric`` record."""
-    errors = []
-    t = obj.get("t_s")
-    if not isinstance(t, (int, float)) or t < 0:
-        errors.append(f"{where}: metric needs non-negative t_s")
-    if obj.get("scope") not in _METRIC_SCOPES:
-        errors.append(f"{where}: unknown metric scope {obj.get('scope')!r}")
-    if not isinstance(obj.get("key"), str):
-        errors.append(f"{where}: metric needs a string 'key'")
-    w = obj.get("window_s")
-    if not isinstance(w, (int, float)) or w <= 0:
-        errors.append(f"{where}: metric needs positive window_s")
-    for field in ("qps", "shed_rate"):
-        v = obj.get(field)
-        if not isinstance(v, (int, float)) or v < 0:
-            errors.append(f"{where}: metric needs non-negative {field!r}")
-    shed_rate = obj.get("shed_rate")
-    if isinstance(shed_rate, (int, float)) and shed_rate > 1.0 + 1e-9:
-        errors.append(f"{where}: shed_rate={shed_rate} above 1")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 0:
-        errors.append(f"{where}: metric needs integer window count 'n'")
-    for field in _METRIC_PERCENTILE_FIELDS:
-        v = obj.get(field)
-        if v is not None and not isinstance(v, (int, float)):
-            errors.append(f"{where}: {field}={v!r} not numeric or null")
-    depth = obj.get("queue_depth")
-    if depth is not None and (not isinstance(depth, int) or depth < 0):
+    if tl != obj[billed]:
         errors.append(
-            f"{where}: queue_depth={depth!r} not a non-negative int or null"
+            f"{where}: {label}={tl!r} != {billed}={obj[billed]!r} "
+            "(the timeline must reproduce the billed compute bit-for-bit)"
+        )
+    if terms is not None and (s := _float_sum(terms.values())) != tl:
+        errors.append(
+            f"{where}: attribution terms sum to {s!r}, not "
+            f"timeline_time_s={tl!r}"
         )
     return errors
 
@@ -517,7 +560,7 @@ def _validate_metric_grid(path, meta, series: dict) -> list[str]:
     at the end tick; the records before that sit on the running-sum
     grid in strictly increasing ``t_s``.
     """
-    monitor = meta.get("monitor") if isinstance(meta, dict) else None
+    monitor = (meta or {}).get("monitor")
     if not isinstance(monitor, dict):
         monitor = {}
     cadence = monitor.get("sample_every_s")
@@ -533,7 +576,11 @@ def _validate_metric_grid(path, meta, series: dict) -> list[str]:
             "(sample_every_s > 0, n_ticks >= 1, end_t_s >= 0) in the "
             "meta line"
         ]
-    if n_ticks - 1 > end_t / cadence + 1:
+    try:
+        span_ticks = end_t / cadence
+    except OverflowError:  # an integer past the float range
+        return [f"{path}: monitor end_t_s / sample_every_s overflows a float"]
+    if n_ticks - 1 > span_ticks + 1:
         return [
             f"{path}: a grid of {n_ticks} ticks every {cadence!r} s runs "
             f"past end_t_s={end_t!r}"
@@ -572,154 +619,24 @@ def _validate_metric_grid(path, meta, series: dict) -> list[str]:
     return errors
 
 
-def _validate_alert_fields(obj: dict, where: str) -> list[str]:
-    """Field checks for one burn-rate ``alert`` transition record."""
-    errors = []
-    t = obj.get("t_s")
-    if not isinstance(t, (int, float)) or t < 0:
-        errors.append(f"{where}: alert needs non-negative t_s")
-    for field in ("slo", "key"):
-        if not isinstance(obj.get(field), str):
-            errors.append(f"{where}: alert needs a string {field!r}")
-    if obj.get("state") not in ("firing", "resolved"):
-        errors.append(f"{where}: unknown alert state {obj.get('state')!r}")
-    for field in ("burn_fast", "burn_slow"):
-        v = obj.get(field)
-        if not isinstance(v, (int, float)) or v < 0:
-            errors.append(f"{where}: alert needs non-negative {field!r}")
-    n = obj.get("window_events")
-    if not isinstance(n, int) or n < 0:
-        errors.append(f"{where}: alert needs integer window_events")
-    return errors
-
-
-def _validate_flightrec_fields(obj: dict, where: str) -> list[str]:
-    """Field checks for one flight-recorder capture record.
-
-    Beyond presence/type checks this enforces the recorder's exactness
-    contract: ``timeline_time_s`` equals the batch's billed
-    ``compute_s`` bit-for-bit, and the attribution terms float-sum (in
-    listed order) to the same total — JSON round-trips IEEE doubles
-    exactly, so both survive serialisation.
-    """
-    errors = []
-    if obj.get("trigger") not in _FLIGHTREC_TRIGGERS:
-        errors.append(
-            f"{where}: unknown flightrec trigger {obj.get('trigger')!r}"
-        )
-    for field in ("t_s", "latency_s", "close_s", "start_s",
-                  "formation_s", "compute_s", "end_s"):
-        v = obj.get(field)
-        if not isinstance(v, (int, float)) or v < 0:
-            errors.append(f"{where}: flightrec needs non-negative {field!r}")
-    for field in ("batch_id", "worker", "rid", "queue_depth",
-                  "coalescer_pending"):
-        v = obj.get(field)
-        if not isinstance(v, int) or v < 0:
-            errors.append(f"{where}: flightrec needs integer {field!r}")
-    k = obj.get("k")
-    if not isinstance(k, int) or k < 1:
-        errors.append(f"{where}: flightrec needs batch width k >= 1")
-    for field in ("tenant", "graph"):
-        if not isinstance(obj.get(field), str):
-            errors.append(f"{where}: flightrec needs a string {field!r}")
-    for field in ("rids", "iterations", "alerts"):
-        if not isinstance(obj.get(field), list):
-            errors.append(f"{where}: flightrec needs a list {field!r}")
-    tl = obj.get("timeline_time_s")
-    compute = obj.get("compute_s")
-    if not isinstance(tl, (int, float)):
-        errors.append(f"{where}: flightrec needs numeric timeline_time_s")
-    elif isinstance(compute, (int, float)) and tl != compute:
-        errors.append(
-            f"{where}: timeline_time_s={tl!r} != compute_s={compute!r} "
-            "(the capture must reproduce the billed compute bit-for-bit)"
-        )
-    terms = obj.get("attribution")
-    if not isinstance(terms, dict) or not all(
-        isinstance(v, (int, float)) for v in terms.values()
-    ):
-        errors.append(f"{where}: flightrec needs numeric 'attribution'")
-    elif isinstance(tl, (int, float)):
-        s = 0.0
-        for v in terms.values():
-            s += v
-        if s != tl:
-            errors.append(
-                f"{where}: attribution terms sum to {s!r}, not "
-                f"timeline_time_s={tl!r}"
-            )
-    return errors
-
-
-def _validate_trace_span_fields(obj: dict, where: str) -> list[str]:
-    """Field checks for one causal-trace ``span`` record.
-
-    Trace spans (spans carrying a ``trace_id``) additionally promise:
-    non-negative start/duration, a valid status, string links, and —
-    for batch compute spans — ``timeline_time_s`` equal to the span's
-    duration bit-for-bit (the PR-5 timeline reconstruction contract).
-    """
-    errors = []
-    for field in ("trace_id", "span_id", "kind"):
-        if not isinstance(obj.get(field), str):
-            errors.append(f"{where}: trace span needs a string {field!r}")
-    if obj.get("status") not in ("ok", "shed"):
-        errors.append(
-            f"{where}: unknown trace span status {obj.get('status')!r}"
-        )
-    parent = obj.get("parent_id")
-    if parent is not None and not isinstance(parent, str):
-        errors.append(f"{where}: parent_id must be a string or null")
-    for field in ("start_s", "time_s"):
-        v = obj.get(field)
-        if not isinstance(v, (int, float)) or v < 0:
-            errors.append(
-                f"{where}: trace span needs non-negative {field!r}"
-            )
-    attrs = obj.get("attrs", {})
-    if not isinstance(attrs, dict):
-        errors.append(f"{where}: trace span attrs must be an object")
-        attrs = {}
-    links = obj.get("links", [])
-    if not isinstance(links, list) or not all(
-        isinstance(x, str) for x in links
-    ):
-        errors.append(f"{where}: trace span links must be a string list")
-    if obj.get("kind") == "batch_compute":
-        tl = attrs.get("timeline_time_s")
-        dur = obj.get("time_s")
-        if not isinstance(tl, (int, float)):
-            errors.append(
-                f"{where}: batch_compute span needs numeric "
-                "attrs.timeline_time_s"
-            )
-        elif isinstance(dur, (int, float)) and tl != dur:
-            errors.append(
-                f"{where}: timeline_time_s={tl!r} != time_s={dur!r} "
-                "(the timeline must reproduce the billed compute "
-                "bit-for-bit)"
-            )
-    return errors
-
-
 def _validate_trace_linkage(trace_spans: list[tuple[str, dict]]) -> list[str]:
-    """Cross-line checks over all trace spans of one JSONL file.
+    """Cross-line checks over the trace spans of one JSONL file.
 
-    Each trace must have exactly one root; every ``parent_id`` resolves
-    within its trace and every ``links`` entry resolves file-wide.  On
-    ``request`` roots the exact-sum identities are re-checked *after*
-    the JSON round-trip: the children's file-order float sum equals the
-    root duration, and the ``explain`` terms (summed in listed order)
-    equal it too.
+    Only spans that passed their field rules are given, so every id is a
+    string and every ``links`` entry one.  Each trace must have exactly
+    one root; every ``parent_id`` resolves within its trace and every
+    ``links`` entry resolves file-wide.  On ``request`` roots the
+    exact-sum identities are re-checked *after* the JSON round-trip: the
+    children's file-order float sum equals the root duration, and the
+    ``explain`` terms (summed in listed order) equal it too.
     """
     errors: list[str] = []
-    all_ids = {obj.get("span_id") for _, obj in trace_spans}
+    all_ids = {obj["span_id"] for _, obj in trace_spans}
     by_trace: dict[str, list[tuple[str, dict]]] = {}
     for where, obj in trace_spans:
-        by_trace.setdefault(obj.get("trace_id"), []).append((where, obj))
+        by_trace.setdefault(obj["trace_id"], []).append((where, obj))
     for tid, spans in by_trace.items():
-        local_ids = {obj.get("span_id") for _, obj in spans}
+        local_ids = {obj["span_id"] for _, obj in spans}
         for where, obj in spans:
             parent = obj.get("parent_id")
             if parent is not None and parent not in local_ids:
@@ -727,152 +644,115 @@ def _validate_trace_linkage(trace_spans: list[tuple[str, dict]]) -> list[str]:
                     f"{where}: parent_id {parent!r} not in trace {tid}"
                 )
             for link in obj.get("links", ()):
-                if isinstance(link, str) and link not in all_ids:
+                if link not in all_ids:
                     errors.append(
-                        f"{where}: link {link!r} resolves to no span in "
-                        "this file"
+                        f"{where}: links entry {link!r} resolves to no "
+                        "span in this file"
                     )
-        roots = [
-            (where, obj)
-            for where, obj in spans
-            if obj.get("parent_id") is None
-        ]
+        roots = [(w, obj) for w, obj in spans if obj.get("parent_id") is None]
         if len(roots) != 1:
             errors.append(
-                f"trace {tid}: expected exactly one root span, "
-                f"got {len(roots)}"
+                f"trace {tid}: expected exactly one root span "
+                f"(parent_id null), got {len(roots)}"
             )
             continue
         root_where, root = roots[0]
-        if root.get("kind") != "request":
+        if root["kind"] != "request":
             continue
-        root_time = root.get("time_s")
+        root_time = root["time_s"]
         children = [
-            obj
+            obj["time_s"]
             for _, obj in spans
-            if obj.get("parent_id") == root.get("span_id")
+            if obj.get("parent_id") == root["span_id"]
         ]
-        if children and isinstance(root_time, (int, float)):
-            s = 0.0
-            for child in children:
-                v = child.get("time_s")
-                if isinstance(v, (int, float)):
-                    s += v
-            if s != root_time:
-                errors.append(
-                    f"{root_where}: child spans sum to {s!r}, not the "
-                    f"root's time_s={root_time!r} (exact-sum identity)"
-                )
-        attrs = root.get("attrs")
-        explain = attrs.get("explain") if isinstance(attrs, dict) else None
-        if explain is not None:
-            if not isinstance(explain, dict) or not all(
-                isinstance(v, (int, float)) for v in explain.values()
-            ):
-                errors.append(
-                    f"{root_where}: explain terms must be numeric"
-                )
-            elif isinstance(root_time, (int, float)):
-                s = 0.0
-                for v in explain.values():
-                    s += v
-                if s != root_time:
-                    errors.append(
-                        f"{root_where}: explain terms sum to {s!r}, not "
-                        f"the root's time_s={root_time!r}"
-                    )
+        if children and (s := _float_sum(children)) != root_time:
+            errors.append(
+                f"{root_where}: child spans sum to {s!r}, not the "
+                f"root's time_s={root_time!r} (exact-sum identity)"
+            )
+        explain = root.get("attrs", {}).get("explain")
+        if explain is None:
+            continue
+        if not _RULES["terms"][0](explain):
+            errors.append(f"{root_where}: explain terms must be numeric")
+        elif (s := _float_sum(explain.values())) != root_time:
+            errors.append(
+                f"{root_where}: explain terms sum to {s!r}, not "
+                f"the root's time_s={root_time!r}"
+            )
     return errors
 
 
 def validate_profile_jsonl(path) -> list[str]:
     """Schema-check one profile JSONL file; returns error messages.
 
-    An empty list means the file is valid.  Checked: every line parses as
-    a JSON object with a known ``record`` kind; exactly one ``meta`` line
-    comes first; launch/aggregate records carry the full counter field
-    set with ratios in range; serve ``request`` records carry tenant /
-    graph / latency-term fields (and ``slo`` summaries valid
-    percentiles); causal-trace ``span`` records (those with a
-    ``trace_id``) pass per-span field checks plus the cross-line
-    linkage/exact-sum checks of :func:`_validate_trace_linkage`; serve
-    ``metric`` series sit on the meta line's monitor tick grid
-    (:func:`_validate_metric_grid`); at least one launch, aggregate,
-    request, metric, or trace span exists.
+    An empty list means the file is valid.  :data:`_FIELDS` is the record
+    schema: every non-blank line is a JSON object whose ``record`` kind
+    is a key of it, and passes that kind's field rules.  The first non-blank
+    line is the only ``meta`` line, and at least one launch, aggregate,
+    request, metric, or trace span exists.  The exceptions to the table
+    relate fields to each other, on records that passed their rules:
+    the bit-exact timelines (:func:`_check_timeline`), trace linkage and
+    exact sums (:func:`_validate_trace_linkage`), and the monitor's tick
+    grid (:func:`_validate_metric_grid`).  A file that cannot be read or
+    decoded yields one ``unreadable`` error.
     """
     path = Path(path)
     errors: list[str] = []
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return [f"{path}: unreadable ({exc})"]
     if not lines:
         return [f"{path}: empty file"]
-    n_counter_records = 0
-    n_request_records = 0
+    first = None
     meta = None
+    has_content = False
     series: dict = {}
     trace_spans: list[tuple[str, dict]] = []
     for i, line in enumerate(lines, start=1):
         where = f"{path}:{i}"
         if not line.strip():
             continue
+        first = first or i
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             errors.append(f"{where}: invalid JSON ({exc})")
             continue
         if not isinstance(obj, dict):
             errors.append(f"{where}: line is not a JSON object")
             continue
         kind = obj.get("record")
-        if kind not in _RECORD_KINDS:
+        if not isinstance(kind, str) or kind not in _FIELDS:
             errors.append(f"{where}: unknown record kind {kind!r}")
             continue
-        if i == 1:
-            if kind == "meta":
+        is_trace = kind == "span" and "trace_id" in obj
+        if kind == "meta":
+            if i == first:
                 meta = obj
             else:
-                errors.append(f"{where}: first record must be 'meta'")
-        if kind in ("launch", "aggregate"):
-            n_counter_records += 1
-            errors.extend(_validate_counter_fields(obj, where))
-        elif kind == "span":
-            for field in ("name", "path", "time_s"):
-                if field not in obj:
-                    errors.append(f"{where}: span missing {field!r}")
-            if "trace_id" in obj:
-                trace_spans.append((where, obj))
-                errors.extend(_validate_trace_span_fields(obj, where))
-        elif kind == "metrics":
-            if not isinstance(obj.get("metrics"), dict):
-                errors.append(f"{where}: metrics record missing 'metrics'")
-        elif kind in ("attribution", "delta"):
-            terms = obj.get("terms")
-            if not isinstance(terms, dict) or not all(
-                isinstance(v, (int, float)) for v in terms.values()
-            ):
-                errors.append(f"{where}: {kind} record needs numeric 'terms'")
-        elif kind == "request":
-            n_request_records += 1
-            errors.extend(_validate_request_fields(obj, where))
-        elif kind == "slo":
-            errors.extend(_validate_slo_fields(obj, where))
+                errors.append(f"{where}: only the first record may be 'meta'")
+        elif i == first:
+            errors.append(f"{where}: first record must be 'meta'")
+        has_content |= is_trace or kind in (
+            "launch", "aggregate", "request", "metric"
+        )
+        record_errors = _check_fields(obj, kind, where)
+        if record_errors:
+            errors.extend(record_errors)
         elif kind == "metric":
-            metric_errors = _validate_metric_fields(obj, where)
-            errors.extend(metric_errors)
-            if not metric_errors:
-                series.setdefault((obj["scope"], obj["key"]), []).append(
-                    (where, obj["t_s"])
-                )
-        elif kind == "alert":
-            errors.extend(_validate_alert_fields(obj, where))
-        elif kind == "flightrec":
-            errors.extend(_validate_flightrec_fields(obj, where))
+            series.setdefault((obj["scope"], obj["key"]), []).append(
+                (where, obj["t_s"])
+            )
+        elif kind == "flightrec" or is_trace:
+            errors.extend(_check_timeline(obj, where))
+            if is_trace:
+                trace_spans.append((where, obj))
     errors.extend(_validate_trace_linkage(trace_spans))
     if series:
         errors.extend(_validate_metric_grid(path, meta, series))
-    if n_counter_records == 0 and n_request_records == 0 \
-            and not series and not trace_spans:
+    if not has_content:
         errors.append(
             f"{path}: no launch/aggregate/request/metric/trace records"
         )

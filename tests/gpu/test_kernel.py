@@ -81,7 +81,7 @@ class TestMerge:
         assert merged.flops == 200.0
 
     def test_merged_with_pairwise(self):
-        m = make_work(2).merged_with(make_work(1))
+        m = merge_concurrent([make_work(2), make_work(1)])
         assert m.n_warps == 3
 
     def test_merge_empty_list_rejected(self):

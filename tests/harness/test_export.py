@@ -7,7 +7,7 @@ import numpy as np
 
 from repro.harness.experiments import table2_devices
 from repro.harness.experiments.common import ExperimentResult
-from repro.harness.export import load_json, result_to_dict, save_json
+from repro.harness.export import result_to_dict, save_json
 
 
 def synthetic_result():
@@ -49,10 +49,11 @@ class TestConversion:
 class TestRoundtrip:
     def test_save_and_load(self, tmp_path):
         path = save_json(synthetic_result(), tmp_path / "r.json")
-        loaded = load_json(path)
+        loaded = json.loads(path.read_text())
         assert loaded["experiment"] == "demo"
 
     def test_real_experiment(self, tmp_path):
         res = table2_devices.run()
-        loaded = load_json(save_json(res, tmp_path / "t2.json"))
+        path = save_json(res, tmp_path / "t2.json")
+        loaded = json.loads(path.read_text())
         assert len(loaded["rows"]) == 3

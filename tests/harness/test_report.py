@@ -4,7 +4,6 @@ from repro.harness.report import (
     NEVER_CELL,
     OOM_CELL,
     format_cell,
-    render_series,
     render_table,
 )
 
@@ -52,15 +51,3 @@ class TestTable:
         rows = [[f"r{i}", float(i)] for i in range(5)]
         out = render_table("T", ["m", "v"], rows)
         assert len(out.splitlines()) == 4 + 5  # title, rule, header, sep
-
-
-class TestSeries:
-    def test_labels_and_units(self):
-        out = render_series("S", ["a", "b"], [1.0, 2.0], unit="us")
-        assert "a" in out and "us" in out
-
-    def test_length_mismatch(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            render_series("S", ["a"], [1.0, 2.0])

@@ -1,9 +1,12 @@
 """Validator rules for the serve-report record kinds (request, slo,
-metric, alert, flightrec) and the monitor's tick grid."""
+metric, alert, flightrec), the monitor's tick grid, the ``meta`` line,
+and malformed values in any field."""
 
 from __future__ import annotations
 
 import json
+
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import validate_profile_jsonl
 
@@ -327,3 +330,111 @@ class TestMetricGrid:
             write(tmp_path, grid_meta(n_ticks=10**9), *CHANGE_ONLY)
         )
         assert any("runs past end_t_s" in e for e in errors)
+
+    def test_grid_past_the_float_range_rejected(self, tmp_path):
+        errors = validate_profile_jsonl(
+            write(tmp_path, grid_meta(end_t_s=10**400), *CHANGE_ONLY)
+        )
+        assert any("overflows a float" in e for e in errors)
+
+
+class TestMetaLine:
+    def test_first_non_blank_line_must_be_meta(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        path.write_text("\n" + json.dumps(OK_REQUEST) + "\n")
+        errors = validate_profile_jsonl(path)
+        assert any("first record must be 'meta'" in e for e in errors)
+
+    def test_blank_lines_before_the_meta_line_allowed(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        path.write_text("\n" + "\n".join(map(json.dumps, (META, METRIC))))
+        assert validate_profile_jsonl(path) == []
+
+    def test_second_meta_line_rejected(self, tmp_path):
+        errors = validate_profile_jsonl(
+            write(tmp_path, META, OK_REQUEST, META)
+        )
+        assert errors == [
+            f"{tmp_path / 'serve.jsonl'}:3: only the first record may be "
+            "'meta'"
+        ]
+
+
+#: A one-span trace: a batch_compute root whose timeline reproduces its
+#: billed time.
+TRACE_SPAN = {
+    "record": "span",
+    "name": "compute",
+    "path": "trace/t0/t0:0",
+    "time_s": 1.25e-4,
+    "trace_id": "t0",
+    "span_id": "t0:0",
+    "parent_id": None,
+    "kind": "batch_compute",
+    "start_s": 3e-4,
+    "status": "ok",
+    "attrs": {"timeline_time_s": 1.25e-4},
+    "links": [],
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestMalformedFields:
+    @given(
+        record=st.sampled_from([OK_REQUEST, SHED_REQUEST, FLIGHTREC, METRIC]),
+        mutate_span=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_one_field_replaced(
+        self, tmp_path_factory, record, mutate_span, data
+    ):
+        """Replacing one field of a valid trace span or serve record with
+        any JSON value yields a list of errors, never an exception, and
+        a rejection names the field (the ``record`` tag aside: it picks
+        the schema the other fields are checked against)."""
+        records = [dict(TRACE_SPAN), dict(record)]
+        target = records[0 if mutate_span else 1]
+        field = data.draw(st.sampled_from(sorted(target)))
+        target[field] = data.draw(JSON_VALUES)
+        path = tmp_path_factory.mktemp("mutant") / "m.jsonl"
+        path.write_text(
+            "\n".join(json.dumps(r) for r in (META, *records)) + "\n"
+        )
+        errors = validate_profile_jsonl(path)
+        assert isinstance(errors, list)
+        if errors and field != "record":
+            assert any(field in e for e in errors), (field, errors)
+
+    def test_non_string_ids_and_links_rejected(self, tmp_path):
+        for field, value in (
+            ("trace_id", ["a"]), ("span_id", {}), ("parent_id", ["a"]),
+            ("links", 2), ("links", None),
+        ):
+            bad = dict(TRACE_SPAN, **{field: value})
+            errors = validate_profile_jsonl(write(tmp_path, META, bad))
+            assert any(repr(field) in e for e in errors), (field, errors)
+
+    def test_values_json_or_float_arithmetic_cannot_hold(self, tmp_path):
+        # A 5000-digit integer and 100k open brackets do not parse; an
+        # integer term past the float range cannot be summed.
+        path = tmp_path / "serve.jsonl"
+        path.write_text("\n".join([
+            json.dumps(META),
+            '{"record": "request", "node": ' + "1" * 5000 + "}",
+            "[" * 100_000,
+            json.dumps(dict(FLIGHTREC, attribution={"spmm": 10**400})),
+            json.dumps(METRIC),
+        ]) + "\n")
+        errors = validate_profile_jsonl(path)
+        assert {e.split(":")[1] for e in errors} == {"2", "3", "4"}
+        assert any(
+            "attribution terms sum to nan, not timeline_time_s" in e
+            for e in errors
+        )

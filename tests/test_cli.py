@@ -167,6 +167,14 @@ class TestProfileCli:
         out = capsys.readouterr().out
         assert "INVALID" in out and "MISSING" in out
 
+    def test_profile_check_undecodable_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bytes.jsonl"
+        bad.write_bytes(b"\xff\xfe\x00garbage\n")
+        assert main(["profile-check", str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert "bytes.jsonl: UNREADABLE" in out
+        assert "unreadable" in out
+
     def test_unknown_format_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "INT", "nope", "GTXTitan"])
