@@ -8,8 +8,7 @@ first-class telemetry, in the vocabulary of CUPTI/nvprof:
   from the exact ``(work, timing)`` pairs the timing model produced,
   plus aggregation across sequences / streams / devices / SpMM batches.
 * :mod:`~repro.obs.profiler` — the zero-dependency :class:`Profiler`:
-  nested spans of explicitly recorded counter sets, feeding a
-  :class:`~repro.obs.registry.MetricsRegistry`.  Nothing taps the
+  nested spans of explicitly recorded counter sets.  Nothing taps the
   simulator; every record comes from a ``(work, timing)`` pair a timing
   model returned, so a profile totals the modelled seconds.
 * :mod:`~repro.obs.profile` — ``nvprof``-style :func:`profile_format`
@@ -31,8 +30,11 @@ first-class telemetry, in the vocabulary of CUPTI/nvprof:
   the p99 tail rule read the same log.
 * :mod:`~repro.obs.export` — JSONL / CSV / Chrome-counter-track
   exporters plus the JSONL and Chrome-trace schema validators CI gates
-  on; :mod:`~repro.obs.report_html` renders the self-contained HTML
-  diff artifact.
+  on; a JSONL ``metrics`` line is derived from the records it
+  summarises when the file is written (:func:`launch_metrics`, with
+  :func:`histogram_entry` from :mod:`~repro.obs.registry`).
+  :mod:`~repro.obs.report_html` renders the self-contained HTML diff
+  artifact.
 """
 
 from .attribution import (
@@ -51,6 +53,7 @@ from .diff import DiffReport, DiffSide, build_side, diff_formats, diff_sides
 from .export import (
     chrome_counter_trace,
     counter_set_dict,
+    launch_metrics,
     validate_chrome_trace,
     validate_profile_jsonl,
     write_csv,
@@ -71,14 +74,7 @@ from .profile import (
     verdict_for,
 )
 from .profiler import Profiler, Span
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    WindowLog,
-    exact_quantile,
-)
+from .registry import WindowLog, exact_quantile, histogram_entry
 from .report_html import (
     diff_report_html,
     svg_gantt,
@@ -127,12 +123,9 @@ __all__ = [
     "with_totals",
     "Profiler",
     "Span",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "WindowLog",
     "exact_quantile",
+    "histogram_entry",
     "SLO",
     "AlertEvent",
     "BurnRatePolicy",
@@ -144,6 +137,7 @@ __all__ = [
     "profile_format",
     "verdict_for",
     "counter_set_dict",
+    "launch_metrics",
     "write_jsonl",
     "write_csv",
     "write_diff_jsonl",

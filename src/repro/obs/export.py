@@ -30,6 +30,7 @@ import math
 from pathlib import Path
 
 from .counters import CounterSet
+from .registry import histogram_entry
 
 #: CSV column order (stable; append-only for compatibility).
 CSV_COLUMNS = (
@@ -68,13 +69,56 @@ def counter_set_dict(cs: CounterSet) -> dict:
     }
 
 
+#: The ``metrics`` record's counters: each totals one counter-set field.
+_LAUNCH_TOTALS = (
+    ("launches_total", "n_launches"),
+    ("dram_bytes_total", "dram_bytes"),
+    ("flops_total", "flops"),
+    ("device_time_seconds_total", "time_s"),
+    ("dp_children_total", "dp_children"),
+    ("dp_overflow_total", "dp_overflow"),
+)
+
+#: The ``metrics`` record's gauges: the last launch's value of each field.
+_LAUNCH_GAUGES = (
+    "achieved_occupancy", "warp_execution_efficiency", "gld_coalescing_ratio"
+)
+
+
+def launch_metrics(records) -> dict:
+    """A profile's ``metrics`` record, derived from its launches.
+
+    ``records`` come in file order (``Profiler.all_records()``): each
+    counter float-sums its field left to right from ``0.0``,
+    ``launch_duration_seconds`` is the histogram of ``time_s``, and each
+    gauge is the last launch's value.  No launches, no entries.
+    """
+    records = list(records)
+    if not records:
+        return {}
+    out = {
+        name: {
+            "type": "counter",
+            "value": _float_sum(getattr(cs, field) for cs in records),
+        }
+        for name, field in _LAUNCH_TOTALS
+    }
+    out["launch_duration_seconds"] = histogram_entry(
+        cs.time_s for cs in records
+    )
+    for field in _LAUNCH_GAUGES:
+        value = float(getattr(records[-1], field))
+        out[field] = {"type": "gauge", "value": value}
+    return out
+
+
 def write_jsonl(profiler, path, **meta) -> Path:
     """Dump a profiler's span tree + metrics as JSON lines.
 
     Layout: one ``meta`` line, one ``span`` line per span (with its
     aggregate when non-empty), one ``launch`` line per recorded counter
     set (tagged with its span path), one ``aggregate`` line for the
-    grand total, one ``metrics`` line with the registry snapshot.
+    grand total, one ``metrics`` line (:func:`launch_metrics`).
     """
     path = Path(path)
     lines = [
@@ -109,11 +153,8 @@ def write_jsonl(profiler, path, **meta) -> Path:
         lines.append(
             json.dumps({"record": "aggregate", **counter_set_dict(grand)})
         )
-    lines.append(
-        json.dumps(
-            {"record": "metrics", "metrics": profiler.registry.snapshot()}
-        )
-    )
+    metrics = launch_metrics(profiler.all_records())
+    lines.append(json.dumps({"record": "metrics", "metrics": metrics}))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -299,7 +340,14 @@ def validate_chrome_trace(trace: dict) -> list[str]:
             ):
                 errors.append(f"{where}: counter args must be numeric")
             lane = ("C", ev.get("pid"), ev.get("name"))
-        prev = last_ts.get(lane)
+        try:
+            prev = last_ts.get(lane)
+        except TypeError:  # a JSON list or object names the lane
+            keys = "pid/tid" if ph == "X" else "pid/name"
+            errors.append(
+                f"{where}: {keys} {lane[1:]!r} must be strings or numbers"
+            )
+            continue
         if prev is not None and ts < prev:
             errors.append(
                 f"{where}: ts runs backwards on {lane} "
@@ -558,7 +606,10 @@ def _validate_metric_grid(path, meta, series: dict) -> list[str]:
     needs the tick grid from the meta line's ``monitor`` object, and
     every series must hold a record at the first tick and end with one
     at the end tick; the records before that sit on the running-sum
-    grid in strictly increasing ``t_s``.
+    grid in strictly increasing ``t_s``.  The running sums are walked
+    only up to the latest such record and only the ones records sit on
+    are kept, so a meta line promising a huge grid allocates nothing
+    beyond the records.
     """
     monitor = (meta or {}).get("monitor")
     if not isinstance(monitor, dict):
@@ -585,15 +636,23 @@ def _validate_metric_grid(path, meta, series: dict) -> list[str]:
             f"{path}: a grid of {n_ticks} ticks every {cadence!r} s runs "
             f"past end_t_s={end_t!r}"
         ]
-    grid = tick_grid(cadence, n_ticks, end_t)
-    on_grid = set(grid[:-1])
+    wanted = {t for points in series.values() for _, t in points[:-1]}
+    top = max(wanted, default=-1)
+    on_grid = set()
+    t = cadence
+    for _ in range(n_ticks - 1):
+        if t > top:
+            break
+        if t in wanted:
+            on_grid.add(t)
+        t += cadence
     errors = []
     for (scope, key), points in series.items():
         name = f"series {scope}:{key}"
         *steps, (end_where, last_t) = points
-        if n_ticks > 1 and (not steps or steps[0][1] != grid[0]):
+        if n_ticks > 1 and (not steps or steps[0][1] != cadence):
             errors.append(
-                f"{path}: {name} has no record at the first tick {grid[0]!r}"
+                f"{path}: {name} has no record at the first tick {cadence!r}"
             )
         prev = None
         for where, t in steps:

@@ -10,10 +10,10 @@ iteration, per dynamic-pipeline epoch, per bin grid.  Nothing else
 fills a profiler, so a profile totals exactly the modelled seconds its
 caller billed.
 
-Every record also feeds the profiler's :class:`MetricsRegistry`
-(launch totals, DRAM bytes, flops, a launch-duration histogram), and the
-whole tree exports to JSONL / CSV / Chrome counter tracks via
-:mod:`repro.obs.export`.
+The whole tree exports to JSONL / CSV / Chrome counter tracks via
+:mod:`repro.obs.export`; the JSONL ``metrics`` line (launch totals, DRAM
+bytes, flops, a launch-duration histogram) is derived from the recorded
+launches when it is written (:func:`repro.obs.export.launch_metrics`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from ..gpu.device import DeviceSpec
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import KernelTiming
 from .counters import CounterSet, aggregate, launch_counters
-from .registry import MetricsRegistry
 
 
 @dataclass
@@ -78,11 +77,8 @@ class Profiler:
         print(prof.root.total())
     """
 
-    def __init__(
-        self, name: str = "profile", registry: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, name: str = "profile") -> None:
         self.name = name
-        self.registry = registry or MetricsRegistry()
         self.root = Span(name=name)
         self._stack: list[Span] = [self.root]
 
@@ -105,37 +101,8 @@ class Profiler:
 
     # -- recording ------------------------------------------------------
     def record(self, cs: CounterSet) -> CounterSet:
-        """Attach a counter set to the current span + update metrics."""
+        """Attach a counter set to the current span."""
         self.current.records.append(cs)
-        reg = self.registry
-        reg.counter("launches_total", "kernel launches recorded").inc(
-            cs.n_launches
-        )
-        reg.counter("dram_bytes_total", "modelled DRAM traffic").inc(
-            cs.dram_bytes
-        )
-        reg.counter("flops_total", "useful floating-point ops").inc(cs.flops)
-        reg.counter("device_time_seconds_total", "modelled device time").inc(
-            cs.time_s
-        )
-        reg.counter(
-            "dp_children_total", "dynamic-parallelism child grids"
-        ).inc(cs.dp_children)
-        reg.counter(
-            "dp_overflow_total", "children past the pending-launch limit"
-        ).inc(cs.dp_overflow)
-        reg.histogram(
-            "launch_duration_seconds", "per-launch modelled duration"
-        ).observe(cs.time_s)
-        reg.gauge("achieved_occupancy", "last launch's occupancy").set(
-            cs.achieved_occupancy
-        )
-        reg.gauge(
-            "warp_execution_efficiency", "last launch's load balance"
-        ).set(cs.warp_execution_efficiency)
-        reg.gauge(
-            "gld_coalescing_ratio", "last launch's useful-byte fraction"
-        ).set(cs.gld_coalescing_ratio)
         return cs
 
     def record_launch(

@@ -1,27 +1,20 @@
-"""A plain-Python metrics registry: counters, gauges, histograms.
+"""Plain-Python metric primitives on the caller's virtual clock.
 
-The :class:`~repro.obs.profiler.Profiler` feeds launch telemetry into a
-:class:`MetricsRegistry`; experiments and the harness may register their
-own series alongside.  The design follows the Prometheus client model —
-named instruments with optional label sets, get-or-create semantics — but
-stores everything in plain Python so a snapshot is always JSON-ready.
-Rolling windows on a virtual clock (the serve monitor, SLO burn rates,
-the p99 tail rule) are read from a time-ordered :class:`WindowLog`.
+:func:`exact_quantile` gives deterministic order statistics;
+:func:`histogram_entry` summarises one sample the way a ``metrics``
+record carries it (the serve report's and the profile export's
+``metrics`` lines are derived from their run's records with it, when
+they are written).  Rolling windows on a virtual clock (the serve
+monitor, SLO burn rates, the p99 tail rule) are read from a
+time-ordered :class:`WindowLog`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _key(name: str, labels: dict | None) -> tuple:
-    if labels:
-        return (name, tuple(sorted(labels.items())))
-    return (name, ())
 
 
 def exact_quantile(values, q: float) -> float:
@@ -61,135 +54,39 @@ def sorted_quantile(data, q: float) -> float:
     return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
-@dataclass
-class Counter:
-    """A monotonically increasing total."""
-
-    name: str
-    help: str = ""
-    labels: dict = field(default_factory=dict)
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
+#: Bucket bounds (seconds) of a latency histogram.
+_LATENCY_BOUNDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-@dataclass
-class Gauge:
-    """A value that can go up and down (last write wins)."""
+def histogram_entry(values, bounds=_LATENCY_BOUNDS) -> dict:
+    """One sample's histogram entry in a ``metrics`` record.
 
-    name: str
-    help: str = ""
-    labels: dict = field(default_factory=dict)
-    value: float = math.nan
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-@dataclass
-class Histogram:
-    """Streaming distribution summary (count/sum/min/max + buckets).
-
-    ``counts[i]`` tallies observations falling in ``(bounds[i-1],
-    bounds[i]]`` (the first bucket covers everything ``<= bounds[0]``);
-    ``counts[-1]`` is the overflow bucket past the last bound.
+    ``counts[i]`` tallies the values in ``(bounds[i-1], bounds[i]]``
+    (the first bucket takes everything ``<= bounds[0]``); ``counts[-1]``
+    is the overflow bucket past the last bound.  ``sum`` adds the values
+    left to right from ``0.0``, so its bits follow the sample's order;
+    ``min``/``max``/``mean`` are ``None`` for an empty sample.
     """
-
-    name: str
-    help: str = ""
-    labels: dict = field(default_factory=dict)
-    bounds: tuple[float, ...] = (
-        1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0,
-    )
-    counts: list[int] = field(default_factory=list)
-    count: int = 0
-    sum: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-
-    def __post_init__(self) -> None:
-        if tuple(self.bounds) != tuple(sorted(self.bounds)):
-            raise ValueError("histogram bounds must be sorted")
-        if not self.counts:
-            self.counts = [0] * (len(self.bounds) + 1)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        """Streaming quantile estimate from the bucket counts.
-
-        Walks the cumulative bucket histogram to the bucket containing
-        rank ``q * count`` and interpolates linearly inside it (the
-        Prometheus ``histogram_quantile`` rule), clamping to the observed
-        ``min``/``max``.  An *estimate* — use :func:`exact_quantile` on
-        the raw sample when the exact order statistic matters (the
-        serving SLO gates do).  ``nan`` when nothing was observed.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return math.nan
-        rank = q * self.count
-        seen = 0
-        lower = self.min
-        for i, upper in enumerate(self.bounds):
-            in_bucket = self.counts[i]
-            if seen + in_bucket >= rank and in_bucket > 0:
-                frac = (rank - seen) / in_bucket
-                lo = max(lower, self.min)
-                hi = min(upper, self.max)
-                if hi < lo:
-                    return min(max(self.min, lo), self.max)
-                return lo + frac * (hi - lo)
-            seen += in_bucket
-            lower = upper
-        # Overflow bucket: interpolate between the last bound and max.
-        in_bucket = self.counts[-1]
-        if in_bucket == 0:
-            return self.max
-        frac = (rank - seen) / in_bucket
-        lo = max(lower, self.min)
-        return min(lo + frac * (self.max - lo), self.max)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s observations into this histogram, in place.
-
-        Both histograms must share the same bucket bounds — merging
-        across incompatible bucketings would silently misplace counts.
-        Returns ``self`` so merges chain.
-        """
-        if not isinstance(other, Histogram):
-            raise TypeError("can only merge another Histogram")
-        if tuple(self.bounds) != tuple(other.bounds):
-            raise ValueError(
-                "cannot merge histograms with different bounds: "
-                f"{tuple(self.bounds)} vs {tuple(other.bounds)}"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-        return self
+    bounds = tuple(bounds)
+    if bounds != tuple(sorted(bounds)):
+        raise ValueError("histogram bounds must be sorted")
+    values = [float(v) for v in values]
+    counts = [0] * (len(bounds) + 1)
+    total = 0.0
+    for v in values:
+        total += v
+        counts[next((i for i, b in enumerate(bounds) if v <= b), -1)] += 1
+    n = len(values)
+    return {
+        "type": "histogram",
+        "count": n,
+        "sum": total,
+        "min": min(values) if n else None,
+        "max": max(values) if n else None,
+        "mean": total / n if n else None,
+        "bounds": list(bounds),
+        "counts": counts,
+    }
 
 
 def check_finite_positive(name: str, value: float) -> None:
@@ -348,84 +245,3 @@ class WindowLog:
             if best is None or value < best[0]:
                 best = (value, ex)
         return None if best is None else best[1]
-
-
-class MetricsRegistry:
-    """Named instruments with get-or-create semantics."""
-
-    def __init__(self) -> None:
-        self._metrics: dict[tuple, Counter | Gauge | Histogram] = {}
-
-    def _get_or_create(self, cls, name: str, help: str, labels, **kwargs):
-        key = _key(name, labels)
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = cls(
-                name=name, help=help, labels=dict(labels or {}), **kwargs
-            )
-            self._metrics[key] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}"
-            )
-        return metric
-
-    def counter(
-        self, name: str, help: str = "", labels: dict | None = None
-    ) -> Counter:
-        return self._get_or_create(Counter, name, help, labels)
-
-    def gauge(
-        self, name: str, help: str = "", labels: dict | None = None
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: dict | None = None,
-        bounds: tuple[float, ...] | None = None,
-    ) -> Histogram:
-        kwargs = {"bounds": bounds} if bounds is not None else {}
-        return self._get_or_create(Histogram, name, help, labels, **kwargs)
-
-    def __iter__(self):
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def snapshot(self) -> dict:
-        """JSON-ready dump of every instrument's current state."""
-        out: dict = {}
-        for metric in self._metrics.values():
-            label_suffix = (
-                "{"
-                + ",".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
-                + "}"
-                if metric.labels
-                else ""
-            )
-            key = metric.name + label_suffix
-            if isinstance(metric, Histogram):
-                out[key] = {
-                    "type": "histogram",
-                    "count": metric.count,
-                    "sum": metric.sum,
-                    "min": None if metric.count == 0 else metric.min,
-                    "max": None if metric.count == 0 else metric.max,
-                    "mean": None if metric.count == 0 else metric.mean,
-                    "bounds": list(metric.bounds),
-                    "counts": list(metric.counts),
-                }
-            else:
-                kind = "counter" if isinstance(metric, Counter) else "gauge"
-                value = metric.value
-                out[key] = {
-                    "type": kind,
-                    "value": None if isinstance(value, float)
-                    and math.isnan(value) else value,
-                }
-        return out

@@ -13,10 +13,13 @@ Layout (one JSON object per line, validated by
 * one ``slo`` line — queries/s and exact p50/p95/p99 latency
   percentiles (:func:`repro.obs.exact_quantile`, not histogram
   estimates),
-* one ``metrics`` line with the engine's registry snapshot.
+* one ``metrics`` line (:func:`serve_metrics`): request, batch and
+  latency counters and histograms, derived from the run's event log
+  when the line is written.
 
 Everything serialised is derived from the deterministic virtual-clock
-run, so the same seed yields the byte-identical file.
+run, so the same seed yields the byte-identical file — and so does a
+second run on the same engine.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..obs.registry import exact_quantile
+from ..obs.registry import exact_quantile, histogram_entry
 from .queries import CompletedQuery
 from .server import ServeResult
+
+
+#: Bucket bounds of the batch-width histogram.
+_WIDTH_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 def shed_by_tenant(result: ServeResult) -> dict[str, int]:
@@ -68,6 +75,35 @@ def slo_summary(result: ServeResult) -> dict:
         ),
         "makespan_s": result.makespan_s,
     }
+
+
+def serve_metrics(result: ServeResult) -> dict:
+    """The ``metrics`` record, derived from the run's event log.
+
+    Counts of batches, served and shed requests, the batch-width and
+    latency histograms (in batch, then column order), and the served
+    throughput gauge.  Counts and histograms with no events behind them
+    are left out.
+    """
+    batches, sheds = result.batch_events, result.shed_events
+    done = [c for e in batches for c in e.completions]
+    out: dict = {}
+    if batches:
+        out["serve_batches_total"] = _counter(len(batches))
+        out["serve_batch_width"] = histogram_entry(
+            (e.record.k for e in batches), _WIDTH_BOUNDS
+        )
+        out["serve_requests_total{status=ok}"] = _counter(len(done))
+        out["serve_latency_s"] = histogram_entry(c.latency_s for c in done)
+    if sheds:
+        out["serve_requests_total{status=shed}"] = _counter(len(sheds))
+    qps = float(result.queries_per_s)
+    out["serve_queries_per_s"] = {"type": "gauge", "value": qps}
+    return out
+
+
+def _counter(n: int) -> dict:
+    return {"type": "counter", "value": float(n)}
 
 
 def _request_record(outcome) -> dict:
@@ -135,11 +171,8 @@ def serve_report_lines(result: ServeResult, monitor=None, **meta) -> list[str]:
     if monitor is not None:
         lines.extend(monitor.jsonl_lines())
     lines.append(json.dumps(slo_summary(result)))
-    lines.append(
-        json.dumps(
-            {"record": "metrics", "metrics": result.registry.snapshot()}
-        )
-    )
+    metrics = serve_metrics(result)
+    lines.append(json.dumps({"record": "metrics", "metrics": metrics}))
     return lines
 
 

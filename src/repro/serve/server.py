@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from ..apps.power_method import MAX_ITERATIONS, make_batch_bill
 from ..apps.rwr import DEFAULT_RESTART, rwr_trajectory
 from ..gpu.device import DeviceSpec, Precision
-from ..obs.registry import MetricsRegistry
 from .admission import AdmissionController, AdmissionPolicy
 from .coalescer import CoalescePolicy, Coalescer
 from .plans import ServePlan, operator_format, plan_for
@@ -54,10 +53,6 @@ from .scheduler import WorkerPool
 #: paper's 1e-6 offline figure because interactive queries trade the
 #: last digits of the ranking for latency.
 DEFAULT_SERVE_EPSILON = 1e-3
-
-#: Bucket bounds of the batch-width histogram.
-_WIDTH_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -112,11 +107,9 @@ class ServeResult:
     """
 
     requests: tuple[CompletedQuery | ShedQuery, ...]
-    batches: tuple[BatchRecord, ...]
     #: When the last batch's worker freed (0.0 with no batches).
     makespan_s: float
     config: ServeConfig
-    registry: MetricsRegistry
     #: The device the run was modelled on.
     device: DeviceSpec | None = None
     #: Each registered graph's backend format (which knows its row
@@ -126,6 +119,11 @@ class ServeResult:
     batch_events: tuple[BatchEvent, ...] = ()
     #: One event per shed query, in shed order.
     shed_events: tuple[ShedEvent, ...] = ()
+
+    @property
+    def batches(self) -> tuple[BatchRecord, ...]:
+        """Each batch's record, in ``batch_id`` order."""
+        return tuple(e.record for e in self.batch_events)
 
     @property
     def admitted(self) -> tuple[CompletedQuery, ...]:
@@ -155,14 +153,10 @@ class ServeEngine:
     """Multi-tenant RWR query serving over registered graphs."""
 
     def __init__(
-        self,
-        device: DeviceSpec,
-        config: ServeConfig | None = None,
-        registry: MetricsRegistry | None = None,
+        self, device: DeviceSpec, config: ServeConfig | None = None
     ) -> None:
         self.device = device
         self.config = config or ServeConfig()
-        self.registry = registry or MetricsRegistry()
         self._graphs: dict[str, GraphContext] = {}
 
     def register(
@@ -279,7 +273,6 @@ class ServeEngine:
         )
         pool = WorkerPool(self.config.gpus)
         outcomes: dict[int, CompletedQuery | ShedQuery] = {}
-        batches: list[BatchRecord] = []
         batch_events: list[BatchEvent] = []
         shed_events: list[ShedEvent] = []
         events: list[tuple] = []
@@ -308,7 +301,7 @@ class ServeEngine:
             end = (start + formation) + compute
             pool.commit(worker, end)
             push(start, "release", batch)
-            batch_id = len(batches)
+            batch_id = len(batch_events)
             record = BatchRecord(
                 batch_id=batch_id,
                 graph=graph,
@@ -320,15 +313,6 @@ class ServeEngine:
                 compute_s=compute,
                 end_s=end,
             )
-            batches.append(record)
-            self.registry.counter(
-                "serve_batches_total", "coalesced batches launched"
-            ).inc()
-            self.registry.histogram(
-                "serve_batch_width",
-                "width of launched batches",
-                bounds=_WIDTH_BOUNDS,
-            ).observe(float(k))
             for j, r in enumerate(batch):
                 queue_wait = start - r.arrival_s
                 compute_j = float(col_times[j])
@@ -345,14 +329,6 @@ class ServeEngine:
                     compute_s=compute_j,
                     latency_s=latency,
                 )
-                self.registry.counter(
-                    "serve_requests_total",
-                    "terminal request outcomes",
-                    labels={"status": "ok"},
-                ).inc()
-                self.registry.histogram(
-                    "serve_latency_s", "modelled end-to-end latency"
-                ).observe(latency)
             batch_events.append(
                 BatchEvent(
                     record=record,
@@ -382,11 +358,6 @@ class ServeEngine:
                     )
                     outcomes[req.rid] = shed
                     shed_events.append(ShedEvent(shed, admission.depth))
-                    self.registry.counter(
-                        "serve_requests_total",
-                        "terminal request outcomes",
-                        labels={"status": "shed"},
-                    ).inc()
                     continue
                 deadline = coalescer.add(req, now)
                 if deadline is not None:
@@ -400,21 +371,16 @@ class ServeEngine:
                 for r in payload:
                     admission.release(r.tenant)
 
-        makespan = max((b.end_s for b in batches), default=0.0)
+        makespan = max((e.record.end_s for e in batch_events), default=0.0)
         result = ServeResult(
             requests=tuple(outcomes[rid] for rid in sorted(outcomes)),
-            batches=tuple(batches),
             makespan_s=makespan,
             config=self.config,
-            registry=self.registry,
             device=self.device,
             formats={key: ctx.fmt for key, ctx in self._graphs.items()},
             batch_events=tuple(batch_events),
             shed_events=tuple(shed_events),
         )
-        self.registry.gauge(
-            "serve_queries_per_s", "served throughput over the makespan"
-        ).set(result.queries_per_s)
         for watcher in observers:
             watcher._finalize(result)
         return result

@@ -13,6 +13,7 @@ from repro.obs import (
     Profiler,
     chrome_counter_trace,
     launch_counters,
+    launch_metrics,
     validate_profile_jsonl,
 )
 
@@ -67,15 +68,24 @@ class TestSpans:
             sp.duration_s = 1.5
         assert prof.root.children[0].total_time_s == 1.5
 
-    def test_record_feeds_registry(self):
+    def test_record_feeds_registry(self, tmp_path):
+        # The recorded launches feed the written metrics record.
         prof = Profiler("app")
         cs = _counters()
         prof.record(cs)
         prof.record(cs)
-        snap = prof.registry.snapshot()
-        assert snap["launches_total"]["value"] == 2
-        assert snap["dram_bytes_total"]["value"] == 2 * cs.dram_bytes
-        assert snap["launch_duration_seconds"]["count"] == 2
+        path = prof.to_jsonl(tmp_path / "p.jsonl")
+        line = json.loads(path.read_text().splitlines()[-1])
+        assert line["record"] == "metrics"
+        metrics = line["metrics"]
+        assert metrics == launch_metrics(prof.all_records())
+        assert metrics["launches_total"]["value"] == 2.0
+        assert metrics["dram_bytes_total"]["value"] == 2 * cs.dram_bytes
+        assert metrics["launch_duration_seconds"]["count"] == 2
+        assert metrics["achieved_occupancy"] == {
+            "type": "gauge",
+            "value": cs.achieved_occupancy,
+        }
 
 
 class TestJsonl:
@@ -84,6 +94,11 @@ class TestJsonl:
         with prof.span("iter", i=1):
             prof.record(_counters())
         return prof
+
+    def test_empty_profile_has_empty_metrics(self, tmp_path):
+        path = Profiler("idle").to_jsonl(tmp_path / "p.jsonl")
+        line = json.loads(path.read_text().splitlines()[-1])
+        assert line == {"record": "metrics", "metrics": {}}
 
     def test_roundtrip_validates(self, tmp_path):
         path = tmp_path / "p.jsonl"

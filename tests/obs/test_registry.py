@@ -1,4 +1,5 @@
-"""The plain-Python metrics registry primitives."""
+"""The plain-Python metric primitives (quantiles, histogram entries,
+window logs) and the ``metrics`` record derived from recorded launches."""
 
 import json
 import math
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
+    CounterSet,
     WindowLog,
     exact_quantile,
+    histogram_entry,
+    launch_metrics,
 )
 
 
@@ -63,125 +63,96 @@ class TestExactQuantile:
         assert exact_quantile((v for v in (3.0, 1.0)), 1.0) == 3.0
 
 
-class TestCounter:
-    def test_inc(self):
-        c = Counter("launches")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+def launch(time_s, occupancy=0.5, **fields):
+    """One recorded launch; the metrics record reads only a few fields."""
+    values = dict(
+        name="k", device="d", n_launches=1, k=1, time_s=time_s,
+        launch_overhead_s=0.0, compute_s=0.0, memory_s=time_s,
+        critical_path_s=time_s, dram_bytes=0.0, flops=0.0, n_warps=1,
+        achieved_occupancy=occupancy, warp_execution_efficiency=1.0,
+        gld_coalescing_ratio=1.0, tex_hit_rate=None,
+    )
+    return CounterSet(**{**values, **fields})
 
-    def test_rejects_negative(self):
-        c = Counter("launches")
-        with pytest.raises(ValueError):
-            c.inc(-1)
+
+class TestCounter:
+    """A ``metrics`` record's counters total a field over the launches."""
+
+    def test_inc(self):
+        metrics = launch_metrics([
+            launch(1e-4, dram_bytes=3.0),
+            launch(2e-4, dram_bytes=4.0, n_launches=2),
+        ])
+        assert metrics["launches_total"] == {"type": "counter", "value": 3.0}
+        assert metrics["dram_bytes_total"]["value"] == 7.0
+        # Float sums from 0.0, in launch order.
+        assert metrics["device_time_seconds_total"]["value"] == (
+            (0.0 + 1e-4) + 2e-4
+        )
 
 
 class TestGauge:
+    """A ``metrics`` record's gauges read the last launch."""
+
     def test_set(self):
-        g = Gauge("occupancy")
-        assert math.isnan(g.value)
-        g.set(0.75)
-        assert g.value == 0.75
+        metrics = launch_metrics([launch(1e-4, 0.25), launch(1e-4, 0.75)])
+        gauge = metrics["achieved_occupancy"]
+        assert gauge == {"type": "gauge", "value": 0.75}
+        assert metrics["warp_execution_efficiency"]["value"] == 1.0
+
+
+class TestRegistry:
+    """A whole ``metrics`` record, derived from the launches."""
+
+    def test_snapshot_is_json_ready(self):
+        metrics = launch_metrics([launch(1e-5), launch(2.0)])
+        assert json.loads(json.dumps(metrics, allow_nan=False)) == metrics
+        assert list(metrics) == [
+            "launches_total",
+            "dram_bytes_total",
+            "flops_total",
+            "device_time_seconds_total",
+            "dp_children_total",
+            "dp_overflow_total",
+            "launch_duration_seconds",
+            "achieved_occupancy",
+            "warp_execution_efficiency",
+            "gld_coalescing_ratio",
+        ]
+        assert metrics["launch_duration_seconds"]["counts"] == [
+            0, 1, 0, 0, 0, 0, 0, 1
+        ]
+        assert launch_metrics([]) == {}
 
 
 class TestHistogram:
     def test_observe_and_stats(self):
-        h = Histogram("lat", bounds=(1.0, 10.0, 100.0))
-        for v in (0.5, 5.0, 50.0, 500.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.sum == pytest.approx(555.5)
-        assert h.min == 0.5 and h.max == 500.0
-        assert h.mean == pytest.approx(555.5 / 4)
+        h = histogram_entry((0.5, 5.0, 50.0, 500.0), bounds=(1.0, 10.0, 100.0))
+        assert h["count"] == 4
+        assert h["sum"] == ((0.0 + 0.5) + 5.0 + 50.0) + 500.0
+        assert h["min"] == 0.5 and h["max"] == 500.0
+        assert h["mean"] == h["sum"] / 4
 
     def test_buckets(self):
-        h = Histogram("lat", bounds=(1.0, 10.0))
-        for v in (0.5, 0.6, 5.0, 50.0):
-            h.observe(v)
-        # <=1.0 holds two, (1.0, 10.0] holds one, overflow holds one.
-        assert h.counts == [2, 1, 1]
+        # <=1.0 holds two (1.0 itself included), (1.0, 10.0] holds one,
+        # overflow holds one.
+        h = histogram_entry((0.5, 1.0, 5.0, 50.0), bounds=(1.0, 10.0))
+        assert h["counts"] == [2, 1, 1]
+        assert h["bounds"] == [1.0, 10.0]
+
+    def test_empty_sample(self):
+        h = histogram_entry((), bounds=(1.0,))
+        assert h["count"] == 0 and h["sum"] == 0.0
+        assert h["min"] is None and h["max"] is None and h["mean"] is None
+        assert h["counts"] == [0, 0]
 
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):
-            Histogram("lat", bounds=(10.0, 1.0))
+            histogram_entry((1.0,), bounds=(10.0, 1.0))
 
     def test_default_bounds_sorted(self):
-        h = Histogram("lat")
-        bounds = list(h.bounds)
+        bounds = histogram_entry(())["bounds"]
         assert bounds == sorted(bounds)
-
-    def test_merge_adds_counts_and_stats(self):
-        a = Histogram("lat", bounds=(1.0, 10.0))
-        b = Histogram("lat", bounds=(1.0, 10.0))
-        for v in (0.5, 5.0):
-            a.observe(v)
-        for v in (50.0, 0.1):
-            b.observe(v)
-        out = a.merge(b)
-        assert out is a
-        assert a.count == 4
-        assert a.sum == pytest.approx(55.6)
-        assert a.min == 0.1 and a.max == 50.0
-        assert a.counts == [2, 1, 1]
-
-    def test_merge_empty_other_keeps_min_max(self):
-        a = Histogram("lat", bounds=(1.0,))
-        a.observe(2.0)
-        a.merge(Histogram("lat", bounds=(1.0,)))
-        assert a.count == 1
-        assert a.min == 2.0 and a.max == 2.0
-
-    def test_merge_into_empty_adopts_extremes(self):
-        a = Histogram("lat", bounds=(1.0,))
-        b = Histogram("lat", bounds=(1.0,))
-        b.observe(3.0)
-        a.merge(b)
-        assert a.count == 1
-        assert a.min == 3.0 and a.max == 3.0
-
-    def test_merge_bounds_mismatch_rejected(self):
-        a = Histogram("lat", bounds=(1.0,))
-        b = Histogram("lat", bounds=(2.0,))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_type_mismatch_rejected(self):
-        with pytest.raises(TypeError):
-            Histogram("lat").merge(Counter("x"))
-
-
-class TestRegistry:
-    def test_get_or_create_is_idempotent(self):
-        reg = MetricsRegistry()
-        a = reg.counter("x", "help")
-        b = reg.counter("x")
-        assert a is b
-        assert len(reg) == 1
-
-    def test_labels_create_distinct_series(self):
-        reg = MetricsRegistry()
-        a = reg.counter("x", labels={"device": "GTX580"})
-        b = reg.counter("x", labels={"device": "GTXTitan"})
-        assert a is not b
-        assert len(reg) == 2
-
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_snapshot_is_json_ready(self):
-        reg = MetricsRegistry()
-        reg.counter("launches").inc(3)
-        reg.gauge("occ").set(0.5)
-        reg.gauge("unset")  # NaN -> None in the snapshot
-        reg.histogram("lat").observe(1e-5)
-        snap = reg.snapshot()
-        json.dumps(snap)  # round-trippable
-        assert snap["launches"]["value"] == 3
-        assert snap["unset"]["value"] is None
-        assert snap["lat"]["count"] == 1
 
 
 def array_read(log, t_s):

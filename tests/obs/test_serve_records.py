@@ -5,6 +5,7 @@ and malformed values in any field."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -330,6 +331,22 @@ class TestMetricGrid:
             write(tmp_path, grid_meta(n_ticks=10**9), *CHANGE_ONLY)
         )
         assert any("runs past end_t_s" in e for e in errors)
+
+    def test_huge_grid_costs_only_its_records(self, tmp_path):
+        # The grid promises a million ticks, but the series change only
+        # at the first one: checking them must not build the whole grid.
+        meta = grid_meta(
+            sample_every_s=1e-300, n_ticks=10**6, end_t_s=1e300
+        )
+        path = write(tmp_path, meta, sample(1e-300), sample(1e300, n=7))
+        tracemalloc.start()
+        try:
+            errors = validate_profile_jsonl(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert errors == []
+        assert peak < 5 * 2**20
 
     def test_grid_past_the_float_range_rejected(self, tmp_path):
         errors = validate_profile_jsonl(

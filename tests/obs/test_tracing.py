@@ -365,6 +365,29 @@ class TestChromeFlowValidation:
         assert validate_chrome_trace({"traceEvents": events})
 
 
+class TestChromeLaneKeys:
+    """A lane named by a JSON list or object is reported, not a crash."""
+
+    COMPLETE = {"name": "x", "cat": "c", "ph": "X", "ts": 0, "dur": 1,
+                "pid": 1, "tid": 0}
+    COUNTER = {"name": "x", "cat": "c", "ph": "C", "ts": 0, "pid": 1,
+               "args": {"value": 1}}
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {**COMPLETE, "pid": [1]},
+            {**COMPLETE, "tid": {"stream": 0}},
+            {**COUNTER, "name": ["x"]},
+        ],
+        ids=["pid", "tid", "counter-name"],
+    )
+    def test_unhashable_lane_is_an_error(self, event):
+        errors = validate_chrome_trace({"traceEvents": [event]})
+        assert len(errors) == 1
+        assert "must be strings or numbers" in errors[0]
+
+
 class TestHistogramExemplars:
     def test_observe_and_read_back(self):
         hist = WindowLog(window_s=1.0, n_buckets=4)

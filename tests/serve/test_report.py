@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.gpu.device import GTX_TITAN
@@ -24,7 +26,7 @@ SCALE = 0.002
 DEV = GTX_TITAN
 
 
-def run_once(seed=4, n=32, **cfg):
+def engine_and_trace(seed=4, n=32, **cfg):
     engine = ServeEngine(DEV, ServeConfig(**cfg))
     plan = engine.register(MATRIX, scale=SCALE, format_name="csr")
     mean = auto_interarrival_s(
@@ -36,6 +38,11 @@ def run_once(seed=4, n=32, **cfg):
         engine.registered_graphs(),
         mean,
     )
+    return engine, trace
+
+
+def run_once(seed=4, n=32, **cfg):
+    engine, trace = engine_and_trace(seed, n, **cfg)
     return engine.run_trace(trace)
 
 
@@ -130,9 +137,57 @@ class TestJsonl:
         }
 
 
+class TestMetricsRecord:
+    def test_reused_engine_reports_each_run_alone(self):
+        engine, trace = engine_and_trace(n=48, queue_limit=2, seed=6)
+        first = engine.run_trace(trace)
+        first_lines = serve_report_lines(first)
+        second = engine.run_trace(trace)
+        assert serve_report_lines(second) == first_lines
+        # Writing the second run leaves the first one's report alone.
+        assert serve_report_lines(first) == first_lines
+
+    def test_recounted_from_request_and_span_lines(self):
+        result = run_once(n=48, queue_limit=2, tenant_limit=2, seed=6)
+        assert result.shed
+        records = [json.loads(x) for x in serve_report_lines(result)]
+        metrics = records[-1]["metrics"]
+        requests = [r for r in records if r["record"] == "request"]
+        latencies = [r["latency_s"] for r in requests if r["status"] == "ok"]
+        widths = [r["attrs"]["k"] for r in records if r["record"] == "span"]
+
+        def counter(key):
+            return metrics[key]["value"]
+
+        assert counter("serve_batches_total") == len(widths)
+        assert counter("serve_requests_total{status=ok}") == len(latencies)
+        assert counter("serve_requests_total{status=shed}") == sum(
+            r["status"] == "shed" for r in requests
+        )
+        for key, values, bounds in (
+            ("serve_batch_width", widths, (1, 2, 4, 8, 16, 32)),
+            ("serve_latency_s", latencies, (1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
+                                            1e-1, 1.0)),
+        ):
+            hist = metrics[key]
+            assert hist["bounds"] == list(bounds)
+            assert hist["count"] == len(values)
+            assert hist["min"] == min(values)
+            assert hist["max"] == max(values)
+            assert math.isclose(hist["sum"], math.fsum(values), rel_tol=1e-12)
+            # A value lands in the first bucket whose bound it does not
+            # exceed; past the last bound, in the overflow bucket.
+            buckets = np.searchsorted(bounds, values, side="left")
+            assert hist["counts"] == np.bincount(
+                buckets, minlength=len(bounds) + 1
+            ).tolist()
+        assert metrics["serve_queries_per_s"]["value"] == (
+            records[-2]["queries_per_s"]
+        )
+
+
 class TestShedAccounting:
     def _all_shed_result(self):
-        from repro.obs import MetricsRegistry
         from repro.serve import QueryRequest, ShedQuery
         from repro.serve.server import ServeResult
 
@@ -152,10 +207,8 @@ class TestShedAccounting:
         )
         return ServeResult(
             requests=sheds,
-            batches=(),
             makespan_s=0.0,
             config=ServeConfig(),
-            registry=MetricsRegistry(),
         )
 
     def test_shed_by_tenant_counts(self):

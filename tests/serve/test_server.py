@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from repro.serve import (
     auto_interarrival_s,
     generate_trace,
     operator_format,
+    serve_report_lines,
 )
 
 MATRIX = "WIK"
@@ -197,12 +200,25 @@ class TestAdmission:
 
     def test_shed_outcomes_count_in_metrics(self):
         engine = make_engine(queue_limit=1, max_batch=16)
-        engine.run_trace([req(0, 1, tenant="a"), req(1, 2, tenant="b")])
-        snapshot = engine.registry.snapshot()
-        assert snapshot["serve_requests_total{status=ok}"]["value"] == 1
-        assert snapshot["serve_requests_total{status=shed}"]["value"] == 1
-        assert snapshot["serve_batches_total"]["value"] == 1
-        assert snapshot["serve_batch_width"]["count"] == 1
+        result = engine.run_trace(
+            [req(0, 1, tenant="a"), req(1, 2, tenant="b")]
+        )
+        line = json.loads(serve_report_lines(result)[-1])
+        metrics = line["metrics"]
+        assert metrics["serve_requests_total{status=ok}"]["value"] == 1
+        assert metrics["serve_requests_total{status=shed}"]["value"] == 1
+        assert metrics["serve_batches_total"]["value"] == 1
+        assert metrics["serve_batch_width"]["count"] == 1
+        # The shed came before the first batch closed; the key order is
+        # fixed all the same: batch keys, then sheds, then the gauge.
+        assert list(metrics) == [
+            "serve_batches_total",
+            "serve_batch_width",
+            "serve_requests_total{status=ok}",
+            "serve_latency_s",
+            "serve_requests_total{status=shed}",
+            "serve_queries_per_s",
+        ]
 
 
 class TestScheduling:

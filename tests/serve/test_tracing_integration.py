@@ -216,11 +216,18 @@ class TestMonitorHandOff:
         monitor = ServeMonitor(HOT_CONFIG) if attached else None
         with pytest.raises(ValueError, match="not attached"):
             engine.run_trace(trace, monitor=monitor, tracer=tracer)
-        # Nothing was served: no numerics, no metrics, observers unused.
+        # Nothing was served: no numerics, observers unused.
         assert engine._graphs[MATRIX].query_cache == {}
-        assert len(engine.registry) == 0
-        engine.run_trace(trace, monitor=tracer.monitor, tracer=tracer)
+        result = engine.run_trace(trace, monitor=tracer.monitor, tracer=tracer)
         assert tracer.summary["requests_seen"] == len(trace)
+        # The metrics record counts this run's requests, no more.
+        metrics = json.loads(serve_report_lines(result)[-1])["metrics"]
+        outcomes = [
+            entry["value"]
+            for key, entry in metrics.items()
+            if key.startswith("serve_requests_total")
+        ]
+        assert sum(outcomes) == len(trace)
 
     @staticmethod
     def _tail_captures_and_keeps(seed):
