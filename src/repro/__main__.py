@@ -112,16 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write <DIR>/<experiment>.json for each experiment run",
     )
-    run.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help=(
-            "dump a stream-engine Chrome trace (chrome://tracing / "
-            "Perfetto) of an ACSR SpMV for the run's first matrix and "
-            "--device, and print the per-launch bound breakdown"
-        ),
-    )
 
     corpus = sub.add_parser("corpus", help="inspect one synthetic analog")
     corpus.add_argument("matrix")
@@ -503,8 +493,6 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = Path(args.json)
             out_dir.mkdir(parents=True, exist_ok=True)
             save_json(result, out_dir / f"{name}.json")
-    if args.trace:
-        _dump_trace(args)
     return 0
 
 
@@ -1001,29 +989,6 @@ def _trace_cli(args) -> int:
         )
         print(trace_waterfall(batch_spans).gantt())
     return 0
-
-
-def _dump_trace(args) -> None:
-    """Write the stream-engine timeline for the run's first matrix."""
-    import json
-    from pathlib import Path
-
-    from .core.dispatch import time_spmv_streamed
-    from .harness.experiments.common import default_matrices
-    from .harness.runner import get_format
-
-    key = default_matrices(args.matrices)[0]
-    device = get_device(args.device)
-    acsr = get_format(key, "acsr", Precision(args.precision))
-    timing = time_spmv_streamed(acsr.csr, acsr.plan_for(device), device)
-    path = Path(args.trace)
-    path.write_text(json.dumps(timing.result.chrome_trace(), indent=1))
-    print(
-        f"stream-engine trace: ACSR SpMV of {key} on {device.name} "
-        f"({timing.n_bin_grids} bin grids, {timing.n_row_grids} row "
-        f"grids, {timing.time_s * 1e6:.2f} us) -> {path}"
-    )
-    print(timing.bound_summary())
 
 
 if __name__ == "__main__":

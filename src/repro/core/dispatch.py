@@ -30,7 +30,6 @@ from ..gpu.dynamic_parallelism import (
 )
 from ..gpu.kernel import KernelWork, merge_concurrent
 from ..gpu.simulator import KernelTiming, simulate_kernel
-from ..gpu.streams import EngineResult, StreamEngine
 from ..kernels import acsr_bin, acsr_dp
 from .binning import Binning
 from .parameters import ACSRParams, ResolvedParams, resolve
@@ -121,8 +120,9 @@ def bin_works(
 
     Cached on the (frozen) plan per ``(matrix, device, k)``: a plan is
     device-resolved and immutable, and :class:`KernelWork` is frozen, so
-    repeated timings (``time_spmv``, ``stream_spmv``, app iterations)
-    reuse the launch list instead of re-deriving every bin's gang packing.
+    repeated evaluations (:meth:`ACSRFormat.kernel_works
+    <repro.core.acsr.ACSRFormat.kernel_works>`, app iterations) reuse
+    the launch list instead of re-deriving every bin's gang packing.
     ``k`` is the vector-block width of the batched (SpMM) path.
     """
     cache = getattr(plan, "_bin_works_cache", None)
@@ -208,112 +208,6 @@ def pooled_kernel_work(
     return pooled
 
 
-@dataclass(frozen=True)
-class StreamedACSRTiming:
-    """Modelled time of one ACSR SpMV issued through the stream engine.
-
-    Unlike :class:`ACSRTiming`'s single merged pool, every G2 bin grid is
-    a separate launch on its own stream: bins that under-occupy the
-    device overlap for free, saturating bins serialise under the engine's
-    processor-sharing model, and the engine's records are an honest
-    multi-stream timeline (``result.chrome_trace()``).
-    """
-
-    result: EngineResult
-    n_bin_grids: int
-    n_row_grids: int
-
-    @property
-    def time_s(self) -> float:
-        return self.result.duration_s
-
-    def bound_summary(self) -> str:
-        """Per-launch bound breakdown."""
-        return self.result.bound_summary()
-
-    def counter_sets(self) -> tuple:
-        """Per-launch :class:`~repro.obs.CounterSet`\\s of the timeline."""
-        return self.result.counter_sets()
-
-
-def stream_spmv(
-    csr: CSRMatrix,
-    plan: ACSRPlan,
-    device: DeviceSpec,
-    engine: StreamEngine,
-    *,
-    device_index: int = 0,
-    max_streams: int = 8,
-    k: int = 1,
-) -> None:
-    """Enqueue one ACSR SpMV onto ``engine`` as concurrent streams.
-
-    Each G2 bin grid is launched round-robin across ``max_streams``
-    streams (the first launch on each stream pays the full host overhead,
-    later ones the pipelined rate, mirroring the serial model's launch
-    bill); the DP parent plus its pooled children ride one more stream
-    with their child count declared against the device's pending-launch
-    limit.  ``k > 1`` enqueues the batched (SpMM) variant of every grid.
-    """
-    if max_streams < 1:
-        raise ValueError("need at least one stream")
-    n_children = int(plan.g1_rows.shape[0])
-    if n_children and not device.supports_dynamic_parallelism:
-        raise DynamicParallelismUnsupported(
-            f"plan has a DP group but {device.name} lacks dynamic "
-            "parallelism; build the plan for this device"
-        )
-    works = bin_works(csr, plan, device, k=k)
-    streams = [
-        engine.stream(device=device_index, name=f"bin-s{i}")
-        for i in range(min(max_streams, max(1, len(works))))
-    ]
-    for i, w in enumerate(works):
-        s = streams[i % len(streams)]
-        s.launch(
-            w,
-            launch_overhead_s=(
-                device.kernel_launch_overhead_s
-                if i < len(streams)
-                else device.pipelined_launch_overhead_s
-            ),
-        )
-    if n_children:
-        dp_stream = engine.stream(device=device_index, name="dp")
-        children = dp_children_works(csr, plan, device, k=k)
-        dp_work = merge_concurrent(
-            [acsr_dp.parent_work(n_children, csr.precision), *children],
-            name="acsr-dp",
-        )
-        dp_stream.launch(
-            dp_work,
-            launch_overhead_s=(
-                device.kernel_launch_overhead_s
-                if not works
-                else device.pipelined_launch_overhead_s
-            ),
-            dp_children=n_children,
-        )
-
-
-def time_spmv_streamed(
-    csr: CSRMatrix,
-    plan: ACSRPlan,
-    device: DeviceSpec,
-    *,
-    max_streams: int = 8,
-    k: int = 1,
-) -> StreamedACSRTiming:
-    """Model one ACSR SpMV with per-bin grids on concurrent streams."""
-    engine = StreamEngine(device)
-    stream_spmv(csr, plan, device, engine, max_streams=max_streams, k=k)
-    return StreamedACSRTiming(
-        result=engine.run(),
-        n_bin_grids=plan.n_bin_grids,
-        n_row_grids=plan.n_row_grids,
-    )
-
-
 def time_spmv(
     csr: CSRMatrix,
     plan: ACSRPlan,
@@ -325,8 +219,7 @@ def time_spmv(
 
     ``k > 1`` models the batched (SpMM) launch: every data grid widens to
     ``k`` vectors while the DP *parent* stays a control-only ``k=1`` grid
-    (it launches children, it touches no vector data).  The per-bin,
-    multi-stream variant is :func:`time_spmv_streamed`.
+    (it launches children, it touches no vector data).
     """
     n_children = int(plan.g1_rows.shape[0])
     if n_children and not device.supports_dynamic_parallelism:

@@ -16,13 +16,13 @@ Warm restarts shrink iteration counts epoch over epoch, which makes the
 fixed per-epoch overheads (copy, transform) proportionally heavier — the
 reason Figure 7's speedups grow over time.
 
-With ``overlap=True`` (the default) the ACSR change-list H2D copy is
-issued on a copy stream through the stream engine, overlapping the tail
-of the *previous* epoch's iteration kernels — the copy is tiny, so it
-hides completely and only the device-side update/re-bin kernels remain
-on the critical path.  CSR and HYB re-copy the *whole* matrix the
-previous iterations are still reading, so their epochs stay fully
-serialised and Figure 7's speedup gap widens, as it does on hardware.
+The ACSR change-list H2D copy is issued on a copy stream through the
+stream engine, overlapping the tail of the *previous* epoch's iteration
+kernels — the copy is tiny, so it hides completely and only the
+device-side update/re-bin kernels remain on the critical path.  CSR and
+HYB re-copy the *whole* matrix the previous iterations are still
+reading, so their epochs stay fully serialised and Figure 7's speedup
+gap widens, as it does on hardware.
 
 The run is epoch-major: each epoch generates its update, builds its
 iteration matrix once, runs one warm-started PageRank trajectory on it,
@@ -113,7 +113,6 @@ def _maintain(
     matrix: CSRMatrix,
     batch: UpdateBatch | None,
     device: DeviceSpec,
-    overlap: bool,
 ):
     """Bring ``state``'s backend up to ``matrix``: its format for this
     epoch and the modelled maintenance seconds that cost."""
@@ -132,8 +131,8 @@ def _maintain(
             # The iteration matrix is derived from the adjacency; ship a
             # change list of the same magnitude and update the device
             # copy in place (numeric fidelity of that path is tested via
-            # DynCSR directly).  Overlapped, the copy hides under the
-            # previous epoch's iterations.
+            # DynCSR directly).  The copy hides under the previous
+            # epoch's iterations.
             rows = batch.rows
             maintenance += price_update(
                 batch,
@@ -143,7 +142,7 @@ def _maintain(
                 matrix.precision,
                 device,
                 link,
-                overlap_s=state.records[-1].iterate_s if overlap else None,
+                overlap_s=state.records[-1].iterate_s,
             ).total_s
         state.row_len = matrix.nnz_per_row
         fmt = ACSRFormat.from_csr(matrix, device=device)
@@ -172,7 +171,6 @@ def run_dynamic_pagerank(
     epsilon: float = 1e-6,
     seed: int = 7,
     backends: tuple[str, ...] = BACKENDS,
-    overlap: bool = True,
     profiler=None,
 ) -> dict[str, DynamicRunResult]:
     """Run the Figure 7 experiment and return per-backend traces.
@@ -185,9 +183,6 @@ def run_dynamic_pagerank(
     every backend bills that trajectory with its own format beside its
     own maintenance bill, so a backend's records do not depend on which
     other backends run beside it.
-
-    ``overlap=False`` reverts ACSR to the sequential copy-then-compute
-    model (back-to-back costs, no streams), for A/B comparison.
 
     ``profiler`` (a :class:`repro.obs.Profiler`) records one ``epoch``
     span per backend epoch (attrs carry the backend name; the explicit
@@ -213,9 +208,7 @@ def run_dynamic_pagerank(
         matrix = google_matrix(current)
         traj = None
         for state in states:
-            fmt, maintenance = _maintain(
-                state, epoch, matrix, batch, device, overlap
-            )
+            fmt, maintenance = _maintain(state, epoch, matrix, batch, device)
             if traj is None:
                 # Every format multiplies through ``matrix``, so the
                 # first backend's format computes everyone's iterates.

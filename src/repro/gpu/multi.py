@@ -34,9 +34,9 @@ class MultiGPUTiming:
 
     per_device: tuple[SequenceTiming, ...]
     sync_overhead_s: float
-    #: The engine result behind the timing (source of per-launch counters
-    #: and, through :meth:`EngineResult.chrome_trace`, of its timeline).
-    result: EngineResult | None = field(default=None, compare=False)
+    #: The engine run behind the timing; its
+    #: :meth:`~repro.gpu.streams.EngineResult.chrome_trace` draws the board.
+    result: EngineResult = field(compare=False)
 
     @property
     def time_s(self) -> float:
@@ -47,31 +47,6 @@ class MultiGPUTiming:
     @property
     def n_devices(self) -> int:
         return len(self.per_device)
-
-    @property
-    def critical_device(self) -> int:
-        """Index of the slowest device — the one the sync waits on.
-
-        The whole-board time is this device's sequence plus the sync
-        overhead; every other device idles at the barrier for the
-        difference (the imperfect-scaling gap of Section VIII).
-        """
-        if not self.per_device:
-            return 0
-        times = [t.time_s for t in self.per_device]
-        return times.index(max(times))
-
-    def counter_sets(self, device: int | None = None) -> tuple:
-        """Per-launch :class:`~repro.obs.CounterSet`\\s of the run.
-
-        Pass ``device`` to restrict to one GPU; aggregate the full tuple
-        with :func:`repro.obs.aggregate` for the whole-board view.
-        """
-        if self.result is None:
-            raise ValueError(
-                "this MultiGPUTiming was built without an engine result"
-            )
-        return self.result.counter_sets(device)
 
 
 @dataclass(frozen=True)

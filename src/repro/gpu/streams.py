@@ -49,6 +49,15 @@ still trip the cliff together.
 
 Everything is deterministic: ties are broken by stream creation order,
 and no wall clock or RNG is consulted anywhere.
+
+Three programs run on the engine: the multi-GPU board
+(:meth:`repro.gpu.multi.MultiGPUContext.run`), the dynamic pipeline's
+change-list copy under the previous epoch's iterations
+(:func:`repro.dynamic.dynamic_acsr.price_update`), and the serve run's
+worker replay behind ``repro serve-sim --trace``
+(:func:`repro.serve.scheduler.replay_engine`).  A single-device ACSR
+SpMV is not one of them: it is one pooled launch
+(:func:`repro.core.dispatch.time_spmv`).
 """
 
 from __future__ import annotations
@@ -231,20 +240,8 @@ class OpRecord:
     #: Standalone roofline timing (kernels only); its ``time_s`` is the
     #: exclusive-device duration, which co-residency may stretch.
     timing: KernelTiming | None = None
-    #: DP child grids this launch enqueued (0 for non-DP launches).
-    dp_children: int = 0
-    #: Children enqueued past the device's remaining pending-launch
-    #: budget; each paid the overflow penalty.
-    dp_overflow: int = 0
-    #: The launch's work description (kernels only) — kept so counters
-    #: can be derived from the exact quantities the timing used.
-    work: KernelWork | None = None
-    #: Device utilisation the processor-sharing model charged this op
-    #: (kernels/spans; 0.0 for copies) — previously computed internally
-    #: and discarded, now kept so timelines can name the critical op.
-    utilization: float = 0.0
-    #: Start-order identity of the op within its engine run; links the
-    #: record to the :class:`TimeSegment`\\s it was critical in.
+    #: Start order of the op within its engine run; breaks finish-time
+    #: ties in :meth:`EngineResult.chrome_trace`.
     op_id: int = -1
 
     @property
@@ -260,55 +257,13 @@ class OpRecord:
 
 
 @dataclass(frozen=True)
-class TimeSegment:
-    """One piecewise-constant interval of an engine run.
-
-    The event loop advances modelled time in steps (``t += dt``); each
-    step becomes one segment tagged with the *critical op* that held the
-    device during it — the running kernel/span with the highest
-    utilisation (ties to the earliest-started op), or the oldest copy
-    when only transfers are in flight.  Replaying ``dt_s`` in order
-    re-accumulates ``EngineResult.duration_s`` bit-for-bit, which is how
-    the timeline layer reconstructs the engine's critical path exactly.
-    """
-
-    start_s: float
-    dt_s: float
-    #: ``op_id`` of the critical op (see :attr:`OpRecord.op_id`).
-    op_id: int
-    #: The critical op's category: ``kernel`` | ``span`` | ``copy``.
-    category: str
-
-    @property
-    def end_s(self) -> float:
-        """Where the segment's time step landed (``start + dt``)."""
-        return self.start_s + self.dt_s
-
-
-@dataclass(frozen=True)
 class EngineResult:
     """The outcome of one :meth:`StreamEngine.run`."""
 
     records: tuple[OpRecord, ...]
     duration_s: float
-    #: The engine's device registry, so per-record counters can be
-    #: derived without the engine itself.
+    #: The engine's device registry (names the trace's ``pid`` lanes).
     devices: tuple[DeviceSpec, ...]
-    #: Piecewise segments of the run, one per event-loop time step.
-    segments: tuple[TimeSegment, ...]
-
-    def record_by_op_id(self, op_id: int) -> OpRecord | None:
-        """The record whose :attr:`OpRecord.op_id` matches (or ``None``)."""
-        for r in self.records:
-            if r.op_id == op_id:
-                return r
-        return None
-
-    def stream_end_s(self, stream: int) -> float:
-        """When the last op of ``stream`` finished (0.0 if it had none)."""
-        return max(
-            (r.end_s for r in self.records if r.stream == stream), default=0.0
-        )
 
     def kernel_records(self, device: int | None = None) -> tuple[OpRecord, ...]:
         return tuple(
@@ -316,29 +271,6 @@ class EngineResult:
             for r in self.records
             if r.kind == "kernel" and (device is None or r.device == device)
         )
-
-    def counter_sets(self, device: int | None = None) -> tuple:
-        """Per-launch :class:`~repro.obs.CounterSet`\\s for the timeline.
-
-        Derived from the exact work/timing pairs the engine scheduled, so
-        they agree with the trace by construction.
-        """
-        from ..obs.counters import launch_counters  # lazy: obs imports gpu
-
-        sets = []
-        for r in self.kernel_records(device):
-            if r.timing is None or r.work is None:
-                continue
-            sets.append(
-                launch_counters(
-                    self.devices[r.device],
-                    r.work,
-                    r.timing,
-                    dp_children=r.dp_children,
-                    dp_overflow=r.dp_overflow,
-                )
-            )
-        return tuple(sets)
 
     def chrome_trace(self) -> dict:
         """The run as a Chrome/Perfetto ``traceEvents`` document.
@@ -382,19 +314,6 @@ class EngineResult:
             )
         return {"traceEvents": events, "displayTimeUnit": "ns"}
 
-    def bound_summary(self) -> str:
-        """Per-launch roofline-bound breakdown (one line per kernel)."""
-        lines = ["launch breakdown (start, duration, bound):"]
-        for r in self.records:
-            if r.kind != "kernel" or r.timing is None:
-                continue
-            stretch = " (shared)" if r.stretched else ""
-            lines.append(
-                f"  [{r.start_s * 1e6:9.2f} +{r.duration_s * 1e6:8.2f} us] "
-                f"s{r.stream} {r.timing.bound:7s} {r.name}{stretch}"
-            )
-        return "\n".join(lines)
-
 
 @dataclass(eq=False)
 class _Running:
@@ -410,7 +329,6 @@ class _Running:
     timing: KernelTiming | None = None
     channel: tuple[int, CopyDirection] | None = None
     category: str = "kernel"
-    dp_overflow: int = 0
     op_id: int = -1
 
 
@@ -476,21 +394,14 @@ class StreamEngine:
         return timing, u
 
     @staticmethod
-    def _enqueue_split(
+    def _enqueue_cost_s(
         device: DeviceSpec, n_children: int, already_pending: int
-    ) -> tuple[int, int]:
-        """``(within, overflow)`` split against the remaining DP budget."""
+    ) -> float:
+        """Device-side child-launch cost against the remaining budget:
+        children past it pay the overflow penalty."""
         available = max(0, device.pending_launch_limit - already_pending)
         within = min(n_children, available)
-        return within, n_children - within
-
-    def _enqueue_cost_s(
-        self, device: DeviceSpec, n_children: int, already_pending: int
-    ) -> float:
-        """Device-side child-launch cost against the remaining budget."""
-        within, overflow = self._enqueue_split(
-            device, n_children, already_pending
-        )
+        overflow = n_children - within
         return (
             within * device.dp_launch_overhead_s / CONCURRENT_LAUNCH_WAYS
             + overflow * device.dp_launch_overhead_s * OVERFLOW_PENALTY
@@ -511,7 +422,6 @@ class StreamEngine:
         channel_busy: dict[tuple[int, CopyDirection], bool] = {}
         pending_children = [0] * len(self.devices)
         records: list[OpRecord] = []
-        segments: list[TimeSegment] = []
         op_seq = [0]
         t = 0.0
 
@@ -573,15 +483,6 @@ class StreamEngine:
                 for r, rate in zip(running, rates)
                 if rate > 0
             )
-            critical = self._critical_op(running)
-            segments.append(
-                TimeSegment(
-                    start_s=t,
-                    dt_s=dt,
-                    op_id=critical.op_id,
-                    category=critical.category,
-                )
-            )
             t += dt
             finished: list[_Running] = []
             for r, rate in zip(running, rates):
@@ -604,10 +505,6 @@ class StreamEngine:
                         start_s=r.start_s,
                         end_s=t,
                         timing=r.timing,
-                        dp_children=r.op.dp_children,
-                        dp_overflow=r.dp_overflow,
-                        work=r.op.work,
-                        utilization=r.utilization,
                         op_id=r.op_id,
                     )
                 )
@@ -617,20 +514,7 @@ class StreamEngine:
             records=tuple(records),
             duration_s=t,
             devices=self.devices,
-            segments=tuple(segments),
         )
-
-    @staticmethod
-    def _critical_op(running: list[_Running]) -> _Running:
-        """The op holding the device in the current segment.
-
-        Kernels and spans rank by utilisation (ties to the op started
-        earliest); copies only become critical when nothing computes.
-        """
-        device_ops = [r for r in running if r.category in ("kernel", "span")]
-        if device_ops:
-            return min(device_ops, key=lambda r: (-r.utilization, r.op_id))
-        return min(running, key=lambda r: r.op_id)
 
     def _start(
         self,
@@ -677,12 +561,8 @@ class StreamEngine:
         elif op.kind == "launch":
             timing, u = self._launch_profile(device, op)
             duration = timing.time_s
-            dp_overflow = 0
             if op.dp_children:
                 already = pending_children[device_index]
-                _, dp_overflow = self._enqueue_split(
-                    device, op.dp_children, already
-                )
                 enqueue = self._enqueue_cost_s(device, op.dp_children, already)
                 duration = max(duration, enqueue)
                 pending_children[device_index] += op.dp_children
@@ -695,7 +575,6 @@ class StreamEngine:
                 utilization=u,
                 timing=timing,
                 category="kernel",
-                dp_overflow=dp_overflow,
             )
         else:  # pragma: no cover - record/wait handled by the caller
             raise AssertionError(f"unschedulable op kind {op.kind!r}")

@@ -29,13 +29,10 @@ def run_detail(
     device: DeviceSpec = GTX_TITAN,
     n_epochs: int = 10,
     precision: Precision = Precision.SINGLE,
-    overlap: bool = True,
 ) -> ExperimentResult:
     """Figure 7-top: per-epoch speedups for one matrix."""
     adjacency = corpus_matrix(matrix, precision=precision).binarized()
-    results = run_dynamic_pagerank(
-        adjacency, device, n_epochs=n_epochs, overlap=overlap
-    )
+    results = run_dynamic_pagerank(adjacency, device, n_epochs=n_epochs)
     vs_csr = epoch_speedups(results, "csr")
     vs_hyb = epoch_speedups(results, "hyb")
     rows = [
@@ -71,15 +68,12 @@ def run_average(
     device: DeviceSpec = GTX_TITAN,
     n_epochs: int = 10,
     precision: Precision = Precision.SINGLE,
-    overlap: bool = True,
 ) -> ExperimentResult:
     """Figure 7-bottom: all-epoch average speedup for every matrix."""
     rows = []
     for key in default_matrices(matrices):
         adjacency = corpus_matrix(key, precision=precision).binarized()
-        results = run_dynamic_pagerank(
-            adjacency, device, n_epochs=n_epochs, overlap=overlap
-        )
+        results = run_dynamic_pagerank(adjacency, device, n_epochs=n_epochs)
         rows.append(
             {
                 "matrix": key,

@@ -17,9 +17,9 @@ first-class telemetry, in the vocabulary of CUPTI/nvprof:
   share) behind the paper's Figures 2/3 argument.
 * :mod:`~repro.obs.attribution` — critical-path attribution: named
   contributions that float-sum exactly to every modelled time.
-* :mod:`~repro.obs.timeline` — read-only timeline reconstruction with
-  per-SM / per-stream lanes whose critical path equals the model's
-  ``time_s`` bit-for-bit.
+* :mod:`~repro.obs.timeline` — read-only timeline reconstruction of a
+  format's modelled run (per-SM detail, launch/pool/enqueue lanes)
+  whose critical path equals its ``time_s`` bit-for-bit.
 * :mod:`~repro.obs.diff` — differential profiling (``repro diff``):
   ranked "why B beats A" tables whose deltas sum exactly to the gap.
 * :mod:`~repro.obs.slo` — declarative serving objectives
@@ -40,10 +40,8 @@ first-class telemetry, in the vocabulary of CUPTI/nvprof:
 from .attribution import (
     TERM_ORDER,
     Attribution,
-    attribute_engine,
     attribute_format,
     attribute_launch,
-    attribute_multigpu,
     attribute_sequence,
     force_exact_sum,
     merge_attributions,
@@ -96,10 +94,7 @@ from .timeline import (
     LaunchDetail,
     Timeline,
     launch_detail,
-    timeline_from_engine,
     timeline_from_format,
-    timeline_from_multigpu,
-    timeline_from_sequence,
 )
 from .tracing import (
     EXPLAIN_ORDER,
@@ -149,8 +144,6 @@ __all__ = [
     "attribute_launch",
     "attribute_sequence",
     "attribute_format",
-    "attribute_engine",
-    "attribute_multigpu",
     "merge_attributions",
     "TAIL_THRESHOLD",
     "warp_work_gini",
@@ -162,9 +155,6 @@ __all__ = [
     "LaneEvent",
     "LaunchDetail",
     "launch_detail",
-    "timeline_from_sequence",
-    "timeline_from_engine",
-    "timeline_from_multigpu",
     "timeline_from_format",
     "DiffReport",
     "DiffSide",

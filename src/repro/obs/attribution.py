@@ -343,8 +343,7 @@ def merge_attributions(
     exact against an externally supplied total ``time_s``.
 
     Used wherever a model's total is not the plain float-sum of its
-    launches (ACSR's overlapped enqueue, the engine's concurrent
-    timeline, multi-GPU's barrier max).
+    launches (ACSR's overlapped enqueue window and host launch bill).
     """
     terms = _zero_terms()
     for key in TERM_ORDER:
@@ -401,73 +400,4 @@ def attribute_format(
             "launch_overhead": run.launch_s,
             "dp_serialization": max(body, run.enqueue_s) - body,
         },
-    )
-
-
-def attribute_engine(result, *, name: str = "engine") -> Attribution:
-    """Attribute a stream-engine run segment by segment.
-
-    Every piecewise-constant interval of the event loop is charged to its
-    critical op: copy intervals become ``pcie``, span intervals ``sync``,
-    and kernel intervals split across the kernel's own waterfall in
-    proportion to its standalone attribution.  The target total is the
-    engine's ``duration_s``.
-    """
-    fractions: dict[int, tuple[tuple[str, float], ...]] = {}
-    terms = _zero_terms()
-    for seg in result.segments:
-        if seg.category == "copy":
-            terms["pcie"] += seg.dt_s
-            continue
-        if seg.category == "span":
-            terms["sync"] += seg.dt_s
-            continue
-        rec = result.record_by_op_id(seg.op_id)
-        if rec is None or rec.work is None or rec.timing is None:
-            terms["sync"] += seg.dt_s
-            continue
-        fracs = fractions.get(seg.op_id)
-        if fracs is None:
-            att = attribute_launch(
-                result.devices[rec.device], rec.work, rec.timing
-            )
-            if att.time_s > 0:
-                fracs = tuple(
-                    (key, value / att.time_s) for key, value in att.terms
-                )
-            else:
-                fracs = (("ideal", 1.0),)
-            fractions[seg.op_id] = fracs
-        for key, frac in fracs:
-            terms[key] += seg.dt_s * frac
-    device = "+".join(
-        dict.fromkeys(d.name for d in result.devices)
-    )
-    return _from_terms(name, device, terms, result.duration_s)
-
-
-def attribute_multigpu(mg, *, name: str = "multi-gpu") -> Attribution:
-    """Attribute a multi-GPU run along its critical path.
-
-    The board's time is the slowest device's sequence plus the barrier
-    (``MultiGPUTiming.time_s``), so the waterfall walks the critical
-    device's launches and adds the sync overhead; the other devices'
-    work hides under the max and contributes nothing — which is exactly
-    the imperfect-scaling story of Section VIII.
-    """
-    if mg.result is None:
-        raise ValueError("this MultiGPUTiming was built without an engine result")
-    cd = mg.critical_device
-    device = mg.result.devices[cd]
-    parts = [
-        attribute_launch(device, r.work, r.timing)
-        for r in mg.result.kernel_records(cd)
-        if r.work is not None and r.timing is not None
-    ]
-    return merge_attributions(
-        parts,
-        name=name,
-        device=device.name,
-        time_s=mg.time_s,
-        extra={"sync": mg.sync_overhead_s},
     )

@@ -58,7 +58,7 @@ class Span:
     def total_time_s(self) -> float:
         if self.duration_s is not None:
             return self.duration_s
-        return sum(cs.time_s for cs in self.all_records())
+        return sum((cs.time_s for cs in self.all_records()), 0.0)
 
     def walk(self, path: tuple[str, ...] = ()):
         """Yield ``(path, span)`` pairs depth-first, root included."""

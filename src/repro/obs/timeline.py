@@ -1,25 +1,22 @@
-"""Timeline reconstruction: per-SM / per-stream Gantt views of a model.
+"""Timeline reconstruction: per-SM / per-lane Gantt views of a format.
 
-The timing models already *know* where every nanosecond goes — the
+The timing model already *knows* where every nanosecond goes — the
 simulator computes per-SM loads and per-warp chains and then keeps only
-their maxima; the stream engine walks true start times and keeps only
-the records.  This module rebuilds the full picture, read-only:
+their maxima.  This module rebuilds the full picture of one SpMV/SpMM
+from the format's :meth:`~repro.formats.base.SpMVFormat.modelled_run`,
+read-only:
 
-* a :class:`Timeline` of :class:`Lane`\\s (streams, the ACSR pool, the DP
-  enqueue window, one lane per device on a multi-GPU board), each a list
-  of placed :class:`LaneEvent`\\s;
+* a :class:`Timeline` of :class:`Lane`\\s (a sequence's one stream, or
+  ACSR's host launch bill, pool and DP enqueue window), each a list of
+  placed :class:`LaneEvent`\\s;
 * per-launch :class:`LaunchDetail` — the per-SM busy/idle split under
   round-robin placement, the tail-warp set and its skew statistics, and
   the DP child fan-out against the pending-launch cap.
 
-**Exactness invariant.**  ``Timeline.time_s`` equals the model's
-``time_s`` bit-for-bit — the reconstructed critical path *is* the
-modelled time, not an estimate.  A format's timeline takes it from the
-format's ``modelled_run``; the engine and multi-GPU builders replay the
-*same float operations in the same order* the model used (the engine's
-``t += dt`` segment walk, the board's max-plus-barrier expression).
-Re-simulation only reads frozen works, so building a timeline never
-changes a modelled time.
+**Exactness invariant.**  ``Timeline.time_s`` is the run's own
+``time_s``, so the reconstructed critical path *is* the modelled time,
+not an estimate.  Re-simulation only reads frozen works, so building a
+timeline never changes a modelled time.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from ..gpu.dynamic_parallelism import child_launch_split
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import (
     KernelTiming,
-    simulate_kernel,
     sm_inst_loads,
     warp_chain_detail,
 )
@@ -127,15 +123,14 @@ class Timeline:
 
     name: str
     device_name: str
-    #: ``sequence`` | ``acsr`` | ``engine`` | ``multi-gpu``.
+    #: ``sequence`` | ``acsr`` (formats), ``serve-batch`` or ``trace``.
     source: str
-    #: The reconstructed critical path — bit-identical to the source
-    #: model's ``time_s`` (the builders replay its float operations).
+    #: The reconstructed critical path — bit-identical to the modelled
+    #: run's ``time_s``.
     time_s: float
     lanes: tuple[Lane, ...]
     details: tuple[LaunchDetail, ...] = ()
-    #: Index into ``lanes`` of the lane the total time waits on
-    #: (multi-GPU: the critical device; others: the busiest lane).
+    #: Index into ``lanes`` of the lane the total time waits on.
     critical_lane: int = 0
     notes: str = field(default="", compare=False)
 
@@ -240,144 +235,6 @@ def _back_to_back(
         )
         body += t.time_s
     return tuple(events), tuple(details), body
-
-
-def timeline_from_sequence(
-    device: DeviceSpec,
-    works: list[KernelWork],
-    *,
-    name: str = "sequence",
-) -> Timeline:
-    """Rebuild a back-to-back launch sequence as a single-lane timeline.
-
-    The total accumulates ``timing.time_s`` launch by launch — the same
-    left-to-right float sum ``SequenceTiming.time_s`` performs — so the
-    reconstructed total equals the sequence model's time exactly.
-    """
-    pairs = [(w, simulate_kernel(device, w)) for w in works]
-    events, details, total = _back_to_back(device, pairs)
-    return Timeline(
-        name=name,
-        device_name=device.name,
-        source="sequence",
-        time_s=total,
-        lanes=(Lane(label="stream 0", events=events),),
-        details=details,
-    )
-
-
-def _record_lanes(result, key, *, spans: bool = True):
-    """Walk an engine run's records once, grouping lane events by
-    ``key(record)`` (stream or device), and rebuild the launch detail of
-    every kernel record as a ``(key, detail)`` pair, in record order.
-    ``spans=False`` leaves the engine's sync spans out."""
-    category = {"kernel": "kernel", "copy": "copy", "span": "sync"}
-    events: dict[int, list[LaneEvent]] = {}
-    details: list[tuple[int, LaunchDetail]] = []
-    for r in result.records:
-        if r.kind == "span" and not spans:
-            continue
-        events.setdefault(key(r), []).append(
-            LaneEvent(
-                name=r.name,
-                start_s=r.start_s,
-                duration_s=r.duration_s,
-                category=category.get(r.kind, "kernel"),
-            )
-        )
-        if r.kind == "kernel" and r.work is not None:
-            detail = launch_detail(
-                result.devices[r.device],
-                r.work,
-                r.timing,
-                start_s=r.start_s,
-                dp_children=r.dp_children,
-            )
-            details.append((key(r), detail))
-    return events, details
-
-
-def timeline_from_engine(result, *, name: str = "engine") -> Timeline:
-    """Rebuild a stream-engine run, one lane per stream.
-
-    The total replays the event loop's ``t += dt`` walk over the run's
-    recorded :class:`~repro.gpu.streams.TimeSegment`\\s, re-accumulating
-    ``duration_s`` bit-for-bit.
-    """
-    by_stream, details = _record_lanes(result, lambda r: r.stream)
-    lanes = tuple(
-        Lane(label=f"stream {s}", events=tuple(evs))
-        for s, evs in sorted(by_stream.items())
-    )
-    t = 0.0
-    for seg in result.segments:
-        t += seg.dt_s
-    critical = 0
-    if lanes:
-        critical = max(range(len(lanes)), key=lambda i: lanes[i].end_s)
-    device_name = "+".join(dict.fromkeys(d.name for d in result.devices))
-    return Timeline(
-        name=name,
-        device_name=device_name,
-        source="engine",
-        time_s=t,
-        lanes=lanes,
-        details=tuple(d for _, d in details),
-        critical_lane=critical,
-    )
-
-
-def timeline_from_multigpu(mg, *, name: str = "multi-gpu") -> Timeline:
-    """Rebuild a multi-GPU run, one lane per device plus the barrier.
-
-    The total replays ``MultiGPUTiming.time_s``'s expression — the max of
-    the per-device sequence sums plus the sync overhead — on the same
-    frozen floats, so it matches the board-level verdict exactly.  Idle
-    devices' gap to the critical device is the imperfect-scaling slack.
-    """
-    if mg.result is None:
-        raise ValueError("this MultiGPUTiming was built without an engine result")
-    cd = mg.critical_device
-    by_device, details = _record_lanes(
-        mg.result, lambda r: r.device, spans=False
-    )
-    lanes = [
-        Lane(label=f"dev{d}", events=tuple(by_device.get(d, ())))
-        for d in range(mg.n_devices)
-    ]
-    if mg.n_devices > 1:
-        start = max(t.time_s for t in mg.per_device)
-        lanes.append(
-            Lane(
-                label="barrier",
-                events=(
-                    LaneEvent(
-                        name="device-sync",
-                        start_s=start,
-                        duration_s=mg.sync_overhead_s,
-                        category="sync",
-                    ),
-                ),
-            )
-        )
-    if not mg.per_device:
-        total = 0.0
-    else:
-        total = max(t.time_s for t in mg.per_device) + mg.sync_overhead_s
-    device_name = "+".join(
-        dict.fromkeys(d.name for d in mg.result.devices)
-    )
-    return Timeline(
-        name=name,
-        device_name=device_name,
-        source="multi-gpu",
-        time_s=total,
-        lanes=tuple(lanes),
-        # Device by device, each in record order.
-        details=tuple(d for _, d in sorted(details, key=lambda p: p[0])),
-        critical_lane=cd,
-        notes=f"critical device: dev{cd}",
-    )
 
 
 def timeline_from_format(fmt, device: DeviceSpec, *, k: int = 1) -> Timeline:

@@ -132,24 +132,46 @@ class TestOneUpdateBill:
     the one :func:`price_update`."""
 
     def test_pipeline_and_facade_bill_the_same_batch_equally(self):
+        """The pipeline's epoch-1 maintenance is ``price_update``'s bill
+        with the copy under epoch 0's iterations; the facade bills the
+        same batch's parts back to back."""
         src = make_powerlaw_csr(n_rows=2500, seed=301, max_degree=700)
         batch = generate_update(src, np.random.default_rng(12))
+        post = apply_update_to_csr(src, batch)
         dacsr = DynamicACSR.from_csr(src)
         state = pipeline._BackendState("acsr")
-        pipeline._maintain(state, 0, src, None, GTX_TITAN, overlap=False)
-        _, maintenance = pipeline._maintain(
-            state,
-            1,
-            apply_update_to_csr(src, batch),
-            batch,
-            GTX_TITAN,
-            overlap=False,
+        fmt, maintenance = pipeline._maintain(state, 0, src, None, GTX_TITAN)
+        previous = pipeline.EpochRecord(
+            epoch=0,
+            iterations=20,
+            maintenance_s=maintenance,
+            iterate_s=20 * fmt.spmv_time_s(GTX_TITAN),
         )
+        state.records.append(previous)
+        _, maintenance = pipeline._maintain(state, 1, post, batch, GTX_TITAN)
+        overlapped = price_update(
+            batch,
+            src.nnz_per_row[batch.rows],
+            post.nnz_per_row[batch.rows],
+            IncrementalBinning.from_lengths(src.nnz_per_row),
+            src.precision,
+            GTX_TITAN,
+            overlap_s=previous.iterate_s,
+        )
+        assert maintenance == overlapped.total_s
         cost = dacsr.apply_update(batch, GTX_TITAN)
-        assert maintenance == cost.total_s
+        for part in (
+            "transfer_s",
+            "update_kernel_s",
+            "rebin_s",
+            "n_updated_rows",
+            "n_migrated_rows",
+        ):
+            assert getattr(cost, part) == getattr(overlapped, part), part
         assert cost.total_s == (
             cost.transfer_s + cost.update_kernel_s + cost.rebin_s
         )
+        assert overlapped.total_s < cost.total_s
 
     def test_overlap_launches_the_same_kernels_under_the_copy(self):
         src = make_powerlaw_csr(n_rows=2500, seed=301, max_degree=700)

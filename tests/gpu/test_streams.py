@@ -229,15 +229,9 @@ class TestResult:
         eng.stream().launch(work(name="a"))
         eng.stream().copy("c", 1000)
         res = eng.run()
-        assert res.stream_end_s(0) > 0
-        assert res.stream_end_s(99) == 0.0
+        assert max(r.end_s for r in res.records if r.stream == 0) > 0
+        assert {r.stream for r in res.records} == {0, 1}
         assert [r.name for r in res.kernel_records()] == ["a"]
-
-    def test_bound_summary_lists_kernels(self):
-        eng = StreamEngine(GTX_TITAN)
-        eng.stream().launch(work(name="mykernel"))
-        s = eng.run().bound_summary()
-        assert "mykernel" in s and "bound" in s
 
     def test_trace_has_true_start_times(self):
         eng = StreamEngine(GTX_TITAN)

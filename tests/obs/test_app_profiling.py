@@ -8,9 +8,8 @@ from repro.apps.pagerank import google_matrix, pagerank
 from repro.apps.rwr import column_normalized, run_rwr_batch, rwr
 from repro.core.acsr import ACSRFormat
 from repro.formats.csr_format import CSRFormat
-from repro.gpu.device import GTX_TITAN, TESLA_K10
-from repro.gpu.multi import MultiGPUContext, MultiGPUTiming
-from repro.obs import Profiler, aggregate
+from repro.gpu.device import GTX_TITAN
+from repro.obs import Profiler
 from tests.conftest import make_powerlaw_csr
 
 
@@ -111,27 +110,3 @@ class TestPipelineProfiling:
                 record.total_s, rel=1e-12
             )
             assert span.attrs["iterations"] == record.iterations
-
-
-class TestMultiGPUCounters:
-    def test_counter_sets_by_device(self, adjacency):
-        from repro.core import multi_gpu
-
-        acsr = ACSRFormat.from_csr(adjacency, device=TESLA_K10)
-        ctx = MultiGPUContext.of(TESLA_K10, 2)
-        timing = ctx.run(multi_gpu.works_per_device(acsr, ctx))
-        both = timing.counter_sets()
-        d0 = timing.counter_sets(device=0)
-        d1 = timing.counter_sets(device=1)
-        assert len(both) == len(d0) + len(d1)
-        for d, sets in enumerate((d0, d1)):
-            assert sum(cs.time_s for cs in sets) == pytest.approx(
-                timing.per_device[d].time_s, rel=1e-12
-            )
-        agg = aggregate(both, name="board")
-        assert agg.dram_bytes == sum(cs.dram_bytes for cs in both)
-
-    def test_timing_without_result_raises(self):
-        t = MultiGPUTiming(per_device=(), sync_overhead_s=0.0)
-        with pytest.raises(ValueError):
-            t.counter_sets()

@@ -11,15 +11,12 @@ from repro.formats.convert import available_formats, build_format
 from repro.gpu.device import GTX_580, GTX_TITAN, TESLA_K10, Precision
 from repro.gpu.kernel import KernelWork
 from repro.gpu.memory import GatherProfile
-from repro.gpu.multi import MultiGPUContext
 from repro.gpu.simulator import simulate_kernel
 from repro.kernels.common import gang_row_work
 from repro.obs import (
     TERM_ORDER,
-    attribute_engine,
     attribute_format,
     attribute_launch,
-    attribute_multigpu,
     attribute_sequence,
     merge_attributions,
 )
@@ -224,42 +221,3 @@ class TestSequenceAndMerge:
         assert merged.check_exact()
         assert merged.time_s == target
         assert merged.term("sync") == pytest.approx(5e-6)
-
-
-class TestEngineAndMultiGPU:
-    def _engine_result(self):
-        from repro.gpu import StreamEngine
-
-        engine = StreamEngine(GTX_TITAN)
-        compute = engine.stream(name="compute")
-        copier = engine.stream(name="copy")
-        copier.copy("h2d", n_bytes=1 << 20)
-        ready = copier.record()
-        compute.wait(ready)
-        compute.launch(_work_from_lengths([64] * 128, GTX_TITAN))
-        compute.launch(_work_from_lengths([1] * 63 + [5000], GTX_TITAN))
-        return engine.run()
-
-    def test_engine_attribution_matches_duration(self):
-        result = self._engine_result()
-        att = attribute_engine(result)
-        assert att.check_exact()
-        assert att.time_s == result.duration_s
-        assert att.term("pcie") > 0.0
-
-    def test_multigpu_attribution_matches_board_time(self):
-        def work(n, dram=1024.0):
-            return KernelWork(
-                name="w",
-                compute_insts=np.full(n, 10.0),
-                dram_bytes=np.full(n, dram),
-                mem_ops=np.full(n, 2.0),
-                flops=100.0,
-            )
-
-        ctx = MultiGPUContext.of(TESLA_K10, 2)
-        mg = ctx.run([[work(10)], [work(10_000, dram=4096.0)]])
-        att = attribute_multigpu(mg)
-        assert att.check_exact()
-        assert att.time_s == mg.time_s
-        assert att.term("sync") >= mg.sync_overhead_s * 0.99

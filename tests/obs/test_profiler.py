@@ -100,6 +100,20 @@ class TestJsonl:
         line = json.loads(path.read_text().splitlines()[-1])
         assert line == {"record": "metrics", "metrics": {}}
 
+    def test_empty_profile_span_time_is_a_float(self, tmp_path):
+        """A span over no records sums from 0.0: the root span line
+        writes ``0.0`` like every other span's float, not the int ``0``."""
+        path = Profiler("empty").to_jsonl(tmp_path / "p.jsonl")
+        text = path.read_text()
+        [span] = [
+            json.loads(line)
+            for line in text.splitlines()
+            if json.loads(line)["record"] == "span"
+        ]
+        assert type(span["time_s"]) is float and span["time_s"] == 0.0
+        assert '"time_s": 0.0' in text
+        assert type(Profiler("empty").root.total_time_s) is float
+
     def test_roundtrip_validates(self, tmp_path):
         path = tmp_path / "p.jsonl"
         self._profiled().to_jsonl(path, matrix="WIK")

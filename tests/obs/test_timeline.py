@@ -9,18 +9,11 @@ from repro.core.dispatch import time_spmv
 from repro.formats.base import FormatCapacityError
 from repro.formats.convert import available_formats, build_format
 from repro.gpu.device import GTX_580, GTX_TITAN, TESLA_K10, Precision
-from repro.gpu.kernel import KernelWork
 from repro.gpu.memory import GatherProfile
-from repro.gpu.multi import MultiGPUContext
 from repro.gpu.simulator import simulate_kernel, simulate_sequence
 from repro.kernels.common import gang_row_work
-from repro.obs import (
-    launch_detail,
-    timeline_from_engine,
-    timeline_from_format,
-    timeline_from_multigpu,
-    timeline_from_sequence,
-)
+from repro.obs import launch_detail, timeline_from_format
+from repro.obs.timeline import _back_to_back
 from tests.conftest import make_powerlaw_csr
 
 DEVICES3 = (GTX_580, TESLA_K10, GTX_TITAN)
@@ -52,6 +45,11 @@ def csr():
     return make_powerlaw_csr(n_rows=1500, seed=5)
 
 
+def _sequence_lane(device, works):
+    """A back-to-back sequence's lane, as a sequence format draws it."""
+    return _back_to_back(device, [(w, simulate_kernel(device, w)) for w in works])
+
+
 class TestSequenceReconstruction:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -69,14 +67,13 @@ class TestSequenceReconstruction:
         """Reconstructed total == simulate_sequence total, every device."""
         for device in DEVICES3:
             works = [_work_from_lengths(c, device) for c in chunks]
-            tl = timeline_from_sequence(device, works)
-            assert tl.time_s == simulate_sequence(device, works).time_s
-            assert len(tl.lanes) == 1
-            assert len(tl.lanes[0].events) == len(works)
+            events, _, body = _sequence_lane(device, works)
+            assert body == simulate_sequence(device, works).time_s
+            assert len(events) == len(works)
             # Events tile the lane without gaps: each starts where the
             # previous ended (the running cursor).
             cursor = 0.0
-            for ev in tl.lanes[0].events:
+            for ev in events:
                 assert ev.start_s == cursor
                 cursor += ev.duration_s
 
@@ -85,9 +82,9 @@ class TestSequenceReconstruction:
             _work_from_lengths(csr.nnz_per_row[i : i + 300], GTX_TITAN)
             for i in range(0, 900, 300)
         ]
-        tl = timeline_from_sequence(GTX_TITAN, works)
-        assert len(tl.details) == len(works)
-        for ev, d in zip(tl.lanes[0].events, tl.details):
+        events, details, _ = _sequence_lane(GTX_TITAN, works)
+        assert len(details) == len(works)
+        for ev, d in zip(events, details):
             assert d.start_s == ev.start_s
             assert d.duration_s == ev.duration_s
 
@@ -182,51 +179,6 @@ class TestLaunchDetail:
         out = d.render()
         assert "warps" in out and "gini" in out
         assert "SM  0" in out and "*" in out
-
-
-class TestEngineAndMultiGPU:
-    def _engine_result(self):
-        from repro.gpu import StreamEngine
-
-        engine = StreamEngine(GTX_TITAN)
-        compute = engine.stream(name="compute")
-        copier = engine.stream(name="copy")
-        copier.copy("h2d", n_bytes=1 << 20)
-        ready = copier.record()
-        compute.wait(ready)
-        compute.launch(_work_from_lengths([64] * 128, GTX_TITAN))
-        compute.launch(_work_from_lengths([1] * 63 + [5000], GTX_TITAN))
-        return engine.run()
-
-    def test_engine_timeline_replays_segment_walk(self):
-        result = self._engine_result()
-        tl = timeline_from_engine(result)
-        assert tl.time_s == result.duration_s
-        labels = {ln.label for ln in tl.lanes}
-        assert len(labels) == 2  # one lane per stream
-        cats = {
-            ev.category for ln in tl.lanes for ev in ln.events
-        }
-        assert "copy" in cats and "kernel" in cats
-
-    def test_multigpu_timeline_matches_board_time(self):
-        def work(n, dram=1024.0):
-            return KernelWork(
-                name="w",
-                compute_insts=np.full(n, 10.0),
-                dram_bytes=np.full(n, dram),
-                mem_ops=np.full(n, 2.0),
-                flops=100.0,
-            )
-
-        ctx = MultiGPUContext.of(TESLA_K10, 2)
-        mg = ctx.run([[work(10)], [work(10_000, dram=4096.0)]])
-        tl = timeline_from_multigpu(mg)
-        assert tl.time_s == mg.time_s
-        labels = [ln.label for ln in tl.lanes]
-        assert labels[:2] == ["dev0", "dev1"]
-        assert "barrier" in labels
-        assert tl.critical_lane == mg.critical_device == 1
 
 
 class TestRender:

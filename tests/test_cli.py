@@ -69,29 +69,15 @@ class TestParser:
 
 
 class TestTraceFlag:
-    def test_run_with_trace_dumps_engine_timeline(self, capsys, tmp_path):
-        import json
-
+    def test_run_rejects_the_trace_flag(self, capsys, tmp_path):
+        """``run`` has no ``--trace``: an ACSR SpMV is one pooled launch,
+        drawn by ``profile --chrome``, not a stream-engine program."""
         out = tmp_path / "trace.json"
-        assert (
-            main(
-                [
-                    "run",
-                    "table5",
-                    "--matrices",
-                    "INT",
-                    "--trace",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        text = capsys.readouterr().out
-        assert "stream-engine trace" in text
-        assert "bound" in text  # the per-launch breakdown
-        doc = json.loads(out.read_text())
-        assert doc["traceEvents"]
-        assert {e["ph"] for e in doc["traceEvents"]} == {"X"}
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "table5", "--matrices", "INT", "--trace", str(out)])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestProfileCli:
