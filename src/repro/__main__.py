@@ -649,8 +649,8 @@ def _serve_sim_cli(args) -> int:
         TraceConfig,
         auto_interarrival_s,
         generate_trace,
-        replay_engine,
         slo_summary,
+        worker_chrome_trace,
         write_serve_dash,
         write_serve_jsonl,
     )
@@ -846,9 +846,9 @@ def _serve_sim_cli(args) -> int:
         import json
         from pathlib import Path
 
-        engine_result = replay_engine(device, config.gpus, result.batches)
+        trace = worker_chrome_trace(device, config.gpus, result.batches)
         path = Path(args.trace)
-        path.write_text(json.dumps(engine_result.chrome_trace(), indent=1))
+        path.write_text(json.dumps(trace, indent=1))
         print(f"wrote {path}")
     if args.html_dash:
         write_serve_dash(

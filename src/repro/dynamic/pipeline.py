@@ -16,9 +16,10 @@ Warm restarts shrink iteration counts epoch over epoch, which makes the
 fixed per-epoch overheads (copy, transform) proportionally heavier — the
 reason Figure 7's speedups grow over time.
 
-The ACSR change-list H2D copy is issued on a copy stream through the
-stream engine, overlapping the tail of the *previous* epoch's iteration
-kernels — the copy is tiny, so it hides completely and only the
+The ACSR change-list H2D copy runs on its own DMA channel, overlapping
+the tail of the *previous* epoch's iteration kernels
+(:func:`~repro.dynamic.dynamic_acsr.price_update` with ``overlap_s``) —
+the copy is tiny, so it hides completely and only the
 device-side update/re-bin kernels remain on the critical path.  CSR and
 HYB re-copy the *whole* matrix the previous iterations are still
 reading, so their epochs stay fully serialised and Figure 7's speedup

@@ -13,9 +13,8 @@ the paper's testbed (Table II).  It provides:
 * :mod:`~repro.gpu.dynamic_parallelism` — child-launch economics with the
   2048 pending-launch limit;
 * :mod:`~repro.gpu.transfer` — the PCIe copy model;
-* :mod:`~repro.gpu.streams` — the event-driven stream engine (concurrent
-  kernels, async copies, cross-stream events);
-* :mod:`~repro.gpu.multi` — concurrent multi-device execution.
+* :mod:`~repro.gpu.multi` — concurrent multi-device execution (the
+  slowest device's sequence plus one cross-device sync).
 """
 
 from .device import (
@@ -53,14 +52,6 @@ from .occupancy import (
     compute_occupancy,
     residency_cap,
 )
-from .streams import (
-    CopyDirection,
-    EngineResult,
-    Event,
-    OpRecord,
-    Stream,
-    StreamEngine,
-)
 from .simulator import (
     KernelTiming,
     SequenceTiming,
@@ -82,12 +73,9 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_LINK",
     "DEVICES",
-    "CopyDirection",
     "DPTiming",
     "DeviceSpec",
     "DynamicParallelismUnsupported",
-    "EngineResult",
-    "Event",
     "GTX_580",
     "GTX_TITAN",
     "GatherProfile",
@@ -100,13 +88,10 @@ __all__ = [
     "LaunchConfig",
     "MultiGPUContext",
     "MultiGPUTiming",
-    "OpRecord",
     "PCIeLink",
     "Precision",
     "RowGangWork",
     "SequenceTiming",
-    "Stream",
-    "StreamEngine",
     "TESLA_K10",
     "WARP_SIZE",
     "bandwidth_efficiency",

@@ -5,24 +5,22 @@ list in half, one half per GPU ("For two GPUs, we simply map half of the
 rows in each bin to each device").  Each GPU computes its share of ``y``;
 the devices then synchronise and the halves are concatenated.
 
-The model generalises to ``n`` GPUs and is a thin wrapper over the
-stream engine (:mod:`repro.gpu.streams`): each device gets one stream,
-its kernel sequence is enqueued in order, every stream records an end
-event, and a sync stream waits on all of them before paying the
-cross-device synchronisation cost.  Imperfect scaling emerges naturally:
-small matrices leave each GPU under-occupied, so per-device times do not
-halve (the ENR/FLI/INT/YOT observation), while launch overheads are paid
-per device.
+The model generalises to ``n`` GPUs and is a closed form: each device
+runs its kernel sequence back to back (:func:`simulate_sequence`), the
+devices run concurrently, and the board finishes when the slowest device
+does, plus one cross-device synchronisation when there are two or more.
+Imperfect scaling emerges naturally: small matrices leave each GPU
+under-occupied, so per-device times do not halve (the ENR/FLI/INT/YOT
+observation), while launch overheads are paid per device.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .device import DeviceSpec
 from .kernel import KernelWork
-from .simulator import SequenceTiming
-from .streams import EngineResult, StreamEngine
+from .simulator import SequenceTiming, simulate_sequence
 
 #: Cross-device synchronisation (event record + stream sync), seconds.
 SYNC_OVERHEAD_S = 20.0e-6
@@ -34,9 +32,6 @@ class MultiGPUTiming:
 
     per_device: tuple[SequenceTiming, ...]
     sync_overhead_s: float
-    #: The engine run behind the timing; its
-    #: :meth:`~repro.gpu.streams.EngineResult.chrome_trace` draws the board.
-    result: EngineResult = field(compare=False)
 
     @property
     def time_s(self) -> float:
@@ -71,37 +66,15 @@ class MultiGPUContext:
         return len(self.devices)
 
     def run(self, per_device_works: list[list[KernelWork]]) -> MultiGPUTiming:
-        """Execute one work sequence per device through the stream engine."""
+        """Time one work sequence per device, all devices concurrent."""
         if len(per_device_works) != self.n_devices:
             raise ValueError(
                 f"expected {self.n_devices} work lists, got {len(per_device_works)}"
             )
-        engine = StreamEngine(self.devices)
-        end_events = []
-        for d, works in enumerate(per_device_works):
-            s = engine.stream(device=d, name=f"dev{d}")
-            for w in works:
-                s.launch(w)
-            end_events.append(s.record(label=f"dev{d}-done"))
-        sync = SYNC_OVERHEAD_S if self.n_devices > 1 else 0.0
-        if self.n_devices > 1:
-            barrier = engine.stream(device=0, name="sync")
-            for ev in end_events:
-                barrier.wait(ev)
-            # Host-side event sync: holds no device resources.
-            barrier.span("device-sync", sync, utilization=0.0)
-        result = engine.run()
-        timings = tuple(
-            SequenceTiming(
-                timings=tuple(
-                    r.timing for r in result.records
-                    if r.stream == d and r.timing is not None
-                )
-            )
-            for d in range(self.n_devices)
-        )
         return MultiGPUTiming(
-            per_device=timings,
-            sync_overhead_s=sync,
-            result=result,
+            per_device=tuple(
+                simulate_sequence(d, works)
+                for d, works in zip(self.devices, per_device_works)
+            ),
+            sync_overhead_s=SYNC_OVERHEAD_S if self.n_devices > 1 else 0.0,
         )

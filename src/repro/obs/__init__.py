@@ -6,7 +6,7 @@ first-class telemetry, in the vocabulary of CUPTI/nvprof:
 
 * :mod:`~repro.obs.counters` — per-launch :class:`CounterSet` derived
   from the exact ``(work, timing)`` pairs the timing model produced,
-  plus aggregation across sequences / streams / devices / SpMM batches.
+  plus aggregation across sequences / devices / SpMM batches.
 * :mod:`~repro.obs.profiler` — the zero-dependency :class:`Profiler`:
   nested spans of explicitly recorded counter sets.  Nothing taps the
   simulator; every record comes from a ``(work, timing)`` pair a timing

@@ -236,8 +236,8 @@ def aggregate(sets: Iterable[CounterSet], name: str = "total") -> CounterSet:
     occupancy and warp-execution efficiency are time-weighted means (a
     long launch's utilisation matters more than a blip's); coalescing and
     texture hit rate are DRAM-traffic-weighted (they describe bytes, not
-    seconds).  Works across a sequence, a stream timeline, the per-device
-    halves of a multi-GPU run, or a k-wide SpMM batch alike.
+    seconds).  Works across a sequence, the per-device halves of a
+    multi-GPU run, or a k-wide SpMM batch alike.
     """
     items = list(sets)
     if not items:
@@ -314,8 +314,8 @@ def with_totals(
     """A copy of ``cs`` with selected totals overridden.
 
     Used by timing models whose total is *not* a plain sum of launches
-    (ACSR's pool + overlapped enqueue, the stream engine's concurrent
-    timeline) so the aggregate's ``time_s`` matches the model's verdict.
+    (ACSR's pool + overlapped enqueue) so the aggregate's ``time_s``
+    matches the model's verdict.
     """
     changes: dict = {}
     if time_s is not None:

@@ -16,7 +16,7 @@ end on the simulator's virtual clock, deterministically:
 * :mod:`~repro.serve.coalescer` — size-or-timeout batching of
   same-graph queries into one SpMM batch, tenant-fair under overload.
 * :mod:`~repro.serve.scheduler` — earliest-free placement onto the
-  multi-GPU worker pool, plus stream-engine replay for Chrome traces.
+  multi-GPU worker pool, plus the workers' Chrome trace.
 * :mod:`~repro.serve.loadgen` — seeded Zipfian/bursty load generator.
 * :mod:`~repro.serve.server` — the discrete-event engine itself.
 * :mod:`~repro.serve.report` — JSONL reports with exact-percentile SLO
@@ -78,7 +78,7 @@ from .report import (
     slo_summary,
     write_serve_jsonl,
 )
-from .scheduler import WorkerPool, replay_engine
+from .scheduler import WorkerPool, worker_chrome_trace
 from .server import (
     DEFAULT_SERVE_EPSILON,
     GraphContext,
@@ -121,11 +121,11 @@ __all__ = [
     "generate_trace",
     "operator_format",
     "plan_for",
-    "replay_engine",
     "serve_dash_html",
     "serve_report_lines",
     "shed_by_tenant",
     "slo_summary",
+    "worker_chrome_trace",
     "write_serve_dash",
     "write_serve_jsonl",
     "zipf_cdf",

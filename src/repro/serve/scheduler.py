@@ -1,4 +1,4 @@
-"""Worker placement and stream-engine replay of a serve run.
+"""Worker placement and the Chrome trace of a serve run.
 
 Placement is deliberately simple and deterministic: every worker is one
 GPU of a homogeneous pool, a sealed batch goes to the earliest-free
@@ -7,18 +7,15 @@ worker free)``.  That is exactly the discipline a single-queue
 multi-server system runs, so the modelled queueing behaviour is the
 textbook one.
 
-:func:`replay_engine` rebuilds a finished run on the
-:class:`~repro.gpu.streams.StreamEngine` — one stream per worker, idle
-gaps as zero-utilisation spans, formation and compute as fixed-duration
-device spans — so ``repro serve-sim --trace`` emits a Chrome/Perfetto
-timeline of the whole serving window, and the engine's makespan
-cross-checks the event loop's.
+:func:`worker_chrome_trace` draws a finished run's placed batches as a
+Chrome/Perfetto timeline — one lane per worker, with its idle gaps, batch
+formations and batch computes — so ``repro serve-sim --trace`` shows the
+whole serving window at the serve loop's own times.
 """
 
 from __future__ import annotations
 
 from ..gpu.device import DeviceSpec
-from ..gpu.streams import EngineResult, StreamEngine
 from .queries import BatchRecord
 
 
@@ -58,30 +55,51 @@ class WorkerPool:
         self.free_at[worker] = end_s
 
 
-def replay_engine(
+def worker_chrome_trace(
     device: DeviceSpec,
     n_workers: int,
     batches: tuple[BatchRecord, ...] | list[BatchRecord],
-) -> EngineResult:
-    """Replay placed batches onto a :class:`StreamEngine` timeline.
+) -> dict:
+    """Placed batches as a Chrome/Perfetto ``traceEvents`` document.
 
-    One stream per worker on its own device instance; each batch becomes
-    a formation span followed by a compute span at its placed start
-    (idle gaps are zero-utilisation spans, so they contend with
-    nothing).  The result's ``chrome_trace()`` renders in Perfetto and its
-    ``duration_s`` reproduces the serve run's makespan.
+    Each worker is one lane (``pid`` the device, suffixed ``#worker`` on
+    a multi-worker pool; ``tid`` ``stream <worker>``).  Each batch draws
+    a ``form/...`` span from its start, then an ``rwr-batch/...[k=...]``
+    span to its end, after an ``idle`` span over any gap since the
+    worker's previous batch.  Events are complete (``"ph": "X"``) spans
+    with ``ts``/``dur`` in microseconds, in finish order (ties by start,
+    then worker).
     """
-    engine = StreamEngine(tuple(device for _ in range(n_workers)))
-    streams = [
-        engine.stream(device=i, name=f"gpu{i}") for i in range(n_workers)
+    pids = [
+        device.name if n_workers == 1 else f"{device.name}#{i}"
+        for i in range(n_workers)
     ]
-    cursor = [0.0] * n_workers
+    free_at = [0.0] * n_workers
+    spans = []  # (end_s, start_s, worker, name)
     for b in sorted(batches, key=lambda b: (b.start_s, b.batch_id)):
-        s = streams[b.worker]
-        gap = b.start_s - cursor[b.worker]
-        if gap > 0:
-            s.span("idle", gap, utilization=0.0)
-        s.span(f"form/{b.graph}/b{b.batch_id}", b.formation_s)
-        s.span(f"rwr-batch/{b.graph}/b{b.batch_id}[k={b.k}]", b.compute_s)
-        cursor[b.worker] = b.end_s
-    return engine.run()
+        w = b.worker
+        if b.start_s > free_at[w]:
+            spans.append((b.start_s, free_at[w], w, "idle"))
+        formed = b.start_s + b.formation_s
+        spans.append((formed, b.start_s, w, f"form/{b.graph}/b{b.batch_id}"))
+        spans.append(
+            (b.end_s, formed, w, f"rwr-batch/{b.graph}/b{b.batch_id}[k={b.k}]")
+        )
+        free_at[w] = b.end_s
+    # Stable on the first three fields: one worker's zero-length spans
+    # keep their emission order.
+    spans.sort(key=lambda s: s[:3])
+    events = [
+        {
+            "name": name,
+            "cat": "span",
+            "ph": "X",
+            "ts": start * 1e6,
+            "dur": (end - start) * 1e6,
+            "pid": pids[w],
+            "tid": f"stream {w}",
+            "args": {},
+        }
+        for end, start, w, name in spans
+    ]
+    return {"traceEvents": events, "displayTimeUnit": "ns"}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.binning import compute_binning
 from repro.dynamic import pipeline
@@ -200,3 +202,62 @@ class TestOneUpdateBill:
             serial.update_kernel_s + serial.rebin_s
         )
         assert hidden.total_s < serial.total_s
+
+
+_SRC = make_powerlaw_csr(n_rows=1500, seed=307, max_degree=400)
+
+
+def _bill(seed, overlap_s):
+    """One change list of ``_SRC`` (drawn from ``seed``), fresh re-binner."""
+    batch = generate_update(_SRC, np.random.default_rng(seed))
+    post = apply_update_to_csr(_SRC, batch).nnz_per_row[batch.rows]
+    return price_update(
+        batch,
+        _SRC.nnz_per_row[batch.rows],
+        post,
+        IncrementalBinning.from_lengths(_SRC.nnz_per_row),
+        _SRC.precision,
+        GTX_TITAN,
+        overlap_s=overlap_s,
+    )
+
+
+class TestOverlapProperty:
+    """The overlapped bill is the serial bill with the copy hidden under
+    ``overlap_s``: same parts, never a larger total."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**16))
+    def test_zero_overlap_is_the_serial_bill(self, seed):
+        assert _bill(seed, 0.0) == _bill(seed, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.one_of(
+            st.floats(0.0, 1e-1, allow_subnormal=True),
+            # At and around the copy time, where the two finishes tie.
+            st.integers(-20, 20).map(lambda k: k * 1e-16),
+        ),
+    )
+    def test_parts_match_and_total_never_grows(self, seed, overlap):
+        serial = _bill(seed, None)
+        if abs(overlap) <= 2e-15:
+            overlap = max(0.0, serial.transfer_s + overlap)
+        hidden = _bill(seed, overlap)
+        for part in (
+            "transfer_s",
+            "update_kernel_s",
+            "rebin_s",
+            "n_updated_rows",
+            "n_migrated_rows",
+        ):
+            assert getattr(hidden, part) == getattr(serial, part), part
+        assert hidden.total_s <= serial.total_s
+
+    @pytest.mark.parametrize(
+        "overlap", [-1e-9, -5e-324, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_overlap_rejected(self, overlap):
+        with pytest.raises(ValueError, match="overlap"):
+            _bill(0, overlap)

@@ -1,13 +1,20 @@
-"""Worker placement and stream-engine replay."""
+"""Worker placement and the workers' Chrome trace."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.gpu.device import GTX_TITAN
-from repro.serve import BatchRecord, WorkerPool, replay_engine
+from repro.obs import validate_chrome_trace
+from repro.serve import (
+    BatchRecord,
+    ServeConfig,
+    ServeEngine,
+    TraceConfig,
+    WorkerPool,
+    generate_trace,
+    worker_chrome_trace,
+)
 
 
 class TestWorkerPool:
@@ -58,25 +65,84 @@ def record(batch_id, worker, start, formation=1e-4, compute=2e-4, close=None):
     )
 
 
-class TestReplayEngine:
-    def test_duration_matches_makespan(self):
-        batches = [
-            record(0, 0, 0.0),
-            record(1, 1, 1e-4),
-            record(2, 0, 5e-4),
+@pytest.fixture(scope="module")
+def served():
+    """One small RWR serve run per pool size, 1 to 4 workers."""
+    runs = {}
+    for gpus in (1, 2, 3, 4):
+        engine = ServeEngine(GTX_TITAN, ServeConfig(gpus=gpus))
+        engine.register("WIK", scale=0.002, format_name="csr")
+        trace = generate_trace(
+            TraceConfig(n_requests=48, seed=3, mean_interarrival_s=20e-6),
+            engine.registered_graphs(),
+        )
+        runs[gpus] = engine.run_trace(trace)
+    return runs
+
+
+def trace_of(result):
+    return worker_chrome_trace(
+        GTX_TITAN, result.config.gpus, result.batches
+    )["traceEvents"]
+
+
+class TestWorkerChromeTrace:
+    @pytest.mark.parametrize("gpus", [1, 2, 3, 4])
+    def test_last_event_ends_at_makespan(self, served, gpus):
+        """The last event is the compute of the batch that ends the run,
+        drawn to the serve loop's makespan itself, not an accumulation."""
+        result = served[gpus]
+        last = trace_of(result)[-1]
+        (b,) = [
+            b for b in result.batches
+            if last["name"] == f"rwr-batch/WIK/b{b.batch_id}[k={b.k}]"
         ]
-        result = replay_engine(GTX_TITAN, 2, batches)
-        makespan = max(b.end_s for b in batches)
-        # dt accumulation in the engine allows last-ulp drift, no more.
-        assert math.isclose(result.duration_s, makespan, rel_tol=1e-9)
+        assert b.end_s == result.makespan_s
+        formed = b.start_s + b.formation_s
+        assert last["ts"] == formed * 1e6
+        assert last["dur"] == (result.makespan_s - formed) * 1e6
+
+    @pytest.mark.parametrize("gpus", [1, 2, 3, 4])
+    def test_events_start_at_record_times(self, served, gpus):
+        result = served[gpus]
+        by_name = {e["name"]: e for e in trace_of(result)}
+        for b in result.batches:
+            form = by_name[f"form/WIK/b{b.batch_id}"]
+            compute = by_name[f"rwr-batch/WIK/b{b.batch_id}[k={b.k}]"]
+            assert form["ts"] == b.start_s * 1e6
+            assert compute["ts"] == (b.start_s + b.formation_s) * 1e6
+            assert compute["tid"] == form["tid"] == f"stream {b.worker}"
+
+    @pytest.mark.parametrize("gpus", [1, 2, 3, 4])
+    def test_trace_validates(self, served, gpus):
+        doc = worker_chrome_trace(
+            GTX_TITAN, gpus, served[gpus].batches
+        )
+        assert doc["displayTimeUnit"] == "ns"
+        assert validate_chrome_trace(doc) == []
 
     def test_spans_form_then_compute_with_idle_gaps(self):
         batches = [record(0, 0, 1e-3)]  # idle gap before the first batch
-        result = replay_engine(GTX_TITAN, 1, batches)
-        names = [r.name for r in result.records]
+        events = worker_chrome_trace(GTX_TITAN, 1, batches)["traceEvents"]
+        names = [e["name"] for e in events]
         assert names == ["idle", "form/WIK/b0", "rwr-batch/WIK/b0[k=2]"]
+        assert {e["pid"] for e in events} == {"GTXTitan"}
+
+    def test_events_in_finish_order_across_workers(self):
+        batches = [
+            record(0, 0, 0.0, compute=5e-4),
+            record(1, 1, 1e-4),
+        ]
+        events = worker_chrome_trace(GTX_TITAN, 2, batches)["traceEvents"]
+        assert [e["name"] for e in events] == [
+            "form/WIK/b0",
+            "idle",
+            "form/WIK/b1",
+            "rwr-batch/WIK/b1[k=2]",
+            "rwr-batch/WIK/b0[k=2]",
+        ]
+        assert [e["pid"] for e in events[:2]] == ["GTXTitan#0", "GTXTitan#1"]
 
     def test_empty_run_is_empty(self):
-        result = replay_engine(GTX_TITAN, 2, [])
-        assert result.records == ()
-        assert result.duration_s == 0.0
+        doc = worker_chrome_trace(GTX_TITAN, 2, [])
+        assert doc["traceEvents"] == []

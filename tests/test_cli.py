@@ -71,7 +71,7 @@ class TestParser:
 class TestTraceFlag:
     def test_run_rejects_the_trace_flag(self, capsys, tmp_path):
         """``run`` has no ``--trace``: an ACSR SpMV is one pooled launch,
-        drawn by ``profile --chrome``, not a stream-engine program."""
+        drawn by ``profile --chrome``."""
         out = tmp_path / "trace.json"
         with pytest.raises(SystemExit) as exc:
             main(["run", "table5", "--matrices", "INT", "--trace", str(out)])
