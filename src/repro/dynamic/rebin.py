@@ -89,17 +89,21 @@ class IncrementalBinning:
             move_rows = rows[moving]
             move_old = old_bins[moving]
             move_new = new_bins[moving]
-            # Remove from old bins...
-            for b in np.unique(move_old):
+            # Remove from old bins...  Occupied bins come from bincount and
+            # membership from a sorted lookup: np.unique (also inside
+            # np.isin) imports numpy.ma on NumPy 2, a 10-15 ms cold cost.
+            for b in np.flatnonzero(np.bincount(move_old)):
                 if b == 0:
                     continue
-                leaving = move_rows[move_old == b]
+                leaving = np.sort(move_rows[move_old == b])
                 current = self._rows.get(int(b))
                 if current is not None:
-                    keep = ~np.isin(current, leaving)
-                    self._rows[int(b)] = current[keep]
+                    at = np.searchsorted(leaving, current).clip(
+                        max=leaving.size - 1
+                    )
+                    self._rows[int(b)] = current[leaving[at] != current]
             # ...insert into new bins, preserving sorted order.
-            for b in np.unique(move_new):
+            for b in np.flatnonzero(np.bincount(move_new)):
                 if b == 0:
                     continue
                 arriving = np.sort(move_rows[move_new == b])

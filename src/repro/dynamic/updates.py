@@ -125,8 +125,13 @@ def generate_update(
     ins_owner = owner[~coins]
     raw_cols = rng.integers(0, csr.n_cols, size=int((~coins).sum()))
     # Sort and dedupe per row (the device kernel assumes sorted lists).
+    # Sort-and-compare, not np.unique: on NumPy 2 the first np.unique
+    # call imports numpy.ma, a 10-15 ms cold-path cost.
     key = ins_owner.astype(np.int64) * np.int64(csr.n_cols) + raw_cols
-    key = np.unique(key)
+    key.sort()
+    first = np.ones(key.shape[0], dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]
     ins_owner = (key // csr.n_cols).astype(np.int64)
     ins_cols = (key % csr.n_cols).astype(np.int32)
     ins_vals = rng.standard_normal(ins_cols.shape[0]).astype(

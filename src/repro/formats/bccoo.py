@@ -13,13 +13,14 @@ search loop* over the same space, each trial priced by the cost models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..gpu.device import DEFAULT_HOST, DeviceSpec, GTX_TITAN, Precision
 from ..gpu.kernel import KernelWork
-from ..gpu.simulator import simulate_kernel
+from ..gpu.simulator import simulate_many
 from ..kernels import bccoo_kernel
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
 from .csr import CSRMatrix
@@ -55,16 +56,20 @@ class BCCOOConfig:
         return (self.block_h, self.block_w)
 
 
+#: The full search space, built once.
+_DEFAULT_SPACE = tuple(
+    BCCOOConfig(bh, bw, wg, ept, tex)
+    for bh in BLOCK_HEIGHTS
+    for bw in BLOCK_WIDTHS
+    for wg in WORKGROUPS
+    for ept in ELEMS_PER_THREAD
+    for tex in TEXTURE
+)
+
+
 def all_configs() -> list[BCCOOConfig]:
     """The full search space (384 configurations)."""
-    return [
-        BCCOOConfig(bh, bw, wg, ept, tex)
-        for bh in BLOCK_HEIGHTS
-        for bw in BLOCK_WIDTHS
-        for wg in WORKGROUPS
-        for ept in ELEMS_PER_THREAD
-        for tex in TEXTURE
-    ]
+    return list(_DEFAULT_SPACE)
 
 
 def stored_elements_by_geometry(
@@ -74,13 +79,16 @@ def stored_elements_by_geometry(
     ``(block_h, block_w)`` geometry in ``geometries``.
 
     A geometry stores ``block_h * block_w`` slots per distinct
-    ``(row // block_h, col // block_w)`` pair.  CSR storage is already
-    grouped by block-row, so one sort by ``(row // block_h, col)`` per
-    distinct height orders every block-row by column; each width of that
-    height is then a count of changes in ``col // block_w`` within the
-    block-rows.  Columns need not be sorted or distinct within a row.
+    ``(row // block_h, col // block_w)`` pair.  Each distinct height
+    sorts one key, ``block_row * span + col``, where ``span`` is
+    ``n_cols`` padded to a multiple of every width of that height.  For
+    each such width ``key // block_w`` is then ``block_row * (span //
+    block_w) + col // block_w``: it changes along the sorted keys exactly
+    where a new block opens, so a width costs one division and a count
+    of changes.  Columns need not be sorted or distinct within a row.
     The sort is skipped when the keys already ascend (a row-sorted CSR at
-    height 1).
+    height 1).  Keys are ``uint32`` whenever every key fits (numpy sorts
+    them about twice as fast as 64-bit ones), else ``uint64``.
     """
     geometries = list(dict.fromkeys(geometries))
     if any(bh < 1 or bw < 1 for bh, bw in geometries):
@@ -89,38 +97,39 @@ def stored_elements_by_geometry(
     if nnz == 0:
         return {geom: 0 for geom in geometries}
     counts: dict[tuple[int, int], int] = {}
-    for bh in dict.fromkeys(bh for bh, _ in geometries):
-        # Sort by key = block_row * n_cols + col.  Block-rows keep their
-        # storage span, so subtracting the block-row offsets back out
-        # leaves the columns sorted within each block-row.  numpy sorts
-        # 32-bit keys about twice as fast as 64-bit ones, so the keys are
-        # uint32 whenever every key fits.
+    for bh, span, widths in _key_spans(csr.n_rows, csr.n_cols, geometries):
         starts = csr.row_off[::bh]
-        key_dtype = (
-            np.uint32 if starts.shape[0] * csr.n_cols < 2**32 else np.int64
-        )
-        offsets = np.repeat(
-            np.arange(starts.shape[0], dtype=key_dtype)
-            * key_dtype(csr.n_cols),
+        n_block_rows = starts.shape[0]
+        key_dtype = np.uint32 if n_block_rows * span < 2**32 else np.uint64
+        key = np.repeat(
+            np.arange(n_block_rows, dtype=key_dtype) * key_dtype(span),
             np.diff(starts, append=nnz),
         )
-        cols = csr.col_idx
-        key = np.add(offsets, cols, dtype=key_dtype, casting="unsafe")
+        np.add(key, csr.col_idx, out=key, dtype=key_dtype, casting="unsafe")
         if not np.all(key[1:] >= key[:-1]):
             key.sort()
-            key -= offsets
-            cols = key.astype(cols.dtype)
-        del offsets, key
-        # change[i - 1] compares entries i - 1 and i; a block-row starting
-        # at entry i always opens a new block.
-        opens = starts[(starts > 0) & (starts < nnz)] - 1
-        block_col = np.empty_like(cols)
-        for bw in (w for h, w in geometries if h == bh):
-            np.floor_divide(cols, bw, out=block_col)
-            change = block_col[1:] != block_col[:-1]
-            change[opens] = True
-            counts[(bh, bw)] = (1 + int(np.count_nonzero(change))) * bh * bw
+        block = np.empty_like(key)
+        for bw in widths:
+            np.floor_divide(key, key_dtype(bw), out=block)
+            changes = np.count_nonzero(block[1:] != block[:-1])
+            counts[(bh, bw)] = (1 + int(changes)) * bh * bw
     return {geom: counts[geom] for geom in geometries}
+
+
+def _key_spans(n_rows: int, n_cols: int, geometries: list[tuple[int, int]]):
+    """``(height, span, widths)`` of each census sort.  A height's widths
+    share one key unless their common multiple would push it past
+    ``uint64`` (never the tuner's 1, 2, 4, 8); then each width sorts its
+    own."""
+    for bh in dict.fromkeys(bh for bh, _ in geometries):
+        widths = [w for h, w in geometries if h == bh]
+        step = math.lcm(*widths)
+        groups = [widths]
+        if (n_rows // bh + 1) * -(-n_cols // step) * step >= 2**64:
+            groups = [[bw] for bw in widths]
+        for group in groups:
+            step = math.lcm(*group)
+            yield bh, -(-n_cols // step) * step, group
 
 
 #: Kernel-efficiency penalty for non-optimal kernel-shape knobs; the tuned
@@ -180,7 +189,7 @@ class BCCOOFormat(SpMVFormat):
             # "BCCOO and TCOO are only available for single precision"
             # (Section V).
             raise ValueError("BCCOO supports single precision only")
-        space = configs if configs is not None else all_configs()
+        space = configs if configs is not None else _DEFAULT_SPACE
         if not space:
             raise ValueError("config space must be non-empty")
 
@@ -190,19 +199,24 @@ class BCCOOFormat(SpMVFormat):
         stored_by_geom = stored_elements_by_geometry(
             csr, [cfg.key for cfg in space]
         )
-        base_time_by_geom: dict[tuple[int, int], float] = {}
-        for geom, stored in stored_by_geom.items():
-            trial_work = bccoo_kernel.work(
-                stored,
-                csr.n_rows,
-                device=tuning_device,
-                n_cols=csr.n_cols,
-                precision=csr.precision,
-                profile=csr.gather_profile,
-            )
-            base_time_by_geom[geom] = simulate_kernel(
-                tuning_device, trial_work
-            ).time_s
+        timings = simulate_many(
+            tuning_device,
+            [
+                bccoo_kernel.work(
+                    stored,
+                    csr.n_rows,
+                    device=tuning_device,
+                    n_cols=csr.n_cols,
+                    precision=csr.precision,
+                    profile=csr.gather_profile,
+                )
+                for stored in stored_by_geom.values()
+            ],
+        )
+        base_time_by_geom = {
+            geom: timing.time_s
+            for geom, timing in zip(stored_by_geom, timings)
+        }
 
         best_cfg: BCCOOConfig | None = None
         best_time = float("inf")

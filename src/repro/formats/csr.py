@@ -420,8 +420,10 @@ class CSRMatrix:
         distinct = int(np.count_nonzero(self.col_counts))
         reuse = max(1.0, self.nnz / distinct)
         if self.nnz > 1:
-            deltas = np.abs(np.diff(self.col_idx.astype(np.int64)))
-            clustering = float(np.mean(deltas <= 32))
+            # int32 steps cannot overflow: columns lie in [0, 2**31 - 2].
+            deltas = np.diff(self.col_idx)
+            np.abs(deltas, out=deltas)
+            clustering = np.count_nonzero(deltas <= 32) / deltas.shape[0]
         else:
             clustering = 1.0
         return GatherProfile(reuse=reuse, clustering=clustering)

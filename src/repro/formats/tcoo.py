@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..gpu.device import DEFAULT_HOST, DeviceSpec, GTX_TITAN, INDEX_BYTES, Precision
 from ..gpu.kernel import KernelWork
-from ..gpu.simulator import simulate_kernel
+from ..gpu.simulator import simulate_many
 from ..kernels import tcoo_kernel
 from .base import PreprocessReport, SpMVFormat, transfer_report_s
 from .csr import CSRMatrix
@@ -62,16 +62,18 @@ class TCOOFormat(SpMVFormat):
             2 * csr.nnz
         ) + transfer_report_s(data_bytes)
         # Tile counts that share a launch key run the same trial launch,
-        # so each distinct launch is simulated once.
-        trials: dict[tuple[float, bool], float] = {}
-        best_tiles = None
-        best_time = float("inf")
-        tuning_s = 0.0
-        for t in candidates:
-            key = tcoo_kernel.launch_key(csr.nnz, csr.n_rows, t)
-            trial = trials.get(key)
-            if trial is None:
-                work = tcoo_kernel.work(
+        # so each distinct launch (its first tile count's work) is
+        # simulated once, all in one batch.
+        keys = [
+            tcoo_kernel.launch_key(csr.nnz, csr.n_rows, t) for t in candidates
+        ]
+        first: dict[tuple[float, bool], int] = {}
+        for t, key in zip(candidates, keys):
+            first.setdefault(key, t)
+        timings = simulate_many(
+            tuning_device,
+            [
+                tcoo_kernel.work(
                     csr.nnz,
                     csr.n_rows,
                     t,
@@ -80,9 +82,15 @@ class TCOOFormat(SpMVFormat):
                     precision=csr.precision,
                     profile=csr.gather_profile,
                 )
-                trial = trials[key] = simulate_kernel(
-                    tuning_device, work
-                ).time_s
+                for t in first.values()
+            ],
+        )
+        trials = {key: timing.time_s for key, timing in zip(first, timings)}
+        best_tiles = None
+        best_time = float("inf")
+        tuning_s = 0.0
+        for t, key in zip(candidates, keys):
+            trial = trials[key]
             tuning_s += candidate_s + trial
             if trial < best_time:
                 best_time = trial

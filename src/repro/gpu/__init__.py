@@ -31,10 +31,8 @@ from .device import (
     get_device,
 )
 from .dynamic_parallelism import (
-    DPTiming,
     DynamicParallelismUnsupported,
     child_launch_overhead_s,
-    simulate_dynamic_launch,
 )
 from .kernel import KernelWork, LaunchConfig, merge_concurrent
 from .memory import (
@@ -64,7 +62,6 @@ from .simulator import (
 from .transfer import DEFAULT_LINK, PCIeLink, csr_device_bytes
 from .warp import (
     RowGangWork,
-    elementwise_warp_nnz,
     pack_rows_into_warps,
     shuffle_reduction_steps,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_LINK",
     "DEVICES",
-    "DPTiming",
     "DeviceSpec",
     "DynamicParallelismUnsupported",
     "GTX_580",
@@ -100,7 +96,6 @@ __all__ = [
     "compute_occupancy",
     "coalesced_bytes",
     "csr_device_bytes",
-    "elementwise_warp_nnz",
     "gather_dram_bytes",
     "get_device",
     "gflops",
@@ -109,7 +104,6 @@ __all__ = [
     "residency_cap",
     "scattered_bytes",
     "shuffle_reduction_steps",
-    "simulate_dynamic_launch",
     "simulate_kernel",
     "simulate_many",
     "simulate_sequence",

@@ -17,11 +17,7 @@ cost model here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .device import DeviceSpec
-from .kernel import KernelWork, merge_concurrent
-from .simulator import KernelTiming, simulate_kernel
 
 
 class DynamicParallelismUnsupported(RuntimeError):
@@ -69,48 +65,3 @@ def child_launch_overhead_s(device: DeviceSpec, n_children: int) -> float:
     within = n_children - overflow
     base = within * device.dp_launch_overhead_s / CONCURRENT_LAUNCH_WAYS
     return base + overflow * device.dp_launch_overhead_s * OVERFLOW_PENALTY
-
-
-@dataclass(frozen=True)
-class DPTiming:
-    """Timing of a parent grid plus its concurrently executing children."""
-
-    parent: KernelTiming
-    children: KernelTiming | None
-    n_children: int
-    child_overhead_s: float
-
-    @property
-    def time_s(self) -> float:
-        child_s = self.children.time_s if self.children is not None else 0.0
-        # The parent blocks until all children complete; children execute
-        # concurrently with each other, serialised only by their launch
-        # overheads.
-        return self.parent.time_s + self.child_overhead_s + child_s
-
-
-def simulate_dynamic_launch(
-    device: DeviceSpec,
-    parent: KernelWork,
-    children: list[KernelWork],
-) -> DPTiming:
-    """Model a parent kernel that launches one child grid per work item."""
-    if not device.supports_dynamic_parallelism:
-        raise DynamicParallelismUnsupported(
-            f"{device.name} (CC {device.compute_capability}) lacks dynamic "
-            "parallelism; use the binning-only path (RowMax = 0)"
-        )
-    parent_t = simulate_kernel(device, parent)
-    overhead = child_launch_overhead_s(device, len(children))
-    if children:
-        merged = merge_concurrent(children, name="dp-children")
-        # Children are device-launched: no host launch overhead.
-        child_t = simulate_kernel(device, merged, include_launch_overhead=False)
-    else:
-        child_t = None
-    return DPTiming(
-        parent=parent_t,
-        children=child_t,
-        n_children=len(children),
-        child_overhead_s=overhead,
-    )

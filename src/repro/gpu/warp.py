@@ -176,24 +176,6 @@ def compress_gangs(gang: RowGangWork) -> RowGangWork:
     )
 
 
-def elementwise_warp_nnz(total_elements: int) -> np.ndarray:
-    """Per-warp element counts for the one-thread-per-element pattern (COO).
-
-    Elements are assigned contiguously, 32 per warp; the trailing warp may
-    be partial.
-    """
-    if total_elements < 0:
-        raise ValueError("element count must be non-negative")
-    if total_elements == 0:
-        return np.zeros(0, dtype=np.int64)
-    n_warps = -(-total_elements // WARP_SIZE)
-    counts = np.full(n_warps, WARP_SIZE, dtype=np.int64)
-    rem = total_elements % WARP_SIZE
-    if rem:
-        counts[-1] = rem
-    return counts
-
-
 def shuffle_reduction_steps(vector_size: int) -> int:
     """Intra-warp shuffle steps to reduce a gang of ``vector_size`` lanes.
 

@@ -147,6 +147,8 @@ def _decode_cell(payload: dict) -> CellResult:
 
 
 def _store_disk_cell(key: tuple, cell: CellResult) -> None:
+    if disk_cache_dir() is None:
+        return
     payload = asdict(cell)
     payload["precision"] = cell.precision.value
     store_disk_entry("cell", (DISK_CACHE_VERSION, key), payload)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.memory import GatherProfile
+from ..gpu.occupancy import KernelResources
 from .common import elementwise_work
 
 #: Effective index bytes per element after bit flags + delta encoding.
@@ -36,12 +37,10 @@ def work(
     ``stored_elements`` includes block padding (blocks are dense, so a
     block overlapping empty positions stores explicit zeros) and drives
     the traffic; ``real_nnz`` is the useful-flop count for reporting.
+    The matrix-wide segmented scan stages partials in shared memory (two
+    values per thread) and runs register-heavy.
     """
-    from dataclasses import replace
-
-    from ..gpu.occupancy import KernelResources
-
-    work = elementwise_work(
+    return elementwise_work(
         "bccoo",
         total_elements=stored_elements,
         rows_spanned=n_rows,
@@ -53,11 +52,6 @@ def work(
         reduction=True,
         flops=None if real_nnz is None else 2.0 * real_nnz * k,
         k=k,
-    )
-    # The matrix-wide segmented scan stages partials in shared memory
-    # (two values per thread) and runs register-heavy.
-    return replace(
-        work,
         resources=KernelResources(
             threads_per_block=128,
             registers_per_thread=48,

@@ -10,6 +10,8 @@ patterns, not of fitted constants.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..gpu.device import Precision, WARP_SIZE, DeviceSpec
@@ -23,6 +25,7 @@ from ..gpu.memory import (
     scattered_bytes,
     texture_hit_rate,
 )
+from ..gpu.occupancy import KernelResources
 from ..gpu.warp import (
     compress_gangs,
     pack_rows_into_warps,
@@ -325,6 +328,7 @@ def elementwise_work(
     hit_rate_override: float | None = None,
     flops: float | None = None,
     k: int = 1,
+    resources: KernelResources | None = None,
 ) -> KernelWork:
     """Cost of the *thread per element* pattern (COO-family kernels).
 
@@ -338,13 +342,15 @@ def elementwise_work(
     instructions, the segmented reduction repeats per vector, and each
     gather/atomic touches the sectors covering a ``k``-wide block row.
     ``k == 1`` is byte-identical to the single-vector model.
+    ``resources`` is the launch's per-block usage
+    (:attr:`KernelWork.resources`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if total_elements < 0:
         raise ValueError("element count must be non-negative")
     if total_elements == 0:
-        return KernelWork.empty(name, precision)
+        return replace(KernelWork.empty(name, precision), resources=resources)
     vb = precision.value_bytes
     n_warps = -(-total_elements // WARP_SIZE)
     rem = total_elements % WARP_SIZE
@@ -406,6 +412,7 @@ def elementwise_work(
         flops=2.0 * float(total_elements) * k if flops is None else flops,
         precision=precision,
         launch=launch_for_threads(total_elements),
+        resources=resources,
         warp_weights=weights,
         k=k,
         hints=CounterHints(

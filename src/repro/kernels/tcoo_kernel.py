@@ -40,7 +40,7 @@ def work(
     """
     if n_tiles < 1:
         raise ValueError("need at least one tile")
-    base = elementwise_work(
+    return elementwise_work(
         f"tcoo/{n_tiles}t",
         total_elements=nnz,
         rows_spanned=n_rows * n_tiles,
@@ -53,7 +53,6 @@ def work(
         hit_rate_override=TILE_HIT_RATE if n_tiles > 1 else None,
         k=k,
     )
-    return base
 
 
 def launch_key(nnz: int, n_rows: int, n_tiles: int) -> tuple[float, bool]:

@@ -29,6 +29,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .counters import CounterSet
 from .registry import histogram_entry
 
@@ -599,6 +601,41 @@ def tick_grid(sample_every_s: float, n_ticks: int, end_t_s: float) -> list:
     return grid
 
 
+#: Running sums the tick-grid walk holds at once.
+_TICK_CHUNK = 2**16
+
+
+def _grid_ticks_among(cadence: float, n_ticks: int, wanted: set) -> set:
+    """The members of ``wanted`` among the grid's first ``n_ticks - 1``
+    running sums ``cadence``, ``cadence + cadence``, ...
+
+    ``np.add.accumulate`` adds in sequence, so its chunks walk the
+    monitor's sums bit for bit, up to the largest wanted time.  Tick
+    ``k`` lies below ``3 * k * cadence`` (an addition rounds up by at
+    most a relative ``2**-53``), so a time past ``4 * n_ticks`` cadences
+    is off the grid without a walk to it.
+    """
+
+    def near(t) -> bool:
+        try:
+            return t / cadence <= 4 * n_ticks
+        except OverflowError:  # an integer past the float range
+            return False
+
+    wanted = set(filter(near, wanted))
+    targets = np.array(sorted(wanted), dtype=np.float64)
+    found, last, left = set(), 0.0, n_ticks - 1
+    while left > 0 and targets.size and last < targets[-1]:
+        ticks = np.full(min(left, _TICK_CHUNK) + 1, cadence)
+        ticks[0] = last
+        ticks = np.add.accumulate(ticks)[1:]
+        at = np.searchsorted(ticks, targets)
+        hits = ticks[at[at < ticks.size]].tolist()
+        found.update(t for t in hits if t in wanted)
+        last, left = float(ticks[-1]), left - ticks.size
+    return found
+
+
 def _validate_metric_grid(path, meta, series: dict) -> list[str]:
     """Cross-line checks over a serve report's ``metric`` series.
 
@@ -607,9 +644,9 @@ def _validate_metric_grid(path, meta, series: dict) -> list[str]:
     every series must hold a record at the first tick and end with one
     at the end tick; the records before that sit on the running-sum
     grid in strictly increasing ``t_s``.  The running sums are walked
-    only up to the latest such record and only the ones records sit on
-    are kept, so a meta line promising a huge grid allocates nothing
-    beyond the records.
+    in bounded chunks only up to the latest such record within reach of
+    the grid (:func:`_grid_ticks_among`), so a meta line promising a
+    huge grid costs only the walk to its records.
     """
     monitor = (meta or {}).get("monitor")
     if not isinstance(monitor, dict):
@@ -637,15 +674,7 @@ def _validate_metric_grid(path, meta, series: dict) -> list[str]:
             f"past end_t_s={end_t!r}"
         ]
     wanted = {t for points in series.values() for _, t in points[:-1]}
-    top = max(wanted, default=-1)
-    on_grid = set()
-    t = cadence
-    for _ in range(n_ticks - 1):
-        if t > top:
-            break
-        if t in wanted:
-            on_grid.add(t)
-        t += cadence
+    on_grid = _grid_ticks_among(cadence, n_ticks, wanted)
     errors = []
     for (scope, key), points in series.items():
         name = f"series {scope}:{key}"

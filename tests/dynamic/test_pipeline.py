@@ -1,11 +1,15 @@
 """The Figure 7 epoch loop."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import repro
 from repro.apps.pagerank import google_matrix
 from repro.dynamic import pipeline
 from repro.dynamic.pipeline import epoch_speedups, run_dynamic_pagerank
@@ -194,3 +198,33 @@ class TestEpochMajor:
             run_dynamic_pagerank(
                 adjacency, GTX_TITAN, n_epochs=2, backends=("acsr", "bogus")
             )
+
+
+def test_epoch_loop_leaves_numpy_ma_unloaded():
+    """Update generation and re-binning dedupe by sort-and-compare, so a
+    run never loads ``numpy.ma`` (which ``np.unique`` imports on NumPy 2,
+    also from inside ``np.isin``)."""
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from repro.data import corpus_matrix\n"
+        "from repro.dynamic.pipeline import run_dynamic_pagerank\n"
+        "from repro.gpu import GTX_TITAN\n"
+        "adjacency = corpus_matrix('WIK', scale=0.01).binarized()\n"
+        "run_dynamic_pagerank(adjacency, GTX_TITAN, n_epochs=3, seed=1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_run = proc.stdout.split()
+    if at_import == "True":
+        pytest.skip("this NumPy loads numpy.ma at import")
+    assert after_run == "False"

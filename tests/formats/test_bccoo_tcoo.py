@@ -1,12 +1,19 @@
 """BCCOO's auto-tuner and TCOO's tile search."""
 
+import sys
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data.corpus import SCALE_ENV_VAR, corpus_matrix
 from repro.formats.bccoo import (
+    BLOCK_HEIGHTS,
+    BLOCK_WIDTHS,
     BCCOOConfig,
     BCCOOFormat,
+    _key_spans,
     all_configs,
     stored_elements_by_geometry,
 )
@@ -20,7 +27,7 @@ from repro.gpu.device import (
     INDEX_BYTES,
     Precision,
 )
-from repro.gpu.simulator import simulate_kernel
+from repro.gpu.simulator import KernelTiming, simulate_kernel, simulate_many
 from repro.kernels import tcoo_kernel
 
 from ..conftest import make_powerlaw_csr
@@ -155,22 +162,13 @@ class TestStoredElementsOracle:
 
 
 class TestWideKeys:
-    """Sort keys past int32: ``uint32`` keys above ``2**31``, and the
-    ``int64`` fallback once block-row starts times ``n_cols`` reaches
-    ``2**32``."""
+    """Sort keys past int32.  A height's key is ``block_row * span +
+    col``, with ``span`` the column count padded to a multiple of every
+    width of that height: ``uint32`` keys while ``n_block_rows * span <
+    2**32``, else ``uint64``, and the padding alone can cross that line."""
 
-    @pytest.mark.parametrize(
-        "n_rows, n_cols",
-        [
-            # 4 row offsets at height 1 -> 4 * (2**30 - 1) < 2**32:
-            # uint32 keys, the last block-row's above 2**31.
-            (3, 2**30 - 1),
-            # At least 3 block-row starts at every tuner height, so every
-            # height's keys reach past 2**32: int64 keys.
-            (20, 2**31 - 1),
-        ],
-    )
-    def test_every_tuner_geometry_matches_the_oracle(self, n_rows, n_cols):
+    @staticmethod
+    def check(n_rows, n_cols, widths, crosses):
         rng = np.random.default_rng(n_rows)
         lengths = rng.integers(0, 8, size=n_rows)
         lengths[[0, -1]] = 6
@@ -185,7 +183,58 @@ class TestWideKeys:
             np.concatenate(([0], np.cumsum(lengths))),
             n_cols,
         )
-        geometries = [cfg.key for cfg in all_configs()]
+        geometries = [(bh, bw) for bh in BLOCK_HEIGHTS for bw in widths]
+        # Height 1 has n_rows + 1 block-row starts.
+        _, span, _ = next(_key_spans(n_rows, n_cols, geometries))
+        assert ((n_rows + 1) * span >= 2**32) == crosses
+        counts = stored_elements_by_geometry(csr, geometries)
+        for (bh, bw), stored in counts.items():
+            assert stored == block_oracle(csr, bh, bw), (bh, bw)
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols",
+        [
+            # 4 * (2**30 - 1) < 2**32, but the span padded to a multiple
+            # of 8 is 2**30: uint64 keys at height 1.
+            (3, 2**30 - 1),
+            # At least 3 block-rows at every height, each 2**31 columns
+            # wide: uint64 keys everywhere.
+            (20, 2**31 - 1),
+        ],
+    )
+    def test_every_tuner_geometry_matches_the_oracle(self, n_rows, n_cols):
+        self.check(n_rows, n_cols, BLOCK_WIDTHS, crosses=True)
+
+    @pytest.mark.parametrize(
+        "widths, crosses",
+        [
+            # 4 * (2**30 - 8) < 2**32: uint32 keys at height 1, the last
+            # block-row's above 2**31.
+            pytest.param(BLOCK_WIDTHS, False, id="tuner-widths"),
+            # Widths 7, 8, 9 pad the span to a multiple of 504, past
+            # 2**30: uint64 keys at height 1.
+            pytest.param((7, 8, 9), True, id="widths-7-8-9"),
+        ],
+    )
+    def test_width_lcm_can_cross_to_uint64(self, widths, crosses):
+        self.check(3, 2**30 - 8, widths, crosses)
+
+    def test_widths_past_uint64_sort_apart(self):
+        # The first 16 primes' lcm exceeds 2**64, so each width sorts
+        # its own key; every count still matches the oracle.
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        geometries = [(bh, bw) for bh in (1, 3) for bw in primes]
+        rng = np.random.default_rng(4)
+        lengths = rng.integers(0, 9, size=40)
+        cols = rng.integers(0, 300, size=int(lengths.sum()))
+        csr = CSRMatrix.from_arrays(
+            np.ones(cols.shape[0], dtype=np.float32),
+            cols,
+            np.concatenate(([0], np.cumsum(lengths))),
+            300,
+        )
+        spans = list(_key_spans(csr.n_rows, csr.n_cols, geometries))
+        assert [(bh, w) for bh, _, [w] in spans] == geometries
         counts = stored_elements_by_geometry(csr, geometries)
         for (bh, bw), stored in counts.items():
             assert stored == block_oracle(csr, bh, bw), (bh, bw)
@@ -305,7 +354,8 @@ def brute_force_search(csr: CSRMatrix, device) -> tuple[int, float, str]:
 
 class TestTcooLaunchKey:
     """Tile counts sharing ``tcoo_kernel.launch_key`` run the same trial,
-    so the memoised search equals the one-launch-per-candidate loop."""
+    so the search over distinct launches equals the
+    one-launch-per-candidate loop."""
 
     def check(self, csr, device):
         by_key: dict = {}
@@ -353,3 +403,42 @@ class TestTcooLaunchKey:
     @settings(max_examples=40, deadline=None)
     def test_raw_csrs_match_brute_force(self, csr, device):
         self.check(csr, device)
+
+
+@pytest.fixture(scope="module")
+def table3_matrices():
+    """Table III's six corpus graphs at a tenth of their default scale."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(SCALE_ENV_VAR, "0.1")
+        return [
+            corpus_matrix(key)
+            for key in ("WIK", "LIV", "HOL", "DBL", "ENR", "YOT")
+        ]
+
+
+@pytest.mark.parametrize("fmt", [BCCOOFormat, TCOOFormat])
+def test_batched_trials_equal_per_work_simulation(
+    table3_matrices, fmt, monkeypatch
+):
+    """Each tuner prices its distinct trials in one ``simulate_many``
+    call; every ``KernelTiming`` field equals ``simulate_kernel`` on a
+    fresh copy of the same work."""
+    batches = []
+
+    def recording(device, works):
+        timings = simulate_many(device, works)
+        batches.append((device, works, timings))
+        return timings
+
+    monkeypatch.setattr(sys.modules[fmt.__module__], "simulate_many", recording)
+    for csr in table3_matrices:
+        fmt.from_csr(csr)
+    assert len(batches) == len(table3_matrices)
+    for device, works, timings in batches:
+        assert len(timings) == len(works) > 1
+        for work, timing in zip(works, timings):
+            alone = simulate_kernel(device, replace(work))
+            for field in fields(KernelTiming):
+                assert repr(getattr(timing, field.name)) == repr(
+                    getattr(alone, field.name)
+                ), (work.name, field.name)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import Precision
@@ -134,6 +134,35 @@ class TestStats:
         p = powerlaw_csr.gather_profile
         assert p.reuse >= 1.0
         assert 0.0 <= p.clustering <= 1.0
+
+    @given(
+        cols=st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, 32, 33, 2**31 - 34, 2**31 - 2]),
+                st.integers(min_value=0, max_value=2**31 - 2),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    @example(cols=[0, 2**31 - 2, 0, 2**31 - 2, 2**31 - 34])
+    @settings(max_examples=200, deadline=None)
+    def test_gather_clustering_matches_the_float64_mean(self, cols):
+        """The int32 step count equals the int64-steps ``np.mean`` bit for
+        bit: an exact count, then one correctly rounded division."""
+        col_idx = np.array(cols, dtype=np.int32)
+        m = CSRMatrix.from_arrays(
+            np.ones(col_idx.shape[0]),
+            col_idx,
+            np.array([0, col_idx.shape[0]]),
+            2**31 - 1,
+        )
+        # ``col_counts`` over 2**31 - 1 columns would take 16 GiB; only
+        # its non-zero count (the distinct columns) reaches the profile.
+        vars(m)["col_counts"] = np.ones(len(set(cols)), dtype=np.int64)
+        deltas = np.abs(np.diff(col_idx.astype(np.int64)))
+        expected = float(np.mean(deltas <= 32))
+        assert m.gather_profile.clustering.hex() == expected.hex()
 
     def test_device_bytes_positive(self, powerlaw_csr):
         assert powerlaw_csr.device_bytes() > powerlaw_csr.nnz * 8

@@ -1,27 +1,13 @@
 """Dynamic-parallelism launch economics."""
 
-import numpy as np
 import pytest
 
-from repro.gpu.device import GTX_580, GTX_TITAN, Precision
+from repro.gpu.device import GTX_TITAN
 from repro.gpu.dynamic_parallelism import (
     CONCURRENT_LAUNCH_WAYS,
-    DynamicParallelismUnsupported,
     OVERFLOW_PENALTY,
     child_launch_overhead_s,
-    simulate_dynamic_launch,
 )
-from repro.gpu.kernel import KernelWork
-
-
-def tiny_work(n=2):
-    return KernelWork(
-        name="child",
-        compute_insts=np.full(n, 10.0),
-        dram_bytes=np.full(n, 64.0),
-        mem_ops=np.full(n, 2.0),
-        flops=10.0,
-    )
 
 
 class TestOverhead:
@@ -54,23 +40,3 @@ class TestOverhead:
             for n in (0, 10, 100, 2048, 4096)
         ]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-class TestSimulateDynamicLaunch:
-    def test_requires_cc35(self):
-        with pytest.raises(DynamicParallelismUnsupported):
-            simulate_dynamic_launch(GTX_580, tiny_work(), [tiny_work()])
-
-    def test_no_children(self):
-        t = simulate_dynamic_launch(GTX_TITAN, tiny_work(), [])
-        assert t.children is None
-        assert t.n_children == 0
-        assert t.time_s > 0
-
-    def test_children_merge_and_run(self):
-        children = [tiny_work(1) for _ in range(10)]
-        t = simulate_dynamic_launch(GTX_TITAN, tiny_work(), children)
-        assert t.n_children == 10
-        assert t.children is not None
-        assert t.children.n_warps == 10
-        assert t.time_s > t.parent.time_s

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.warp import (
-    elementwise_warp_nnz,
     pack_rows_into_warps,
     shuffle_reduction_steps,
 )
@@ -92,28 +91,6 @@ class TestPackRows:
         # max iters over warps equals global max row need
         if arr.size:
             assert gang.warp_iters.max() == -(-arr.max() // v)
-
-
-class TestElementwise:
-    def test_exact_split(self):
-        counts = elementwise_warp_nnz(96)
-        np.testing.assert_array_equal(counts, [32, 32, 32])
-
-    def test_remainder(self):
-        counts = elementwise_warp_nnz(33)
-        np.testing.assert_array_equal(counts, [32, 1])
-
-    def test_zero(self):
-        assert elementwise_warp_nnz(0).shape == (0,)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            elementwise_warp_nnz(-1)
-
-    @given(st.integers(min_value=1, max_value=10**6))
-    @settings(max_examples=50)
-    def test_conserves_elements(self, n):
-        assert int(elementwise_warp_nnz(n).sum()) == n
 
 
 class TestShuffle:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.harness.metrics import (
     BreakEven,
@@ -67,15 +67,22 @@ class TestBreakEven:
         pt_b=st.floats(min_value=0, max_value=1e3),
         st_b=st.floats(min_value=1e-6, max_value=10),
     )
+    # One-ulp ST gap: break-even at n ~ 7.1e21, where both totals are
+    # ~7.1e15 and one ulp of them is 1.0.
+    @example(pt_a=1.5, st_a=1e-6, pt_b=0.0, st_b=1.0000000000000002e-06)
     def test_break_even_point_is_consistent(self, pt_a, st_a, pt_b, st_b):
-        """At n just past break-even, format A's total really is lower."""
+        """At n just past break-even, format A's total really is lower.
+
+        Past break-even A leads by ``st_b - st_a`` per iteration, which
+        can be far below the totals' rounding, so the slack is a few ulp
+        of the totals (n's quotient, two products and two sums)."""
         be = break_even(pt_a, st_a, pt_b, st_b)
         if be.never:
             return
         n = be.iterations + 1.0
         total_a = pt_a + n * st_a
         total_acsr = pt_b + n * st_b
-        assert total_a <= total_acsr + 1e-6
+        assert total_a <= total_acsr + 4 * math.ulp(max(total_a, total_acsr))
 
 
 class TestMeans:

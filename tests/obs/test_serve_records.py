@@ -5,6 +5,8 @@ and malformed values in any field."""
 from __future__ import annotations
 
 import json
+import math
+import time
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -347,6 +349,35 @@ class TestMetricGrid:
             tracemalloc.stop()
         assert errors == []
         assert peak < 5 * 2**20
+
+    def test_far_off_grid_record_rejected_without_a_walk(self, tmp_path):
+        # A billion-tick grid and one record ~1e500 cadences out: it is
+        # rejected without walking the running sums towards it.
+        meta = grid_meta(
+            sample_every_s=1e-300, n_ticks=10**9, end_t_s=1e300
+        )
+        path = write(
+            tmp_path, meta,
+            sample(1e-300), sample(1e200, n=7), sample(1e300, n=7),
+        )
+        start = time.perf_counter()
+        errors = validate_profile_jsonl(path)
+        assert time.perf_counter() - start < 1.0
+        assert any("t_s=1e+200 is off the monitor's tick grid" in e
+                   for e in errors)
+
+    def test_walk_crosses_chunks_with_the_monitors_sums(self, tmp_path):
+        # Tick 200,000 lies three chunks into the walk; its running sum
+        # is accepted and the float one ulp above it is not.
+        t = 0.0
+        for _ in range(200_000):
+            t += 1e-4
+        meta = grid_meta(n_ticks=200_001, end_t_s=t + 5e-5)
+        records = [sample(1e-4), sample(t, n=7), sample(t + 5e-5, n=7)]
+        assert validate_profile_jsonl(write(tmp_path, meta, *records)) == []
+        records[1] = sample(math.nextafter(t, math.inf), n=7)
+        errors = validate_profile_jsonl(write(tmp_path, meta, *records))
+        assert any("off the monitor's tick grid" in e for e in errors)
 
     def test_grid_past_the_float_range_rejected(self, tmp_path):
         errors = validate_profile_jsonl(
